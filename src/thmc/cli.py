@@ -16,7 +16,7 @@ import click
 
 from . import fiber as fiber_mod
 from . import inference
-from .core import TransitionStat, suff_stat
+from .core import DENSE_T_CAP, TransitionStat, suff_stat
 from .ingest import IngestError, ingest, parse_mapping
 from .moves import Family, enumerate_family, format_move
 
@@ -167,6 +167,8 @@ def cmd_test(input_path, mapping_spec, samples, burnin, seed, output_path,
     except (IngestError, OSError) as exc:
         _fail(EXIT_INGEST, str(exc))
         return
+    if table.T > DENSE_T_CAP:
+        _fail(EXIT_INGEST, f"path length T={table.T} exceeds the cap T <= {DENSE_T_CAP}")
     try:
         result = inference.exact_test(
             table,
@@ -215,15 +217,6 @@ def cmd_test(input_path, mapping_spec, samples, burnin, seed, output_path,
         FilePath(histogram_path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _component_tables(report: fiber_mod.ConnectivityReport) -> list[list[str]]:
-    """Component membership as table strings, via one fiber re-enumeration."""
-    fib = fiber_mod.enumerate_fiber(report.T, report.b)
-    return [
-        [fiber_mod.table_text(fib.elements[i]) for i in component]
-        for component in report.components
-    ]
-
-
 @main.command("verify-basis")
 @click.option("--T", "T", required=True, type=int, help="Path length.")
 @click.option("--n-max", "n_max", required=True, type=int, help="Largest table total to sweep.")
@@ -244,9 +237,6 @@ def cmd_verify_basis(T, n_max, families_spec, report_path) -> None:
         return
     try:
         reports = fiber_mod.sweep(T, n_max, families)
-    except fiber_mod.BudgetExceeded as exc:
-        _fail(EXIT_BUDGET, str(exc))
-        return
     except ValueError as exc:
         _fail(EXIT_USAGE, str(exc))
         return
@@ -260,7 +250,7 @@ def cmd_verify_basis(T, n_max, families_spec, report_path) -> None:
                 "T": r.T,
                 "b": list(r.b.as_tuple()),
                 "fiber_size": r.fiber_size,
-                "components": _component_tables(r),
+                "components": r.component_tables,
                 "move_set": list(r.move_set),
             }
             for r in reports

@@ -9,20 +9,20 @@ as a single component.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations_with_replacement
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .core import (
     MIN_T,
+    Path,
     PathTable,
     TransitionStat,
     all_paths,
     decode,
-    encode,
     path_str,
-    suff_stat,
     transitions,
 )
 from .moves import Family, Move, enumerate_families
@@ -167,7 +167,8 @@ def enumerate_fiber(
 
 @dataclass(frozen=True)
 class ConnectivityReport:
-    """Connected components of a fiber under a move set."""
+    """Connected components of a fiber under a move set; ``component_tables``
+    renders each component's tables with :func:`table_text`."""
 
     T: int
     b: TransitionStat
@@ -175,6 +176,7 @@ class ConnectivityReport:
     component_sizes: tuple[int, ...]
     components: tuple[tuple[int, ...], ...]
     representatives: tuple[PathTable, ...]
+    component_tables: tuple[tuple[str, ...], ...]
     move_set: tuple[str, ...]
 
     @property
@@ -222,6 +224,21 @@ class _UnionFind:
             self.count -= 1
 
 
+def _sub_multisets(
+    items: tuple[tuple[Path, int], ...], max_size: int
+) -> list[tuple[tuple[Path, int], ...]]:
+    """Each distinct sub-multiset of at most ``max_size`` paths, as items in
+    encoding order."""
+    parts: list[tuple[tuple[tuple[Path, int], ...], int]] = [((), 0)]
+    for path, count in items:
+        parts += [
+            (part + ((path, k),), size + k)
+            for part, size in parts
+            for k in range(1, min(count, max_size - size) + 1)
+        ]
+    return [part for part, _ in parts]
+
+
 def connectivity(
     fiber: Fiber,
     move_set: Iterable[Move] | Iterable[Family | str] | None = None,
@@ -231,46 +248,42 @@ def connectivity(
     Two tables are adjacent when some move in the set carries one to the
     other without any count going negative.  ``move_set`` is either a list
     of explicit moves or a selection of families (all six by default).
+    Moves are indexed by their negative part, so a table's neighbours are
+    found by looking up its sub-multisets up to the largest move degree;
+    one sign of each move suffices, because its other sign is found from
+    the far end.
     Output is deterministic: components are ordered by their smallest
     element and each is represented by that element.
     """
     moves, description = _resolve_moves(fiber.T, move_set)
     if not fiber.elements:
         raise ValueError("connectivity of an empty fiber is undefined")
-    n = len(fiber.elements)
-    tables = [dict(t.counts) for t in fiber.elements]
-    index = {t.items(): i for i, t in enumerate(fiber.elements)}
-    uf = _UnionFind(n)
-    b = fiber.b.as_tuple()
-    total_n = sum(tables[0].values())
+    elements = fiber.elements
+    n = len(elements)
+    by_negative: dict[tuple[tuple[Path, int], ...], list[Move]] = {}
     for move in moves:
+        by_negative.setdefault(move.negative.items(), []).append(move)
+    max_degree = max((m.degree for m in moves), default=0)
+    index = {frozenset(t.items()): i for i, t in enumerate(elements)}
+    uf = _UnionFind(n)
+    for i, table in enumerate(elements):
         if uf.count == 1:
             break
-        if move.degree > total_n:
-            continue
-        neg_stat = suff_stat(move.negative).as_tuple()
-        if any(v > w for v, w in zip(neg_stat, b)):
-            continue
-        neg = [(p, -d) for p, d in move.deltas if d < 0]
-        deltas = move.deltas
-        for i in range(n):
-            x = tables[i]
-            if any(x.get(p, 0) < c for p, c in neg):
-                continue
-            y = dict(x)
-            for p, d in deltas:
-                c = y.get(p, 0) + d
-                if c:
-                    y[p] = c
-                else:
-                    del y[p]
-            key = tuple(sorted(y.items(), key=lambda kv: encode(kv[0])))
-            j = index.get(key)
-            if j is None:
-                raise AssertionError(
-                    "move led outside the enumerated fiber; enumeration incomplete"
-                )
-            uf.union(i, j)
+        for part in _sub_multisets(table.items(), max_degree):
+            for move in by_negative.get(part, ()):
+                y = dict(table.counts)
+                for p, d in move.deltas:
+                    c = y.get(p, 0) + d
+                    if c:
+                        y[p] = c
+                    else:
+                        del y[p]
+                j = index.get(frozenset(y.items()))
+                if j is None:
+                    raise AssertionError(
+                        "move led outside the enumerated fiber; enumeration incomplete"
+                    )
+                uf.union(i, j)
     groups: dict[int, list[int]] = {}
     for i in range(n):
         groups.setdefault(uf.find(i), []).append(i)
@@ -281,25 +294,41 @@ def connectivity(
         fiber_size=n,
         component_sizes=tuple(len(c) for c in comps),
         components=comps,
-        representatives=tuple(fiber.elements[c[0]] for c in comps),
+        representatives=tuple(elements[c[0]] for c in comps),
+        component_tables=tuple(
+            tuple(table_text(elements[i]) for i in c) for c in comps
+        ),
         move_set=description,
     )
 
 
-def realizable_stats(T: int, n_max: int) -> list[TransitionStat]:
-    """Every transition statistic realized by a table with total count <= n_max."""
-    if T < MIN_T:
-        raise ValueError(f"T must be >= {MIN_T}, got {T}")
+def _tables_by_stat(
+    T: int, n_max: int
+) -> Iterator[dict[tuple[int, int, int, int], list[tuple[int, ...]]]]:
+    """For n = 0..n_max, every table of total count n grouped by statistic.
+
+    A table is the sorted tuple of its paths' cell indices, and each group
+    lists its tables in ``combinations_with_replacement`` order: descending
+    in dense count vectors, the reverse of the canonical fiber order.  Since
+    sum(b) = n(T-1), each group is a complete fiber.
+    """
     stats = _cell_stats(T)
-    seen: set[tuple[int, int, int, int]] = set()
     for n in range(0, n_max + 1):
+        groups: dict[tuple[int, int, int, int], list[tuple[int, ...]]] = {}
         for combo in combinations_with_replacement(range(len(stats)), n):
             acc = (0, 0, 0, 0)
             for i in combo:
                 s = stats[i]
                 acc = (acc[0] + s[0], acc[1] + s[1], acc[2] + s[2], acc[3] + s[3])
-            seen.add(acc)
-    return [TransitionStat(*t) for t in sorted(seen, key=lambda t: (sum(t), t))]
+            groups.setdefault(acc, []).append(combo)
+        yield groups
+
+
+def realizable_stats(T: int, n_max: int) -> list[TransitionStat]:
+    """Every transition statistic realized by a table with total count <= n_max."""
+    return [
+        TransitionStat(*b) for groups in _tables_by_stat(T, n_max) for b in sorted(groups)
+    ]
 
 
 def initial_frequency_classes(fiber: Fiber) -> tuple[tuple[int, ...], ...]:
@@ -316,36 +345,31 @@ def sweep(
     n_max: int,
     move_set: Iterable[Move] | Iterable[Family | str] | None = None,
     stat_filter: Callable[[TransitionStat], bool] | None = None,
-    max_elements: int = MAX_FIBER_ELEMENTS,
-    max_nodes: int = MAX_DFS_NODES,
 ) -> list[ConnectivityReport]:
     """Connectivity reports for every realizable fiber with total count <= n_max.
 
     ``stat_filter`` optionally restricts the swept statistics (e.g. to
-    fibers with b11 = 0).  Statistics are processed in a deterministic
-    order and each fiber is enumerated exhaustively, so a report with more
-    than one component is a certified disconnection under the move set.
+    fibers with b11 = 0).  Every table is enumerated once and grouped by
+    statistic, so each fiber is complete and a report with more than one
+    component is a certified disconnection under the move set.  Reports
+    come in ascending (total, b) order.
     """
-    moves, description = _resolve_moves(T, move_set)
+    if move_set is not None:
+        move_set = list(move_set)
+    _resolve_moves(T, move_set)  # reject a bad T or family before enumerating
+    paths = tuple(all_paths(T))
     reports = []
-    for b in realizable_stats(T, n_max):
-        if stat_filter is not None and not stat_filter(b):
-            continue
-        fiber = enumerate_fiber(T, b, max_elements=max_elements, max_nodes=max_nodes)
-        if not fiber.elements:
-            continue
-        report = connectivity(fiber, moves)
-        reports.append(
-            ConnectivityReport(
-                T=report.T,
-                b=report.b,
-                fiber_size=report.fiber_size,
-                component_sizes=report.component_sizes,
-                components=report.components,
-                representatives=report.representatives,
-                move_set=description,
+    for groups in _tables_by_stat(T, n_max):
+        for b in sorted(groups):
+            tables = groups.pop(b)
+            stat = TransitionStat(*b)
+            if stat_filter is not None and not stat_filter(stat):
+                continue
+            elements = tuple(
+                PathTable(T, Counter(paths[i] for i in combo))
+                for combo in reversed(tables)
             )
-        )
+            reports.append(connectivity(Fiber(T, stat, elements), move_set))
     return reports
 
 

@@ -359,8 +359,8 @@ def exact_test(
     samples whose likelihood ratio meets or exceeds the observed one
     (``add_observed`` switches to the (1 + count) / (steps + 1)
     convention).  With ``chains`` > 1 the samples are split over
-    independent chains and pooled deterministically by chain index;
-    diagnostics cover the post-burn-in phase.
+    independent chains, run one after another and pooled in chain index
+    order; diagnostics cover the post-burn-in phase.
     """
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
@@ -382,39 +382,19 @@ def exact_test(
         base, rem = divmod(steps, chains)
         quotas = [base + (1 if i < rem else 0) for i in range(chains)]
 
-    def run_chain(rng: np.random.Generator, quota: int):
+    values: list[float] = []
+    accepted = nulls = total = 0
+    for rng, quota in zip(rngs, quotas):
+        if quota == 0:
+            continue
         chain = _Chain(table, rng, weights_vec, evaluator=evaluator)
         for _ in range(burnin):
             chain.step()
         chain.reset_diagnostics()
-        out = [chain.step()[1] for _ in range(quota)]
-        return out, chain.accepted, chain.null_proposals, chain.steps_taken
-
-    values: list[float] = []
-    accepted = 0
-    nulls = 0
-    total = 0
-    if chains == 1:
-        results = [run_chain(rngs[0], quotas[0])]
-    else:
-        # Independent chains; results pooled by chain index, so the output
-        # does not depend on scheduling.  (The shared fit cache is
-        # value-deterministic: every thread computing a key gets the same
-        # floats.)
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=min(chains, 8)) as pool:
-            futures = [
-                pool.submit(run_chain, rng, quota)
-                for rng, quota in zip(rngs, quotas)
-                if quota > 0
-            ]
-            results = [f.result() for f in futures]
-    for chain_values, chain_accepted, chain_nulls, chain_total in results:
-        values.extend(chain_values)
-        accepted += chain_accepted
-        nulls += chain_nulls
-        total += chain_total
+        values.extend(chain.step()[1] for _ in range(quota))
+        accepted += chain.accepted
+        nulls += chain.null_proposals
+        total += chain.steps_taken
 
     count = sum(1 for v in values if v >= L_obs - _LR_TIE_EPS)
     if add_observed:

@@ -31,7 +31,7 @@ from .core import (
     transitions,
 )
 
-#: Default cap on the path length accepted by the family enumerators.
+#: Cap on the path length accepted by the family enumerators.
 ENUMERATION_T_CAP = 6
 
 
@@ -586,27 +586,27 @@ def _enumerate_family_cached(T: int, family: Family) -> tuple[Move, ...]:
     return tuple(_dedup(_ENUMERATORS[family](T)))
 
 
-def enumerate_family(T: int, family: Family | str, cap: int = ENUMERATION_T_CAP) -> list[Move]:
+def enumerate_family(T: int, family: Family | str) -> list[Move]:
     """All moves of one family at length T, deduplicated up to global sign.
 
     The sweep over each family's parameters is exhaustive, so the list is
-    complete; T is capped (default 6) because the counts grow quickly.
+    complete; T is capped (``ENUMERATION_T_CAP``) because the counts grow quickly.
     """
     if T < MIN_T:
         raise ValueError(f"T must be >= {MIN_T}, got {T}")
-    if T > cap:
-        raise ValueError(f"enumeration is capped at T <= {cap}, got {T}")
+    if T > ENUMERATION_T_CAP:
+        raise ValueError(f"enumeration is capped at T <= {ENUMERATION_T_CAP}, got {T}")
     return list(_enumerate_family_cached(T, Family(family)))
 
 
 def enumerate_families(
-    T: int, families: Iterable[Family | str] | None = None, cap: int = ENUMERATION_T_CAP
+    T: int, families: Iterable[Family | str] | None = None
 ) -> list[Move]:
     """Concatenated family enumerations (all six families by default)."""
     fams = FAMILIES if families is None else tuple(Family(f) for f in families)
     out: list[Move] = []
     for fam in fams:
-        out.extend(enumerate_family(T, fam, cap=cap))
+        out.extend(enumerate_family(T, fam))
     return out
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -163,6 +164,16 @@ class TestCmdTest:
         ])
         assert result.exit_code == 1
 
+    def test_path_length_over_dense_cap_is_ingest_error(self, runner, tmp_path):
+        f = tmp_path / "long.csv"
+        f.write_text("1" * 25 + ",1\n" + "1" * 24 + "2,2\n")
+        result = runner.invoke(main, ["test", "--input", str(f)])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr.startswith("error: ")
+        assert len(result.stderr.splitlines()) == 1
+        assert "T=25" in result.stderr
+
     def test_chains_pool(self, runner, tmp_path):
         out = tmp_path / "c.json"
         result = runner.invoke(main, [
@@ -202,6 +213,23 @@ class TestCmdVerifyBasis:
             "verify-basis", "--T", "3", "--n-max", "2", "--families", "zigzag",
         ])
         assert result.exit_code == 1
+
+    # Report hashes recorded from an implementation that enumerated every
+    # fiber by depth-first search; the report bytes must not change.
+    @pytest.mark.parametrize("args, code, digest", [
+        (["--T", "4", "--n-max", "3"], 0,
+         "869b84b58eaa330cec1000d3cc0a42bbefade59444c2de93e33d87fcfafcba8c"),
+        (["--T", "4", "--n-max", "3", "--families", "type1,crossing,2x2,type4"], 4,
+         "6ece412fede7b24abc2cf8e25e2ca2f11f144254a1d443f81ae19340a20a9875"),
+        (["--T", "3", "--n-max", "4",
+          "--families", "type1,crossing,2x2,type4,type2"], 4,
+         "0bddfd32436018415a7c72249e1ee95c8e556a955e92a4cbc8a452111c5cb7cd"),
+    ])
+    def test_report_bytes(self, runner, tmp_path, args, code, digest):
+        report = tmp_path / "rep.json"
+        result = runner.invoke(main, ["verify-basis", *args, "--report", str(report)])
+        assert result.exit_code == code, result.output
+        assert hashlib.sha256(report.read_bytes()).hexdigest() == digest
 
 
 class TestCmdEnumerateFiber:

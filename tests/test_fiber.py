@@ -4,8 +4,11 @@ import pytest
 
 from thmc import (
     Family,
+    NegativityViolation,
     PathTable,
+    apply_move,
     connectivity,
+    enumerate_families,
     enumerate_fiber,
     initial_frequency_classes,
     realizable_stats,
@@ -153,3 +156,55 @@ class TestSweep:
                 table = PathTable.from_paths(combo) if combo else PathTable(3)
                 seen.add(suff_stat(table).as_tuple())
         assert {b.as_tuple() for b in realizable_stats(3, 2)} == seen
+
+
+def reference_components(fib, moves):
+    """Components by union-find over every element, move and sign, with the
+    DFS enumeration and apply_move as the only program parts used."""
+    index = {t: i for i, t in enumerate(fib.elements)}
+    parent = list(range(len(fib.elements)))
+
+    def root(i):
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    for i, table in enumerate(fib.elements):
+        for move in moves:
+            for sign in (1, -1):
+                try:
+                    other = apply_move(table, move, sign)
+                except NegativityViolation:
+                    continue
+                a, b = sorted((root(i), root(index[other])))
+                parent[b] = a
+    groups = {}
+    for i in range(len(fib.elements)):
+        groups.setdefault(root(i), []).append(i)
+    return sorted(tuple(g) for g in groups.values())
+
+
+class TestSweepOracle:
+    @pytest.mark.parametrize("T", [3, 4])
+    @pytest.mark.parametrize(
+        "families",
+        [
+            None,
+            ["type1", "crossing"],
+            ["type1", "crossing", "2x2", "type4"],
+            ["deg3-sliding", "type2"],
+        ],
+    )
+    def test_sweep_matches_dfs_and_apply_move(self, T, families):
+        moves = enumerate_families(T, families)
+        reports = sweep(T, 3, families)
+        assert [r.b for r in reports] == realizable_stats(T, 3)
+        for report in reports:
+            fib = enumerate_fiber(T, report.b)
+            comps = reference_components(fib, moves)
+            assert report.fiber_size == len(fib)
+            assert list(report.components) == comps
+            assert report.representatives == tuple(fib.elements[c[0]] for c in comps)
+            assert report.component_tables == tuple(
+                tuple(table_text(fib.elements[i]) for i in c) for c in comps
+            )
