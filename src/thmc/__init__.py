@@ -1,7 +1,7 @@
 """Markov bases and exact conditional tests for two-state chain path models.
 
 The package covers the full pipeline: path tables and their transition
-statistics (:mod:`thmc.core`), the five move families with validators and a
+statistics (:mod:`thmc.core`), the six move families with validators and a
 symmetric proposal sampler (:mod:`thmc.moves`), exhaustive fiber
 enumeration and connectivity checks (:mod:`thmc.fiber`), MLE fitting and
 the Metropolis-Hastings exact goodness-of-fit test (:mod:`thmc.inference`),

@@ -301,6 +301,9 @@ def cmd_enumerate_fiber(T, b_spec) -> None:
     except fiber_mod.BudgetExceeded as exc:
         _fail(EXIT_BUDGET, str(exc))
         return
+    except ValueError as exc:
+        _fail(EXIT_USAGE, str(exc))
+        return
     if not fib.elements:
         click.echo(f"fiber of b={b.as_tuple()} at T={T} is empty", err=True)
         return

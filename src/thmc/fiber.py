@@ -16,6 +16,7 @@ from itertools import combinations_with_replacement
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .core import (
+    DENSE_T_CAP,
     MIN_T,
     Path,
     PathTable,
@@ -154,11 +155,14 @@ def enumerate_fiber(
 
     Elements are sorted canonically (lexicographically in their dense count
     vectors).  A statistic whose total is not a multiple of T-1 has an
-    empty fiber.  Raises :class:`BudgetExceeded` past the configured
+    empty fiber.  T is capped at ``DENSE_T_CAP`` because the search walks
+    all 2**T cells.  Raises :class:`BudgetExceeded` past the configured
     budgets.
     """
     if T < MIN_T:
         raise ValueError(f"T must be >= {MIN_T}, got {T}")
+    if T > DENSE_T_CAP:
+        raise ValueError(f"fiber enumeration is capped at T <= {DENSE_T_CAP}, got {T}")
     if not isinstance(b, TransitionStat):
         b = TransitionStat(*(int(v) for v in b))
     raw = _enumerate_raw(T, b.as_tuple(), max_elements, max_nodes)

@@ -1,4 +1,4 @@
-"""The five move families, their validators, enumerators, and the proposal sampler.
+"""The six move families, their validators, enumerators, and the proposal sampler.
 
 A move is a signed integer table z with A z = 0: adding it to a frequency
 table preserves the transition statistic whenever no count goes negative.
@@ -6,7 +6,9 @@ Four families additionally preserve the initial-state frequencies; type II
 degree-one moves and degree-3 sliding moves shift them by exactly one path.
 
 Times are 1-based throughout, matching the (state, time) node convention of
-move graphs.
+move graphs.  A family's enumeration is every move the proposal sampler can
+draw for it, so the moves a basis sweep certifies are the moves the exact
+test proposes.
 """
 
 from __future__ import annotations
@@ -23,12 +25,9 @@ from .core import (
     MIN_T,
     Path,
     PathTable,
-    TransitionStat,
-    all_paths,
     as_path,
     encode,
     path_str,
-    transitions,
 )
 
 #: Cap on the path length accepted by the family enumerators.
@@ -74,8 +73,9 @@ class Move:
     """A signed sparse integer table with balanced, statistic-preserving parts.
 
     ``deltas`` holds (path, nonzero signed count) pairs in encoding order.
-    Construction verifies that the positive and negative parts carry the
-    same total mass and the same transition statistic.
+    Construction verifies each path and accumulates the signed change of
+    the transition counts and the mass in one pass; both must be zero, so
+    the positive and negative parts carry the same mass and statistic.
     """
 
     T: int
@@ -85,33 +85,35 @@ class Move:
     def __post_init__(self) -> None:
         if not self.deltas:
             raise MoveError("zero move")
+        T = self.T
+        if T < MIN_T:
+            raise ValueError(f"T must be >= {MIN_T}, got {T}")
+        # Signed net change of (b11, b12, b21, b22, mass) over all deltas.
+        net = [0, 0, 0, 0, 0]
         last = -1
-        pos = TransitionStat(0, 0, 0, 0)
-        neg = TransitionStat(0, 0, 0, 0)
-        pos_mass = neg_mass = 0
         for path, delta in self.deltas:
-            as_path(path, self.T)
-            idx = encode(path)
+            if len(path) != T:
+                raise ValueError(f"path length {len(path)} != expected T={T}")
+            idx = prev = 0
+            for s in path:
+                if s != 1 and s != 2:
+                    raise ValueError(f"path entries must be 1 or 2, got {s!r}")
+                idx = 2 * idx + s - 1
+                if prev:
+                    net[2 * prev + s - 3] += delta
+                prev = s
             if idx <= last:
                 raise ValueError("move deltas must be sorted by path encoding")
             last = idx
             if delta == 0:
                 raise ValueError("move deltas must be nonzero")
-            t = transitions(path)
-            if delta > 0:
-                pos_mass += delta
-                pos = pos + TransitionStat(*(delta * v for v in t.as_tuple()))
-            else:
-                neg_mass -= delta
-                neg = neg + TransitionStat(*(-delta * v for v in t.as_tuple()))
-        if pos_mass != neg_mass:
-            raise ValueError(
-                f"unbalanced move: +{pos_mass} vs -{neg_mass} total mass"
-            )
-        if pos != neg:
+            net[4] += delta
+        if net[4]:
+            raise ValueError(f"unbalanced move: net mass {net[4]:+d}")
+        if any(net[:4]):
             raise ValueError(
                 f"move does not preserve the transition statistic: "
-                f"{pos.as_tuple()} vs {neg.as_tuple()}"
+                f"net change {tuple(net[:4])}"
             )
 
     @cached_property
@@ -482,115 +484,32 @@ def _items_sort_key(items: tuple[tuple[Path, int], ...]):
     return tuple((encode(p), d) for p, d in items)
 
 
-def _enumerate_type1(T: int) -> Iterable[Move]:
-    for path in all_paths(T):
-        for t0, t1, t2 in itertools.combinations(range(1, T + 1), 3):
-            try:
-                yield type1_deg1(path, t0, t1, t2)
-            except MoveError:
-                pass
-
-
-def _enumerate_crossing(T: int) -> Iterable[Move]:
-    paths = list(all_paths(T))
-    for i, p1 in enumerate(paths):
-        for p2 in paths[i:]:
-            for t in range(1, T + 1):
-                try:
-                    yield crossing_swap(p1, p2, t)
-                except MoveError:
-                    pass
-
-
-def _contexts(*lengths: int):
-    bits = sum(lengths)
-    for combo in itertools.product((1, 2), repeat=bits):
-        out = []
-        pos = 0
-        for ln in lengths:
-            out.append(combo[pos : pos + ln])
-            pos += ln
-        yield out
-
-
-def _enumerate_2x2(T: int) -> Iterable[Move]:
-    for t0 in range(1, T - 1):
-        for t1 in range(t0 + 1, T):
-            mid = max(t1 - t0 - 2, 0)
-            for pattern in ("A", "B"):
-                for pre1, mid1, suf1, pre2, mid2, suf2 in _contexts(
-                    t0 - 1, mid, T - t1 - 1, t0 - 1, mid, T - t1 - 1
-                ):
-                    try:
-                        yield two_by_two_swap(
-                            T, pattern, t0, t1, pre1, mid1, suf1, pre2, mid2, suf2
-                        )
-                    except MoveError:
-                        pass
-
-
-def _enumerate_type4(T: int) -> Iterable[Move]:
-    if T < 4:
-        return
-    for swap in (False, True):
-        for t0 in range(1, T - 1):
-            for t1 in range(1, T - 1):
-                if t0 == t1:
-                    continue
-                for pre1, suf1, pre2, suf2 in _contexts(
-                    t0 - 1, T - t0 - 2, t1 - 1, T - t1 - 2
-                ):
-                    try:
-                        yield type4_move(
-                            T, t0, t1, pre1, suf1, pre2, suf2, swap_states=swap
-                        )
-                    except MoveError:
-                        pass
-
-
-def _enumerate_type2(T: int) -> Iterable[Move]:
-    for path in all_paths(T):
-        for t in range(2, T):
-            try:
-                yield type2_deg1(path, t)
-            except MoveError:
-                pass
-
-
-def _enumerate_deg3(T: int) -> Iterable[Move]:
-    for a in range(1, T):
-        for b in range(a, T - a):
-            for u in range(b, T - a):
-                for swap in (False, True):
-                    for rev in (False, True):
-                        try:
-                            yield deg3_sliding(
-                                T, a, b, u, state_swap=swap, time_reverse=rev
-                            )
-                        except MoveError:
-                            pass
-
-
-_ENUMERATORS = {
-    Family.TYPE1_DEG1: _enumerate_type1,
-    Family.CROSSING: _enumerate_crossing,
-    Family.TWO_BY_TWO: _enumerate_2x2,
-    Family.TYPE4: _enumerate_type4,
-    Family.TYPE2_DEG1: _enumerate_type2,
-    Family.DEG3_SLIDING: _enumerate_deg3,
-}
-
-
 @lru_cache(maxsize=None)
 def _enumerate_family_cached(T: int, family: Family) -> tuple[Move, ...]:
-    return tuple(_dedup(_ENUMERATORS[family](T)))
+    """Every move the sampler can draw for one family, deduplicated.
+
+    Walks each parameter draw of :class:`ProposalSampler` with the sign
+    slot fixed and skips the draws that yield a null proposal, so the
+    enumerated set is exactly the set the chain proposes.
+    """
+    sampler = ProposalSampler(T)
+    draws = itertools.product(*map(range, sampler._highs[family][:-1]))
+
+    def built() -> Iterable[Move]:
+        for d in draws:
+            try:
+                yield sampler._build(family, d + (0,))
+            except MoveError:
+                pass
+
+    return tuple(_dedup(built()))
 
 
 def enumerate_family(T: int, family: Family | str) -> list[Move]:
     """All moves of one family at length T, deduplicated up to global sign.
 
-    The sweep over each family's parameters is exhaustive, so the list is
-    complete; T is capped (``ENUMERATION_T_CAP``) because the counts grow quickly.
+    The list holds every move :class:`ProposalSampler` can draw for the
+    family; T is capped (``ENUMERATION_T_CAP``) because the counts grow quickly.
     """
     if T < MIN_T:
         raise ValueError(f"T must be >= {MIN_T}, got {T}")
@@ -620,6 +539,12 @@ def _normalize_weights(
     if weights is None:
         return tuple([1.0 / len(FAMILIES)] * len(FAMILIES))
     if isinstance(weights, Mapping):
+        unknown = [k for k in weights if k not in FAMILIES]
+        if unknown:
+            raise ValueError(
+                f"unknown family weight key(s) {', '.join(map(repr, unknown))}; "
+                f"expected {', '.join(f.value for f in FAMILIES)}"
+            )
         vec = [float(weights.get(f, weights.get(f.value, 0.0))) for f in FAMILIES]
     else:
         vec = [float(w) for w in weights]
@@ -658,25 +583,18 @@ class ProposalSampler:
         self._2x2_pairs = [
             (t0, t1) for t0 in range(1, T - 1) for t1 in range(t0 + 1, T)
         ]
-        max_ctx = 2 * max(T - 3, 0)
+        ctx = [2] * (2 * (T - 3))
+        highs = {
+            Family.TYPE1_DEG1: [2] * T + [len(self._time_triples)],
+            Family.CROSSING: [2] * (2 * T) + [T],
+            Family.TWO_BY_TWO: [2, len(self._2x2_pairs)] + ctx,
+            Family.TYPE4: [2, T - 2, T - 2] + ctx if T >= 4 else [],
+            Family.TYPE2_DEG1: [2] * T + [T - 2],
+            Family.DEG3_SLIDING: [T - 1, T - 1, T - 1, 2, 2],
+        }
+        # Every draw ends in the fair sign slot.
         self._highs = {
-            Family.TYPE1_DEG1: np.array(
-                [2] * T + [len(self._time_triples), 2], dtype=np.int64
-            ),
-            Family.CROSSING: np.array([2] * (2 * T) + [T, 2], dtype=np.int64),
-            Family.TWO_BY_TWO: np.array(
-                [2, len(self._2x2_pairs)] + [2] * max_ctx + [2], dtype=np.int64
-            ),
-            Family.TYPE4: np.array(
-                [2, max(T - 2, 1), max(T - 2, 1)] + [2] * (2 * (T - 3)) + [2],
-                dtype=np.int64,
-            )
-            if T >= 4
-            else np.array([2], dtype=np.int64),
-            Family.TYPE2_DEG1: np.array([2] * T + [T - 2, 2], dtype=np.int64),
-            Family.DEG3_SLIDING: np.array(
-                [T - 1, T - 1, T - 1, 2, 2, 2], dtype=np.int64
-            ),
+            f: np.array(h + [2], dtype=np.int64) for f, h in highs.items()
         }
 
     def sample(self, rng: np.random.Generator) -> Optional[tuple[Move, int]]:
@@ -690,41 +608,32 @@ class ProposalSampler:
         sign = 1 if draws[-1] == 0 else -1
         return move, sign
 
-    def _build(self, fam: Family, d: np.ndarray) -> Move:
+    def _build(self, fam: Family, d: Sequence[int]) -> Move:
+        """Decode one parameter draw (sign slot last, unused here) into a move."""
         T = self.T
         if fam is Family.TYPE1_DEG1:
-            path = tuple(int(v) + 1 for v in d[:T])
+            (path,) = _split_states(d, T)
             t0, t1, t2 = self._time_triples[int(d[T])]
             return type1_deg1(path, t0, t1, t2)
         if fam is Family.CROSSING:
-            p1 = tuple(int(v) + 1 for v in d[:T])
-            p2 = tuple(int(v) + 1 for v in d[T : 2 * T])
+            p1, p2 = _split_states(d, T, T)
             return crossing_swap(p1, p2, int(d[2 * T]) + 1)
         if fam is Family.TWO_BY_TWO:
             pattern = "A" if d[0] == 0 else "B"
             t0, t1 = self._2x2_pairs[int(d[1])]
-            bits = [int(v) + 1 for v in d[2:-1]]
             mid = max(t1 - t0 - 2, 0)
-            lens = (t0 - 1, mid, T - t1 - 1, t0 - 1, mid, T - t1 - 1)
-            ctx, pos = [], 0
-            for ln in lens:
-                ctx.append(tuple(bits[pos : pos + ln]))
-                pos += ln
+            ctx = _split_states(
+                d[2:-1], t0 - 1, mid, T - t1 - 1, t0 - 1, mid, T - t1 - 1
+            )
             return two_by_two_swap(T, pattern, t0, t1, *ctx)
         if fam is Family.TYPE4:
             if T < 4:
                 raise MoveError("window trades need T >= 4")
-            swap = bool(d[0])
             t0, t1 = int(d[1]) + 1, int(d[2]) + 1
-            bits = [int(v) + 1 for v in d[3:-1]]
-            lens = (t0 - 1, T - t0 - 2, t1 - 1, T - t1 - 2)
-            ctx, pos = [], 0
-            for ln in lens:
-                ctx.append(tuple(bits[pos : pos + ln]))
-                pos += ln
-            return type4_move(T, t0, t1, *ctx, swap_states=swap)
+            ctx = _split_states(d[3:-1], t0 - 1, T - t0 - 2, t1 - 1, T - t1 - 2)
+            return type4_move(T, t0, t1, *ctx, swap_states=bool(d[0]))
         if fam is Family.TYPE2_DEG1:
-            path = tuple(int(v) + 1 for v in d[:T])
+            (path,) = _split_states(d, T)
             return type2_deg1(path, int(d[T]) + 2)
         if fam is Family.DEG3_SLIDING:
             a, b, u = int(d[0]) + 1, int(d[1]) + 1, int(d[2]) + 1
@@ -732,6 +641,15 @@ class ProposalSampler:
                 T, a, b, u, state_swap=bool(d[3]), time_reverse=bool(d[4])
             )
         raise AssertionError(fam)
+
+
+def _split_states(bits: Sequence[int], *lengths: int) -> list[Path]:
+    """Cut leading fair-bit draws into consecutive state runs of the given lengths."""
+    out, pos = [], 0
+    for ln in lengths:
+        out.append(tuple(int(v) + 1 for v in bits[pos : pos + ln]))
+        pos += ln
+    return out
 
 
 @lru_cache(maxsize=32)

@@ -4,9 +4,20 @@ import json
 import pytest
 from click.testing import CliRunner
 
-from thmc import ingest, klotz_path, parse_mapping, read_dataset, serialize_table
+import numpy as np
+
+from thmc import (
+    fiber,
+    ingest,
+    klotz_path,
+    parse_mapping,
+    read_dataset,
+    serialize_table,
+)
 from thmc.cli import main
 from thmc.ingest import IngestError
+
+from conftest import random_table
 
 
 @pytest.fixture()
@@ -185,6 +196,44 @@ class TestCmdTest:
         assert json.loads(out.read_text())["samples"] == 300
 
 
+    # Chain-derived fields of seeded runs, recorded before the move families
+    # were enumerated from the sampler's draws; they pin the random stream.
+    # L and p_asymptotic come from BLAS-dependent fits and are not pinned.
+    @pytest.mark.parametrize("case, args, fields, hist_digest", [
+        ("klotz", ["--map", "M=1,F=2", "--seed", "7"],
+         (0.8521, 0.2108, 0.7221),
+         "cd7ce6add8e9f88f032b81cf2391f93faab05ce77a064009f55720cafaca8de5"),
+        ("random-T6", ["--samples", "3000", "--burnin", "500", "--seed", "11"],
+         (0.4146666666666667, 0.051333333333333335, 0.6403333333333333),
+         "dca5faa9ea1e18d8bdf8630dfe3340459cbc150f0e4069d7364f5060df201320"),
+        ("klotz-chains", ["--map", "M=1,F=2", "--seed", "7", "--chains", "3",
+                          "--samples", "3000"],
+         (0.7583333333333333, 0.21633333333333332, 0.7166666666666667),
+         "b891c598789be417d7bf0011d9f5c62fdd84debb85d436a1c45bae0a86c51570"),
+    ])
+    def test_seeded_chain_fields(self, runner, tmp_path, case, args, fields,
+                                 hist_digest):
+        if case == "random-T6":
+            data = tmp_path / "t6.csv"
+            table = random_table(np.random.default_rng(6), 6, 40)
+            data.write_text(serialize_table(table))
+        else:
+            data = klotz_path()
+        out = tmp_path / "r.json"
+        hist = tmp_path / "h.csv"
+        result = runner.invoke(main, [
+            "test", "--input", str(data), *args,
+            "--output", str(out), "--histogram", str(hist),
+        ])
+        assert result.exit_code == 0, result.output
+        payload = json.loads(out.read_text())
+        got = (payload["p_exact"], payload["acceptance_rate"],
+               payload["null_proposal_rate"])
+        assert got == fields
+        counts = ",".join(l.split(",")[1] for l in hist.read_text().splitlines()[1:])
+        assert hashlib.sha256(counts.encode()).hexdigest() == hist_digest
+
+
 class TestCmdVerifyBasis:
     def test_full_set_connected(self, runner, tmp_path):
         report = tmp_path / "rep.json"
@@ -248,6 +297,18 @@ class TestCmdEnumerateFiber:
         result = runner.invoke(main, ["enumerate-fiber", "--T", "3", "--b", "1,2,3"])
         assert result.exit_code == 1
 
+    def test_T_over_dense_cap_is_usage_error(self, runner, monkeypatch):
+        def refuse(T):
+            raise AssertionError(f"built all 2**{T} cells")
+
+        monkeypatch.setattr(fiber, "_cell_stats", refuse)
+        result = runner.invoke(main, ["enumerate-fiber", "--T", "40", "--b", "39,0,0,0"])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert result.stdout == ""
+        assert result.stderr.startswith("error: ")
+        assert len(result.stderr.splitlines()) == 1
+
 
 class TestCmdMoves:
     def test_sliding_moves_at_T3(self, runner):
@@ -265,6 +326,64 @@ class TestCmdMoves:
     def test_cap_enforced(self, runner):
         result = runner.invoke(main, ["moves", "--T", "9", "--family", "crossing"])
         assert result.exit_code == 1
+
+    # Listing hashes and line counts recorded from per-family enumerators
+    # written independently of the proposal sampler.
+    @pytest.mark.parametrize("T, family, lines, digest", [
+        (3, "type1", 0,
+         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+        (3, "crossing", 2,
+         "92f27c3db70d27b45ecfad835f23f36dc7374e1aaf55abf208e07229a42a2b16"),
+        (3, "2x2", 1,
+         "ccac03be4cebc76c0698484959b5554753ad2a2cef382c84717f3a295ba09cb6"),
+        (3, "type4", 0,
+         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+        (3, "type2", 1,
+         "0b6dc1c2de2a8edc6e5bb421fc27e61db2b8c0080ff08e62622881888a5b490e"),
+        (3, "deg3-sliding", 2,
+         "a79a575b141cf2a7d290eb911d217d08b0df7a63953462f019b54442e3db3116"),
+        (4, "type1", 2,
+         "b52720ab7109ce8be7fa144bf3e3f791711a88bfef14edd32e1b22ac4d143860"),
+        (4, "crossing", 20,
+         "8fe9a0584990449b10ca8146cde39a31f40e82800d330c92a9a5cd9870352b18"),
+        (4, "2x2", 10,
+         "3622c7f1a0dd87830906afb19db7c60d6e4493555de04e631f93b98ee8aafeba"),
+        (4, "type4", 8,
+         "2eeffbb3be87da491e41aaea943415657b9de0d2e2a48c483f2693514f77fcfc"),
+        (4, "type2", 4,
+         "eb903b6bf30b990c8937df2ec09c0b7638fce5eb19b57b39efec0eb3a7c670a2"),
+        (4, "deg3-sliding", 4,
+         "a7ea86e484fb35f3ecb6f681405a45f84f70633e81e8a1832c287f5e273bbf19"),
+        (5, "type1", 12,
+         "2f0a4c61519748e4cc1bce4826a779df9e19c75777395f26dcf6f15831652fea"),
+        (5, "crossing", 136,
+         "cba6cadfc350feeda2fe099448f29d750aa3fcfcbbb01302d3dc3690c5e5fd3a"),
+        (5, "2x2", 72,
+         "5711b9fd8e3a46ac411169e8223c0b9d1faf17954eb5991147f101fb3b2ebab5"),
+        (5, "type4", 96,
+         "97cea9405bee8ae52d61cdeefe1921ce778a090616617799e44ae0594497d25d"),
+        (5, "type2", 11,
+         "45146acefbfc02d89a2c60f0e19fe132964fab002d8981bce9895709ee41beb7"),
+        (5, "deg3-sliding", 10,
+         "908bc6defb8d169bd7eb196e3eff3349cfbeae0497642ad48a0f83aa2698c160"),
+        (6, "type1", 48,
+         "4b6b432c1d96e91ce978bdd604e5f932a7feed306fa387f0b964d80692f53b0e"),
+        (6, "crossing", 784,
+         "7ded74284ddcd79cd4c83a3104e776b45850f53719bc16b33a6517e46f4666e2"),
+        (6, "2x2", 448,
+         "3caf67ffa76b35867532c087eac9d7d498b4cf53e7fa5d768738a6a52ee8e89b"),
+        (6, "type4", 766,
+         "5aa0446e71d332f4360fce9f0caad735b432060b09d427d7471e993dcd204108"),
+        (6, "type2", 32,
+         "6114cfc04993292959ceb4ea276407d5770a59b9cda9f2a8bc71130b543294ca"),
+        (6, "deg3-sliding", 16,
+         "bce964033621f843a6d2039eb92f4584a2a5244e7c16e0f8bd24ac857b1e9386"),
+    ])
+    def test_listing_bytes(self, runner, T, family, lines, digest):
+        result = runner.invoke(main, ["moves", "--T", str(T), "--family", family])
+        assert result.exit_code == 0
+        assert len(result.stdout.splitlines()) == lines
+        assert hashlib.sha256(result.stdout.encode()).hexdigest() == digest
 
 
 class TestBundledDataConsistency:

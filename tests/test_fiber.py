@@ -16,6 +16,7 @@ from thmc import (
     sweep,
     table_text,
 )
+from thmc import fiber
 from thmc.core import all_paths
 from thmc.fiber import BudgetExceeded, disconnected
 
@@ -86,6 +87,14 @@ class TestEnumerateFiber:
     def test_node_budget(self):
         with pytest.raises(BudgetExceeded):
             enumerate_fiber(4, (6, 6, 6, 6), max_nodes=10)
+
+    def test_T_over_dense_cap_rejected_before_cells(self, monkeypatch):
+        def refuse(T):
+            raise AssertionError(f"built all 2**{T} cells")
+
+        monkeypatch.setattr(fiber, "_cell_stats", refuse)
+        with pytest.raises(ValueError, match="T <= 24"):
+            enumerate_fiber(40, (39, 0, 0, 0))
 
 
 class TestConnectivity:

@@ -32,6 +32,29 @@ def both_sides_stat(move: Move):
     return suff_stat(move.positive), suff_stat(move.negative)
 
 
+class TestMoveValidation:
+    # +121 -212 is the type II rotation at T=3; each case breaks one check.
+    VALID = (((1, 2, 1), 1), ((2, 1, 2), -1))
+
+    def test_valid_reference(self):
+        assert Move(3, Family.TYPE2_DEG1, self.VALID).degree == 1
+
+    @pytest.mark.parametrize("deltas, match", [
+        ((), "zero move"),
+        ((((1, 2, 1), 1), ((1, 2, 2), 0), ((2, 1, 2), -1)), "nonzero"),
+        ((((2, 1, 2), -1), ((1, 2, 1), 1)), "sorted"),
+        ((((1, 2, 1, 1), 1), ((2, 1, 2), -1)), "length"),
+        ((((1, 2), 1), ((2, 1, 2), -1)), "length"),
+        ((((1, 2, 3), 1), ((2, 1, 2), -1)), "1 or 2"),
+        ((((1, 2, 1), 2), ((2, 1, 2), -1)), "unbalanced"),
+        ((((1, 1, 1), 1), ((2, 2, 2), -1)), "transition statistic"),
+        ((((1, 1, 2), 1), ((1, 2, 2), -1)), "transition statistic"),
+    ])
+    def test_rejects(self, deltas, match):
+        with pytest.raises(ValueError, match=match):
+            Move(3, Family.TYPE2_DEG1, deltas)
+
+
 class TestType1:
     def test_reference_example(self):
         m = type1_deg1((1, 1, 2, 1), 1, 2, 4)
@@ -413,6 +436,21 @@ class TestProposalSampler:
             ProposalSampler(4, {Family.TYPE1_DEG1: 0.5})
         with pytest.raises(ValueError):
             sample_proposal(4, np.random.default_rng(0), [1, 0, 0, 0, 0, 0, 0])
+
+    @pytest.mark.parametrize("weights, bad", [
+        ({"type1": 1.0, "typo": 3.0}, "'typo'"),
+        ({"type1": 0.5, "TYPE2": 0.5}, "'TYPE2'"),
+        ({Family.TYPE1_DEG1: 0.5, "deg3": 0.25, "x": 0.25}, "'deg3', 'x'"),
+    ])
+    def test_unknown_weight_keys_named(self, weights, bad):
+        with pytest.raises(ValueError, match=bad):
+            ProposalSampler(4, weights)
+
+    def test_weight_keys_by_token_or_family(self):
+        by_token = ProposalSampler(4, {"type1": 0.25, "deg3-sliding": 0.75})
+        by_family = ProposalSampler(4, {Family.TYPE1_DEG1: 0.25,
+                                        Family.DEG3_SLIDING: 0.75})
+        assert by_token.weights == by_family.weights == (0.25, 0, 0, 0, 0, 0.75)
 
     def test_initial_shift_split_by_family(self):
         rng = np.random.default_rng(5)
