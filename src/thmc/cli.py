@@ -9,6 +9,7 @@ written with 17 significant digits so byte-identical reruns are auditable.
 
 from __future__ import annotations
 
+import math
 import sys
 from pathlib import Path as FilePath
 
@@ -88,12 +89,12 @@ def _parse_weights(spec: str | None):
             w = float(value)
         except ValueError:
             raise ValueError(f"bad weight {value!r} for family {name!r}") from None
-        if w < 0:
-            raise ValueError(f"weight for {name!r} must be nonnegative")
+        if not 0 <= w < math.inf:
+            raise ValueError(f"weight for {name!r} must be finite and nonnegative")
         raw[tokens[name]] = w
     total = sum(raw.values())
-    if total <= 0:
-        raise ValueError("family weights must have a positive sum")
+    if not 0 < total < math.inf:
+        raise ValueError("family weights must have a positive, finite sum")
     return {f: raw.get(f, 0.0) / total for f in Family}
 
 

@@ -192,19 +192,35 @@ class ConnectivityReport:
         return self.n_components <= 1
 
 
+_MoveIndex = tuple[dict[tuple[tuple[Path, int], ...], list[Move]], int]
+
+
+def _move_index(moves: Sequence[Move]) -> _MoveIndex:
+    """Moves keyed by the items of their negative part, and the largest
+    move degree."""
+    by_negative: dict[tuple[tuple[Path, int], ...], list[Move]] = {}
+    for move in moves:
+        by_negative.setdefault(move.negative.items(), []).append(move)
+    return by_negative, max((m.degree for m in moves), default=0)
+
+
+@lru_cache(maxsize=None)
+def _family_index(T: int, families: tuple[Family, ...]) -> _MoveIndex:
+    return _move_index(enumerate_families(T, families))
+
+
 def _resolve_moves(
     T: int, move_set: Iterable[Move] | Iterable[Family | str] | None
-) -> tuple[list[Move], tuple[str, ...]]:
-    if move_set is None:
-        return enumerate_families(T), tuple(f.value for f in Family)
-    items = list(move_set)
+) -> tuple[_MoveIndex, tuple[str, ...]]:
+    """The move index of a move set, and the set's description."""
+    items = list(Family if move_set is None else move_set)
     if items and isinstance(items[0], Move):
         for m in items:
             if m.T != T:  # type: ignore[union-attr]
                 raise ValueError(f"move has T={m.T}, fiber has T={T}")  # type: ignore[union-attr]
-        return items, ("custom",)  # type: ignore[return-value]
+        return _move_index(items), ("custom",)  # type: ignore[arg-type]
     fams = tuple(Family(f) for f in items)
-    return enumerate_families(T, fams), tuple(f.value for f in fams)
+    return _family_index(T, fams), tuple(f.value for f in fams)
 
 
 class _UnionFind:
@@ -252,22 +268,18 @@ def connectivity(
     Two tables are adjacent when some move in the set carries one to the
     other without any count going negative.  ``move_set`` is either a list
     of explicit moves or a selection of families (all six by default).
-    Moves are indexed by their negative part, so a table's neighbours are
-    found by looking up its sub-multisets up to the largest move degree;
-    one sign of each move suffices, because its other sign is found from
-    the far end.
+    Moves are indexed by their negative part, once per T and family
+    selection, so a table's neighbours are found by looking up its
+    sub-multisets up to the largest move degree; one sign of each move
+    suffices, because its other sign is found from the far end.
     Output is deterministic: components are ordered by their smallest
     element and each is represented by that element.
     """
-    moves, description = _resolve_moves(fiber.T, move_set)
+    (by_negative, max_degree), description = _resolve_moves(fiber.T, move_set)
     if not fiber.elements:
         raise ValueError("connectivity of an empty fiber is undefined")
     elements = fiber.elements
     n = len(elements)
-    by_negative: dict[tuple[tuple[Path, int], ...], list[Move]] = {}
-    for move in moves:
-        by_negative.setdefault(move.negative.items(), []).append(move)
-    max_degree = max((m.degree for m in moves), default=0)
     index = {frozenset(t.items()): i for i, t in enumerate(elements)}
     uf = _UnionFind(n)
     for i, table in enumerate(elements):

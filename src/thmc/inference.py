@@ -6,6 +6,8 @@ steps for the redundant parametrization.  The exact test runs a
 Metropolis-Hastings chain over the fiber of the observed table with the
 hypergeometric conditional distribution pi(x) proportional to 1/prod x!,
 the distribution of a multinomial sample given its sufficient statistic.
+The chain's state is its count map plus the initial-state-1 count k, which
+alone sets L within a fiber; the fiber is checked once per chain.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import numpy as np
 from scipy.special import gammaincc, logsumexp
 
 from .core import (
+    Path,
     PathTable,
     Variant,
     configuration,
@@ -33,7 +36,10 @@ BIRCH_TOL = 1e-8
 
 _THETA_BOUNDARY = 1e3
 _PROB_FLOOR = 1e-300
-_LR_TIE_EPS = 1e-12
+#: Sampled L values this close below the observed one count as ties: equal
+#: exact L values can differ by up to about 1e-8 after boundary fits, while
+#: distinct ones lie far apart (at least 0.012 on Klotz).
+_LR_TIE_EPS = 1e-6
 
 
 class FitError(RuntimeError):
@@ -96,13 +102,11 @@ def fit_mle(
 
     p, loglik = state(theta)
     boundary = False
-    converged = False
     prev_residual = math.inf
     for _ in range(max_iter):
         mean = A @ p
         residual = birch_gap(p)
         if residual < tol:
-            converged = True
             break
         if np.max(np.abs(theta)) > _THETA_BOUNDARY and residual <= prev_residual:
             boundary = True
@@ -128,11 +132,8 @@ def fit_mle(
             if np.max(np.abs(theta)) > _THETA_BOUNDARY:
                 boundary = True
             break
-    mean = A @ p
-    residual = float(np.max(np.abs(b_obs - n * mean)))
-    if residual < tol:
-        converged = True
-    if not converged and not boundary:
+    residual = birch_gap(p)
+    if not (residual < tol or boundary):
         raise FitError(
             f"no convergence after {max_iter} iterations "
             f"(residual {residual:.3e}, variant {variant.value})"
@@ -152,35 +153,35 @@ def _log_probs(fit: FittedModel) -> np.ndarray:
     return np.log(np.maximum(fit.probs, _PROB_FLOOR))
 
 
-def _pad_theta(theta: np.ndarray) -> np.ndarray:
-    """Embed a 4-row parameter vector into the 6-row with-initial space."""
-    return np.concatenate([theta, np.zeros(2)])
-
-
 class _LikelihoodRatioEvaluator:
-    """Likelihood-ratio values over one fiber.
+    """Likelihood-ratio values over the fiber of ``table``.
 
     The null fit depends on the table only through the transition
-    statistic, so it is computed once; the alternative fit depends only on
-    the statistic plus the initial frequencies, so its value is cached per
-    initial frequency.  Warm-starting the alternative fit at the null
+    statistic ``b``, so it is computed once; the alternative fit depends
+    only on ``b`` plus the initial frequencies, so its value is cached per
+    initial-state-1 count.  Warm-starting the alternative fit at the null
     optimum makes the likelihood ordering (and hence L >= 0) hold by
-    construction.
+    construction.  ``k`` and ``L`` are those of ``table`` itself.
     """
 
     def __init__(self, table: PathTable) -> None:
-        self.T = table.T
+        self.table = table
         self.b = suff_stat(table)
-        self.fit0 = fit_mle(table, Variant.WITHOUT_INITIAL)
-        self._logp0 = _log_probs(self.fit0)
-        self._theta0 = _pad_theta(self.fit0.theta)
+        fit0 = fit_mle(table, Variant.WITHOUT_INITIAL)
+        self._logp0 = _log_probs(fit0)
+        # The null optimum, embedded in the 6-row with-initial space.
+        self._theta0 = np.concatenate([fit0.theta, np.zeros(2)])
         self._cache: dict[int, float] = {}
+        self.k = initial_freq(table)[0]
+        self.L = self.value(table.counts, self.k)
 
-    def value(self, table: PathTable) -> float:
-        key = initial_freq(table)[0]
-        cached = self._cache.get(key)
+    def value(self, counts: Mapping[Path, int], k: int) -> float:
+        """L of the fiber's tables with initial-state-1 count ``k``; on a
+        cache miss the table with these ``counts`` is built and fitted."""
+        cached = self._cache.get(k)
         if cached is not None:
             return cached
+        table = PathTable(self.table.T, counts)
         fit1 = fit_mle(table, Variant.WITH_INITIAL, theta0=self._theta0)
         logp1 = _log_probs(fit1)
         total = 0.0
@@ -192,7 +193,7 @@ class _LikelihoodRatioEvaluator:
             if L < -1e-9:
                 raise FitError(f"negative likelihood ratio {L:.3e}")
             L = 0.0
-        self._cache[key] = L
+        self._cache[k] = L
         return L
 
 
@@ -202,7 +203,7 @@ def likelihood_ratio(table: PathTable) -> float:
     Nonnegative up to numerical noise (the models are nested); tiny
     negative values are clamped to zero.
     """
-    return _LikelihoodRatioEvaluator(table).value(table)
+    return _LikelihoodRatioEvaluator(table).L
 
 
 def lr_df(T: int) -> int:
@@ -231,65 +232,58 @@ class _Chain:
     pi(x) proportional to 1/prod_w x(w)!.  Null proposals and rejected
     moves repeat the current state.  The acceptance ratio is computed in
     log space from the changed cells only.
+
+    The walk starts at the evaluator's table.  Its state is the count map
+    plus ``k``, the initial-state-1 count, which sets ``L`` within the
+    fiber.  Moves preserve the statistic by construction (see
+    :class:`Move`); :meth:`check_fiber` confirms it once, at the end.
     """
 
     def __init__(
-        self,
-        start: PathTable,
-        rng: np.random.Generator,
-        weights=None,
-        evaluator: _LikelihoodRatioEvaluator | None = None,
+        self, evaluator: _LikelihoodRatioEvaluator, rng: np.random.Generator, weights=None
     ) -> None:
-        self.T = start.T
+        self.evaluator = evaluator
         self.rng = rng
-        self.sampler = ProposalSampler(start.T, weights)
-        self.evaluator = evaluator or _LikelihoodRatioEvaluator(start)
-        self._b = suff_stat(start)
-        self._counts = dict(start.counts)
-        self.current = start
-        self.current_L = self.evaluator.value(start)
+        self.sampler = ProposalSampler(evaluator.table.T, weights)
+        self.counts = dict(evaluator.table.counts)
+        self.k = evaluator.k
+        self.L = evaluator.L
         self.accepted = 0
         self.null_proposals = 0
-        self.steps_taken = 0
 
-    def step(self) -> tuple[PathTable, float]:
-        self.steps_taken += 1
+    def step(self) -> bool:
+        """One MH step; True when a move was accepted."""
         proposal = self.sampler.sample(self.rng)
         if proposal is None:
             self.null_proposals += 1
-            return self.current, self.current_L
+            return False
         move, sign = proposal
-        counts = self._counts
-        changes: list[tuple[tuple, int, int]] = []
-        feasible = True
+        counts = self.counts
+        changes: list[tuple[Path, int]] = []
         log_ratio = 0.0
         for path, delta in move.deltas:
             old = counts.get(path, 0)
             new = old + sign * delta
             if new < 0:
-                feasible = False
-                break
-            changes.append((path, old, new))
+                return False
+            changes.append((path, new))
             log_ratio += math.lgamma(old + 1) - math.lgamma(new + 1)
-        if not feasible:
-            return self.current, self.current_L
         if log_ratio < 0 and self.rng.random() >= math.exp(log_ratio):
-            return self.current, self.current_L
-        for path, _, new in changes:
+            return False
+        for path, new in changes:
             if new:
                 counts[path] = new
             else:
                 del counts[path]
         self.accepted += 1
-        self.current = PathTable(self.T, counts)
-        assert suff_stat(self.current) == self._b, "chain left its fiber"
-        self.current_L = self.evaluator.value(self.current)
-        return self.current, self.current_L
+        self.k += sign * move.initial_shift
+        self.L = self.evaluator.value(counts, self.k)
+        return True
 
-    def reset_diagnostics(self) -> None:
-        self.accepted = 0
-        self.null_proposals = 0
-        self.steps_taken = 0
+    def check_fiber(self) -> None:
+        """Raise if the current counts left the starting table's fiber."""
+        if suff_stat(PathTable(self.evaluator.table.T, self.counts)) != self.evaluator.b:
+            raise AssertionError("chain left its fiber")
 
 
 def mh_chain(
@@ -302,18 +296,22 @@ def mh_chain(
     """Stream the post-burn-in states of the fiber walk with their L values.
 
     Rejected and null proposals repeat the current state; the transition
-    statistic is constant along the chain.  Identical inputs give an
-    identical stream.
+    statistic is constant along the chain and is checked once the stream
+    is exhausted.  Identical inputs give an identical stream.
     """
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
     if burnin < 0:
         raise ValueError(f"burnin must be >= 0, got {burnin}")
-    chain = _Chain(start, np.random.default_rng(seed), weights)
+    chain = _Chain(_LikelihoodRatioEvaluator(start), np.random.default_rng(seed), weights)
     for _ in range(burnin):
         chain.step()
+    table = PathTable(start.T, chain.counts)
     for _ in range(steps):
-        yield chain.step()
+        if chain.step():
+            table = PathTable(start.T, chain.counts)
+        yield table, chain.L
+    chain.check_fiber()
 
 
 @dataclass(frozen=True)
@@ -372,29 +370,30 @@ def exact_test(
         raise ValueError(f"bin width must be positive, got {bin_width}")
     weights_vec = _normalize_weights(weights)
     evaluator = _LikelihoodRatioEvaluator(table)
-    L_obs = evaluator.value(table)
+    L_obs = evaluator.L
 
     if chains == 1:
         rngs = [np.random.default_rng(seed)]
-        quotas = [steps]
     else:
         rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(chains)]
-        base, rem = divmod(steps, chains)
-        quotas = [base + (1 if i < rem else 0) for i in range(chains)]
+    base, rem = divmod(steps, chains)
+    quotas = [base + (1 if i < rem else 0) for i in range(chains)]
 
     values: list[float] = []
-    accepted = nulls = total = 0
+    accepted = nulls = 0
     for rng, quota in zip(rngs, quotas):
         if quota == 0:
             continue
-        chain = _Chain(table, rng, weights_vec, evaluator=evaluator)
+        chain = _Chain(evaluator, rng, weights_vec)
         for _ in range(burnin):
             chain.step()
-        chain.reset_diagnostics()
-        values.extend(chain.step()[1] for _ in range(quota))
+        chain.accepted = chain.null_proposals = 0
+        for _ in range(quota):
+            chain.step()
+            values.append(chain.L)
         accepted += chain.accepted
         nulls += chain.null_proposals
-        total += chain.steps_taken
+        chain.check_fiber()
 
     count = sum(1 for v in values if v >= L_obs - _LR_TIE_EPS)
     if add_observed:
@@ -409,8 +408,8 @@ def exact_test(
         p_exact=p_exact,
         samples=len(values),
         burnin=burnin,
-        acceptance_rate=accepted / total,
-        null_proposal_rate=nulls / total,
+        acceptance_rate=accepted / steps,
+        null_proposal_rate=nulls / steps,
         seed=seed,
         histogram=_histogram(values, bin_width),
     )

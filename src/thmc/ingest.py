@@ -87,7 +87,8 @@ def read_dataset(path: str | FilePath, mapping: Mapping[str, int] | str | None =
     path = FilePath(path)
     records: list[tuple[str, int]] = []
     T: int | None = None
-    with path.open("r", encoding="utf-8") as fh:
+    # utf-8-sig drops the byte-order mark that spreadsheet exports prepend.
+    with path.open("r", encoding="utf-8-sig") as fh:
         for lineno, line in _iter_rows(fh):
             fields = [f.strip() for f in line.split(",")]
             if len(fields) != 2:

@@ -14,6 +14,7 @@ test proposes.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, lru_cache
@@ -550,8 +551,8 @@ def _normalize_weights(
         vec = [float(w) for w in weights]
         if len(vec) != len(FAMILIES):
             raise ValueError(f"expected {len(FAMILIES)} weights, got {len(vec)}")
-    if any(w < 0 for w in vec):
-        raise ValueError("family weights must be nonnegative")
+    if not all(0 <= w < math.inf for w in vec):
+        raise ValueError(f"family weights must be finite and nonnegative, got {vec}")
     if abs(sum(vec) - 1.0) > 1e-9:
         raise ValueError(f"family weights must sum to 1, got {sum(vec)}")
     return tuple(vec)

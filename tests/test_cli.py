@@ -71,6 +71,15 @@ class TestIngest:
         f.write_text("# comment\npath,count\n111,2  # trailing\n")
         assert ingest(f).n == 2
 
+    def test_byte_order_mark_ignored(self, tmp_path):
+        text = "path,count\nMMMF,3\nFMMF,2\n"
+        plain = tmp_path / "plain.csv"
+        plain.write_text(text, encoding="utf-8")
+        bom = tmp_path / "bom.csv"
+        bom.write_text(text, encoding="utf-8-sig")
+        assert bom.read_bytes().startswith(b"\xef\xbb\xbf")
+        assert ingest(bom, "M=1,F=2") == ingest(plain, "M=1,F=2")
+
     def test_round_trip(self):
         table = ingest(klotz_path(), "M=1,F=2")
         text = serialize_table(table)
@@ -174,6 +183,22 @@ class TestCmdTest:
             "--weights", "bogus=1",
         ])
         assert result.exit_code == 1
+
+    @pytest.mark.parametrize("spec", [
+        "type1=nan",
+        "type1=inf",
+        "type1=nan,type2=1",
+        "type1=1e308,type2=1e308",
+    ])
+    def test_non_finite_weights_are_usage_errors(self, runner, spec):
+        result = runner.invoke(main, [
+            "test", "--input", str(klotz_path()), "--map", "M=1,F=2",
+            "--samples", "100", "--burnin", "10", "--weights", spec,
+        ])
+        assert result.exit_code == 1
+        assert result.stdout == ""
+        assert result.stderr.startswith("error: ")
+        assert len(result.stderr.splitlines()) == 1
 
     def test_path_length_over_dense_cap_is_ingest_error(self, runner, tmp_path):
         f = tmp_path / "long.csv"

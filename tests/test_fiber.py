@@ -140,6 +140,25 @@ class TestConnectivity:
 
 
 class TestSweep:
+    def test_moves_indexed_once_per_selection(self, monkeypatch):
+        enumerations = []
+        connectivity_calls = []
+        real_enumerate, real_connectivity = fiber.enumerate_families, fiber.connectivity
+
+        def counted_enumerate(*args, **kwargs):
+            enumerations.append(args)
+            return real_enumerate(*args, **kwargs)
+
+        def counted_connectivity(*args, **kwargs):
+            connectivity_calls.append(args)
+            return real_connectivity(*args, **kwargs)
+
+        monkeypatch.setattr(fiber, "enumerate_families", counted_enumerate)
+        monkeypatch.setattr(fiber, "connectivity", counted_connectivity)
+        reports = sweep(4, 3, ["crossing", "type2"])
+        assert len(connectivity_calls) == len(reports) > 1
+        assert len(enumerations) <= 1
+
     def test_full_set_T4_n3(self):
         reports = sweep(4, 3)
         assert reports

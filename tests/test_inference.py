@@ -1,10 +1,13 @@
+import hashlib
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from thmc import (
     PathTable,
+    inference,
     Variant,
     chi2_sf,
     enumerate_fiber,
@@ -17,6 +20,8 @@ from thmc import (
     swap_states,
 )
 from thmc.core import all_paths
+from thmc.fiber import table_text
+from thmc.moves import ProposalSampler
 
 from conftest import random_table
 
@@ -24,6 +29,35 @@ from conftest import random_table
 # independent multi-start BFGS maximization of both model log-likelihoods
 # (agreement to 1e-11; Birch residuals < 1e-9 for both fits).
 KLOTZ_LR = 0.112098497
+
+TWO_ELEMENT_START = PathTable(3, {(1, 1, 2): 1, (2, 2, 1): 1})
+
+
+@pytest.fixture()
+def fiber_breaking_proposal(monkeypatch):
+    """Make every proposal +1 on 111 and -1 on 112.
+
+    The move is feasible on TWO_ELEMENT_START and keeps the initial
+    frequencies, but changes the transition statistic, which no real move
+    can do (Move validates against it).
+    """
+    fake = SimpleNamespace(deltas=(((1, 1, 1), 1), ((1, 1, 2), -1)), initial_shift=0)
+    monkeypatch.setattr(ProposalSampler, "sample", lambda self, rng: (fake, 1))
+
+
+@pytest.fixture()
+def call_counts(monkeypatch):
+    """Count calls to the fits and statistics the inference layer makes."""
+    counts = {"fit_mle": 0, "suff_stat": 0}
+    for name in counts:
+        original = getattr(inference, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(inference, name, counted)
+    return counts
 
 
 class TestFitMle:
@@ -217,6 +251,26 @@ class TestMhChain:
         assert np.abs(flow - flow.T).max() < 1e-15
         assert np.abs(pi @ P - pi).max() < 1e-12
 
+    # sha256 over "table_text\tL" lines of the stream, recorded before the
+    # chain state became a count map plus k; pins both the random stream
+    # and every L value bit for bit.
+    @pytest.mark.parametrize("start, kwargs, digest", [
+        ("klotz", dict(steps=3000, burnin=500, seed=0),
+         "3c0d5a8479860f6e4e225b447474d0326a2776aa2803bade6de7404ec322c16c"),
+        ("two-element", dict(steps=20_000, seed=0),
+         "03e298728801f62f39458cea9d5c3b42e45bfc584f3f7193f9d8b4ac27aef0b7"),
+    ])
+    def test_stream_digest(self, klotz, start, kwargs, digest):
+        table = klotz if start == "klotz" else TWO_ELEMENT_START
+        h = hashlib.sha256()
+        for t, L in mh_chain(table, **kwargs):
+            h.update(f"{table_text(t)}\t{float(L)!r}\n".encode())
+        assert h.hexdigest() == digest
+
+    def test_leaving_the_fiber_raises(self, fiber_breaking_proposal):
+        with pytest.raises(AssertionError, match="chain left its fiber"):
+            list(mh_chain(TWO_ELEMENT_START, steps=10, seed=0))
+
     def test_invalid_arguments(self):
         start = PathTable(3, {(1, 1, 2): 1})
         with pytest.raises(ValueError):
@@ -270,6 +324,30 @@ class TestExactTest:
         assert all(
             abs(b - a - 0.1) < 1e-12 for a, b in zip(lowers, lowers[1:])
         )
+
+    def test_leaving_the_fiber_raises(self, fiber_breaking_proposal):
+        with pytest.raises(AssertionError, match="chain left its fiber"):
+            exact_test(TWO_ELEMENT_START, steps=10, burnin=0, seed=0)
+
+    def test_klotz_fits_once_per_initial_count(self, klotz, call_counts):
+        exact_test(klotz, seed=7)
+        assert call_counts["fit_mle"] == 22
+
+    def test_klotz_checks_the_statistic_once(self, klotz, call_counts):
+        # once for the fiber's statistic, once for the chain's final counts
+        exact_test(klotz, seed=7)
+        assert call_counts["suff_stat"] == 2
+
+    # Every table in these fibers has the same exact L (6 ln 2 for the
+    # first, 0 for the second), but boundary fits give values up to about
+    # 1e-10 apart; each sample ties with the observed table, so p is 1.
+    @pytest.mark.parametrize("counts", [
+        {(1, 1, 1): 1, (1, 2, 2): 2},
+        {(1, 2, 1): 1},
+    ])
+    def test_exact_ties_count_as_extreme(self, counts):
+        result = exact_test(PathTable(3, counts), steps=2000, burnin=100, seed=1)
+        assert result.p_exact == 1.0
 
     def test_argument_validation(self, klotz):
         with pytest.raises(ValueError):

@@ -437,6 +437,17 @@ class TestProposalSampler:
         with pytest.raises(ValueError):
             sample_proposal(4, np.random.default_rng(0), [1, 0, 0, 0, 0, 0, 0])
 
+    @pytest.mark.parametrize("weights", [
+        {"type1": float("nan")},
+        {"type1": float("nan"), "type2": 1.0},
+        {"type1": float("inf")},
+        [float("inf"), 0, 0, 0, 0, 0],
+        [float("-inf"), 1, 0, 0, 0, 0],
+    ])
+    def test_non_finite_weights_rejected(self, weights):
+        with pytest.raises(ValueError, match="finite"):
+            ProposalSampler(4, weights)
+
     @pytest.mark.parametrize("weights, bad", [
         ({"type1": 1.0, "typo": 3.0}, "'typo'"),
         ({"type1": 0.5, "TYPE2": 0.5}, "'TYPE2'"),
