@@ -6,13 +6,11 @@ symmetric proposal sampler (:mod:`thmc.moves`), exhaustive fiber
 enumeration and connectivity checks (:mod:`thmc.fiber`), MLE fitting and
 the Metropolis-Hastings exact goodness-of-fit test (:mod:`thmc.inference`),
 and CSV ingestion plus the ``thmc`` command line (:mod:`thmc.ingest`,
-:mod:`thmc.cli`).
+:mod:`thmc.cli`).  Its only runtime dependencies are numpy and click.
 """
 
 from .core import (
     DENSE_T_CAP,
-    Configuration,
-    ExtendedStat,
     Path,
     PathTable,
     TransitionStat,
@@ -22,7 +20,6 @@ from .core import (
     configuration,
     decode,
     encode,
-    extended_stat,
     initial_freq,
     parse_path,
     path_str,
@@ -77,7 +74,6 @@ from .moves import (
     enumerate_family,
     format_move,
     move_graph,
-    sample_proposal,
     two_by_two_swap,
     type1_deg1,
     type2_deg1,

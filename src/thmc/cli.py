@@ -63,11 +63,18 @@ def _json_text(value, indent: int = 0) -> str:
     return '"' + str(value).replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
+def _write_file(destination: str, text: str) -> None:
+    try:
+        FilePath(destination).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        _fail(EXIT_USAGE, f"cannot write {destination}: {exc.strerror or exc}")
+
+
 def _write_output(text: str, destination: str | None) -> None:
     if destination is None:
         click.echo(text, nl=False)
     else:
-        FilePath(destination).write_text(text, encoding="utf-8")
+        _write_file(destination, text)
 
 
 def _parse_weights(spec: str | None):
@@ -215,7 +222,7 @@ def cmd_test(input_path, mapping_spec, samples, burnin, seed, output_path,
     if histogram_path is not None:
         lines = ["bin_lower,count"]
         lines += [f"{format(lo, '.17g')},{c}" for lo, c in result.histogram]
-        FilePath(histogram_path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        _write_file(histogram_path, "\n".join(lines) + "\n")
 
 
 @main.command("verify-basis")
@@ -271,7 +278,7 @@ def cmd_verify_basis(T, n_max, families_spec, report_path) -> None:
         },
     }
     if report_path is not None:
-        FilePath(report_path).write_text(_json_text(payload) + "\n", encoding="utf-8")
+        _write_file(report_path, _json_text(payload) + "\n")
     click.echo(
         f"checked {len(reports)} fibers at T={T}, n<={n_max}: "
         f"{len(bad)} disconnected"

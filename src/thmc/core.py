@@ -118,30 +118,6 @@ class TransitionStat:
         """Image under the global state relabeling 1 <-> 2."""
         return TransitionStat(self.b22, self.b21, self.b12, self.b11)
 
-    def __add__(self, other: "TransitionStat") -> "TransitionStat":
-        return TransitionStat(
-            self.b11 + other.b11,
-            self.b12 + other.b12,
-            self.b21 + other.b21,
-            self.b22 + other.b22,
-        )
-
-
-@dataclass(frozen=True)
-class ExtendedStat:
-    """Transition counts plus the two initial-state frequencies."""
-
-    base: TransitionStat
-    init1: int
-    init2: int
-
-    def __post_init__(self) -> None:
-        if self.init1 < 0 or self.init2 < 0:
-            raise ValueError("initial frequencies must be nonnegative")
-
-    def as_tuple(self) -> tuple[int, ...]:
-        return self.base.as_tuple() + (self.init1, self.init2)
-
 
 def transitions(path: Path) -> TransitionStat:
     """Counts of the four ordered transitions along one path (sum T-1)."""
@@ -272,11 +248,6 @@ def initial_freq(table: PathTable) -> tuple[int, int]:
     return (x1, table.n - x1)
 
 
-def extended_stat(table: PathTable) -> ExtendedStat:
-    i1, i2 = initial_freq(table)
-    return ExtendedStat(suff_stat(table), i1, i2)
-
-
 def swap_states(table: PathTable) -> PathTable:
     """Image of a table under the global state relabeling 1 <-> 2."""
     return PathTable(
@@ -292,30 +263,15 @@ class Variant(str, Enum):
     WITH_INITIAL = "with-initial"
 
 
-@dataclass(frozen=True)
-class Configuration:
-    """Integer matrix mapping a dense count vector to its sufficient statistic.
+@lru_cache(maxsize=None)
+def configuration(T: int, variant: Variant = Variant.WITHOUT_INITIAL) -> np.ndarray:
+    """Configuration matrix: maps a dense count vector to its sufficient statistic.
 
     One column per path in encoding order.  The four transition rows count
     occurrences of (1,1), (1,2), (2,1), (2,2); the with-initial variant
-    appends the two initial-state indicator rows.
+    appends the two initial-state indicator rows.  The matrix is cached per
+    (T, variant) and read-only.
     """
-
-    T: int
-    variant: Variant
-    row_labels: tuple[str, ...]
-    matrix: np.ndarray
-
-    def apply(self, table: PathTable) -> np.ndarray:
-        """Row values A @ x for a table (x taken dense)."""
-        if table.T != self.T:
-            raise ValueError(f"table has T={table.T}, configuration has T={self.T}")
-        return self.matrix @ table.to_dense()
-
-
-@lru_cache(maxsize=None)
-def configuration(T: int, variant: Variant = Variant.WITHOUT_INITIAL) -> Configuration:
-    """Configuration matrix for the given path length and model variant."""
     if T < MIN_T:
         raise ValueError(f"T must be >= {MIN_T}, got {T}")
     if T > DENSE_T_CAP:
@@ -323,15 +279,12 @@ def configuration(T: int, variant: Variant = Variant.WITHOUT_INITIAL) -> Configu
             f"refusing to materialize a 2**{T}-column matrix (cap T <= {DENSE_T_CAP})"
         )
     variant = Variant(variant)
-    labels = ["b11", "b12", "b21", "b22"]
-    rows = 4
-    if variant is Variant.WITH_INITIAL:
-        labels += ["init1", "init2"]
-        rows = 6
+    rows = 6 if variant is Variant.WITH_INITIAL else 4
     mat = np.zeros((rows, 1 << T), dtype=np.int64)
     for j, path in enumerate(all_paths(T)):
         for a, c in zip(path, path[1:]):
             mat[(a - 1) * 2 + (c - 1), j] += 1
         if variant is Variant.WITH_INITIAL:
             mat[4 + (path[0] - 1), j] = 1
-    return Configuration(T=T, variant=variant, row_labels=tuple(labels), matrix=mat)
+    mat.flags.writeable = False
+    return mat

@@ -2,10 +2,12 @@
 
 Both chain-model variants are log-linear in their configuration rows, so
 fitting is Fisher scoring on the log-partition function with pseudo-inverse
-steps for the redundant parametrization.  The exact test runs a
-Metropolis-Hastings chain over the fiber of the observed table with the
-hypergeometric conditional distribution pi(x) proportional to 1/prod x!,
-the distribution of a multinomial sample given its sufficient statistic.
+steps for the redundant parametrization.  The asymptotic p-value uses the
+closed-form chi-square tail for integer degrees of freedom, so the module
+needs numpy only.  The exact test runs a Metropolis-Hastings chain over the
+fiber of the observed table with the hypergeometric conditional
+distribution pi(x) proportional to 1/prod x!, the distribution of a
+multinomial sample given its sufficient statistic.
 The chain's state is its count map plus the initial-state-1 count k, which
 alone sets L within a fiber; the fiber is checked once per chain.
 """
@@ -17,7 +19,6 @@ from dataclasses import dataclass
 from typing import Iterator, Mapping, Sequence
 
 import numpy as np
-from scipy.special import gammaincc, logsumexp
 
 from .core import (
     Path,
@@ -80,8 +81,7 @@ def fit_mle(
     if table.n < 1:
         raise ValueError("cannot fit an empty table")
     variant = Variant(variant)
-    config = configuration(table.T, variant)
-    A = config.matrix.astype(np.float64)
+    A = configuration(table.T, variant).astype(np.float64)
     x = table.to_dense().astype(np.float64)
     n = float(table.n)
     b_obs = A @ x
@@ -92,7 +92,7 @@ def fit_mle(
 
     def state(th: np.ndarray):
         logits = A.T @ th
-        logz = logsumexp(logits)
+        logz = _logsumexp(logits)
         p = np.exp(logits - logz)
         loglik = float(th @ b_obs - n * logz)
         return p, loglik
@@ -146,6 +146,24 @@ def fit_mle(
         residual=residual,
         boundary_flag=boundary,
     )
+
+
+def _logsumexp(a: np.ndarray) -> np.float64:
+    """log(sum(exp(a))) with the maxima split out of the sum.
+
+    The steps are those of ``scipy.special.logsumexp`` (1.17): the ``m``
+    entries equal to the maximum are masked out, the rest are shifted,
+    exponentiated and summed over the full-length array, and the sum is
+    divided by ``m`` unless it is zero.  Following them exactly keeps every
+    fit bit-identical.
+    """
+    a_max = np.max(a)
+    top = a == a_max
+    m = float(np.count_nonzero(top))
+    s = np.sum(np.exp(np.where(top, -np.inf, a) - a_max))
+    if s != 0:
+        s = s / m
+    return np.log1p(s) + np.log(m) + a_max
 
 
 def _log_probs(fit: FittedModel) -> np.ndarray:
@@ -208,21 +226,36 @@ def likelihood_ratio(table: PathTable) -> float:
 
 def lr_df(T: int) -> int:
     """Degrees of freedom: the rank gap between the two configuration matrices."""
-    a0 = configuration(T, Variant.WITHOUT_INITIAL).matrix.astype(float)
-    a1 = configuration(T, Variant.WITH_INITIAL).matrix.astype(float)
+    a0 = configuration(T, Variant.WITHOUT_INITIAL).astype(float)
+    a1 = configuration(T, Variant.WITH_INITIAL).astype(float)
     rank0 = int(np.sum(np.linalg.svd(a0, compute_uv=False) > 1e-9))
     rank1 = int(np.sum(np.linalg.svd(a1, compute_uv=False) > 1e-9))
     return rank1 - rank0
 
 
 def chi2_sf(x: float, df: int) -> float:
-    """Upper tail of the chi-square distribution via the regularized
-    incomplete gamma function."""
+    """Upper tail of the chi-square distribution with integer ``df``.
+
+    With h = x/2 the tail has a closed form: for even df it is
+    sum over k = 0, 2, ..., df-2 of h^(k/2) e^-h / Gamma(k/2 + 1), and for
+    odd df it is erfc(sqrt(h)) plus the same sum over k = 1, 3, ..., df-2.
+    The terms are evaluated in log space, so they neither overflow nor
+    underflow early for large x and df.
+    """
     if x < 0:
         raise ValueError(f"chi-square statistic must be nonnegative, got {x}")
-    if df < 1:
-        raise ValueError(f"degrees of freedom must be >= 1, got {df}")
-    return float(gammaincc(df / 2.0, x / 2.0))
+    if not float(df).is_integer() or df < 1:
+        raise ValueError(f"degrees of freedom must be an integer >= 1, got {df}")
+    df = int(df)
+    h = x / 2.0
+    if h == 0:
+        return 1.0
+    if h == math.inf:
+        return 0.0
+    tail = math.erfc(math.sqrt(h)) if df % 2 else 0.0
+    for k in range(df % 2, df, 2):
+        tail += math.exp(0.5 * k * math.log(h) - h - math.lgamma(0.5 * k + 1))
+    return tail
 
 
 class _Chain:

@@ -53,6 +53,9 @@ def parse_mapping(spec: str) -> dict[str, int]:
 
 DEFAULT_MAPPING = {"1": 1, "2": 2}
 
+#: Largest count one path may reach in total.
+_COUNT_MAX = 2**63 - 1
+
 
 @dataclass(frozen=True)
 class Dataset:
@@ -79,41 +82,54 @@ def _iter_rows(lines: Iterable[str]):
 
 
 def read_dataset(path: str | FilePath, mapping: Mapping[str, int] | str | None = None) -> Dataset:
-    """Read a ``path,count`` CSV into a :class:`Dataset`."""
+    """Read a ``path,count`` CSV into a :class:`Dataset`.
+
+    Each path's total count must fit a signed 64-bit integer, the cell type
+    of the dense count vectors the fits use.
+    """
     if mapping is None:
         mapping = DEFAULT_MAPPING
     elif isinstance(mapping, str):
         mapping = parse_mapping(mapping)
     path = FilePath(path)
-    records: list[tuple[str, int]] = []
-    T: int | None = None
     # utf-8-sig drops the byte-order mark that spreadsheet exports prepend.
-    with path.open("r", encoding="utf-8-sig") as fh:
-        for lineno, line in _iter_rows(fh):
-            fields = [f.strip() for f in line.split(",")]
-            if len(fields) != 2:
-                raise IngestError(f"expected 'path,count', got {line!r}", lineno)
-            text, count_text = fields
-            if not records and text.lower() == "path" and count_text.lower() == "count":
-                continue
-            try:
-                count = int(count_text)
-            except ValueError:
-                raise IngestError(f"non-integer count {count_text!r}", lineno) from None
-            if count < 1:
-                raise IngestError(f"count must be >= 1, got {count}", lineno)
-            for ch in text:
-                if ch not in mapping:
-                    raise IngestError(f"unknown symbol {ch!r} in path {text!r}", lineno)
-            if T is None:
-                T = len(text)
-                if T < 3:
-                    raise IngestError(f"paths must have length >= 3, got {text!r}", lineno)
-            elif len(text) != T:
-                raise IngestError(
-                    f"ragged path length: {text!r} has {len(text)}, expected {T}", lineno
-                )
-            records.append((text, count))
+    try:
+        lines = path.read_text(encoding="utf-8-sig").split("\n")
+    except UnicodeDecodeError as exc:
+        raise IngestError(f"{path} is not UTF-8 text ({exc.reason})") from None
+    records: list[tuple[str, int]] = []
+    totals: dict[str, int] = {}
+    T: int | None = None
+    for lineno, line in _iter_rows(lines):
+        fields = [f.strip() for f in line.split(",")]
+        if len(fields) != 2:
+            raise IngestError(f"expected 'path,count', got {line!r}", lineno)
+        text, count_text = fields
+        if not records and text.lower() == "path" and count_text.lower() == "count":
+            continue
+        try:
+            count = int(count_text)
+        except ValueError:
+            raise IngestError(f"non-integer count {count_text!r}", lineno) from None
+        if count < 1:
+            raise IngestError(f"count must be >= 1, got {count}", lineno)
+        for ch in text:
+            if ch not in mapping:
+                raise IngestError(f"unknown symbol {ch!r} in path {text!r}", lineno)
+        if T is None:
+            T = len(text)
+            if T < 3:
+                raise IngestError(f"paths must have length >= 3, got {text!r}", lineno)
+        elif len(text) != T:
+            raise IngestError(
+                f"ragged path length: {text!r} has {len(text)}, expected {T}", lineno
+            )
+        totals[text] = totals.get(text, 0) + count
+        if totals[text] > _COUNT_MAX:
+            raise IngestError(
+                f"count of path {text!r} reaches {totals[text]}, over 2**63 - 1", lineno
+            )
+        records.append((text, count))
     if T is None:
         raise IngestError("no data rows found")
     return Dataset(T=T, mapping=dict(mapping), records=tuple(records))

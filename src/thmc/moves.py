@@ -149,9 +149,6 @@ class Move:
         items = self.canonical_items()
         return self if items is self.deltas else Move(self.T, self.family, items)
 
-    def __neg__(self) -> "Move":
-        return Move(self.T, self.family, tuple((p, -d) for p, d in self.deltas))
-
     def __repr__(self) -> str:
         return f"Move({self.family.value}, {format_move(self)!r})"
 
@@ -652,16 +649,3 @@ def _split_states(bits: Sequence[int], *lengths: int) -> list[Path]:
         pos += ln
     return out
 
-
-@lru_cache(maxsize=32)
-def _sampler(T: int, weights: tuple[float, ...]) -> ProposalSampler:
-    return ProposalSampler(T, weights)
-
-
-def sample_proposal(
-    T: int,
-    rng: np.random.Generator,
-    weights: Mapping[Family | str, float] | Sequence[float] | None = None,
-) -> Optional[tuple[Move, int]]:
-    """Draw one symmetric proposal; see :class:`ProposalSampler`."""
-    return _sampler(T, _normalize_weights(weights)).sample(rng)

@@ -21,6 +21,7 @@ from thmc import (
     Family,
     Fiber,
     PathTable,
+    ProposalSampler,
     Variant,
     chi2_sf,
     configuration,
@@ -36,7 +37,6 @@ from thmc import (
     lr_df,
     mh_chain,
     realizable_stats,
-    sample_proposal,
     sweep,
 )
 from thmc.core import encode
@@ -463,10 +463,11 @@ class TestCriterion7:
         start = time.perf_counter()
         checked = 0
         for T in range(4, 9):
-            config = configuration(T, Variant.WITHOUT_INITIAL).matrix
+            config = configuration(T, Variant.WITHOUT_INITIAL)
+            sampler = ProposalSampler(T)
             rng = np.random.default_rng(100 + T)
             for _ in range(self.DRAWS_PER_T):
-                prop = sample_proposal(T, rng)
+                prop = sampler.sample(rng)
                 if prop is None:
                     continue
                 move, _ = prop

@@ -1,11 +1,16 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
 import numpy as np
 
+import thmc
 from thmc import (
     fiber,
     ingest,
@@ -65,6 +70,13 @@ class TestIngest:
         with pytest.raises(IngestError) as err:
             ingest(f)
         assert err.value.line == 2
+
+    def test_accumulated_count_over_limit_names_line(self, tmp_path):
+        f = tmp_path / "dup.csv"
+        f.write_text(f"111,{2**62}\n121,1\n111,{2**62}\n")
+        with pytest.raises(IngestError) as err:
+            ingest(f)
+        assert err.value.line == 3
 
     def test_header_and_comments_skipped(self, tmp_path):
         f = tmp_path / "hdr.csv"
@@ -210,6 +222,39 @@ class TestCmdTest:
         assert len(result.stderr.splitlines()) == 1
         assert "T=25" in result.stderr
 
+    def test_non_utf8_file_is_ingest_error(self, runner, tmp_path):
+        f = tmp_path / "latin.csv"
+        f.write_bytes(b"111,1\n1\xff1,2\n")
+        result = runner.invoke(main, ["test", "--input", str(f)])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr.startswith("error: ")
+        assert "not UTF-8" in result.stderr
+        assert len(result.stderr.splitlines()) == 1
+
+    @pytest.mark.parametrize("count, code", [(2**63 - 1, 0), (2**63, 2)])
+    def test_count_at_int64_limit(self, runner, tmp_path, count, code):
+        f = tmp_path / "big.csv"
+        f.write_text(f"111,{count}\n121,1\n")
+        result = runner.invoke(main, [
+            "test", "--input", str(f), "--samples", "20", "--burnin", "0",
+        ])
+        assert result.exit_code == code, result.output
+        if code:
+            assert result.stderr.startswith("error: line 1: ")
+            assert len(result.stderr.splitlines()) == 1
+
+    @pytest.mark.parametrize("flag", ["--output", "--histogram"])
+    def test_unwritable_destination_is_usage_error(self, runner, tmp_path, flag):
+        result = runner.invoke(main, [
+            "test", "--input", str(klotz_path()), "--map", "M=1,F=2",
+            "--samples", "50", "--burnin", "0",
+            flag, str(tmp_path / "missing" / "out"),
+        ])
+        assert result.exit_code == 1
+        assert result.stderr.startswith("error: cannot write ")
+        assert len(result.stderr.splitlines()) == 1
+
     def test_chains_pool(self, runner, tmp_path):
         out = tmp_path / "c.json"
         result = runner.invoke(main, [
@@ -287,6 +332,16 @@ class TestCmdVerifyBasis:
             "verify-basis", "--T", "3", "--n-max", "2", "--families", "zigzag",
         ])
         assert result.exit_code == 1
+
+    def test_unwritable_report_is_usage_error(self, runner, tmp_path):
+        result = runner.invoke(main, [
+            "verify-basis", "--T", "3", "--n-max", "2",
+            "--report", str(tmp_path / "missing" / "rep.json"),
+        ])
+        assert result.exit_code == 1
+        assert result.stdout == ""
+        assert result.stderr.startswith("error: cannot write ")
+        assert len(result.stderr.splitlines()) == 1
 
     # Report hashes recorded from an implementation that enumerated every
     # fiber by depth-first search; the report bytes must not change.
@@ -417,3 +472,18 @@ class TestBundledDataConsistency:
 
         repo_copy = Path(__file__).resolve().parent.parent / "data" / "klotz.csv"
         assert repo_copy.read_bytes() == klotz_path().read_bytes()
+
+
+class TestRuntimeDependencies:
+    def test_import_loads_no_scipy(self):
+        # A fresh interpreter: this test process has scipy loaded already.
+        code = (
+            "import sys, thmc, thmc.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(thmc.__file__).parents[1]))
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+            check=True,
+        )
+        assert out.stdout.strip() == "[]"

@@ -79,7 +79,7 @@ class TestFitMle:
         from thmc import configuration
 
         fit = fit_mle(klotz, Variant.WITH_INITIAL)
-        a = configuration(4, Variant.WITH_INITIAL).matrix
+        a = configuration(4, Variant.WITH_INITIAL)
         fitted = klotz.n * (a @ fit.probs)
         assert np.allclose(fitted, a @ klotz.to_dense(), atol=1e-8)
 
@@ -136,9 +136,35 @@ class TestChi2Sf:
     def test_agrees_with_scipy_distribution(self):
         from scipy.stats import chi2
 
-        for x in (0.1, 1.0, 5.0, 20.0):
-            for df in (1, 3):
-                assert abs(chi2_sf(x, df) - chi2.sf(x, df)) < 1e-12
+        xs = np.concatenate([[0.1, 1.0, 5.0, 20.0], np.linspace(0.01, 800, 321)])
+        for x in xs:
+            for df in range(1, 12):
+                assert abs(chi2_sf(x, df) - chi2.sf(x, df)) < 1e-12, (x, df)
+        # Log-space terms keep large df from underflowing to 0.
+        assert chi2_sf(4000.0, 4000) == pytest.approx(chi2.sf(4000.0, 4000), rel=1e-11)
+
+    @pytest.mark.parametrize("df", [1.5, 0, -1])
+    def test_df_must_be_integer_at_least_one(self, df):
+        with pytest.raises(ValueError, match="degrees of freedom"):
+            chi2_sf(1.0, df)
+
+
+class TestLogSumExp:
+    """The fit's log-partition must equal scipy's bit for bit, so L is unchanged."""
+
+    def test_bit_identical_to_scipy(self):
+        from scipy.special import logsumexp
+
+        rng = np.random.default_rng(6)
+        arrays = [np.zeros(1 << T) for T in (3, 4, 12)]
+        for T in range(3, 13):
+            for _ in range(10):
+                arrays.append(rng.normal(size=1 << T) * rng.uniform(0.1, 50))
+                ties = rng.integers(-3, 3, size=1 << T) * rng.uniform(0.1, 5)
+                ties[rng.choice(1 << T, size=2, replace=False)] = ties.max()
+                arrays.append(ties)
+        for a in arrays:
+            assert float(inference._logsumexp(a)).hex() == float(logsumexp(a)).hex()
 
 
 class TestMhChain:

@@ -14,7 +14,6 @@ from thmc import (
     enumerate_family,
     initial_freq,
     move_graph,
-    sample_proposal,
     suff_stat,
     two_by_two_swap,
     type1_deg1,
@@ -350,7 +349,8 @@ class TestEnumeration:
             keys = {m.canonical_items() for m in moves}
             assert len(keys) == len(moves)
             for m in moves:
-                assert (-m).canonical_items() in keys
+                negated = Move(m.T, m.family, tuple((p, -d) for p, d in m.deltas))
+                assert negated.canonical_items() in keys
 
     def test_cap(self):
         with pytest.raises(ValueError):
@@ -435,7 +435,7 @@ class TestProposalSampler:
         with pytest.raises(ValueError):
             ProposalSampler(4, {Family.TYPE1_DEG1: 0.5})
         with pytest.raises(ValueError):
-            sample_proposal(4, np.random.default_rng(0), [1, 0, 0, 0, 0, 0, 0])
+            ProposalSampler(4, [1, 0, 0, 0, 0, 0, 0])
 
     @pytest.mark.parametrize("weights", [
         {"type1": float("nan")},
