@@ -9,7 +9,9 @@ written with 17 significant digits so byte-identical reruns are auditable.
 
 from __future__ import annotations
 
+import errno
 import math
+import os
 import sys
 from pathlib import Path as FilePath
 
@@ -68,6 +70,28 @@ def _write_file(destination: str, text: str) -> None:
         FilePath(destination).write_text(text, encoding="utf-8")
     except OSError as exc:
         _fail(EXIT_USAGE, f"cannot write {destination}: {exc.strerror or exc}")
+
+
+def _check_writable(destination: str | None) -> None:
+    """Fail as a write would, before any work, when ``destination`` cannot
+    be written: its directory is missing or not writable, or it is itself a
+    directory or a read-only file.  Nothing is created or truncated, so the
+    write still reports a destination that changes meanwhile."""
+    if destination is None:
+        return
+    path = FilePath(destination)
+    parent = path.parent
+    if path.is_dir():
+        code = errno.EISDIR
+    elif not parent.exists():
+        code = errno.ENOENT
+    elif not parent.is_dir():
+        code = errno.ENOTDIR
+    elif not os.access(path if path.exists() else parent, os.W_OK):
+        code = errno.EACCES
+    else:
+        return
+    _fail(EXIT_USAGE, f"cannot write {destination}: {os.strerror(code)}")
 
 
 def _write_output(text: str, destination: str | None) -> None:
@@ -170,6 +194,8 @@ def cmd_test(input_path, mapping_spec, samples, burnin, seed, output_path,
     except ValueError as exc:
         _fail(EXIT_USAGE, str(exc))
         return
+    _check_writable(output_path)
+    _check_writable(histogram_path)
     try:
         table = ingest(input_path, mapping)
     except (IngestError, OSError) as exc:
@@ -243,6 +269,7 @@ def cmd_verify_basis(T, n_max, families_spec, report_path) -> None:
     except ValueError as exc:
         _fail(EXIT_USAGE, str(exc))
         return
+    _check_writable(report_path)
     try:
         reports = fiber_mod.sweep(T, n_max, families)
     except ValueError as exc:

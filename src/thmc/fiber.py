@@ -5,24 +5,28 @@ transition statistic.  Enumerating small fibers exhaustively and checking
 which move families connect them is the desk-scale oracle for the basis
 claims: a family set is a Markov basis exactly when every fiber comes out
 as a single component.
+
+Inside this module a table is the sorted tuple of its paths' cell indices
+(path encodings, one entry per unit of count), so enumeration, the move
+index and connectivity all work on tuples of small integers;
+:class:`PathTable` objects are built only where a caller asks for them.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import combinations_with_replacement
+from functools import cached_property, lru_cache
+from itertools import combinations, combinations_with_replacement
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .core import (
     DENSE_T_CAP,
     MIN_T,
-    Path,
     PathTable,
     TransitionStat,
     all_paths,
     decode,
+    encode,
     path_str,
     transitions,
 )
@@ -31,6 +35,9 @@ from .moves import Family, Move, enumerate_families
 #: Default enumeration budgets.
 MAX_FIBER_ELEMENTS = 10**6
 MAX_DFS_NODES = 10**8
+
+#: A table as the sorted tuple of its paths' cell indices.
+Cells = tuple[int, ...]
 
 
 class BudgetExceeded(RuntimeError):
@@ -42,22 +49,62 @@ class BudgetExceeded(RuntimeError):
         self.nodes_visited = nodes_visited
 
 
-@dataclass(frozen=True)
+def _table_cells(table: PathTable) -> Cells:
+    return tuple(encode(p) for p, c in table.items() for _ in range(c))
+
+
+def _cells_table(T: int, cells: Cells) -> PathTable:
+    return PathTable(T, {decode(i, T): cells.count(i) for i in dict.fromkeys(cells)})
+
+
+@dataclass(frozen=True, init=False)
 class Fiber:
-    """All tables with a given transition statistic, canonically ordered."""
+    """All tables with a given transition statistic, canonically ordered.
+
+    ``cells[i]`` holds table ``i`` as the sorted tuple of its paths' cell
+    indices.  ``elements[i]`` is the same table as a :class:`PathTable`;
+    a fiber built from ``PathTable`` objects keeps them, and one built by
+    :func:`enumerate_fiber` or :func:`sweep` builds them on first use.
+    """
 
     T: int
     b: TransitionStat
-    elements: tuple[PathTable, ...]
+    cells: tuple[Cells, ...]
+
+    def __init__(self, T: int, b: TransitionStat, elements: Iterable[PathTable]) -> None:
+        elements = tuple(elements)
+        self._set(T, b, tuple(_table_cells(t) for t in elements))
+        self.__dict__["elements"] = elements
+
+    @classmethod
+    def _of_cells(cls, T: int, b: TransitionStat, cells: tuple[Cells, ...]) -> Fiber:
+        fiber = cls.__new__(cls)
+        fiber._set(T, b, cells)
+        return fiber
+
+    def _set(self, T: int, b: TransitionStat, cells: tuple[Cells, ...]) -> None:
+        object.__setattr__(self, "T", T)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "cells", cells)
+
+    @cached_property
+    def elements(self) -> tuple[PathTable, ...]:
+        return tuple(_cells_table(self.T, c) for c in self.cells)
 
     def __len__(self) -> int:
-        return len(self.elements)
+        return len(self.cells)
 
 
 @lru_cache(maxsize=None)
 def _cell_stats(T: int) -> tuple[tuple[int, int, int, int], ...]:
     """Per-path transition 4-tuples, indexed by path encoding."""
     return tuple(transitions(p).as_tuple() for p in all_paths(T))
+
+
+@lru_cache(maxsize=None)
+def _path_texts(T: int) -> tuple[str, ...]:
+    """Per-path digit strings, indexed by path encoding."""
+    return tuple(path_str(p) for p in all_paths(T))
 
 
 @lru_cache(maxsize=None)
@@ -72,16 +119,16 @@ def _suffix_max(T: int) -> tuple[tuple[int, int, int, int], ...]:
     return tuple(out)
 
 
-def _enumerate_raw(
+def _enumerate_cells(
     T: int,
     target: tuple[int, int, int, int],
     max_elements: int,
     max_nodes: int,
-) -> list[tuple[tuple[int, int], ...]]:
+) -> list[Cells]:
     """Depth-first enumeration over cells in encoding order.
 
-    Returns each table as a tuple of (cell index, count) pairs.  A branch
-    is cut when a transition budget goes negative or exceeds what the
+    Returns each table as its sorted tuple of cell indices.  A branch is
+    cut when a transition budget goes negative or exceeds what the
     remaining cells can consume given the number of paths still to place.
     """
     total = sum(target)
@@ -90,8 +137,8 @@ def _enumerate_raw(
     stats = _cell_stats(T)
     smax = _suffix_max(T)
     ncells = len(stats)
-    results: list[tuple[tuple[int, int], ...]] = []
-    prefix: list[tuple[int, int]] = []
+    results: list[Cells] = []
+    prefix: list[int] = []
     nodes = 0
 
     def recurse(m: int, rem: tuple[int, int, int, int]) -> None:
@@ -123,8 +170,7 @@ def _enumerate_raw(
             if c:
                 kmax = min(kmax, r // c)
         for k in range(0, kmax + 1):
-            if k:
-                prefix.append((m, k))
+            prefix.extend([m] * k)
             recurse(
                 m + 1,
                 (
@@ -134,15 +180,10 @@ def _enumerate_raw(
                     rem[3] - k * s[3],
                 ),
             )
-            if k:
-                prefix.pop()
+            del prefix[len(prefix) - k :]
 
     recurse(0, target)
     return results
-
-
-def _raw_to_table(T: int, raw: tuple[tuple[int, int], ...]) -> PathTable:
-    return PathTable(T, {decode(i, T): c for i, c in raw})
 
 
 def enumerate_fiber(
@@ -165,14 +206,14 @@ def enumerate_fiber(
         raise ValueError(f"fiber enumeration is capped at T <= {DENSE_T_CAP}, got {T}")
     if not isinstance(b, TransitionStat):
         b = TransitionStat(*(int(v) for v in b))
-    raw = _enumerate_raw(T, b.as_tuple(), max_elements, max_nodes)
-    return Fiber(T=T, b=b, elements=tuple(_raw_to_table(T, r) for r in raw))
+    cells = _enumerate_cells(T, b.as_tuple(), max_elements, max_nodes)
+    return Fiber._of_cells(T, b, tuple(cells))
 
 
 @dataclass(frozen=True)
 class ConnectivityReport:
     """Connected components of a fiber under a move set; ``component_tables``
-    renders each component's tables with :func:`table_text`."""
+    renders each component's tables as :func:`table_text` does."""
 
     T: int
     b: TransitionStat
@@ -192,15 +233,17 @@ class ConnectivityReport:
         return self.n_components <= 1
 
 
-_MoveIndex = tuple[dict[tuple[tuple[Path, int], ...], list[Move]], int]
+_MoveIndex = tuple[dict[Cells, list[Cells]], int]
 
 
 def _move_index(moves: Sequence[Move]) -> _MoveIndex:
-    """Moves keyed by the items of their negative part, and the largest
-    move degree."""
-    by_negative: dict[tuple[tuple[Path, int], ...], list[Move]] = {}
+    """The positive cells of each move keyed by its negative cells, and the
+    largest move degree."""
+    by_negative: dict[Cells, list[Cells]] = {}
     for move in moves:
-        by_negative.setdefault(move.negative.items(), []).append(move)
+        by_negative.setdefault(_table_cells(move.negative), []).append(
+            _table_cells(move.positive)
+        )
     return by_negative, max((m.degree for m in moves), default=0)
 
 
@@ -244,19 +287,8 @@ class _UnionFind:
             self.count -= 1
 
 
-def _sub_multisets(
-    items: tuple[tuple[Path, int], ...], max_size: int
-) -> list[tuple[tuple[Path, int], ...]]:
-    """Each distinct sub-multiset of at most ``max_size`` paths, as items in
-    encoding order."""
-    parts: list[tuple[tuple[tuple[Path, int], ...], int]] = [((), 0)]
-    for path, count in items:
-        parts += [
-            (part + ((path, k),), size + k)
-            for part, size in parts
-            for k in range(1, min(count, max_size - size) + 1)
-        ]
-    return [part for part, _ in parts]
+def _cells_text(texts: tuple[str, ...], cells: Cells) -> str:
+    return " ".join(f"{texts[i]}:{cells.count(i)}" for i in dict.fromkeys(cells))
 
 
 def connectivity(
@@ -268,51 +300,55 @@ def connectivity(
     Two tables are adjacent when some move in the set carries one to the
     other without any count going negative.  ``move_set`` is either a list
     of explicit moves or a selection of families (all six by default).
-    Moves are indexed by their negative part, once per T and family
-    selection, so a table's neighbours are found by looking up its
-    sub-multisets up to the largest move degree; one sign of each move
-    suffices, because its other sign is found from the far end.
+    Tables are the fiber's cell-index tuples, and each move is a pair of
+    cell-index tuples indexed by its negative part, once per T and family
+    selection.  A table's neighbours come from looking up each distinct
+    sub-multiset of at most the largest move degree, then removing the
+    negative cells, adding the positive ones and sorting; one sign of each
+    move suffices, because its other sign is found from the far end.
     Output is deterministic: components are ordered by their smallest
-    element and each is represented by that element.
+    element and each is represented by that element, the only
+    :class:`PathTable` built.
     """
     (by_negative, max_degree), description = _resolve_moves(fiber.T, move_set)
-    if not fiber.elements:
+    tables = fiber.cells
+    if not tables:
         raise ValueError("connectivity of an empty fiber is undefined")
-    elements = fiber.elements
-    n = len(elements)
-    index = {frozenset(t.items()): i for i, t in enumerate(elements)}
+    n = len(tables)
+    index = {t: i for i, t in enumerate(tables)}
     uf = _UnionFind(n)
-    for i, table in enumerate(elements):
+    for i, table in enumerate(tables):
         if uf.count == 1:
             break
-        for part in _sub_multisets(table.items(), max_degree):
-            for move in by_negative.get(part, ()):
-                y = dict(table.counts)
-                for p, d in move.deltas:
-                    c = y.get(p, 0) + d
-                    if c:
-                        y[p] = c
-                    else:
-                        del y[p]
-                j = index.get(frozenset(y.items()))
-                if j is None:
-                    raise AssertionError(
-                        "move led outside the enumerated fiber; enumeration incomplete"
-                    )
-                uf.union(i, j)
+        for size in range(1, min(max_degree, len(table)) + 1):
+            for negative in dict.fromkeys(combinations(table, size)):
+                for positive in by_negative.get(negative, ()):
+                    y = list(table)
+                    for c in negative:
+                        y.remove(c)
+                    y += positive
+                    y.sort()
+                    j = index.get(tuple(y))
+                    if j is None:
+                        raise AssertionError(
+                            "move led outside the enumerated fiber; "
+                            "enumeration incomplete"
+                        )
+                    uf.union(i, j)
     groups: dict[int, list[int]] = {}
     for i in range(n):
         groups.setdefault(uf.find(i), []).append(i)
     comps = tuple(tuple(groups[r]) for r in sorted(groups))
+    texts = _path_texts(fiber.T)
     return ConnectivityReport(
         T=fiber.T,
         b=fiber.b,
         fiber_size=n,
         component_sizes=tuple(len(c) for c in comps),
         components=comps,
-        representatives=tuple(elements[c[0]] for c in comps),
+        representatives=tuple(_cells_table(fiber.T, tables[c[0]]) for c in comps),
         component_tables=tuple(
-            tuple(table_text(elements[i]) for i in c) for c in comps
+            tuple(_cells_text(texts, tables[i]) for i in c) for c in comps
         ),
         move_set=description,
     )
@@ -320,7 +356,7 @@ def connectivity(
 
 def _tables_by_stat(
     T: int, n_max: int
-) -> Iterator[dict[tuple[int, int, int, int], list[tuple[int, ...]]]]:
+) -> Iterator[dict[tuple[int, int, int, int], list[Cells]]]:
     """For n = 0..n_max, every table of total count n grouped by statistic.
 
     A table is the sorted tuple of its paths' cell indices, and each group
@@ -330,7 +366,7 @@ def _tables_by_stat(
     """
     stats = _cell_stats(T)
     for n in range(0, n_max + 1):
-        groups: dict[tuple[int, int, int, int], list[tuple[int, ...]]] = {}
+        groups: dict[tuple[int, int, int, int], list[Cells]] = {}
         for combo in combinations_with_replacement(range(len(stats)), n):
             acc = (0, 0, 0, 0)
             for i in combo:
@@ -349,10 +385,12 @@ def realizable_stats(T: int, n_max: int) -> list[TransitionStat]:
 
 def initial_frequency_classes(fiber: Fiber) -> tuple[tuple[int, ...], ...]:
     """Partition of the fiber's element indices by initial-frequency vector."""
+    # A path starts in state 1 exactly when its encoding is below 2**(T-1).
+    half = 1 << (fiber.T - 1)
     groups: dict[tuple[int, int], list[int]] = {}
-    for i, table in enumerate(fiber.elements):
-        x1 = sum(c for p, c in table.items() if p[0] == 1)
-        groups.setdefault((x1, table.n - x1), []).append(i)
+    for i, cells in enumerate(fiber.cells):
+        x1 = sum(1 for c in cells if c < half)
+        groups.setdefault((x1, len(cells) - x1), []).append(i)
     return tuple(tuple(groups[k]) for k in sorted(groups))
 
 
@@ -365,15 +403,15 @@ def sweep(
     """Connectivity reports for every realizable fiber with total count <= n_max.
 
     ``stat_filter`` optionally restricts the swept statistics (e.g. to
-    fibers with b11 = 0).  Every table is enumerated once and grouped by
-    statistic, so each fiber is complete and a report with more than one
-    component is a certified disconnection under the move set.  Reports
-    come in ascending (total, b) order.
+    fibers with b11 = 0).  Every table is enumerated once, as a cell-index
+    tuple, and grouped by statistic, so each fiber is complete and a report
+    with more than one component is a certified disconnection under the
+    move set.  No fiber builds its ``PathTable`` elements.  Reports come in
+    ascending (total, b) order.
     """
     if move_set is not None:
         move_set = list(move_set)
     _resolve_moves(T, move_set)  # reject a bad T or family before enumerating
-    paths = tuple(all_paths(T))
     reports = []
     for groups in _tables_by_stat(T, n_max):
         for b in sorted(groups):
@@ -381,11 +419,8 @@ def sweep(
             stat = TransitionStat(*b)
             if stat_filter is not None and not stat_filter(stat):
                 continue
-            elements = tuple(
-                PathTable(T, Counter(paths[i] for i in combo))
-                for combo in reversed(tables)
-            )
-            reports.append(connectivity(Fiber(T, stat, elements), move_set))
+            tables.reverse()
+            reports.append(connectivity(Fiber._of_cells(T, stat, tuple(tables)), move_set))
     return reports
 
 

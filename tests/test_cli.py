@@ -13,6 +13,7 @@ import numpy as np
 import thmc
 from thmc import (
     fiber,
+    inference,
     ingest,
     klotz_path,
     parse_mapping,
@@ -255,6 +256,27 @@ class TestCmdTest:
         assert result.stderr.startswith("error: cannot write ")
         assert len(result.stderr.splitlines()) == 1
 
+    @pytest.mark.parametrize("flag, other", [
+        ("--output", "--histogram"), ("--histogram", "--output"),
+    ])
+    def test_unwritable_destination_fails_before_chain(self, runner, tmp_path,
+                                                       monkeypatch, flag, other):
+        def refuse(*args, **kwargs):
+            raise AssertionError("ran the chain")
+
+        monkeypatch.setattr(inference, "exact_test", refuse)
+        kept = tmp_path / "kept"
+        kept.write_text("old")
+        bad = tmp_path / "missing" / "out"
+        result = runner.invoke(main, [
+            "test", "--input", str(klotz_path()), "--map", "M=1,F=2",
+            flag, str(bad), other, str(kept),
+        ])
+        assert result.exit_code == 1
+        assert result.stdout == ""
+        assert result.stderr == f"error: cannot write {bad}: No such file or directory\n"
+        assert kept.read_text() == "old"
+
     def test_chains_pool(self, runner, tmp_path):
         out = tmp_path / "c.json"
         result = runner.invoke(main, [
@@ -333,7 +355,11 @@ class TestCmdVerifyBasis:
         ])
         assert result.exit_code == 1
 
-    def test_unwritable_report_is_usage_error(self, runner, tmp_path):
+    def test_unwritable_report_is_usage_error(self, runner, tmp_path, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("swept the fibers")
+
+        monkeypatch.setattr(fiber, "sweep", refuse)
         result = runner.invoke(main, [
             "verify-basis", "--T", "3", "--n-max", "2",
             "--report", str(tmp_path / "missing" / "rep.json"),
@@ -344,7 +370,8 @@ class TestCmdVerifyBasis:
         assert len(result.stderr.splitlines()) == 1
 
     # Report hashes recorded from an implementation that enumerated every
-    # fiber by depth-first search; the report bytes must not change.
+    # fiber by depth-first search (the T=5 one from the one-pass sweep over
+    # PathTables); the report bytes must not change.
     @pytest.mark.parametrize("args, code, digest", [
         (["--T", "4", "--n-max", "3"], 0,
          "869b84b58eaa330cec1000d3cc0a42bbefade59444c2de93e33d87fcfafcba8c"),
@@ -353,6 +380,8 @@ class TestCmdVerifyBasis:
         (["--T", "3", "--n-max", "4",
           "--families", "type1,crossing,2x2,type4,type2"], 4,
          "0bddfd32436018415a7c72249e1ee95c8e556a955e92a4cbc8a452111c5cb7cd"),
+        (["--T", "5", "--n-max", "4"], 0,
+         "72aa606089a48b662915d5b5845f6f31843070d321d3493d314b2fe82552d2dc"),
     ])
     def test_report_bytes(self, runner, tmp_path, args, code, digest):
         report = tmp_path / "rep.json"

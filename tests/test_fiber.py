@@ -1,9 +1,15 @@
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import thmc
 from thmc import (
     Family,
+    Fiber,
     NegativityViolation,
     PathTable,
     apply_move,
@@ -138,6 +144,41 @@ class TestConnectivity:
         with pytest.raises(ValueError):
             connectivity(enumerate_fiber(3, (1, 0, 0, 1)))
 
+    def test_fiber_of_path_tables_keeps_them(self):
+        fib = enumerate_fiber(4, (2, 2, 1, 1))
+        tables = tuple(PathTable(t.T, dict(t.counts)) for t in fib.elements)
+        part = Fiber(fib.T, fib.b, tables)
+        assert part.elements is tables
+        assert part.cells == fib.cells
+        assert connectivity(part, ["crossing"]) == connectivity(fib, ["crossing"])
+
+    # The last table of this three-table fiber is a neighbour of the first,
+    # which connectivity always expands, so leaving it out must be caught.
+    INCOMPLETE_FIBER = (
+        "from thmc import Fiber, connectivity, enumerate_fiber\n"
+        "fib = enumerate_fiber(3, (0, 1, 1, 2))\n"
+        "assert len(fib) == 3\n"
+        "part = Fiber(3, fib.b, fib.elements[:2])\n"
+        "try:\n"
+        "    connectivity(part)\n"
+        "except AssertionError as exc:\n"
+        "    print(exc)\n"
+    )
+
+    def test_move_outside_fiber_raises(self):
+        fib = enumerate_fiber(3, (0, 1, 1, 2))
+        part = Fiber(3, fib.b, fib.elements[:2])
+        with pytest.raises(AssertionError, match="move led outside the enumerated fiber"):
+            connectivity(part)
+
+    def test_move_outside_fiber_raises_under_optimize(self):
+        env = dict(os.environ, PYTHONPATH=str(Path(thmc.__file__).parents[1]))
+        out = subprocess.run(
+            [sys.executable, "-O", "-c", self.INCOMPLETE_FIBER],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        assert out.stdout.startswith("move led outside the enumerated fiber")
+
 
 class TestSweep:
     def test_moves_indexed_once_per_selection(self, monkeypatch):
@@ -184,6 +225,45 @@ class TestSweep:
                 table = PathTable.from_paths(combo) if combo else PathTable(3)
                 seen.add(suff_stat(table).as_tuple())
         assert {b.as_tuple() for b in realizable_stats(3, 2)} == seen
+
+
+def minimal_generators_by_degree(T, n_max):
+    """Degree-n moves in every minimal Markov basis, for n = 1..n_max.
+
+    In a fiber of total n, two tables are joined by moves of lower degree
+    exactly when a chain of tables, each sharing a path with the next,
+    links them; each such component past the first needs one generator of
+    degree n (Takemura & Aoki (2004), Ann. Inst. Statist. Math. 56:1-17).
+    Uses the one-pass grouping of the sweep and no move family.
+    """
+    counts = []
+    for groups in itertools.islice(fiber._tables_by_stat(T, n_max), 1, None):
+        generators = 0
+        for tables in groups.values():
+            parent = list(range(len(tables)))
+
+            def root(i):
+                while parent[i] != i:
+                    i = parent[i]
+                return i
+
+            holder = {}
+            for i, table in enumerate(tables):
+                for cell in table:
+                    a, b = sorted((root(i), root(holder.setdefault(cell, i))))
+                    parent[b] = a
+            generators += sum(1 for i in range(len(tables)) if parent[i] == i) - 1
+        counts.append(generators)
+    return tuple(counts)
+
+
+@pytest.mark.parametrize("T, counts", [
+    (3, (1, 3, 2, 0)),
+    (4, (4, 24, 4, 0)),
+    (5, (14, 82, 6, 0)),
+])
+def test_minimal_basis_has_degree_at_most_three(T, counts):
+    assert minimal_generators_by_degree(T, 4) == counts
 
 
 def reference_components(fib, moves):
