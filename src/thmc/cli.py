@@ -29,6 +29,9 @@ EXIT_FIT = 3
 EXIT_DISCONNECTED = 4
 EXIT_BUDGET = 5
 
+#: ``thmc test`` warns on stderr when the chain accepts fewer of its steps.
+LOW_ACCEPTANCE = 0.01
+
 # Exit code 2 is reserved for ingestion failures, so click's own usage
 # errors (default code 2) are remapped onto the usage code.
 click.UsageError.exit_code = EXIT_USAGE
@@ -249,6 +252,13 @@ def cmd_test(input_path, mapping_spec, samples, burnin, seed, output_path,
         lines = ["bin_lower,count"]
         lines += [f"{format(lo, '.17g')},{c}" for lo, c in result.histogram]
         _write_file(histogram_path, "\n".join(lines) + "\n")
+    if result.acceptance_rate < LOW_ACCEPTANCE:
+        click.echo(
+            f"warning: the chain accepted {result.acceptance_rate:.2%} of its "
+            f"steps (below {LOW_ACCEPTANCE:.0%}); p_exact rests on few "
+            f"distinct tables",
+            err=True,
+        )
 
 
 @main.command("verify-basis")

@@ -29,7 +29,7 @@ from .core import (
     initial_freq,
     suff_stat,
 )
-from .moves import Family, ProposalSampler, _normalize_weights
+from .moves import Family, ProposalSampler
 
 #: Fisher-scoring convergence tolerance on the Birch residual
 #: ||b_obs - n E[b]||_inf.
@@ -273,11 +273,14 @@ class _Chain:
     """
 
     def __init__(
-        self, evaluator: _LikelihoodRatioEvaluator, rng: np.random.Generator, weights=None
+        self,
+        evaluator: _LikelihoodRatioEvaluator,
+        rng: np.random.Generator,
+        sampler: ProposalSampler,
     ) -> None:
         self.evaluator = evaluator
         self.rng = rng
-        self.sampler = ProposalSampler(evaluator.table.T, weights)
+        self.sampler = sampler
         self.counts = dict(evaluator.table.counts)
         self.k = evaluator.k
         self.L = evaluator.L
@@ -336,7 +339,11 @@ def mh_chain(
         raise ValueError(f"steps must be >= 1, got {steps}")
     if burnin < 0:
         raise ValueError(f"burnin must be >= 0, got {burnin}")
-    chain = _Chain(_LikelihoodRatioEvaluator(start), np.random.default_rng(seed), weights)
+    chain = _Chain(
+        _LikelihoodRatioEvaluator(start),
+        np.random.default_rng(seed),
+        ProposalSampler(start.T, weights),
+    )
     for _ in range(burnin):
         chain.step()
     table = PathTable(start.T, chain.counts)
@@ -391,7 +398,8 @@ def exact_test(
     (``add_observed`` switches to the (1 + count) / (steps + 1)
     convention).  With ``chains`` > 1 the samples are split over
     independent chains, run one after another and pooled in chain index
-    order; diagnostics cover the post-burn-in phase.
+    order; diagnostics cover the post-burn-in phase.  The chains share one
+    proposal sampler, and with it its memo of built moves.
     """
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
@@ -401,7 +409,7 @@ def exact_test(
         raise ValueError(f"chains must be >= 1, got {chains}")
     if bin_width <= 0:
         raise ValueError(f"bin width must be positive, got {bin_width}")
-    weights_vec = _normalize_weights(weights)
+    sampler = ProposalSampler(table.T, weights)
     evaluator = _LikelihoodRatioEvaluator(table)
     L_obs = evaluator.L
 
@@ -417,7 +425,7 @@ def exact_test(
     for rng, quota in zip(rngs, quotas):
         if quota == 0:
             continue
-        chain = _Chain(evaluator, rng, weights_vec)
+        chain = _Chain(evaluator, rng, sampler)
         for _ in range(burnin):
             chain.step()
         chain.accepted = chain.null_proposals = 0

@@ -13,6 +13,7 @@ test proposes.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from dataclasses import dataclass
@@ -492,15 +493,8 @@ def _enumerate_family_cached(T: int, family: Family) -> tuple[Move, ...]:
     """
     sampler = ProposalSampler(T)
     draws = itertools.product(*map(range, sampler._highs[family][:-1]))
-
-    def built() -> Iterable[Move]:
-        for d in draws:
-            try:
-                yield sampler._build(family, d + (0,))
-            except MoveError:
-                pass
-
-    return tuple(_dedup(built()))
+    moves = (sampler._try_build(family, d + (0,)) for d in draws)
+    return tuple(_dedup(m for m in moves if m is not None))
 
 
 def enumerate_family(T: int, family: Family | str) -> list[Move]:
@@ -565,6 +559,11 @@ class ProposalSampler:
     the sign is independent and fair, the induced distribution over signed
     moves satisfies q(z) = q(-z), and every constructible move of every
     family has positive probability.
+
+    Up to ``ENUMERATION_T_CAP`` each parameter draw is decoded and
+    validated once: its move (or null) is memoised by family and draw
+    without the sign slot, and repeats look it up.  Memoising changes no
+    random call, so a seed gives the same proposals either way.
     """
 
     def __init__(
@@ -576,7 +575,12 @@ class ProposalSampler:
             raise ValueError(f"T must be >= {MIN_T}, got {T}")
         self.T = T
         self.weights = _normalize_weights(weights)
-        self._cum = np.cumsum(self.weights)
+        # Upper bounds of the families' slices of [0, 1).  The weights may
+        # sum to a hair under 1, so the last family with positive weight
+        # also takes every draw at or above the last cumulative sum.
+        last = max(i for i, w in enumerate(self.weights) if w > 0)
+        self._bounds = list(itertools.accumulate(self.weights))
+        self._bounds[last:] = [math.inf] * (len(FAMILIES) - last)
         self._time_triples = list(itertools.combinations(range(1, T + 1), 3))
         self._2x2_pairs = [
             (t0, t1) for t0 in range(1, T - 1) for t1 in range(t0 + 1, T)
@@ -594,17 +598,36 @@ class ProposalSampler:
         self._highs = {
             f: np.array(h + [2], dtype=np.int64) for f, h in highs.items()
         }
+        # Built move (or None for a null draw) per family and draw without
+        # its sign slot.  Kept only where ``enumerate_family`` walks the
+        # whole draw space: above that cap draws rarely repeat.
+        self._cache: Optional[dict[tuple[Family, bytes], Optional[Move]]] = (
+            {} if T <= ENUMERATION_T_CAP else None
+        )
 
     def sample(self, rng: np.random.Generator) -> Optional[tuple[Move, int]]:
         """One proposal draw: a (move, sign) pair or None."""
-        fam = FAMILIES[int(np.searchsorted(self._cum, rng.random(), side="right"))]
+        fam = FAMILIES[bisect.bisect_right(self._bounds, rng.random())]
         draws = rng.integers(0, self._highs[fam])
+        cache = self._cache
+        if cache is None:
+            move = self._try_build(fam, draws)
+        else:
+            key = (fam, draws[:-1].tobytes())
+            try:
+                move = cache[key]
+            except KeyError:
+                move = cache[key] = self._try_build(fam, draws)
+        if move is None:
+            return None
+        return move, 1 if draws[-1] == 0 else -1
+
+    def _try_build(self, fam: Family, d: Sequence[int]) -> Optional[Move]:
+        """:meth:`_build`, with None for a draw that yields no move."""
         try:
-            move = self._build(fam, draws)
+            return self._build(fam, d)
         except MoveError:
             return None
-        sign = 1 if draws[-1] == 0 else -1
-        return move, sign
 
     def _build(self, fam: Family, d: Sequence[int]) -> Move:
         """Decode one parameter draw (sign slot last, unused here) into a move."""

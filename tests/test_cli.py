@@ -325,6 +325,51 @@ class TestCmdTest:
         counts = ",".join(l.split(",")[1] for l in hist.read_text().splitlines()[1:])
         assert hashlib.sha256(counts.encode()).hexdigest() == hist_digest
 
+    # sha256 of the whole JSON and histogram files, recorded before proposal
+    # draws were memoised.  The input is named by a relative path, so every
+    # byte is fixed; the cases cover non-uniform weights and chains that
+    # share one sampler.
+    @pytest.mark.parametrize("args, json_digest, hist_digest", [
+        (["--weights", "type2=0.5,deg3-sliding=0.5", "--seed", "3"],
+         "a4ba77938c3b3ec7238b5117a281687a709382b1018636224ccd99419b8d7bc4",
+         "be7d3d0343edc283e5f85959c23e4a9dd445fb0ce616b526e1fd1d91d6a51f64"),
+        (["--chains", "2", "--seed", "5"],
+         "1387b886fafbabf4792337fe0d05128d3576da720a3cd5b47010b5440ef146c3",
+         "c1b73c7c1f8e67c1e67b9afdb6b470dd6139201bfd0523e151248ffe45fbfc7a"),
+    ])
+    def test_seeded_output_bytes(self, runner, tmp_path, args, json_digest,
+                                 hist_digest):
+        with runner.isolated_filesystem(temp_dir=tmp_path):
+            Path("klotz.csv").write_bytes(klotz_path().read_bytes())
+            result = runner.invoke(main, [
+                "test", "--input", "klotz.csv", "--map", "M=1,F=2", *args,
+                "--output", "r.json", "--histogram", "h.csv",
+            ])
+            assert result.exit_code == 0, result.output
+            assert hashlib.sha256(Path("r.json").read_bytes()).hexdigest() == json_digest
+            assert hashlib.sha256(Path("h.csv").read_bytes()).hexdigest() == hist_digest
+
+    def test_low_acceptance_warns_on_stderr(self, runner, tmp_path):
+        data = tmp_path / "t12.csv"
+        data.write_text(serialize_table(random_table(np.random.default_rng(12), 12, 30)))
+        result = runner.invoke(main, [
+            "test", "--input", str(data), "--samples", "2000", "--burnin", "0",
+            "--seed", "1",
+        ])
+        assert result.exit_code == 0, result.output
+        payload = json.loads(result.stdout)
+        assert payload["acceptance_rate"] < 0.01
+        assert result.stderr.startswith("warning: ")
+        assert len(result.stderr.splitlines()) == 1
+
+    def test_klotz_defaults_write_nothing_to_stderr(self, runner):
+        result = runner.invoke(main, [
+            "test", "--input", str(klotz_path()), "--map", "M=1,F=2",
+        ])
+        assert result.exit_code == 0, result.output
+        assert json.loads(result.stdout)["acceptance_rate"] > 0.01
+        assert result.stderr == ""
+
 
 class TestCmdVerifyBasis:
     def test_full_set_connected(self, runner, tmp_path):

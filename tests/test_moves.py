@@ -370,7 +370,80 @@ class TestEnumeration:
                 assert rebuilt.degree == m.degree
 
 
+class RecordingRng:
+    """A Generator stand-in that records the highs of every ``integers`` call.
+
+    ``random()`` returns ``u`` when one is given, so a test can pick the
+    family slice a draw lands in.
+    """
+
+    def __init__(self, seed: int, u: float | None = None) -> None:
+        self.rng = np.random.default_rng(seed)
+        self.u = u
+        self.highs: list = []
+
+    def random(self) -> float:
+        return self.rng.random() if self.u is None else self.u
+
+    def integers(self, low, high):
+        self.highs.append(high)
+        return self.rng.integers(low, high)
+
+
+def drawn_families(sampler: ProposalSampler, rng: RecordingRng) -> list[Family]:
+    return [next(f for f in Family if sampler._highs[f] is h) for h in rng.highs]
+
+
 class TestProposalSampler:
+    def test_top_of_unit_interval_draws_last_family(self):
+        # The default weights add up to 1 - 2**-53, the largest value
+        # random() returns, so that draw lies on the last cumulative bound.
+        sampler = ProposalSampler(4)
+        assert np.cumsum(sampler.weights)[-1] == np.nextafter(1.0, 0.0)
+        rng = RecordingRng(0, u=np.nextafter(1.0, 0.0))
+        sampler.sample(rng)
+        assert drawn_families(sampler, rng) == [Family.DEG3_SLIDING]
+
+    @pytest.mark.parametrize("shortfall, u", [
+        (0.0, float(np.nextafter(1.0, 0.0))),
+        (5e-10, 1 - 1e-10),
+    ])
+    def test_zero_weight_last_family_never_drawn(self, shortfall, u):
+        # Weights may sum to 1 - 1e-9; draws above the sum go to the last
+        # family with positive weight, never to a zero-weight one.
+        weights = [0.2, 0.2, 0.2, 0.2, 0.2 - shortfall, 0.0]
+        sampler = ProposalSampler(4, weights)
+        top = RecordingRng(0, u=u)
+        sampler.sample(top)
+        assert drawn_families(sampler, top) == [Family.TYPE2_DEG1]
+        rng = RecordingRng(1)
+        for _ in range(20_000):
+            sampler.sample(rng)
+        assert Family.DEG3_SLIDING not in drawn_families(sampler, rng)
+
+    @pytest.mark.parametrize("T", [3, 4, 5, 6])
+    def test_memoised_draws_match_fresh_builds(self, T):
+        memo, fresh = ProposalSampler(T), ProposalSampler(T)
+        rng_memo, rng_fresh = np.random.default_rng(T), np.random.default_rng(T)
+        families = set()
+        draws = 20_000
+        for _ in range(draws):
+            fresh._cache.clear()
+            prop = memo.sample(rng_memo)
+            assert prop == fresh.sample(rng_fresh)
+            if prop is not None:
+                families.add(prop[0].family)
+        assert families == {f for f in Family if enumerate_family(T, f)}
+        assert 0 < len(memo._cache) < draws
+
+    @pytest.mark.parametrize("T", [7, 12])
+    def test_no_memo_above_enumeration_cap(self, T):
+        sampler = ProposalSampler(T)
+        rng = np.random.default_rng(T)
+        for _ in range(5_000):
+            sampler.sample(rng)
+        assert sampler._cache is None
+
     def test_sign_is_fair(self):
         rng = np.random.default_rng(1)
         sampler = ProposalSampler(4)
