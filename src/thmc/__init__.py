@@ -50,13 +50,11 @@ from .inference import (
     mh_chain,
 )
 from .ingest import (
-    Dataset,
     IngestError,
     ingest,
     klotz_path,
     klotz_table,
     parse_mapping,
-    read_dataset,
     serialize_table,
 )
 from .moves import (

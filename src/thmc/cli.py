@@ -191,6 +191,8 @@ def cmd_test(input_path, mapping_spec, samples, burnin, seed, output_path,
         _fail(EXIT_USAGE, f"--burnin must be >= 0, got {burnin}")
     if chains < 1:
         _fail(EXIT_USAGE, f"--chains must be >= 1, got {chains}")
+    if seed < 0:
+        _fail(EXIT_USAGE, f"--seed must be >= 0, got {seed}")
     try:
         mapping = parse_mapping(mapping_spec)
         weights = _parse_weights(weights_spec)

@@ -271,6 +271,10 @@ def configuration(T: int, variant: Variant = Variant.WITHOUT_INITIAL) -> np.ndar
     occurrences of (1,1), (1,2), (2,1), (2,2); the with-initial variant
     appends the two initial-state indicator rows.  The matrix is cached per
     (T, variant) and read-only.
+
+    Column ``j`` is the path encoded by ``j``, whose state at time ``t`` is
+    bit ``T-1-t`` of ``j`` plus one, so each time step adds one to a row
+    chosen per column from two bits of the column indices.
     """
     if T < MIN_T:
         raise ValueError(f"T must be >= {MIN_T}, got {T}")
@@ -280,11 +284,11 @@ def configuration(T: int, variant: Variant = Variant.WITHOUT_INITIAL) -> np.ndar
         )
     variant = Variant(variant)
     rows = 6 if variant is Variant.WITH_INITIAL else 4
+    cols = np.arange(1 << T)
     mat = np.zeros((rows, 1 << T), dtype=np.int64)
-    for j, path in enumerate(all_paths(T)):
-        for a, c in zip(path, path[1:]):
-            mat[(a - 1) * 2 + (c - 1), j] += 1
-        if variant is Variant.WITH_INITIAL:
-            mat[4 + (path[0] - 1), j] = 1
+    for t in range(T - 1):
+        mat[2 * ((cols >> (T - 1 - t)) & 1) + ((cols >> (T - 2 - t)) & 1), cols] += 1
+    if variant is Variant.WITH_INITIAL:
+        mat[4 + (cols >> (T - 1)), cols] = 1
     mat.flags.writeable = False
     return mat

@@ -25,14 +25,14 @@ from .core import (
     PathTable,
     TransitionStat,
     all_paths,
+    configuration,
     decode,
     encode,
     path_str,
-    transitions,
 )
 from .moves import Family, Move, enumerate_families
 
-#: Default enumeration budgets.
+#: Enumeration budgets of :func:`enumerate_fiber`, read at each call.
 MAX_FIBER_ELEMENTS = 10**6
 MAX_DFS_NODES = 10**8
 
@@ -49,43 +49,22 @@ class BudgetExceeded(RuntimeError):
         self.nodes_visited = nodes_visited
 
 
-def _table_cells(table: PathTable) -> Cells:
-    return tuple(encode(p) for p, c in table.items() for _ in range(c))
-
-
 def _cells_table(T: int, cells: Cells) -> PathTable:
     return PathTable(T, {decode(i, T): cells.count(i) for i in dict.fromkeys(cells)})
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class Fiber:
     """All tables with a given transition statistic, canonically ordered.
 
     ``cells[i]`` holds table ``i`` as the sorted tuple of its paths' cell
-    indices.  ``elements[i]`` is the same table as a :class:`PathTable`;
-    a fiber built from ``PathTable`` objects keeps them, and one built by
-    :func:`enumerate_fiber` or :func:`sweep` builds them on first use.
+    indices; ``elements[i]`` is the same table as a :class:`PathTable`,
+    built on first use.
     """
 
     T: int
     b: TransitionStat
     cells: tuple[Cells, ...]
-
-    def __init__(self, T: int, b: TransitionStat, elements: Iterable[PathTable]) -> None:
-        elements = tuple(elements)
-        self._set(T, b, tuple(_table_cells(t) for t in elements))
-        self.__dict__["elements"] = elements
-
-    @classmethod
-    def _of_cells(cls, T: int, b: TransitionStat, cells: tuple[Cells, ...]) -> Fiber:
-        fiber = cls.__new__(cls)
-        fiber._set(T, b, cells)
-        return fiber
-
-    def _set(self, T: int, b: TransitionStat, cells: tuple[Cells, ...]) -> None:
-        object.__setattr__(self, "T", T)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "cells", cells)
 
     @cached_property
     def elements(self) -> tuple[PathTable, ...]:
@@ -97,8 +76,9 @@ class Fiber:
 
 @lru_cache(maxsize=None)
 def _cell_stats(T: int) -> tuple[tuple[int, int, int, int], ...]:
-    """Per-path transition 4-tuples, indexed by path encoding."""
-    return tuple(transitions(p).as_tuple() for p in all_paths(T))
+    """Per-path transition 4-tuples, indexed by path encoding: the columns
+    of the configuration matrix."""
+    return tuple(zip(*configuration(T).tolist()))
 
 
 @lru_cache(maxsize=None)
@@ -119,18 +99,17 @@ def _suffix_max(T: int) -> tuple[tuple[int, int, int, int], ...]:
     return tuple(out)
 
 
-def _enumerate_cells(
-    T: int,
-    target: tuple[int, int, int, int],
-    max_elements: int,
-    max_nodes: int,
-) -> list[Cells]:
+def _enumerate_cells(T: int, target: tuple[int, int, int, int]) -> list[Cells]:
     """Depth-first enumeration over cells in encoding order.
 
     Returns each table as its sorted tuple of cell indices.  A branch is
     cut when a transition budget goes negative or exceeds what the
     remaining cells can consume given the number of paths still to place.
+    Raises :class:`BudgetExceeded` past ``MAX_FIBER_ELEMENTS`` tables or
+    ``MAX_DFS_NODES`` search nodes.
     """
+    max_elements = MAX_FIBER_ELEMENTS
+    max_nodes = MAX_DFS_NODES
     total = sum(target)
     if total % (T - 1) != 0:
         return []
@@ -186,19 +165,14 @@ def _enumerate_cells(
     return results
 
 
-def enumerate_fiber(
-    T: int,
-    b: TransitionStat | Sequence[int],
-    max_elements: int = MAX_FIBER_ELEMENTS,
-    max_nodes: int = MAX_DFS_NODES,
-) -> Fiber:
+def enumerate_fiber(T: int, b: TransitionStat | Sequence[int]) -> Fiber:
     """The complete fiber of a transition statistic.
 
     Elements are sorted canonically (lexicographically in their dense count
     vectors).  A statistic whose total is not a multiple of T-1 has an
     empty fiber.  T is capped at ``DENSE_T_CAP`` because the search walks
-    all 2**T cells.  Raises :class:`BudgetExceeded` past the configured
-    budgets.
+    all 2**T cells.  Raises :class:`BudgetExceeded` past the module's
+    budgets ``MAX_FIBER_ELEMENTS`` and ``MAX_DFS_NODES``.
     """
     if T < MIN_T:
         raise ValueError(f"T must be >= {MIN_T}, got {T}")
@@ -206,8 +180,7 @@ def enumerate_fiber(
         raise ValueError(f"fiber enumeration is capped at T <= {DENSE_T_CAP}, got {T}")
     if not isinstance(b, TransitionStat):
         b = TransitionStat(*(int(v) for v in b))
-    cells = _enumerate_cells(T, b.as_tuple(), max_elements, max_nodes)
-    return Fiber._of_cells(T, b, tuple(cells))
+    return Fiber(T, b, tuple(_enumerate_cells(T, b.as_tuple())))
 
 
 @dataclass(frozen=True)
@@ -217,12 +190,18 @@ class ConnectivityReport:
 
     T: int
     b: TransitionStat
-    fiber_size: int
-    component_sizes: tuple[int, ...]
     components: tuple[tuple[int, ...], ...]
     representatives: tuple[PathTable, ...]
     component_tables: tuple[tuple[str, ...], ...]
     move_set: tuple[str, ...]
+
+    @property
+    def fiber_size(self) -> int:
+        return sum(map(len, self.components))
+
+    @property
+    def component_sizes(self) -> tuple[int, ...]:
+        return tuple(map(len, self.components))
 
     @property
     def n_components(self) -> int:
@@ -238,12 +217,13 @@ _MoveIndex = tuple[dict[Cells, list[Cells]], int]
 
 def _move_index(moves: Sequence[Move]) -> _MoveIndex:
     """The positive cells of each move keyed by its negative cells, and the
-    largest move degree."""
+    largest move degree.  A move's deltas come in encoding order, so both
+    cell tuples come out sorted."""
     by_negative: dict[Cells, list[Cells]] = {}
     for move in moves:
-        by_negative.setdefault(_table_cells(move.negative), []).append(
-            _table_cells(move.positive)
-        )
+        negative = tuple(encode(p) for p, d in move.deltas if d < 0 for _ in range(-d))
+        positive = tuple(encode(p) for p, d in move.deltas if d > 0 for _ in range(d))
+        by_negative.setdefault(negative, []).append(positive)
     return by_negative, max((m.degree for m in moves), default=0)
 
 
@@ -343,8 +323,6 @@ def connectivity(
     return ConnectivityReport(
         T=fiber.T,
         b=fiber.b,
-        fiber_size=n,
-        component_sizes=tuple(len(c) for c in comps),
         components=comps,
         representatives=tuple(_cells_table(fiber.T, tables[c[0]]) for c in comps),
         component_tables=tuple(
@@ -420,7 +398,7 @@ def sweep(
             if stat_filter is not None and not stat_filter(stat):
                 continue
             tables.reverse()
-            reports.append(connectivity(Fiber._of_cells(T, stat, tuple(tables)), move_set))
+            reports.append(connectivity(Fiber(T, stat, tuple(tables)), move_set))
     return reports
 
 

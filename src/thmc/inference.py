@@ -32,8 +32,12 @@ from .core import (
 from .moves import Family, ProposalSampler
 
 #: Fisher-scoring convergence tolerance on the Birch residual
-#: ||b_obs - n E[b]||_inf.
+#: ||b_obs - n E[b]||_inf, and the iteration budget; both are read at
+#: each call.
 BIRCH_TOL = 1e-8
+FIT_MAX_ITER = 500
+#: Width of the bins of :attr:`TestResult.histogram`.
+HISTOGRAM_BIN_WIDTH = 0.1
 
 _THETA_BOUNDARY = 1e3
 _PROB_FLOOR = 1e-300
@@ -66,15 +70,14 @@ class FittedModel:
 def fit_mle(
     table: PathTable,
     variant: Variant = Variant.WITHOUT_INITIAL,
-    tol: float = BIRCH_TOL,
-    max_iter: int = 500,
     theta0: np.ndarray | None = None,
 ) -> FittedModel:
     """Maximize the multinomial log-likelihood of a log-linear chain model.
 
     Fisher scoring with pseudo-inverse steps and step halving; at
     convergence the fitted expected sufficient statistic matches the
-    observed one within ``tol``.  ``theta0`` warm-starts the parameter
+    observed one within ``BIRCH_TOL``, or within the rounding error of the
+    statistic where that is larger.  ``theta0`` warm-starts the parameter
     vector (used to fit the larger model starting from the smaller one's
     optimum, which keeps the likelihood ordering exact).
     """
@@ -100,10 +103,16 @@ def fit_mle(
     def birch_gap(p: np.ndarray) -> float:
         return float(np.max(np.abs(b_obs - n * (A @ p))))
 
+    # n * (A @ p) sums 2**T rounded terms of total n * (T - 1), so it carries
+    # a rounding error of order sqrt(2**T) units in the last place of that
+    # total; on large tables (at T = 4, from about a million counts) this
+    # floor exceeds BIRCH_TOL.
+    floor = 4 * math.sqrt(A.shape[1]) * float(np.spacing(n * (table.T - 1)))
+    tol = max(BIRCH_TOL, floor)
     p, loglik = state(theta)
     boundary = False
     prev_residual = math.inf
-    for _ in range(max_iter):
+    for _ in range(FIT_MAX_ITER):
         mean = A @ p
         residual = birch_gap(p)
         if residual < tol:
@@ -115,13 +124,15 @@ def fit_mle(
         cov = (A * p) @ A.T - np.outer(mean, mean)
         step = np.linalg.pinv(cov, rcond=1e-12) @ (b_obs / n - mean)
         lam = 1.0
+        # Near the optimum the likelihood gain drops below float resolution,
+        # a few units in the last place of the log-likelihood; a shrinking
+        # Birch residual still certifies progress.
+        slack = max(1e-12, 16 * float(np.spacing(abs(loglik))))
         for _ in range(50):
             cand = theta + lam * step
             p_new, ll_new = state(cand)
-            # Near the optimum the likelihood gain drops below float
-            # resolution; a shrinking Birch residual still certifies progress.
             if ll_new > loglik or (
-                ll_new >= loglik - 1e-12 and birch_gap(p_new) < residual
+                ll_new >= loglik - slack and birch_gap(p_new) < residual
             ):
                 theta, p, loglik = cand, p_new, ll_new
                 break
@@ -135,7 +146,7 @@ def fit_mle(
     residual = birch_gap(p)
     if not (residual < tol or boundary):
         raise FitError(
-            f"no convergence after {max_iter} iterations "
+            f"no convergence after {FIT_MAX_ITER} iterations "
             f"(residual {residual:.3e}, variant {variant.value})"
         )
     boundary = boundary or bool(np.min(p) < 1e-10)
@@ -269,7 +280,7 @@ class _Chain:
     The walk starts at the evaluator's table.  Its state is the count map
     plus ``k``, the initial-state-1 count, which sets ``L`` within the
     fiber.  Moves preserve the statistic by construction (see
-    :class:`Move`); :meth:`check_fiber` confirms it once, at the end.
+    :class:`Move`); :meth:`run` confirms it once, at the end.
     """
 
     def __init__(
@@ -316,8 +327,15 @@ class _Chain:
         self.L = self.evaluator.value(counts, self.k)
         return True
 
-    def check_fiber(self) -> None:
-        """Raise if the current counts left the starting table's fiber."""
+    def run(self, burnin: int, steps: int) -> Iterator[bool]:
+        """Take ``burnin`` steps, reset the counters, then take ``steps``
+        steps, yielding after each whether it moved.  Once the steps are
+        exhausted, raise if the counts left the starting table's fiber."""
+        for _ in range(burnin):
+            self.step()
+        self.accepted = self.null_proposals = 0
+        for _ in range(steps):
+            yield self.step()
         if suff_stat(PathTable(self.evaluator.table.T, self.counts)) != self.evaluator.b:
             raise AssertionError("chain left its fiber")
 
@@ -344,14 +362,11 @@ def mh_chain(
         np.random.default_rng(seed),
         ProposalSampler(start.T, weights),
     )
-    for _ in range(burnin):
-        chain.step()
-    table = PathTable(start.T, chain.counts)
-    for _ in range(steps):
-        if chain.step():
+    table = None
+    for moved in chain.run(burnin, steps):
+        if moved or table is None:
             table = PathTable(start.T, chain.counts)
         yield table, chain.L
-    chain.check_fiber()
 
 
 @dataclass(frozen=True)
@@ -370,7 +385,8 @@ class TestResult:
     histogram: tuple[tuple[float, int], ...]
 
 
-def _histogram(values: Sequence[float], bin_width: float) -> tuple[tuple[float, int], ...]:
+def _histogram(values: Sequence[float]) -> tuple[tuple[float, int], ...]:
+    bin_width = HISTOGRAM_BIN_WIDTH
     top = max(values)
     nbins = int(top / bin_width) + 1
     counts = [0] * nbins
@@ -387,7 +403,6 @@ def exact_test(
     seed: int = 0,
     weights: Mapping[Family | str, float] | Sequence[float] | None = None,
     add_observed: bool = False,
-    bin_width: float = 0.1,
     chains: int = 1,
 ) -> TestResult:
     """Exact conditional test of the no-initial-parameter model.
@@ -407,8 +422,6 @@ def exact_test(
         raise ValueError(f"burnin must be >= 0, got {burnin}")
     if chains < 1:
         raise ValueError(f"chains must be >= 1, got {chains}")
-    if bin_width <= 0:
-        raise ValueError(f"bin width must be positive, got {bin_width}")
     sampler = ProposalSampler(table.T, weights)
     evaluator = _LikelihoodRatioEvaluator(table)
     L_obs = evaluator.L
@@ -426,15 +439,9 @@ def exact_test(
         if quota == 0:
             continue
         chain = _Chain(evaluator, rng, sampler)
-        for _ in range(burnin):
-            chain.step()
-        chain.accepted = chain.null_proposals = 0
-        for _ in range(quota):
-            chain.step()
-            values.append(chain.L)
+        values.extend(chain.L for _ in chain.run(burnin, quota))
         accepted += chain.accepted
         nulls += chain.null_proposals
-        chain.check_fiber()
 
     count = sum(1 for v in values if v >= L_obs - _LR_TIE_EPS)
     if add_observed:
@@ -452,5 +459,5 @@ def exact_test(
         acceptance_rate=accepted / steps,
         null_proposal_rate=nulls / steps,
         seed=seed,
-        histogram=_histogram(values, bin_width),
+        histogram=_histogram(values),
     )

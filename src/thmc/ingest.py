@@ -8,10 +8,9 @@ user-visible mapping such as ``M=1,F=2``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path as FilePath
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from .core import PathTable, path_str
 
@@ -57,35 +56,12 @@ DEFAULT_MAPPING = {"1": 1, "2": 2}
 _COUNT_MAX = 2**63 - 1
 
 
-@dataclass(frozen=True)
-class Dataset:
-    """Raw ingested records plus the alphabet mapping used to read them."""
+def ingest(path: str | FilePath, mapping: Mapping[str, int] | str | None = None) -> PathTable:
+    """Read a ``path,count`` CSV file into a :class:`PathTable`.
 
-    T: int
-    mapping: Mapping[str, int]
-    records: tuple[tuple[str, int], ...]
-
-    def to_table(self) -> PathTable:
-        counts: dict[tuple[int, ...], int] = {}
-        for text, count in self.records:
-            path = tuple(self.mapping[c] for c in text)
-            counts[path] = counts.get(path, 0) + count
-        return PathTable(self.T, counts)
-
-
-def _iter_rows(lines: Iterable[str]):
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        yield lineno, line
-
-
-def read_dataset(path: str | FilePath, mapping: Mapping[str, int] | str | None = None) -> Dataset:
-    """Read a ``path,count`` CSV into a :class:`Dataset`.
-
-    Each path's total count must fit a signed 64-bit integer, the cell type
-    of the dense count vectors the fits use.
+    Duplicate path lines accumulate; each path's total count must fit a
+    signed 64-bit integer, the cell type of the dense count vectors the
+    fits use.
     """
     if mapping is None:
         mapping = DEFAULT_MAPPING
@@ -97,15 +73,17 @@ def read_dataset(path: str | FilePath, mapping: Mapping[str, int] | str | None =
         lines = path.read_text(encoding="utf-8-sig").split("\n")
     except UnicodeDecodeError as exc:
         raise IngestError(f"{path} is not UTF-8 text ({exc.reason})") from None
-    records: list[tuple[str, int]] = []
     totals: dict[str, int] = {}
     T: int | None = None
-    for lineno, line in _iter_rows(lines):
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
         fields = [f.strip() for f in line.split(",")]
         if len(fields) != 2:
             raise IngestError(f"expected 'path,count', got {line!r}", lineno)
         text, count_text = fields
-        if not records and text.lower() == "path" and count_text.lower() == "count":
+        if T is None and text.lower() == "path" and count_text.lower() == "count":
             continue
         try:
             count = int(count_text)
@@ -124,20 +102,15 @@ def read_dataset(path: str | FilePath, mapping: Mapping[str, int] | str | None =
             raise IngestError(
                 f"ragged path length: {text!r} has {len(text)}, expected {T}", lineno
             )
-        totals[text] = totals.get(text, 0) + count
-        if totals[text] > _COUNT_MAX:
+        total = totals.get(text, 0) + count
+        if total > _COUNT_MAX:
             raise IngestError(
-                f"count of path {text!r} reaches {totals[text]}, over 2**63 - 1", lineno
+                f"count of path {text!r} reaches {total}, over 2**63 - 1", lineno
             )
-        records.append((text, count))
+        totals[text] = total
     if T is None:
         raise IngestError("no data rows found")
-    return Dataset(T=T, mapping=dict(mapping), records=tuple(records))
-
-
-def ingest(path: str | FilePath, mapping: Mapping[str, int] | str | None = None) -> PathTable:
-    """Read a CSV file straight into a :class:`PathTable`."""
-    return read_dataset(path, mapping).to_table()
+    return PathTable(T, ((tuple(mapping[c] for c in text), c) for text, c in totals.items()))
 
 
 def serialize_table(table: PathTable, mapping: Mapping[str, int] | None = None) -> str:

@@ -349,7 +349,7 @@ class TestCriterion5:
                 fib = enumerate_fiber(T, b)
                 fibers += 1
                 for cls in initial_frequency_classes(fib):
-                    part = Fiber(T, b, tuple(fib.elements[i] for i in cls))
+                    part = Fiber(T, b, tuple(fib.cells[i] for i in cls))
                     rep = connectivity(part, ["type1", "crossing"])
                     classes += 1
                     if not rep.connected:

@@ -17,7 +17,6 @@ from thmc import (
     ingest,
     klotz_path,
     parse_mapping,
-    read_dataset,
     serialize_table,
 )
 from thmc.cli import main
@@ -36,6 +35,7 @@ class TestIngest:
         table = ingest(klotz_path(), "M=1,F=2")
         assert table.n == 177
         assert table.T == 4
+        assert len(table) == 16
 
     def test_accumulates_duplicates(self, tmp_path):
         f = tmp_path / "dup.csv"
@@ -121,12 +121,6 @@ class TestIngest:
             with pytest.raises(ValueError):
                 parse_mapping(bad)
 
-    def test_dataset_records(self):
-        ds = read_dataset(klotz_path(), "M=1,F=2")
-        assert len(ds.records) == 16
-        assert ds.T == 4
-        assert ds.to_table().n == 177
-
 
 class TestCmdTest:
     def test_klotz_json(self, runner, tmp_path):
@@ -167,6 +161,29 @@ class TestCmdTest:
             "--samples", "0",
         ])
         assert result.exit_code == 1
+
+    @pytest.mark.parametrize("chains", ["1", "2"])
+    def test_negative_seed_is_usage_error(self, runner, chains):
+        result = runner.invoke(main, [
+            "test", "--input", str(klotz_path()), "--map", "M=1,F=2",
+            "--seed", "-1", "--chains", chains,
+        ])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert result.stdout == ""
+        assert result.stderr == "error: --seed must be >= 0, got -1\n"
+
+    # The fit's convergence tests must allow for the rounding of large counts.
+    @pytest.mark.parametrize("scale", [100, 1000])
+    def test_scaled_klotz_fits(self, runner, tmp_path, scale):
+        table = ingest(klotz_path(), "M=1,F=2")
+        f = tmp_path / "scaled.csv"
+        f.write_text("".join(
+            f"{''.join(str(s) for s in p)},{c * scale}\n" for p, c in table.items()
+        ))
+        result = runner.invoke(main, ["test", "--input", str(f)])
+        assert result.exit_code == 0, result.output
+        assert json.loads(result.stdout)["n"] == 177 * scale
 
     def test_missing_file_is_ingest_error(self, runner, tmp_path):
         result = runner.invoke(main, [
@@ -436,6 +453,18 @@ class TestCmdVerifyBasis:
 
 
 class TestCmdEnumerateFiber:
+    def test_listing_is_pinned(self, runner):
+        result = runner.invoke(main, ["enumerate-fiber", "--T", "4", "--b", "2,2,1,1"])
+        assert result.exit_code == 0
+        assert result.stdout == (
+            "1122:1 2112:1\n"
+            "1122:1 1211:1\n"
+            "1121:1 1122:1\n"
+            "1112:1 2212:1\n"
+            "1112:1 2122:1\n"
+            "1112:1 1221:1\n"
+        )
+
     def test_indispensable_pair(self, runner):
         result = runner.invoke(main, ["enumerate-fiber", "--T", "3", "--b", "2,2,0,2"])
         assert result.exit_code == 0

@@ -219,3 +219,18 @@ class TestConfiguration:
     def test_rejects_small_T(self):
         with pytest.raises(ValueError):
             configuration(2, Variant.WITHOUT_INITIAL)
+
+    @pytest.mark.parametrize("variant", list(Variant))
+    @pytest.mark.parametrize("T", range(3, 11))
+    def test_matches_per_path_loop(self, T, variant):
+        rows = 6 if variant is Variant.WITH_INITIAL else 4
+        expected = np.zeros((rows, 1 << T), dtype=np.int64)
+        for j, path in enumerate(all_paths(T)):
+            for a, c in zip(path, path[1:]):
+                expected[(a - 1) * 2 + (c - 1), j] += 1
+            if variant is Variant.WITH_INITIAL:
+                expected[4 + path[0] - 1, j] = 1
+        config = configuration(T, variant)
+        assert config.dtype == np.int64
+        assert not config.flags.writeable
+        assert np.array_equal(config, expected)

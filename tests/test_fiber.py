@@ -23,7 +23,7 @@ from thmc import (
     table_text,
 )
 from thmc import fiber
-from thmc.core import all_paths
+from thmc.core import all_paths, transitions
 from thmc.fiber import BudgetExceeded, disconnected
 
 
@@ -85,14 +85,23 @@ class TestEnumerateFiber:
         assert a == b
         assert len(set(a)) == len(a)
 
-    def test_element_budget(self):
+    def test_element_budget(self, monkeypatch):
+        monkeypatch.setattr(fiber, "MAX_FIBER_ELEMENTS", 5)
         with pytest.raises(BudgetExceeded) as err:
-            enumerate_fiber(4, (6, 6, 6, 6), max_elements=5)
+            enumerate_fiber(4, (6, 6, 6, 6))
         assert err.value.partial_count == 5
 
-    def test_node_budget(self):
-        with pytest.raises(BudgetExceeded):
-            enumerate_fiber(4, (6, 6, 6, 6), max_nodes=10)
+    def test_node_budget(self, monkeypatch):
+        monkeypatch.setattr(fiber, "MAX_DFS_NODES", 10)
+        with pytest.raises(BudgetExceeded) as err:
+            enumerate_fiber(4, (6, 6, 6, 6))
+        assert err.value.nodes_visited == 11
+
+    @pytest.mark.parametrize("T", [3, 4, 5, 6])
+    def test_cell_stats_are_path_transitions(self, T):
+        assert fiber._cell_stats(T) == tuple(
+            transitions(p).as_tuple() for p in all_paths(T)
+        )
 
     def test_T_over_dense_cap_rejected_before_cells(self, monkeypatch):
         def refuse(T):
@@ -144,21 +153,13 @@ class TestConnectivity:
         with pytest.raises(ValueError):
             connectivity(enumerate_fiber(3, (1, 0, 0, 1)))
 
-    def test_fiber_of_path_tables_keeps_them(self):
-        fib = enumerate_fiber(4, (2, 2, 1, 1))
-        tables = tuple(PathTable(t.T, dict(t.counts)) for t in fib.elements)
-        part = Fiber(fib.T, fib.b, tables)
-        assert part.elements is tables
-        assert part.cells == fib.cells
-        assert connectivity(part, ["crossing"]) == connectivity(fib, ["crossing"])
-
     # The last table of this three-table fiber is a neighbour of the first,
     # which connectivity always expands, so leaving it out must be caught.
     INCOMPLETE_FIBER = (
         "from thmc import Fiber, connectivity, enumerate_fiber\n"
         "fib = enumerate_fiber(3, (0, 1, 1, 2))\n"
         "assert len(fib) == 3\n"
-        "part = Fiber(3, fib.b, fib.elements[:2])\n"
+        "part = Fiber(3, fib.b, fib.cells[:2])\n"
         "try:\n"
         "    connectivity(part)\n"
         "except AssertionError as exc:\n"
@@ -167,7 +168,7 @@ class TestConnectivity:
 
     def test_move_outside_fiber_raises(self):
         fib = enumerate_fiber(3, (0, 1, 1, 2))
-        part = Fiber(3, fib.b, fib.elements[:2])
+        part = Fiber(3, fib.b, fib.cells[:2])
         with pytest.raises(AssertionError, match="move led outside the enumerated fiber"):
             connectivity(part)
 

@@ -105,6 +105,14 @@ class TestLikelihoodRatio:
     def test_single_flat_path_gives_zero(self):
         assert likelihood_ratio(PathTable(4, {(1, 1, 1, 1): 1})) <= 1e-7
 
+    # L is homogeneous of degree 1 in the counts: scaling the table scales
+    # both maximized log-likelihoods, and so their gap, by the same factor.
+    @pytest.mark.parametrize("scale", [10**2, 10**3, 10**5, 10**7])
+    def test_scales_with_the_counts(self, klotz, scale):
+        scaled = PathTable(4, {p: c * scale for p, c in klotz.items()})
+        expected = scale * likelihood_ratio(klotz)
+        assert abs(likelihood_ratio(scaled) - expected) <= 1e-9 * expected
+
     def test_nonnegative_on_random_tables(self, rng):
         for _ in range(50):
             t = random_table(rng, 4, int(rng.integers(1, 40)))
