@@ -284,6 +284,9 @@ def cmd_verify_basis(T, n_max, families_spec, report_path) -> None:
     _check_writable(report_path)
     try:
         reports = fiber_mod.sweep(T, n_max, families)
+    except fiber_mod.BudgetExceeded as exc:
+        _fail(EXIT_BUDGET, str(exc))
+        return
     except ValueError as exc:
         _fail(EXIT_USAGE, str(exc))
         return

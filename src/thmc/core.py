@@ -25,8 +25,8 @@ import numpy as np
 #: Minimum admissible path length.
 MIN_T = 3
 
-#: Dense 2**T vectors and configuration matrices refuse to materialize past
-#: this length; sparse tables themselves carry no such limit.
+#: Configuration matrices and other walks over all 2**T cells refuse to run
+#: past this length; sparse tables themselves carry no such limit.
 DENSE_T_CAP = 24
 
 Path = tuple[int, ...]
@@ -220,17 +220,6 @@ class PathTable:
     def __repr__(self) -> str:
         body = ", ".join(f"{path_str(p)}: {c}" for p, c in self._items)
         return f"PathTable(T={self._T}, {{{body}}})"
-
-    def to_dense(self) -> np.ndarray:
-        """Counts as a dense 2**T integer vector in encoding order."""
-        if self._T > DENSE_T_CAP:
-            raise ValueError(
-                f"refusing to materialize 2**{self._T} cells (cap T <= {DENSE_T_CAP})"
-            )
-        vec = np.zeros(1 << self._T, dtype=np.int64)
-        for p, c in self._items:
-            vec[encode(p)] = c
-        return vec
 
 
 def suff_stat(table: PathTable) -> TransitionStat:

@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations, combinations_with_replacement
+from math import comb
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .core import (
@@ -32,7 +33,8 @@ from .core import (
 )
 from .moves import Family, Move, enumerate_families
 
-#: Enumeration budgets of :func:`enumerate_fiber`, read at each call.
+#: Enumeration budgets of :func:`enumerate_fiber`, read at each call; the
+#: element budget also caps the tables a :func:`sweep` may enumerate.
 MAX_FIBER_ELEMENTS = 10**6
 MAX_DFS_NODES = 10**8
 
@@ -191,7 +193,6 @@ class ConnectivityReport:
     T: int
     b: TransitionStat
     components: tuple[tuple[int, ...], ...]
-    representatives: tuple[PathTable, ...]
     component_tables: tuple[tuple[str, ...], ...]
     move_set: tuple[str, ...]
 
@@ -287,8 +288,7 @@ def connectivity(
     negative cells, adding the positive ones and sorting; one sign of each
     move suffices, because its other sign is found from the far end.
     Output is deterministic: components are ordered by their smallest
-    element and each is represented by that element, the only
-    :class:`PathTable` built.
+    element, and no :class:`PathTable` is built.
     """
     (by_negative, max_degree), description = _resolve_moves(fiber.T, move_set)
     tables = fiber.cells
@@ -324,7 +324,6 @@ def connectivity(
         T=fiber.T,
         b=fiber.b,
         components=comps,
-        representatives=tuple(_cells_table(fiber.T, tables[c[0]]) for c in comps),
         component_tables=tuple(
             tuple(_cells_text(texts, tables[i]) for i in c) for c in comps
         ),
@@ -340,8 +339,17 @@ def _tables_by_stat(
     A table is the sorted tuple of its paths' cell indices, and each group
     lists its tables in ``combinations_with_replacement`` order: descending
     in dense count vectors, the reverse of the canonical fiber order.  Since
-    sum(b) = n(T-1), each group is a complete fiber.
+    sum(b) = n(T-1), each group is a complete fiber.  Raises
+    :class:`BudgetExceeded` before any enumeration when the tables of
+    n <= n_max, C(2**T + n_max, n_max) of them, outnumber
+    ``MAX_FIBER_ELEMENTS``.
     """
+    tables = comb(2**T + n_max, n_max)
+    if tables > MAX_FIBER_ELEMENTS:
+        raise BudgetExceeded(
+            f"{tables} tables of n <= {n_max} at T={T} exceed the budget "
+            f"of {MAX_FIBER_ELEMENTS}", 0, 0
+        )
     stats = _cell_stats(T)
     for n in range(0, n_max + 1):
         groups: dict[tuple[int, int, int, int], list[Cells]] = {}

@@ -23,6 +23,7 @@ import numpy as np
 from .core import (
     Path,
     PathTable,
+    TransitionStat,
     Variant,
     configuration,
     encode,
@@ -60,7 +61,6 @@ class FittedModel:
     marks an optimum on the boundary (some fitted probability -> 0).
     """
 
-    variant: Variant
     theta: np.ndarray
     probs: np.ndarray
     residual: float
@@ -68,11 +68,19 @@ class FittedModel:
 
 
 def fit_mle(
-    table: PathTable,
-    variant: Variant = Variant.WITHOUT_INITIAL,
+    b: TransitionStat,
+    T: int,
+    k: int | None = None,
     theta0: np.ndarray | None = None,
 ) -> FittedModel:
     """Maximize the multinomial log-likelihood of a log-linear chain model.
+
+    The fit reads a table of path length ``T`` only through its sufficient
+    statistic: ``b`` for the model without initial parameters, plus the
+    initial frequencies ``(k, n - k)`` for the model with them, which
+    passing ``k`` selects; the total is ``n = b.total() / (T - 1)``.  A
+    total that is not a positive multiple of ``T - 1``, or a ``k`` outside
+    ``[0, n]``, belongs to no table and raises ``ValueError``.
 
     Fisher scoring with pseudo-inverse steps and step halving; at
     convergence the fitted expected sufficient statistic matches the
@@ -81,13 +89,16 @@ def fit_mle(
     vector (used to fit the larger model starting from the smaller one's
     optimum, which keeps the likelihood ordering exact).
     """
-    if table.n < 1:
-        raise ValueError("cannot fit an empty table")
-    variant = Variant(variant)
-    A = configuration(table.T, variant).astype(np.float64)
-    x = table.to_dense().astype(np.float64)
-    n = float(table.n)
-    b_obs = A @ x
+    variant = Variant.WITHOUT_INITIAL if k is None else Variant.WITH_INITIAL
+    A = configuration(T, variant).astype(np.float64)
+    n, rem = divmod(b.total(), T - 1)
+    if n < 1 or rem:
+        raise ValueError(f"b totals {b.total()}, not a positive multiple of T-1={T - 1}")
+    if k is not None and not 0 <= k <= n:
+        raise ValueError(f"initial-state-1 count k={k} outside [0, {n}]")
+    initial = () if k is None else (k, n - k)
+    b_obs = np.array(b.as_tuple() + initial, dtype=np.float64)
+    n = float(n)
 
     theta = np.zeros(A.shape[0]) if theta0 is None else np.asarray(theta0, float).copy()
     if theta.shape != (A.shape[0],):
@@ -107,12 +118,14 @@ def fit_mle(
     # a rounding error of order sqrt(2**T) units in the last place of that
     # total; on large tables (at T = 4, from about a million counts) this
     # floor exceeds BIRCH_TOL.
-    floor = 4 * math.sqrt(A.shape[1]) * float(np.spacing(n * (table.T - 1)))
+    floor = 4 * math.sqrt(A.shape[1]) * float(np.spacing(n * (T - 1)))
     tol = max(BIRCH_TOL, floor)
     p, loglik = state(theta)
     boundary = False
     prev_residual = math.inf
-    for _ in range(FIT_MAX_ITER):
+    iterations = 0
+    stop = "the budget FIT_MAX_ITER is spent"
+    for iterations in range(1, FIT_MAX_ITER + 1):
         mean = A @ p
         residual = birch_gap(p)
         if residual < tol:
@@ -142,16 +155,17 @@ def fit_mle(
             # the scoring direction is numerically exhausted.
             if np.max(np.abs(theta)) > _THETA_BOUNDARY:
                 boundary = True
+            stop = "no step improved the fit"
             break
     residual = birch_gap(p)
     if not (residual < tol or boundary):
         raise FitError(
-            f"no convergence after {FIT_MAX_ITER} iterations "
+            f"no convergence after {iterations} "
+            f"iteration{'' if iterations == 1 else 's'}: {stop} "
             f"(residual {residual:.3e}, variant {variant.value})"
         )
     boundary = boundary or bool(np.min(p) < 1e-10)
     return FittedModel(
-        variant=variant,
         theta=theta,
         probs=p,
         residual=residual,
@@ -196,7 +210,7 @@ class _LikelihoodRatioEvaluator:
     def __init__(self, table: PathTable) -> None:
         self.table = table
         self.b = suff_stat(table)
-        fit0 = fit_mle(table, Variant.WITHOUT_INITIAL)
+        fit0 = fit_mle(self.b, table.T)
         self._logp0 = _log_probs(fit0)
         # The null optimum, embedded in the 6-row with-initial space.
         self._theta0 = np.concatenate([fit0.theta, np.zeros(2)])
@@ -206,16 +220,15 @@ class _LikelihoodRatioEvaluator:
 
     def value(self, counts: Mapping[Path, int], k: int) -> float:
         """L of the fiber's tables with initial-state-1 count ``k``; on a
-        cache miss the table with these ``counts`` is built and fitted."""
+        cache miss the alternative model is fitted to ``(b, k)`` and its gap
+        to the null summed over ``counts`` in encoding order."""
         cached = self._cache.get(k)
         if cached is not None:
             return cached
-        table = PathTable(self.table.T, counts)
-        fit1 = fit_mle(table, Variant.WITH_INITIAL, theta0=self._theta0)
+        fit1 = fit_mle(self.b, self.table.T, k, theta0=self._theta0)
         logp1 = _log_probs(fit1)
         total = 0.0
-        for path, count in table.items():
-            idx = encode(path)
+        for idx, count in sorted((encode(p), c) for p, c in counts.items()):
             total += count * (logp1[idx] - self._logp0[idx])
         L = 2.0 * total
         if L < 0.0:

@@ -124,14 +124,6 @@ class Move:
         return sum(d for _, d in self.deltas if d > 0)
 
     @cached_property
-    def positive(self) -> PathTable:
-        return PathTable(self.T, {p: d for p, d in self.deltas if d > 0})
-
-    @cached_property
-    def negative(self) -> PathTable:
-        return PathTable(self.T, {p: -d for p, d in self.deltas if d < 0})
-
-    @cached_property
     def initial_shift(self) -> int:
         """Change in the initial-state-1 frequency when the move is added."""
         return sum(d for p, d in self.deltas if p[0] == 1)

@@ -185,6 +185,17 @@ class TestCmdTest:
         assert result.exit_code == 0, result.output
         assert json.loads(result.stdout)["n"] == 177 * scale
 
+    def test_fit_failure_exits_3(self, runner, monkeypatch):
+        monkeypatch.setattr(inference, "FIT_MAX_ITER", 1)
+        result = runner.invoke(main, [
+            "test", "--input", str(klotz_path()), "--map", "M=1,F=2",
+        ])
+        assert result.exit_code == 3
+        assert result.stdout == ""
+        assert result.stderr.startswith("error: no convergence after 1 iteration: ")
+        assert "the budget FIT_MAX_ITER is spent" in result.stderr
+        assert len(result.stderr.splitlines()) == 1
+
     def test_missing_file_is_ingest_error(self, runner, tmp_path):
         result = runner.invoke(main, [
             "test", "--input", str(tmp_path / "nope.csv"),
@@ -416,6 +427,18 @@ class TestCmdVerifyBasis:
             "verify-basis", "--T", "3", "--n-max", "2", "--families", "zigzag",
         ])
         assert result.exit_code == 1
+
+    # T=6 with n <= 6 has C(70, 6), about 131M, tables.
+    def test_over_budget_sweep_exits_at_once(self, runner, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("enumerated tables")
+
+        monkeypatch.setattr(fiber, "_cell_stats", refuse)
+        result = runner.invoke(main, ["verify-basis", "--T", "6", "--n-max", "6"])
+        assert result.exit_code == 5
+        assert result.stdout == ""
+        assert result.stderr.startswith("error: 131115985 tables of n <= 6 at T=6 ")
+        assert len(result.stderr.splitlines()) == 1
 
     def test_unwritable_report_is_usage_error(self, runner, tmp_path, monkeypatch):
         def refuse(*args, **kwargs):

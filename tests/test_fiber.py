@@ -132,7 +132,6 @@ class TestConnectivity:
         fib = enumerate_fiber(4, (2, 2, 1, 1))
         report = connectivity(fib, ["crossing"])
         assert sum(report.component_sizes) == report.fiber_size == len(fib)
-        assert len(report.representatives) == report.n_components
 
     def test_explicit_move_list(self):
         from thmc import deg3_sliding
@@ -217,6 +216,20 @@ class TestSweep:
         assert reports
         for report in reports:
             assert report.b.b11 == 0
+
+    # The 8 paths of T=3 make C(8 + 2, 2) = 45 tables of n <= 2.
+    def test_element_budget_counts_every_table(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("enumerated tables")
+
+        monkeypatch.setattr(fiber, "MAX_FIBER_ELEMENTS", 45)
+        assert sum(r.fiber_size for r in sweep(3, 2)) == 45
+        monkeypatch.setattr(fiber, "MAX_FIBER_ELEMENTS", 44)
+        monkeypatch.setattr(fiber, "_cell_stats", refuse)
+        with pytest.raises(BudgetExceeded, match="45 tables"):
+            sweep(3, 2)
+        with pytest.raises(BudgetExceeded):
+            realizable_stats(3, 2)
 
     def test_realizable_stats_match_brute_force(self):
         paths = list(all_paths(3))
@@ -313,7 +326,6 @@ class TestSweepOracle:
             comps = reference_components(fib, moves)
             assert report.fiber_size == len(fib)
             assert list(report.components) == comps
-            assert report.representatives == tuple(fib.elements[c[0]] for c in comps)
             assert report.component_tables == tuple(
                 tuple(table_text(fib.elements[i]) for i in c) for c in comps
             )

@@ -7,19 +7,22 @@ import pytest
 
 from thmc import (
     PathTable,
+    TransitionStat,
     inference,
     Variant,
     chi2_sf,
     enumerate_fiber,
     exact_test,
     fit_mle,
+    initial_freq,
+    initial_frequency_classes,
     likelihood_ratio,
     lr_df,
     mh_chain,
     suff_stat,
     swap_states,
 )
-from thmc.core import all_paths
+from thmc.core import all_paths, encode
 from thmc.fiber import table_text
 from thmc.moves import ProposalSampler
 
@@ -63,34 +66,64 @@ def call_counts(monkeypatch):
 class TestFitMle:
     def test_uniform_table_gives_uniform_probs(self):
         t = PathTable(4, {p: 1 for p in all_paths(4)})
-        for variant in Variant:
-            fit = fit_mle(t, variant)
+        for k in (None, initial_freq(t)[0]):
+            fit = fit_mle(suff_stat(t), 4, k)
             assert np.allclose(fit.probs, 1 / 16, atol=1e-12)
             assert abs(fit.probs.sum() - 1.0) < 1e-12
             assert not fit.boundary_flag
 
     def test_klotz_birch_condition(self, klotz):
-        for variant in Variant:
-            fit = fit_mle(klotz, variant)
+        for k in (None, initial_freq(klotz)[0]):
+            fit = fit_mle(suff_stat(klotz), 4, k)
             assert fit.residual < 1e-8
             assert not fit.boundary_flag
 
     def test_birch_matches_observed_rows(self, klotz):
         from thmc import configuration
 
-        fit = fit_mle(klotz, Variant.WITH_INITIAL)
+        fit = fit_mle(suff_stat(klotz), 4, initial_freq(klotz)[0])
         a = configuration(4, Variant.WITH_INITIAL)
+        dense = np.zeros(16)
+        for path, count in klotz.items():
+            dense[encode(path)] = count
         fitted = klotz.n * (a @ fit.probs)
-        assert np.allclose(fitted, a @ klotz.to_dense(), atol=1e-8)
+        assert np.allclose(fitted, a @ dense, atol=1e-8)
 
     def test_single_flat_path_is_boundary(self):
-        fit = fit_mle(PathTable(4, {(1, 1, 1, 1): 1}), Variant.WITHOUT_INITIAL)
+        fit = fit_mle(TransitionStat(3, 0, 0, 0), 4)
         assert fit.boundary_flag
         assert fit.probs[0] > 1 - 1e-6
 
+    # A zero scoring step never improves the fit, so the first iteration
+    # stalls long before the iteration budget.
+    def test_stall_is_named_in_the_error(self, klotz, monkeypatch):
+        monkeypatch.setattr(np.linalg, "pinv", lambda a, rcond: np.zeros_like(a))
+        with pytest.raises(
+            inference.FitError,
+            match=r"^no convergence after 1 iteration: no step improved the fit ",
+        ):
+            fit_mle(suff_stat(klotz), 4)
+
     def test_empty_table_rejected(self):
-        with pytest.raises(ValueError):
-            fit_mle(PathTable(3), Variant.WITHOUT_INITIAL)
+        with pytest.raises(ValueError, match="positive multiple"):
+            fit_mle(TransitionStat(0, 0, 0, 0), 3)
+
+    # No table of path length 4 has a statistic total that is not a
+    # multiple of 3.
+    @pytest.mark.parametrize("k", [None, 0])
+    def test_total_off_the_path_length_rejected(self, k):
+        with pytest.raises(ValueError, match="positive multiple"):
+            fit_mle(TransitionStat(2, 1, 1, 0), 4, k)
+
+    @pytest.mark.parametrize("k", [-1, 178])
+    def test_initial_count_outside_the_table_rejected(self, klotz, k):
+        with pytest.raises(ValueError, match=r"outside \[0, 177\]"):
+            fit_mle(suff_stat(klotz), 4, k)
+
+    @pytest.mark.parametrize("k", [0, 177])
+    def test_initial_count_at_either_end_fits(self, klotz, k):
+        fit = fit_mle(suff_stat(klotz), 4, k)
+        assert fit.probs.shape == (16,)
 
 
 class TestLikelihoodRatio:
@@ -112,6 +145,29 @@ class TestLikelihoodRatio:
         scaled = PathTable(4, {p: c * scale for p, c in klotz.items()})
         expected = scale * likelihood_ratio(klotz)
         assert abs(likelihood_ratio(scaled) - expected) <= 1e-9 * expected
+
+    # The chain caches L by the initial-state-1 count k, because within a
+    # fiber L depends on a table only through k: every table of one
+    # initial-frequency class must give the same L.
+    @pytest.mark.parametrize("T, b", [
+        (3, (2, 2, 1, 1)), (4, (2, 2, 2, 3)), (4, (3, 3, 2, 4)), (5, (2, 3, 3, 4)),
+    ])
+    def test_constant_on_initial_frequency_classes(self, T, b):
+        fib = enumerate_fiber(T, b)
+        classes = initial_frequency_classes(fib)
+        assert len(classes) > 1 and len(classes) < len(fib)
+        for members in classes:
+            values = [likelihood_ratio(fib.elements[i]) for i in members]
+            assert max(values) - min(values) <= 1e-9
+
+    # Equal tables give bit-identical L whatever order their counts came
+    # in, because the sum over cells runs in encoding order.
+    def test_independent_of_count_order(self, rng):
+        for _ in range(100):
+            t = random_table(rng, 5, int(rng.integers(5, 60)))
+            flipped = PathTable(5, list(reversed(t.items())))
+            assert flipped == t
+            assert likelihood_ratio(flipped) == likelihood_ratio(t)
 
     def test_nonnegative_on_random_tables(self, rng):
         for _ in range(50):
@@ -204,12 +260,6 @@ class TestMhChain:
             counts[table] += 1
         frac = counts[start] / 100_000
         assert abs(frac - 0.5) < 0.02
-
-    def test_null_fit_constant_across_fiber(self):
-        fib = enumerate_fiber(3, (1, 1, 1, 1))
-        fits = [fit_mle(t, Variant.WITHOUT_INITIAL) for t in fib.elements]
-        for fit in fits[1:]:
-            assert np.allclose(fit.probs, fits[0].probs, atol=1e-9)
 
     def test_kernel_is_exactly_in_detailed_balance(self):
         # Build the full transition matrix of the walk on a nontrivial fiber

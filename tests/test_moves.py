@@ -27,8 +27,16 @@ def as_dict(move: Move) -> dict:
     return dict(move.deltas)
 
 
+def sides(move: Move) -> tuple[PathTable, PathTable]:
+    """The positive and the negated negative part of a move, as tables."""
+    positive = PathTable(move.T, {p: d for p, d in move.deltas if d > 0})
+    negative = PathTable(move.T, {p: -d for p, d in move.deltas if d < 0})
+    return positive, negative
+
+
 def both_sides_stat(move: Move):
-    return suff_stat(move.positive), suff_stat(move.negative)
+    positive, negative = sides(move)
+    return suff_stat(positive), suff_stat(negative)
 
 
 class TestMoveValidation:
@@ -203,8 +211,9 @@ class TestType2:
         pos, neg = both_sides_stat(m)
         assert pos.as_tuple() == neg.as_tuple() == (1, 1, 1, 0)
         assert m.initial_shift == 1
-        assert initial_freq(m.positive) == (1, 0)
-        assert initial_freq(m.negative) == (0, 1)
+        positive, negative = sides(m)
+        assert initial_freq(positive) == (1, 0)
+        assert initial_freq(negative) == (0, 1)
 
     def test_flat_path_rejected(self):
         with pytest.raises(MoveError):
