@@ -19,7 +19,7 @@ import click
 
 from . import fiber as fiber_mod
 from . import inference
-from .core import DENSE_T_CAP, TransitionStat, suff_stat
+from .core import DENSE_T_CAP, TransitionStat, decode, path_str, suff_stat
 from .ingest import IngestError, ingest, parse_mapping
 from .moves import Family, enumerate_family, format_move
 
@@ -354,11 +354,12 @@ def cmd_enumerate_fiber(T, b_spec) -> None:
     except ValueError as exc:
         _fail(EXIT_USAGE, str(exc))
         return
-    if not fib.elements:
+    if not fib.cells:
         click.echo(f"fiber of b={b.as_tuple()} at T={T} is empty", err=True)
         return
-    for table in fib.elements:
-        click.echo(fiber_mod.table_text(table))
+    texts = {i: path_str(decode(i, T)) for cells in fib.cells for i in cells}
+    for cells in fib.cells:
+        click.echo(fiber_mod._cells_text(texts, cells))
 
 
 @main.command("moves")

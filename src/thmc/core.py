@@ -156,9 +156,8 @@ class PathTable:
                 acc[path] = acc.get(path, 0) + count
         object.__setattr__(self, "_T", T)
         object.__setattr__(self, "_counts", acc)
-        object.__setattr__(
-            self, "_items", tuple(sorted(acc.items(), key=lambda kv: encode(kv[0])))
-        )
+        # Paths of one length over {1, 2} sort as tuples in encoding order.
+        object.__setattr__(self, "_items", tuple(sorted(acc.items())))
         object.__setattr__(self, "_n", sum(acc.values()))
         object.__setattr__(self, "_hash", hash((T, self._items)))
 

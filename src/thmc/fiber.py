@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations, combinations_with_replacement
 from math import comb
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .core import (
     DENSE_T_CAP,
@@ -121,9 +121,16 @@ def _enumerate_cells(T: int, target: tuple[int, int, int, int]) -> list[Cells]:
     results: list[Cells] = []
     prefix: list[int] = []
     nodes = 0
-
-    def recurse(m: int, rem: tuple[int, int, int, int]) -> None:
-        nonlocal nodes
+    # The search has one level per cell, past the recursion limit from
+    # T=10, so it keeps an explicit stack of nodes (m, rem, plen, k): cell m
+    # is next to decide, rem is the budget left, and the node's prefix is
+    # its parent's first plen cells then k copies of cell m - 1.  Children
+    # are pushed in reverse, so they are visited in ascending k.
+    stack = [(0, target, 0, 0)]
+    while stack:
+        m, rem, plen, k = stack.pop()
+        del prefix[plen:]
+        prefix += [m - 1] * k
         nodes += 1
         if nodes > max_nodes:
             raise BudgetExceeded(
@@ -138,21 +145,21 @@ def _enumerate_cells(T: int, target: tuple[int, int, int, int]) -> list[Cells]:
                     nodes,
                 )
             results.append(tuple(prefix))
-            return
+            continue
         if m == ncells:
-            return
+            continue
         n_rem = rem_total // (T - 1)
         cap = smax[m]
         if any(r > n_rem * c for r, c in zip(rem, cap)):
-            return
+            continue
         s = stats[m]
         kmax = n_rem
         for r, c in zip(rem, s):
             if c:
                 kmax = min(kmax, r // c)
-        for k in range(0, kmax + 1):
-            prefix.extend([m] * k)
-            recurse(
+        plen = len(prefix)
+        for k in range(kmax, -1, -1):
+            stack.append((
                 m + 1,
                 (
                     rem[0] - k * s[0],
@@ -160,10 +167,9 @@ def _enumerate_cells(T: int, target: tuple[int, int, int, int]) -> list[Cells]:
                     rem[2] - k * s[2],
                     rem[3] - k * s[3],
                 ),
-            )
-            del prefix[len(prefix) - k :]
-
-    recurse(0, target)
+                plen,
+                k,
+            ))
     return results
 
 
@@ -268,7 +274,7 @@ class _UnionFind:
             self.count -= 1
 
 
-def _cells_text(texts: tuple[str, ...], cells: Cells) -> str:
+def _cells_text(texts: Sequence[str] | Mapping[int, str], cells: Cells) -> str:
     return " ".join(f"{texts[i]}:{cells.count(i)}" for i in dict.fromkeys(cells))
 
 

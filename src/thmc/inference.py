@@ -15,6 +15,7 @@ alone sets L within a fiber; the fiber is checked once per chain.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterator, Mapping, Sequence
 
@@ -37,7 +38,8 @@ from .moves import Family, ProposalSampler
 #: each call.
 BIRCH_TOL = 1e-8
 FIT_MAX_ITER = 500
-#: Width of the bins of :attr:`TestResult.histogram`.
+#: Width of the bins of :attr:`TestResult.histogram`, which lists the occupied
+#: bins only.
 HISTOGRAM_BIN_WIDTH = 0.1
 
 _THETA_BOUNDARY = 1e3
@@ -399,14 +401,14 @@ class TestResult:
 
 
 def _histogram(values: Sequence[float]) -> tuple[tuple[float, int], ...]:
+    """(bin lower bound, count) of each occupied bin, in ascending order.
+
+    Bin ``i`` holds the values in ``[i, i + 1)`` bin widths; ``L`` grows with
+    the counts, so empty bins are left out.
+    """
     bin_width = HISTOGRAM_BIN_WIDTH
-    top = max(values)
-    nbins = int(top / bin_width) + 1
-    counts = [0] * nbins
-    for v in values:
-        idx = min(int(v / bin_width), nbins - 1)
-        counts[idx] += 1
-    return tuple((i * bin_width, c) for i, c in enumerate(counts))
+    counts = Counter(int(v / bin_width) for v in values)
+    return tuple((i * bin_width, counts[i]) for i in sorted(counts))
 
 
 def exact_test(

@@ -59,9 +59,8 @@ _COUNT_MAX = 2**63 - 1
 def ingest(path: str | FilePath, mapping: Mapping[str, int] | str | None = None) -> PathTable:
     """Read a ``path,count`` CSV file into a :class:`PathTable`.
 
-    Duplicate path lines accumulate; each path's total count must fit a
-    signed 64-bit integer, the cell type of the dense count vectors the
-    fits use.
+    Duplicate path lines accumulate; each path's total count must be at
+    most 2**63 - 1.
     """
     if mapping is None:
         mapping = DEFAULT_MAPPING

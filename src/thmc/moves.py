@@ -23,14 +23,7 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .core import (
-    MIN_T,
-    Path,
-    PathTable,
-    as_path,
-    encode,
-    path_str,
-)
+from .core import MIN_T, Path, PathTable, path_str
 
 #: Cap on the path length accepted by the family enumerators.
 ENUMERATION_T_CAP = 6
@@ -75,9 +68,12 @@ class Move:
     """A signed sparse integer table with balanced, statistic-preserving parts.
 
     ``deltas`` holds (path, nonzero signed count) pairs in encoding order.
-    Construction verifies each path and accumulates the signed change of
-    the transition counts and the mass in one pass; both must be zero, so
-    the positive and negative parts carry the same mass and statistic.
+    Construction is the one check of a move's paths: it verifies each
+    path's length and states and the order of the deltas, and accumulates
+    the signed change of the transition counts and the mass in one pass;
+    both must be zero, so the positive and negative parts carry the same
+    mass and statistic.  Paths of one length over {1, 2} compare as tuples
+    in encoding order.
     """
 
     T: int
@@ -92,21 +88,20 @@ class Move:
             raise ValueError(f"T must be >= {MIN_T}, got {T}")
         # Signed net change of (b11, b12, b21, b22, mass) over all deltas.
         net = [0, 0, 0, 0, 0]
-        last = -1
+        last: Path = ()
         for path, delta in self.deltas:
             if len(path) != T:
                 raise ValueError(f"path length {len(path)} != expected T={T}")
-            idx = prev = 0
+            prev = 0
             for s in path:
                 if s != 1 and s != 2:
                     raise ValueError(f"path entries must be 1 or 2, got {s!r}")
-                idx = 2 * idx + s - 1
                 if prev:
                     net[2 * prev + s - 3] += delta
                 prev = s
-            if idx <= last:
+            if path <= last:
                 raise ValueError("move deltas must be sorted by path encoding")
-            last = idx
+            last = path
             if delta == 0:
                 raise ValueError("move deltas must be nonzero")
             net[4] += delta
@@ -158,9 +153,7 @@ def _collect(T: int, family: Family, signed: Iterable[tuple[Path, int]]) -> Move
     acc: dict[Path, int] = {}
     for path, delta in signed:
         acc[path] = acc.get(path, 0) + delta
-    items = tuple(
-        sorted(((p, d) for p, d in acc.items() if d), key=lambda kv: encode(kv[0]))
-    )
+    items = tuple(sorted((p, d) for p, d in acc.items() if d))
     if not items:
         raise MoveError("move degenerates to zero")
     return Move(T, family, items)
@@ -179,7 +172,7 @@ def type1_deg1(path: Iterable[int], t0: int, t1: int, t2: int) -> Move:
     (s_{t1}..s_{t2-1}, s_{t0}..s_{t1}); both initial frequencies and the
     transition statistic are preserved.
     """
-    path = as_path(path)
+    path = tuple(path)
     T = len(path)
     if not (1 <= t0 < t1 < t2 <= T):
         raise MoveError(f"times must satisfy 1 <= t0 < t1 < t2 <= {T}")
@@ -202,9 +195,10 @@ def crossing_swap(path1: Iterable[int], path2: Iterable[int], t: int) -> Move:
     The move graph of the result has no edge: the two sides carry exactly
     the same per-time transition counts.
     """
-    p1 = as_path(path1)
-    p2 = as_path(path2, len(p1))
+    p1, p2 = tuple(path1), tuple(path2)
     T = len(p1)
+    if len(p2) != T:
+        raise ValueError(f"path length {len(p2)} != expected T={T}")
     if not 1 <= t <= T:
         raise MoveError(f"t must lie in 1..{T}")
     if p1[t - 1] != p2[t - 1]:
@@ -279,12 +273,8 @@ def two_by_two_swap(
     if not (1 <= t0 < t1 <= T - 1):
         raise MoveError(f"times must satisfy 1 <= t0 < t1 <= {T - 1}")
     (w10, w11), (w20, w21) = _2X2_WINDOWS[pattern]
-    ctx = [tuple(int(s) for s in c) for c in
+    ctx = [tuple(c) for c in
            (prefix1, interior1, suffix1, prefix2, interior2, suffix2)]
-    for c in ctx:
-        for s in c:
-            if s not in (1, 2):
-                raise MoveError(f"context states must be 1 or 2, got {s}")
     p1 = _paste_windows(T, t0, t1, w10, w11, ctx[0], ctx[1], ctx[2])
     p2 = _paste_windows(T, t0, t1, w20, w21, ctx[3], ctx[4], ctx[5])
     q1 = p1[:t0] + p2[t0:t1] + p1[t1:]
@@ -324,11 +314,7 @@ def type4_move(
     win_a, win_b = ((1, 1, 2), (1, 2, 2))
     if swap_states:
         win_a, win_b = ((2, 2, 1), (2, 1, 1))
-    ctx = [tuple(int(s) for s in c) for c in (prefix1, suffix1, prefix2, suffix2)]
-    for c in ctx:
-        for s in c:
-            if s not in (1, 2):
-                raise MoveError(f"context states must be 1 or 2, got {s}")
+    ctx = [tuple(c) for c in (prefix1, suffix1, prefix2, suffix2)]
     if len(ctx[0]) != t0 - 1 or len(ctx[1]) != T - t0 - 2:
         raise MoveError("path-1 context lengths do not match t0")
     if len(ctx[2]) != t1 - 1 or len(ctx[3]) != T - t1 - 2:
@@ -349,7 +335,7 @@ def type2_deg1(path: Iterable[int], t: int) -> Move:
     statistic is preserved while the initial frequencies shift by one path
     from i to j.
     """
-    path = as_path(path)
+    path = tuple(path)
     T = len(path)
     if not 1 < t < T:
         raise MoveError(f"t must satisfy 1 < t < {T}")
@@ -468,11 +454,7 @@ def _dedup(moves: Iterable[Move]) -> list[Move]:
         key = m.canonical_items()
         if key not in seen:
             seen[key] = m.canonical()
-    return [seen[k] for k in sorted(seen, key=_items_sort_key)]
-
-
-def _items_sort_key(items: tuple[tuple[Path, int], ...]):
-    return tuple((encode(p), d) for p, d in items)
+    return [seen[k] for k in sorted(seen)]
 
 
 @lru_cache(maxsize=None)
@@ -603,13 +585,13 @@ class ProposalSampler:
         draws = rng.integers(0, self._highs[fam])
         cache = self._cache
         if cache is None:
-            move = self._try_build(fam, draws)
+            move = self._try_build(fam, draws.tolist())
         else:
             key = (fam, draws[:-1].tobytes())
             try:
                 move = cache[key]
             except KeyError:
-                move = cache[key] = self._try_build(fam, draws)
+                move = cache[key] = self._try_build(fam, draws.tolist())
         if move is None:
             return None
         return move, 1 if draws[-1] == 0 else -1
@@ -626,14 +608,14 @@ class ProposalSampler:
         T = self.T
         if fam is Family.TYPE1_DEG1:
             (path,) = _split_states(d, T)
-            t0, t1, t2 = self._time_triples[int(d[T])]
+            t0, t1, t2 = self._time_triples[d[T]]
             return type1_deg1(path, t0, t1, t2)
         if fam is Family.CROSSING:
             p1, p2 = _split_states(d, T, T)
-            return crossing_swap(p1, p2, int(d[2 * T]) + 1)
+            return crossing_swap(p1, p2, d[2 * T] + 1)
         if fam is Family.TWO_BY_TWO:
             pattern = "A" if d[0] == 0 else "B"
-            t0, t1 = self._2x2_pairs[int(d[1])]
+            t0, t1 = self._2x2_pairs[d[1]]
             mid = max(t1 - t0 - 2, 0)
             ctx = _split_states(
                 d[2:-1], t0 - 1, mid, T - t1 - 1, t0 - 1, mid, T - t1 - 1
@@ -642,14 +624,14 @@ class ProposalSampler:
         if fam is Family.TYPE4:
             if T < 4:
                 raise MoveError("window trades need T >= 4")
-            t0, t1 = int(d[1]) + 1, int(d[2]) + 1
+            t0, t1 = d[1] + 1, d[2] + 1
             ctx = _split_states(d[3:-1], t0 - 1, T - t0 - 2, t1 - 1, T - t1 - 2)
             return type4_move(T, t0, t1, *ctx, swap_states=bool(d[0]))
         if fam is Family.TYPE2_DEG1:
             (path,) = _split_states(d, T)
-            return type2_deg1(path, int(d[T]) + 2)
+            return type2_deg1(path, d[T] + 2)
         if fam is Family.DEG3_SLIDING:
-            a, b, u = int(d[0]) + 1, int(d[1]) + 1, int(d[2]) + 1
+            a, b, u = d[0] + 1, d[1] + 1, d[2] + 1
             return deg3_sliding(
                 T, a, b, u, state_swap=bool(d[3]), time_reverse=bool(d[4])
             )
@@ -660,7 +642,7 @@ def _split_states(bits: Sequence[int], *lengths: int) -> list[Path]:
     """Cut leading fair-bit draws into consecutive state runs of the given lengths."""
     out, pos = [], 0
     for ln in lengths:
-        out.append(tuple(int(v) + 1 for v in bits[pos : pos + ln]))
+        out.append(tuple(v + 1 for v in bits[pos : pos + ln]))
         pos += ln
     return out
 

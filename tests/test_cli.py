@@ -20,6 +20,7 @@ from thmc import (
     serialize_table,
 )
 from thmc.cli import main
+from thmc.core import all_paths, path_str, transitions
 from thmc.ingest import IngestError
 
 from conftest import random_table
@@ -319,17 +320,19 @@ class TestCmdTest:
     # Chain-derived fields of seeded runs, recorded before the move families
     # were enumerated from the sampler's draws; they pin the random stream.
     # L and p_asymptotic come from BLAS-dependent fits and are not pinned.
+    # The histogram digests were recorded again when empty bins were
+    # dropped; each file is the earlier one without its zero-count rows.
     @pytest.mark.parametrize("case, args, fields, hist_digest", [
         ("klotz", ["--map", "M=1,F=2", "--seed", "7"],
          (0.8521, 0.2108, 0.7221),
-         "cd7ce6add8e9f88f032b81cf2391f93faab05ce77a064009f55720cafaca8de5"),
+         "775603f68f6f5d12c39705d9d1ce96e29bae8d090988a594f45d1bea98046824"),
         ("random-T6", ["--samples", "3000", "--burnin", "500", "--seed", "11"],
          (0.4146666666666667, 0.051333333333333335, 0.6403333333333333),
-         "dca5faa9ea1e18d8bdf8630dfe3340459cbc150f0e4069d7364f5060df201320"),
+         "7590855332993e93808aa0d67d0e15f8cef112582445d9e2376195059921cb19"),
         ("klotz-chains", ["--map", "M=1,F=2", "--seed", "7", "--chains", "3",
                           "--samples", "3000"],
          (0.7583333333333333, 0.21633333333333332, 0.7166666666666667),
-         "b891c598789be417d7bf0011d9f5c62fdd84debb85d436a1c45bae0a86c51570"),
+         "f26aa9347333efbbb8e9a93e7ffe01906d148657d276188d0bb79b62c355ef34"),
     ])
     def test_seeded_chain_fields(self, runner, tmp_path, case, args, fields,
                                  hist_digest):
@@ -354,16 +357,17 @@ class TestCmdTest:
         assert hashlib.sha256(counts.encode()).hexdigest() == hist_digest
 
     # sha256 of the whole JSON and histogram files, recorded before proposal
-    # draws were memoised.  The input is named by a relative path, so every
-    # byte is fixed; the cases cover non-uniform weights and chains that
-    # share one sampler.
+    # draws were memoised (the histogram files again when empty bins were
+    # dropped).  The input is named by a relative path, so every byte is
+    # fixed; the cases cover non-uniform weights and chains that share one
+    # sampler.
     @pytest.mark.parametrize("args, json_digest, hist_digest", [
         (["--weights", "type2=0.5,deg3-sliding=0.5", "--seed", "3"],
          "a4ba77938c3b3ec7238b5117a281687a709382b1018636224ccd99419b8d7bc4",
-         "be7d3d0343edc283e5f85959c23e4a9dd445fb0ce616b526e1fd1d91d6a51f64"),
+         "2dd48d89dcc1a889a28c07a3245d7c5e9430e5b0a0099d782fa8a4fc8bab8914"),
         (["--chains", "2", "--seed", "5"],
          "1387b886fafbabf4792337fe0d05128d3576da720a3cd5b47010b5440ef146c3",
-         "c1b73c7c1f8e67c1e67b9afdb6b470dd6139201bfd0523e151248ffe45fbfc7a"),
+         "8b8a2e74d1f9c0ddaed36e11c92c2854bba073dcb026c81cfe770c65c4cbfc4f"),
     ])
     def test_seeded_output_bytes(self, runner, tmp_path, args, json_digest,
                                  hist_digest):
@@ -502,6 +506,20 @@ class TestCmdEnumerateFiber:
     def test_bad_stat_is_usage_error(self, runner):
         result = runner.invoke(main, ["enumerate-fiber", "--T", "3", "--b", "1,2,3"])
         assert result.exit_code == 1
+
+    # The search has one level per cell, and these fibers hold only cells
+    # past index 990, beyond the interpreter's default recursion limit.
+    @pytest.mark.parametrize("T, b", [(10, (0, 0, 0, 9)), (11, (2, 2, 2, 4))])
+    def test_single_path_fibers_past_T9(self, runner, T, b):
+        result = runner.invoke(main, [
+            "enumerate-fiber", "--T", str(T), "--b", ",".join(map(str, b)),
+        ])
+        assert result.exit_code == 0, result.output
+        expected = {
+            path_str(p) + ":1" for p in all_paths(T) if transitions(p).as_tuple() == b
+        }
+        lines = result.stdout.splitlines()
+        assert len(lines) == len(expected) and set(lines) == expected
 
     def test_T_over_dense_cap_is_usage_error(self, runner, monkeypatch):
         def refuse(T):

@@ -54,6 +54,12 @@ class TestPaths:
         assert encode((1, 2, 1)) == 2
         assert decode(2, 3) == (1, 2, 1)
 
+    # Paths of one length are sorted as tuples wherever encoding order is
+    # meant: move deltas, family listings and table items.
+    @pytest.mark.parametrize("T", range(3, 11))
+    def test_tuple_order_is_encoding_order(self, T):
+        assert [encode(p) for p in sorted(all_paths(T))] == list(range(2**T))
+
     def test_encode_decode_roundtrip_T4(self):
         for idx, path in enumerate(all_paths(4)):
             assert encode(path) == idx

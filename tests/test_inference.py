@@ -404,10 +404,17 @@ class TestExactTest:
     def test_histogram_bins(self, klotz):
         result = exact_test(klotz, steps=1_000, burnin=200, seed=13)
         lowers = [lo for lo, _ in result.histogram]
-        assert lowers[0] == 0.0
-        assert all(
-            abs(b - a - 0.1) < 1e-12 for a, b in zip(lowers, lowers[1:])
-        )
+        assert all(a < b for a, b in zip(lowers, lowers[1:]))
+        assert all(lo == round(lo / 0.1) * 0.1 for lo in lowers)
+        assert all(c > 0 for _, c in result.histogram)
+        assert sum(c for _, c in result.histogram) == result.samples
+
+    # L scales with the counts (about 1.1e6 here), so one row per 0.1 of
+    # the largest L would be some 10**7 rows, nearly all of them empty.
+    def test_histogram_of_huge_counts_stays_small(self, klotz):
+        scaled = PathTable(4, {p: c * 10**7 for p, c in klotz.items()})
+        result = exact_test(scaled, steps=200, burnin=50, seed=7)
+        assert 0 < len(result.histogram) <= 200
 
     def test_leaving_the_fiber_raises(self, fiber_breaking_proposal):
         with pytest.raises(AssertionError, match="chain left its fiber"):

@@ -62,6 +62,23 @@ class TestMoveValidation:
             Move(3, Family.TYPE2_DEG1, deltas)
 
 
+# The constructors check their family's conditions only; each of these
+# passes them, so the state 3 reaches Move, the one check of path states.
+@pytest.mark.parametrize("build", [
+    lambda: type1_deg1((1, 2, 1, 3, 1), 1, 3, 5),
+    lambda: crossing_swap((1, 1, 3), (2, 1, 2), 2),
+    lambda: crossing_swap((1, 1, 2), (2, 1, 3), 2),
+    lambda: two_by_two_swap(5, "A", 1, 3, suffix1=(3,), suffix2=(1,)),
+    lambda: two_by_two_swap(5, "B", 1, 3, suffix1=(1,), suffix2=(3,)),
+    lambda: type4_move(5, 1, 2, (), (3, 1), (1,), (2,)),
+    lambda: type4_move(5, 1, 2, (), (2, 1), (3,), (2,)),
+    lambda: type2_deg1((1, 2, 3, 1), 2),
+])
+def test_constructors_reject_state_3(build):
+    with pytest.raises(ValueError, match="1 or 2, got 3"):
+        build()
+
+
 class TestType1:
     def test_reference_example(self):
         m = type1_deg1((1, 1, 2, 1), 1, 2, 4)
