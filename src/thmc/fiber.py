@@ -10,6 +10,9 @@ Inside this module a table is the sorted tuple of its paths' cell indices
 (path encodings, one entry per unit of count), so enumeration, the move
 index and connectivity all work on tuples of small integers;
 :class:`PathTable` objects are built only where a caller asks for them.
+:func:`enumerate_fiber` filters the 2**T columns of :func:`configuration`
+once per call and searches only the cells whose own statistic fits under
+the target, since no other cell can appear in the fiber.
 """
 
 from __future__ import annotations
@@ -19,6 +22,8 @@ from functools import cached_property, lru_cache
 from itertools import combinations, combinations_with_replacement
 from math import comb
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
+
+import numpy as np
 
 from .core import (
     DENSE_T_CAP,
@@ -77,60 +82,50 @@ class Fiber:
 
 
 @lru_cache(maxsize=None)
-def _cell_stats(T: int) -> tuple[tuple[int, int, int, int], ...]:
-    """Per-path transition 4-tuples, indexed by path encoding: the columns
-    of the configuration matrix."""
-    return tuple(zip(*configuration(T).tolist()))
-
-
-@lru_cache(maxsize=None)
 def _path_texts(T: int) -> tuple[str, ...]:
     """Per-path digit strings, indexed by path encoding."""
     return tuple(path_str(p) for p in all_paths(T))
 
 
-@lru_cache(maxsize=None)
-def _suffix_max(T: int) -> tuple[tuple[int, int, int, int], ...]:
-    """suffix_max[m][k]: max of transition k over cells with index >= m."""
-    stats = _cell_stats(T)
-    out = [(0, 0, 0, 0)] * (len(stats) + 1)
-    for m in range(len(stats) - 1, -1, -1):
-        nxt = out[m + 1]
-        cur = stats[m]
-        out[m] = tuple(max(a, b) for a, b in zip(cur, nxt))  # type: ignore[assignment]
-    return tuple(out)
-
-
 def _enumerate_cells(T: int, target: tuple[int, int, int, int]) -> list[Cells]:
-    """Depth-first enumeration over cells in encoding order.
+    """Depth-first enumeration over the cells that fit, in encoding order.
 
-    Returns each table as its sorted tuple of cell indices.  A branch is
-    cut when a transition budget goes negative or exceeds what the
-    remaining cells can consume given the number of paths still to place.
-    Raises :class:`BudgetExceeded` past ``MAX_FIBER_ELEMENTS`` tables or
-    ``MAX_DFS_NODES`` search nodes.
+    Only a cell whose own statistic is <= the target in every coordinate
+    can appear in the fiber, so the search runs over those columns of
+    ``configuration(T)`` alone.  Returns each table as its sorted tuple of
+    cell indices.  A branch is cut when a transition budget goes negative
+    or exceeds what the remaining cells can consume given the number of
+    paths still to place.  Raises :class:`BudgetExceeded` past
+    ``MAX_FIBER_ELEMENTS`` tables or ``MAX_DFS_NODES`` search nodes.
     """
     max_elements = MAX_FIBER_ELEMENTS
     max_nodes = MAX_DFS_NODES
     total = sum(target)
     if total % (T - 1) != 0:
         return []
-    stats = _cell_stats(T)
-    smax = _suffix_max(T)
-    ncells = len(stats)
+    columns = configuration(T).T
+    fits = (columns <= target).all(axis=1)
+    cells = np.flatnonzero(fits).tolist()
+    stats = columns[fits]
+    # smax[m]: max of each transition over the fitting cells from the m-th on.
+    smax = np.maximum.accumulate(stats[::-1]).tolist()[::-1] + [[0, 0, 0, 0]]
+    stats = stats.tolist()
+    ncells = len(cells)
     results: list[Cells] = []
     prefix: list[int] = []
     nodes = 0
-    # The search has one level per cell, past the recursion limit from
-    # T=10, so it keeps an explicit stack of nodes (m, rem, plen, k): cell m
-    # is next to decide, rem is the budget left, and the node's prefix is
-    # its parent's first plen cells then k copies of cell m - 1.  Children
-    # are pushed in reverse, so they are visited in ascending k.
+    # The search has one level per fitting cell, past the recursion limit
+    # for long paths, so it keeps an explicit stack of nodes (m, rem, plen,
+    # k): fitting cell m is next to decide, rem is the budget left, and the
+    # node's prefix is its parent's first plen cells then k copies of
+    # fitting cell m - 1.  Children are pushed in reverse, so they are
+    # visited in ascending k.
     stack = [(0, target, 0, 0)]
     while stack:
         m, rem, plen, k = stack.pop()
         del prefix[plen:]
-        prefix += [m - 1] * k
+        if k:  # the root has no cell to repeat, and may have none to index
+            prefix += [cells[m - 1]] * k
         nodes += 1
         if nodes > max_nodes:
             raise BudgetExceeded(
@@ -178,16 +173,18 @@ def enumerate_fiber(T: int, b: TransitionStat | Sequence[int]) -> Fiber:
 
     Elements are sorted canonically (lexicographically in their dense count
     vectors).  A statistic whose total is not a multiple of T-1 has an
-    empty fiber.  T is capped at ``DENSE_T_CAP`` because the search walks
-    all 2**T cells.  Raises :class:`BudgetExceeded` past the module's
-    budgets ``MAX_FIBER_ELEMENTS`` and ``MAX_DFS_NODES``.
+    empty fiber.  T is capped at ``DENSE_T_CAP`` because the search filters
+    the 2**T columns of :func:`configuration`.  Entries must be nonnegative
+    integers (Python or numpy); any other type raises :class:`ValueError`.
+    Raises :class:`BudgetExceeded` past the module's budgets
+    ``MAX_FIBER_ELEMENTS`` and ``MAX_DFS_NODES``.
     """
     if T < MIN_T:
         raise ValueError(f"T must be >= {MIN_T}, got {T}")
     if T > DENSE_T_CAP:
         raise ValueError(f"fiber enumeration is capped at T <= {DENSE_T_CAP}, got {T}")
     if not isinstance(b, TransitionStat):
-        b = TransitionStat(*(int(v) for v in b))
+        b = TransitionStat(*b)
     return Fiber(T, b, tuple(_enumerate_cells(T, b.as_tuple())))
 
 
@@ -356,7 +353,7 @@ def _tables_by_stat(
             f"{tables} tables of n <= {n_max} at T={T} exceed the budget "
             f"of {MAX_FIBER_ELEMENTS}", 0, 0
         )
-    stats = _cell_stats(T)
+    stats = configuration(T).T.tolist()
     for n in range(0, n_max + 1):
         groups: dict[tuple[int, int, int, int], list[Cells]] = {}
         for combo in combinations_with_replacement(range(len(stats)), n):

@@ -42,11 +42,6 @@ class Family(str, Enum):
 
 FAMILIES: tuple[Family, ...] = tuple(Family)
 
-#: Families that preserve the initial-state frequencies.
-INITIAL_PRESERVING = frozenset(
-    {Family.TYPE1_DEG1, Family.CROSSING, Family.TWO_BY_TWO, Family.TYPE4}
-)
-
 
 class MoveError(ValueError):
     """A move constructor's preconditions failed or the move degenerates to zero."""
@@ -184,8 +179,6 @@ def type1_deg1(path: Iterable[int], t0: int, t1: int, t2: int) -> Move:
     swapped = (
         path[: t0 - 1] + path[t1 - 1 : t2 - 1] + path[t0 - 1 : t1] + path[t2:]
     )
-    if swapped == path:
-        raise MoveError("move degenerates to zero")
     return _collect(T, Family.TYPE1_DEG1, [(path, +1), (swapped, -1)])
 
 

@@ -332,9 +332,8 @@ class TestCriterion5:
 
         This test used to ask type I and crossing moves alone to connect the
         whole fiber of the model without initial parameters.  Both families
-        preserve the initial frequencies (``INITIAL_PRESERVING``; criterion
-        7 asserts it), so they can never join tables whose initial
-        frequencies differ: 164 of the 285 b11 = 0 fibers came out
+        preserve the initial frequencies (criterion 7 asserts it), so they
+        can never join tables whose initial frequencies differ: 164 of the 285 b11 = 0 fibers came out
         disconnected, the smallest at T=3, b=(0,1,1,0), the single-path
         tables 121 and 212.  The paper's abstract does not say which fibers
         the criterion meant.  Adding ``deg3-sliding`` instead of type II

@@ -446,7 +446,7 @@ class TestCmdVerifyBasis:
         def refuse(*args, **kwargs):
             raise AssertionError("enumerated tables")
 
-        monkeypatch.setattr(fiber, "_cell_stats", refuse)
+        monkeypatch.setattr(fiber, "configuration", refuse)
         result = runner.invoke(main, ["verify-basis", "--T", "6", "--n-max", "6"])
         assert result.exit_code == 5
         assert result.stdout == ""
@@ -531,10 +531,10 @@ class TestCmdEnumerateFiber:
         assert len(lines) == len(expected) and set(lines) == expected
 
     def test_T_over_dense_cap_is_usage_error(self, runner, monkeypatch):
-        def refuse(T):
+        def refuse(T, *args):
             raise AssertionError(f"built all 2**{T} cells")
 
-        monkeypatch.setattr(fiber, "_cell_stats", refuse)
+        monkeypatch.setattr(fiber, "configuration", refuse)
         result = runner.invoke(main, ["enumerate-fiber", "--T", "40", "--b", "39,0,0,0"])
         assert result.exit_code == 1
         assert isinstance(result.exception, SystemExit)
@@ -617,14 +617,6 @@ class TestCmdMoves:
         assert result.exit_code == 0
         assert len(result.stdout.splitlines()) == lines
         assert hashlib.sha256(result.stdout.encode()).hexdigest() == digest
-
-
-class TestBundledDataConsistency:
-    def test_repo_copy_matches_package_copy(self):
-        from pathlib import Path
-
-        repo_copy = Path(__file__).resolve().parent.parent / "data" / "klotz.csv"
-        assert repo_copy.read_bytes() == klotz_path().read_bytes()
 
 
 class TestRuntimeDependencies:

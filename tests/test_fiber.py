@@ -4,6 +4,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import thmc
@@ -97,19 +98,55 @@ class TestEnumerateFiber:
             enumerate_fiber(4, (6, 6, 6, 6))
         assert err.value.nodes_visited == 11
 
-    @pytest.mark.parametrize("T", [3, 4, 5, 6])
-    def test_cell_stats_are_path_transitions(self, T):
-        assert fiber._cell_stats(T) == tuple(
-            transitions(p).as_tuple() for p in all_paths(T)
-        )
-
     def test_T_over_dense_cap_rejected_before_cells(self, monkeypatch):
-        def refuse(T):
+        def refuse(T, *args):
             raise AssertionError(f"built all 2**{T} cells")
 
-        monkeypatch.setattr(fiber, "_cell_stats", refuse)
+        monkeypatch.setattr(fiber, "configuration", refuse)
         with pytest.raises(ValueError, match="T <= 24"):
             enumerate_fiber(40, (39, 0, 0, 0))
+
+    @pytest.mark.parametrize("b", [
+        (2.9, 0, 0, 2.2),
+        (2.0, 0, 0, 2),
+        (True, 1, 1, 1),
+        ("2", 0, 0, 2),
+    ])
+    def test_non_integer_statistic_rejected(self, b):
+        with pytest.raises(ValueError, match="nonnegative integer"):
+            enumerate_fiber(3, b)
+
+    def test_numpy_integer_statistic_accepted(self):
+        b = tuple(np.int64(v) for v in (2, 2, 0, 2))
+        assert enumerate_fiber(3, b).cells == enumerate_fiber(3, (2, 2, 0, 2)).cells
+
+    # The search runs only over the cells whose own statistic fits, so the
+    # 15 single-path tables take 31 nodes of the 1000 allowed.
+    def test_single_path_fiber_in_few_nodes(self, monkeypatch):
+        b = (1, 1, 1, 12)
+        expected = [
+            (i,) for i, p in enumerate(all_paths(16)) if transitions(p).as_tuple() == b
+        ]
+        monkeypatch.setattr(fiber, "MAX_DFS_NODES", 1000)
+        fib = enumerate_fiber(16, b)
+        assert len(fib) == 15
+        assert list(fib.cells) == sorted(expected, reverse=True)
+
+    def test_two_path_fiber_matches_pairs_of_paths(self, monkeypatch):
+        T, b = 14, (2, 2, 2, 20)
+        by_stat = {}
+        for i, p in enumerate(all_paths(T)):
+            by_stat.setdefault(transitions(p).as_tuple(), []).append(i)
+        expected = set()
+        for s, cells in by_stat.items():
+            rest = tuple(x - y for x, y in zip(b, s))
+            for i in cells:
+                for j in by_stat.get(rest, ()):
+                    expected.add(tuple(sorted((i, j))))
+        monkeypatch.setattr(fiber, "MAX_DFS_NODES", 3 * 10**5)
+        fib = enumerate_fiber(T, b)
+        assert len(fib) == len(expected) == 532
+        assert list(fib.cells) == sorted(expected, reverse=True)
 
 
 class TestConnectivity:
@@ -225,7 +262,7 @@ class TestSweep:
         monkeypatch.setattr(fiber, "MAX_FIBER_ELEMENTS", 45)
         assert sum(r.fiber_size for r in sweep(3, 2)) == 45
         monkeypatch.setattr(fiber, "MAX_FIBER_ELEMENTS", 44)
-        monkeypatch.setattr(fiber, "_cell_stats", refuse)
+        monkeypatch.setattr(fiber, "configuration", refuse)
         with pytest.raises(BudgetExceeded, match="45 tables"):
             sweep(3, 2)
         with pytest.raises(BudgetExceeded):
