@@ -357,7 +357,7 @@ def cmd_enumerate_fiber(T, b_spec) -> None:
     if not fib.cells:
         click.echo(f"fiber of b={b.as_tuple()} at T={T} is empty", err=True)
         return
-    texts = {i: path_str(decode(i, T)) for cells in fib.cells for i in cells}
+    texts = {i: path_str(decode(i, T)) for i in set().union(*fib.cells)}
     for cells in fib.cells:
         click.echo(fiber_mod._cells_text(texts, cells))
 

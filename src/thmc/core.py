@@ -16,7 +16,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping
 
@@ -251,18 +250,17 @@ class Variant(str, Enum):
     WITH_INITIAL = "with-initial"
 
 
-@lru_cache(maxsize=None)
 def configuration(T: int, variant: Variant = Variant.WITHOUT_INITIAL) -> np.ndarray:
     """Configuration matrix: maps a dense count vector to its sufficient statistic.
 
     One column per path in encoding order.  The four transition rows count
     occurrences of (1,1), (1,2), (2,1), (2,2); the with-initial variant
-    appends the two initial-state indicator rows.  The matrix is cached per
-    (T, variant) and read-only.
+    appends the two initial-state indicator rows.  Each call returns a new array.
 
-    Column ``j`` is the path encoded by ``j``, whose state at time ``t`` is
-    bit ``T-1-t`` of ``j`` plus one, so each time step adds one to a row
-    chosen per column from two bits of the column indices.
+    Column ``j`` is the path whose state at time ``t`` is bit ``T-1-t`` of
+    ``j`` plus one.  So the first ``2**(t+1)`` columns are the first ``2**t``
+    with a first state 1 or 2 put in front, and their first transition is
+    fixed on each quarter: each step doubles the columns built so far.
     """
     if T < MIN_T:
         raise ValueError(f"T must be >= {MIN_T}, got {T}")
@@ -272,11 +270,13 @@ def configuration(T: int, variant: Variant = Variant.WITHOUT_INITIAL) -> np.ndar
         )
     variant = Variant(variant)
     rows = 6 if variant is Variant.WITH_INITIAL else 4
-    cols = np.arange(1 << T)
     mat = np.zeros((rows, 1 << T), dtype=np.int64)
-    for t in range(T - 1):
-        mat[2 * ((cols >> (T - 1 - t)) & 1) + ((cols >> (T - 2 - t)) & 1), cols] += 1
+    for i, row in enumerate(mat[:4]):
+        for t in range(1, T):
+            q = 1 << (t - 1)
+            row[2 * q : 4 * q] = row[: 2 * q]
+            row[i * q : (i + 1) * q] += 1
     if variant is Variant.WITH_INITIAL:
-        mat[4 + (cols >> (T - 1)), cols] = 1
-    mat.flags.writeable = False
+        mat[4, : 1 << (T - 1)] = 1
+        mat[5, 1 << (T - 1) :] = 1
     return mat

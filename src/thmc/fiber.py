@@ -93,16 +93,22 @@ def _enumerate_cells(T: int, target: tuple[int, int, int, int]) -> list[Cells]:
     Only a cell whose own statistic is <= the target in every coordinate
     can appear in the fiber, so the search runs over those columns of
     ``configuration(T)`` alone.  Returns each table as its sorted tuple of
-    cell indices.  A branch is cut when a transition budget goes negative
-    or exceeds what the remaining cells can consume given the number of
-    paths still to place.  Raises :class:`BudgetExceeded` past
-    ``MAX_FIBER_ELEMENTS`` tables or ``MAX_DFS_NODES`` search nodes.
+    cell indices.  A node takes only the counts of its cell that leave a
+    budget the later cells can still consume given the number of paths
+    still to place.  Raises :class:`BudgetExceeded` past
+    ``MAX_FIBER_ELEMENTS`` paths in a table (before any search) or tables,
+    or past ``MAX_DFS_NODES`` search nodes.
     """
     max_elements = MAX_FIBER_ELEMENTS
     max_nodes = MAX_DFS_NODES
     total = sum(target)
     if total % (T - 1) != 0:
         return []
+    n = total // (T - 1)
+    if n > max_elements:
+        raise BudgetExceeded(
+            f"tables of {n} paths exceed the fiber element budget {max_elements}", 0, 0
+        )
     columns = configuration(T).T
     fits = (columns <= target).all(axis=1)
     cells = np.flatnonzero(fits).tolist()
@@ -110,61 +116,48 @@ def _enumerate_cells(T: int, target: tuple[int, int, int, int]) -> list[Cells]:
     # smax[m]: max of each transition over the fitting cells from the m-th on.
     smax = np.maximum.accumulate(stats[::-1]).tolist()[::-1] + [[0, 0, 0, 0]]
     stats = stats.tolist()
-    ncells = len(cells)
+    if any(r > n * c for r, c in zip(target, smax[0])):
+        return []
     results: list[Cells] = []
-    prefix: list[int] = []
     nodes = 0
     # The search has one level per fitting cell, past the recursion limit
-    # for long paths, so it keeps an explicit stack of nodes (m, rem, plen,
-    # k): fitting cell m is next to decide, rem is the budget left, and the
-    # node's prefix is its parent's first plen cells then k copies of
-    # fitting cell m - 1.  Children are pushed in reverse, so they are
-    # visited in ascending k.
-    stack = [(0, target, 0, 0)]
+    # for long paths, so it keeps an explicit stack of nodes (m, rem, n,
+    # runs): fitting cell m is next to decide, rem is the budget left for n
+    # paths, and runs holds the (cell, count) pairs taken.  Every node has
+    # rem <= n * smax[m], so once its cells are all decided, rem is zero.
+    # Children are pushed in reverse, so they are visited in ascending k.
+    stack = [(0, target, n, ())]
     while stack:
-        m, rem, plen, k = stack.pop()
-        del prefix[plen:]
-        if k:  # the root has no cell to repeat, and may have none to index
-            prefix += [cells[m - 1]] * k
+        m, rem, n, runs = stack.pop()
         nodes += 1
         if nodes > max_nodes:
             raise BudgetExceeded(
                 f"DFS node budget {max_nodes} exceeded", len(results), nodes
             )
-        rem_total = sum(rem)
-        if rem_total == 0:
+        if n == 0:
             if len(results) >= max_elements:
                 raise BudgetExceeded(
                     f"fiber element budget {max_elements} exceeded",
                     len(results),
                     nodes,
                 )
-            results.append(tuple(prefix))
+            results.append(tuple(cell for cell, k in runs for _ in range(k)))
             continue
-        if m == ncells:
-            continue
-        n_rem = rem_total // (T - 1)
-        cap = smax[m]
-        if any(r > n_rem * c for r, c in zip(rem, cap)):
-            continue
-        s = stats[m]
-        kmax = n_rem
-        for r, c in zip(rem, s):
-            if c:
-                kmax = min(kmax, r // c)
-        plen = len(prefix)
-        for k in range(kmax, -1, -1):
-            stack.append((
-                m + 1,
-                (
-                    rem[0] - k * s[0],
-                    rem[1] - k * s[1],
-                    rem[2] - k * s[2],
-                    rem[3] - k * s[3],
-                ),
-                plen,
-                k,
-            ))
+        # k copies of cell m need k * s <= rem and rem - k * s <= (n - k) * c
+        # in each transition, where c bounds every later cell.
+        s0, s1, s2, s3 = s = stats[m]
+        lo, hi = 0, n
+        for r, sj, cj in zip(rem, s, smax[m + 1]):
+            if sj:
+                hi = min(hi, r // sj)
+            if cj > sj:
+                hi = min(hi, (n * cj - r) // (cj - sj))
+            elif cj < sj:
+                lo = max(lo, -((n * cj - r) // (sj - cj)))
+        r0, r1, r2, r3 = rem
+        for k in range(hi, lo - 1, -1):
+            rest = (r0 - k * s0, r1 - k * s1, r2 - k * s2, r3 - k * s3)
+            stack.append((m + 1, rest, n - k, runs + ((cells[m], k),) if k else runs))
     return results
 
 
@@ -176,8 +169,9 @@ def enumerate_fiber(T: int, b: TransitionStat | Sequence[int]) -> Fiber:
     empty fiber.  T is capped at ``DENSE_T_CAP`` because the search filters
     the 2**T columns of :func:`configuration`.  Entries must be nonnegative
     integers (Python or numpy); any other type raises :class:`ValueError`.
-    Raises :class:`BudgetExceeded` past the module's budgets
-    ``MAX_FIBER_ELEMENTS`` and ``MAX_DFS_NODES``.
+    Raises :class:`BudgetExceeded` before any search when each table would
+    hold more than ``MAX_FIBER_ELEMENTS`` paths, and during it past
+    ``MAX_FIBER_ELEMENTS`` tables or ``MAX_DFS_NODES`` search nodes.
     """
     if T < MIN_T:
         raise ValueError(f"T must be >= {MIN_T}, got {T}")

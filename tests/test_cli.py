@@ -542,6 +542,14 @@ class TestCmdEnumerateFiber:
         assert result.stderr.startswith("error: ")
         assert len(result.stderr.splitlines()) == 1
 
+    def test_tables_over_element_budget_exit_5(self, runner, monkeypatch):
+        monkeypatch.setattr(fiber, "MAX_FIBER_ELEMENTS", 10)
+        result = runner.invoke(main, ["enumerate-fiber", "--T", "3", "--b", "22,0,0,0"])
+        assert result.exit_code == 5
+        assert result.stdout == ""
+        assert result.stderr.startswith("error: ")
+        assert len(result.stderr.splitlines()) == 1
+
 
 class TestCmdMoves:
     def test_sliding_moves_at_T3(self, runner):

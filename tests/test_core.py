@@ -236,5 +236,4 @@ class TestConfiguration:
                 expected[4 + path[0] - 1, j] = 1
         config = configuration(T, variant)
         assert config.dtype == np.int64
-        assert not config.flags.writeable
         assert np.array_equal(config, expected)

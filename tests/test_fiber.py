@@ -86,11 +86,24 @@ class TestEnumerateFiber:
         assert a == b
         assert len(set(a)) == len(a)
 
+    # Tables of 5 paths, so the budget of 5 admits the search and stops it
+    # at the sixth of the 265 tables.
     def test_element_budget(self, monkeypatch):
         monkeypatch.setattr(fiber, "MAX_FIBER_ELEMENTS", 5)
         with pytest.raises(BudgetExceeded) as err:
-            enumerate_fiber(4, (6, 6, 6, 6))
+            enumerate_fiber(4, (3, 4, 4, 4))
         assert err.value.partial_count == 5
+
+    def test_tables_of_more_paths_than_the_budget_refused(self, monkeypatch):
+        def refuse(T, *args):
+            raise AssertionError(f"built all 2**{T} cells")
+
+        monkeypatch.setattr(fiber, "MAX_FIBER_ELEMENTS", 10)
+        monkeypatch.setattr(fiber, "configuration", refuse)
+        with pytest.raises(BudgetExceeded, match="11 paths") as err:
+            enumerate_fiber(3, (22, 0, 0, 0))
+        assert err.value.partial_count == 0
+        assert err.value.nodes_visited == 0
 
     def test_node_budget(self, monkeypatch):
         monkeypatch.setattr(fiber, "MAX_DFS_NODES", 10)
@@ -121,7 +134,7 @@ class TestEnumerateFiber:
         assert enumerate_fiber(3, b).cells == enumerate_fiber(3, (2, 2, 0, 2)).cells
 
     # The search runs only over the cells whose own statistic fits, so the
-    # 15 single-path tables take 31 nodes of the 1000 allowed.
+    # 15 single-path tables take 30 nodes of the 1000 allowed.
     def test_single_path_fiber_in_few_nodes(self, monkeypatch):
         b = (1, 1, 1, 12)
         expected = [
@@ -131,6 +144,18 @@ class TestEnumerateFiber:
         fib = enumerate_fiber(16, b)
         assert len(fib) == 15
         assert list(fib.cells) == sorted(expected, reverse=True)
+
+    # A node keeps its cells as (cell, count) runs and takes only the counts
+    # the later cells can complete: one table of 10**6 paths takes 2 nodes.
+    def test_single_table_of_many_paths_in_few_nodes(self, monkeypatch):
+        monkeypatch.setattr(fiber, "MAX_DFS_NODES", 10)
+        fib = enumerate_fiber(3, (2 * 10**6, 0, 0, 0))
+        assert fib.cells == ((0,) * 10**6,)
+
+    # Pushing only the children the suffix bound admits takes 30,983 nodes.
+    def test_children_pushed_only_when_completable(self, monkeypatch):
+        monkeypatch.setattr(fiber, "MAX_DFS_NODES", 40_000)
+        assert len(enumerate_fiber(4, (6, 6, 6, 6))) == 3390
 
     def test_two_path_fiber_matches_pairs_of_paths(self, monkeypatch):
         T, b = 14, (2, 2, 2, 20)
