@@ -10,9 +10,9 @@ Inside this module a table is the sorted tuple of its paths' cell indices
 (path encodings, one entry per unit of count), so enumeration, the move
 index and connectivity all work on tuples of small integers;
 :class:`PathTable` objects are built only where a caller asks for them.
-:func:`enumerate_fiber` filters the 2**T columns of :func:`configuration`
-once per call and searches only the cells whose own statistic fits under
-the target, since no other cell can appear in the fiber.
+:func:`enumerate_fiber` searches only the cells whose own statistic fits
+under the target, since no other cell can appear in the fiber, and builds
+just those cells' statistics.
 """
 
 from __future__ import annotations
@@ -87,12 +87,37 @@ def _path_texts(T: int) -> tuple[str, ...]:
     return tuple(path_str(p) for p in all_paths(T))
 
 
+def _fitting_cells(
+    T: int, target: tuple[int, int, int, int]
+) -> tuple[np.ndarray, np.ndarray]:
+    """The cells whose statistic is <= the target in every coordinate, in
+    encoding order, and their statistics, one row per cell.
+
+    Built as :func:`configuration` builds its columns, by putting one state
+    in front of the suffixes built so far: first state 1 before every
+    suffix, then state 2, which keeps encoding order.  A suffix's statistic
+    only grows as states are put in front, so each step drops the suffixes
+    that already exceed the target.
+    """
+    cells = np.arange(2)
+    stats = np.zeros((2, 4), dtype=np.int64)
+    for length in range(1, T):
+        cells = np.concatenate([cells, cells + (1 << length)])
+        stats = np.concatenate([stats, stats])
+        # The two leading bits, new state then old first state, index the
+        # new first transition.
+        stats[np.arange(len(cells)), cells >> (length - 1)] += 1
+        keep = (stats <= target).all(axis=1)
+        cells, stats = cells[keep], stats[keep]
+    return cells, stats
+
+
 def _enumerate_cells(T: int, target: tuple[int, int, int, int]) -> list[Cells]:
     """Depth-first enumeration over the cells that fit, in encoding order.
 
     Only a cell whose own statistic is <= the target in every coordinate
-    can appear in the fiber, so the search runs over those columns of
-    ``configuration(T)`` alone.  Returns each table as its sorted tuple of
+    can appear in the fiber, so the search runs over those cells alone
+    (:func:`_fitting_cells`).  Returns each table as its sorted tuple of
     cell indices.  A node takes only the counts of its cell that leave a
     budget the later cells can still consume given the number of paths
     still to place.  Raises :class:`BudgetExceeded` past
@@ -109,10 +134,8 @@ def _enumerate_cells(T: int, target: tuple[int, int, int, int]) -> list[Cells]:
         raise BudgetExceeded(
             f"tables of {n} paths exceed the fiber element budget {max_elements}", 0, 0
         )
-    columns = configuration(T).T
-    fits = (columns <= target).all(axis=1)
-    cells = np.flatnonzero(fits).tolist()
-    stats = columns[fits]
+    cells, stats = _fitting_cells(T, target)
+    cells = cells.tolist()
     # smax[m]: max of each transition over the fitting cells from the m-th on.
     smax = np.maximum.accumulate(stats[::-1]).tolist()[::-1] + [[0, 0, 0, 0]]
     stats = stats.tolist()
@@ -166,8 +189,8 @@ def enumerate_fiber(T: int, b: TransitionStat | Sequence[int]) -> Fiber:
 
     Elements are sorted canonically (lexicographically in their dense count
     vectors).  A statistic whose total is not a multiple of T-1 has an
-    empty fiber.  T is capped at ``DENSE_T_CAP`` because the search filters
-    the 2**T columns of :func:`configuration`.  Entries must be nonnegative
+    empty fiber.  T is capped at ``DENSE_T_CAP``, because as many as 2**T
+    cells can fit the statistic.  Entries must be nonnegative
     integers (Python or numpy); any other type raises :class:`ValueError`.
     Raises :class:`BudgetExceeded` before any search when each table would
     hold more than ``MAX_FIBER_ELEMENTS`` paths, and during it past

@@ -13,7 +13,6 @@ test proposes.
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import math
 from dataclasses import dataclass
@@ -27,6 +26,9 @@ from .core import MIN_T, Path, PathTable, path_str
 
 #: Cap on the path length accepted by the family enumerators.
 ENUMERATION_T_CAP = 6
+
+#: Proposals :class:`ProposalSampler` draws per block.
+_BLOCK = 256
 
 
 class Family(str, Enum):
@@ -527,10 +529,19 @@ class ProposalSampler:
     moves satisfies q(z) = q(-z), and every constructible move of every
     family has positive probability.
 
+    Proposals are drawn in blocks of ``_BLOCK`` from one generator: one
+    ``random`` call picks the block's families, then one ``integers`` call
+    per family drawn fills that family's rows, parameter slots and sign
+    slot together.  Each draw keeps the law above, independent of the
+    others, so only the random stream differs from drawing one proposal
+    at a time; a seed gives other proposals than in versions that drew
+    them one by one.  A call with another generator than the one the
+    block came from drops the rest of the block and draws a new one, so
+    each generator's proposals depend on its seed and the order of calls.
+
     Up to ``ENUMERATION_T_CAP`` each parameter draw is decoded and
     validated once: its move (or null) is memoised by family and draw
-    without the sign slot, and repeats look it up.  Memoising changes no
-    random call, so a seed gives the same proposals either way.
+    without the sign slot, and repeats look it up.
     """
 
     def __init__(
@@ -546,8 +557,9 @@ class ProposalSampler:
         # sum to a hair under 1, so the last family with positive weight
         # also takes every draw at or above the last cumulative sum.
         last = max(i for i, w in enumerate(self.weights) if w > 0)
-        self._bounds = list(itertools.accumulate(self.weights))
-        self._bounds[last:] = [math.inf] * (len(FAMILIES) - last)
+        bounds = list(itertools.accumulate(self.weights))
+        bounds[last:] = [math.inf] * (len(FAMILIES) - last)
+        self._bounds = np.array(bounds)
         self._time_triples = list(itertools.combinations(range(1, T + 1), 3))
         self._2x2_pairs = [
             (t0, t1) for t0 in range(1, T - 1) for t1 in range(t0 + 1, T)
@@ -568,26 +580,45 @@ class ProposalSampler:
         # Built move (or None for a null draw) per family and draw without
         # its sign slot.  Kept only where ``enumerate_family`` walks the
         # whole draw space: above that cap draws rarely repeat.
-        self._cache: Optional[dict[tuple[Family, bytes], Optional[Move]]] = (
+        self._cache: Optional[dict[tuple[Family, tuple[int, ...]], Optional[Move]]] = (
             {} if T <= ENUMERATION_T_CAP else None
         )
+        # Proposals of the current block, last one first, and the generator
+        # they were drawn from.
+        self._block: list[Optional[tuple[Move, int]]] = []
+        self._block_rng: Optional[np.random.Generator] = None
 
     def sample(self, rng: np.random.Generator) -> Optional[tuple[Move, int]]:
         """One proposal draw: a (move, sign) pair or None."""
-        fam = FAMILIES[bisect.bisect_right(self._bounds, rng.random())]
-        draws = rng.integers(0, self._highs[fam])
+        if rng is not self._block_rng or not self._block:
+            self._draw_block(rng)
+        return self._block.pop()
+
+    def _draw_block(self, rng: np.random.Generator) -> None:
+        """Draw the next ``_BLOCK`` proposals from ``rng``."""
+        fams = np.searchsorted(self._bounds, rng.random(_BLOCK), side="right")
+        block: list[Optional[tuple[Move, int]]] = [None] * _BLOCK
         cache = self._cache
-        if cache is None:
-            move = self._try_build(fam, draws.tolist())
-        else:
-            key = (fam, draws[:-1].tobytes())
-            try:
-                move = cache[key]
-            except KeyError:
-                move = cache[key] = self._try_build(fam, draws.tolist())
-        if move is None:
-            return None
-        return move, 1 if draws[-1] == 0 else -1
+        for i, fam in enumerate(FAMILIES):
+            slots = np.flatnonzero(fams == i)
+            if not len(slots):
+                continue
+            highs = self._highs[fam]
+            rows = rng.integers(0, highs, size=(len(slots), len(highs))).tolist()
+            for slot, d in zip(slots.tolist(), rows):
+                if cache is None:
+                    move = self._try_build(fam, d)
+                else:
+                    key = (fam, tuple(d[:-1]))
+                    try:
+                        move = cache[key]
+                    except KeyError:
+                        move = cache[key] = self._try_build(fam, d)
+                if move is not None:
+                    block[slot] = (move, 1 if d[-1] == 0 else -1)
+        block.reverse()
+        self._block = block
+        self._block_rng = rng
 
     def _try_build(self, fam: Family, d: Sequence[int]) -> Optional[Move]:
         """:meth:`_build`, with None for a draw that yields no move."""

@@ -317,23 +317,23 @@ class TestCmdTest:
         assert json.loads(out.read_text())["samples"] == 300
 
 
-    # Chain-derived fields of seeded runs, recorded before the move families
-    # were enumerated from the sampler's draws; they pin the random stream.
+    # Chain-derived fields of seeded runs, recorded when proposals came to
+    # be drawn in blocks; they pin the random stream.
     # L and p_asymptotic come from BLAS-dependent fits and are not pinned.
     # The histogram digests are of the counts column when every bin from 0
     # up was listed; the file now lists occupied bins only, so the test puts
     # the empty bins back before hashing.
     @pytest.mark.parametrize("case, args, fields, hist_digest", [
         ("klotz", ["--map", "M=1,F=2", "--seed", "7"],
-         (0.8521, 0.2108, 0.7221),
-         "cd7ce6add8e9f88f032b81cf2391f93faab05ce77a064009f55720cafaca8de5"),
+         (0.821, 0.218, 0.7186),
+         "fd94464b1e4f4e94122fd1723b9af4510e2eda26340d890d5cfbe61f802560af"),
         ("random-T6", ["--samples", "3000", "--burnin", "500", "--seed", "11"],
-         (0.4146666666666667, 0.051333333333333335, 0.6403333333333333),
-         "dca5faa9ea1e18d8bdf8630dfe3340459cbc150f0e4069d7364f5060df201320"),
+         (0.48033333333333333, 0.065, 0.6286666666666667),
+         "434ab70cb08d978903140f1c27641fdd9fcdf779b57e4ecb50acd9d1835299ae"),
         ("klotz-chains", ["--map", "M=1,F=2", "--seed", "7", "--chains", "3",
                           "--samples", "3000"],
-         (0.7583333333333333, 0.21633333333333332, 0.7166666666666667),
-         "b891c598789be417d7bf0011d9f5c62fdd84debb85d436a1c45bae0a86c51570"),
+         (0.9023333333333333, 0.212, 0.7166666666666667),
+         "4a874565cd0e8fefd3f819a1d25c3699152a23ba641cb7156b0cca611aa40451"),
     ])
     def test_seeded_chain_fields(self, runner, tmp_path, case, args, fields,
                                  hist_digest):
@@ -365,18 +365,17 @@ class TestCmdTest:
         counts = ",".join(occupied.get(i, "0") for i in range(max(occupied) + 1))
         assert hashlib.sha256(counts.encode()).hexdigest() == hist_digest
 
-    # sha256 of the whole JSON and histogram files, recorded before proposal
-    # draws were memoised (the histogram files again when empty bins were
-    # dropped).  The input is named by a relative path, so every byte is
+    # sha256 of the whole JSON and histogram files, recorded when proposals
+    # came to be drawn in blocks.  The input is named by a relative path, so every byte is
     # fixed; the cases cover non-uniform weights and chains that share one
     # sampler.
     @pytest.mark.parametrize("args, json_digest, hist_digest", [
         (["--weights", "type2=0.5,deg3-sliding=0.5", "--seed", "3"],
-         "a4ba77938c3b3ec7238b5117a281687a709382b1018636224ccd99419b8d7bc4",
-         "2dd48d89dcc1a889a28c07a3245d7c5e9430e5b0a0099d782fa8a4fc8bab8914"),
+         "50a9d89903e6979d6059508c9c7008026530a06f161922e582871c1553b1dfc6",
+         "44681b0ce0d20eba9eb8b86324e0a121b59ca0ac1e2e870745c924d6a05e647d"),
         (["--chains", "2", "--seed", "5"],
-         "1387b886fafbabf4792337fe0d05128d3576da720a3cd5b47010b5440ef146c3",
-         "8b8a2e74d1f9c0ddaed36e11c92c2854bba073dcb026c81cfe770c65c4cbfc4f"),
+         "13092dbfeed0e9e4399b247f4da8e19d721d9e4d5aefcc4d384fcfbf0784b71f",
+         "ffdea4468e194297415bb12806a5ab0d8a2fbcafa832d5c811e9710bf7d7456a"),
     ])
     def test_seeded_output_bytes(self, runner, tmp_path, args, json_digest,
                                  hist_digest):

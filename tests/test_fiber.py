@@ -113,11 +113,26 @@ class TestEnumerateFiber:
 
     def test_T_over_dense_cap_rejected_before_cells(self, monkeypatch):
         def refuse(T, *args):
-            raise AssertionError(f"built all 2**{T} cells")
+            raise AssertionError(f"built the cells of T={T}")
 
-        monkeypatch.setattr(fiber, "configuration", refuse)
+        monkeypatch.setattr(fiber, "_fitting_cells", refuse)
         with pytest.raises(ValueError, match="T <= 24"):
             enumerate_fiber(40, (39, 0, 0, 0))
+
+    # The cells are built suffix by suffix, dropping each suffix whose
+    # statistic already exceeds the target; the reference filters every
+    # column of the configuration matrix.
+    @pytest.mark.parametrize("T", range(3, 13))
+    def test_fitting_cells_match_the_configuration_filter(self, T):
+        columns = thmc.configuration(T).T
+        rng = np.random.default_rng(T)
+        targets = [(0, 0, 0, 0), (T - 1, 0, 0, 0), (0, 1, 1, T - 3), (1, 1, 1, 0)]
+        targets += [tuple(rng.integers(0, T, size=4)) for _ in range(20)]
+        for target in targets:
+            fits = (columns <= target).all(axis=1)
+            cells, stats = fiber._fitting_cells(T, target)
+            assert cells.tolist() == np.flatnonzero(fits).tolist()
+            assert stats.tolist() == columns[fits].tolist()
 
     @pytest.mark.parametrize("b", [
         (2.9, 0, 0, 2.2),

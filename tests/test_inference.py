@@ -22,7 +22,7 @@ from thmc import (
     suff_stat,
     swap_states,
 )
-from thmc.core import all_paths, encode
+from thmc.core import all_paths, decode, encode
 from thmc.fiber import table_text
 from thmc.moves import ProposalSampler
 
@@ -335,14 +335,14 @@ class TestMhChain:
         assert np.abs(flow - flow.T).max() < 1e-15
         assert np.abs(pi @ P - pi).max() < 1e-12
 
-    # sha256 over "table_text\tL" lines of the stream, recorded before the
-    # chain state became a count map plus k; pins both the random stream
-    # and every L value bit for bit.
+    # sha256 over "table_text\tL" lines of the stream, recorded when
+    # proposals came to be drawn in blocks; pins both the random stream and
+    # every L value bit for bit.
     @pytest.mark.parametrize("start, kwargs, digest", [
         ("klotz", dict(steps=3000, burnin=500, seed=0),
-         "3c0d5a8479860f6e4e225b447474d0326a2776aa2803bade6de7404ec322c16c"),
+         "f4773edd05f07a80789ce6895353e7d066cf9c95111c94039669016499b5eaf2"),
         ("two-element", dict(steps=20_000, seed=0),
-         "03e298728801f62f39458cea9d5c3b42e45bfc584f3f7193f9d8b4ac27aef0b7"),
+         "30600f45526db2845a752a5d3ea62c3da2b713efcb613eedc01fc2ae6745badb"),
     ])
     def test_stream_digest(self, klotz, start, kwargs, digest):
         table = klotz if start == "klotz" else TWO_ELEMENT_START
@@ -420,14 +420,57 @@ class TestExactTest:
         with pytest.raises(AssertionError, match="chain left its fiber"):
             exact_test(TWO_ELEMENT_START, steps=10, burnin=0, seed=0)
 
+    # One null fit, then one fit per initial-state-1 count the seed-7 chain
+    # visits; the count depends on the random stream.
     def test_klotz_fits_once_per_initial_count(self, klotz, call_counts):
         exact_test(klotz, seed=7)
-        assert call_counts["fit_mle"] == 22
+        assert call_counts["fit_mle"] == 20
 
     def test_klotz_checks_the_statistic_once(self, klotz, call_counts):
         # once for the fiber's statistic, once for the chain's final counts
         exact_test(klotz, seed=7)
         assert call_counts["suff_stat"] == 2
+
+    # (T, n, table seed, chain steps, SD of p_exact over chain seeds).
+    @pytest.mark.parametrize("T, n, table_seed, steps, sd", [
+        (4, 12, 14, 50_000, 0.023),
+        (4, 10, 4, 50_000, 0.031),
+        (5, 6, 10, 100_000, 0.035),
+    ])
+    def test_p_exact_matches_the_exact_law(self, T, n, table_seed, steps, sd):
+        """On seeded random tables, a chain's p_exact lies within 4 SD of
+        the exact conditional p-value.
+
+        The exact value enumerates the fiber: each table weighs 1/prod x!,
+        and L depends on a table only through its initial-state-1 count k,
+        so L is computed once per k, from the first table with that k.  The
+        exact p-values are 0.6569, 0.1751 and 0.5525, and the L of every
+        other k lies at least 0.23 from the observed one, so no tie hinges
+        on fit error.  The SDs were measured with 2,000 burn-in steps on
+        block-drawn proposals, over chain seeds 0..31 for the T=4 tables
+        (0.023 and 0.031) and 0..95 for the T=5 one (0.035).  Proposals
+        drawn one at a time gave 0.019 and 0.030 over seeds 0..11 and 0.033
+        over 0..95.  Seed 0 gives 0.6258, 0.2163 and 0.5679 on block-drawn
+        proposals, and 0.6593, 0.1778 and 0.5282 drawn one at a time.
+        """
+        table = random_table(np.random.default_rng(table_seed), T, n)
+        half = 1 << (T - 1)
+        mass: dict[int, float] = {}
+        first: dict[int, tuple[int, ...]] = {}
+        for cells in enumerate_fiber(T, suff_stat(table)).cells:
+            k = sum(c < half for c in cells)
+            weight = 1 / math.prod(math.factorial(cells.count(c)) for c in set(cells))
+            mass[k] = mass.get(k, 0.0) + weight
+            first.setdefault(k, cells)
+        L = {}
+        for k, cells in first.items():
+            counts = {decode(c, T): cells.count(c) for c in cells}
+            L[k] = likelihood_ratio(PathTable(T, counts))
+        k_obs = initial_freq(table)[0]
+        assert min(abs(v - L[k_obs]) for k, v in L.items() if k != k_obs) > 1e-6
+        p_exact = sum(m for k, m in mass.items() if L[k] >= L[k_obs]) / sum(mass.values())
+        result = exact_test(table, steps=steps, burnin=2_000, seed=0)
+        assert abs(result.p_exact - p_exact) <= 4 * sd, (result.p_exact, p_exact)
 
     # Every table in these fibers has the same exact L (6 ln 2 for the
     # first, 0 for the second), but boundary fits give values up to about

@@ -1,3 +1,6 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
 
@@ -20,6 +23,7 @@ from thmc import (
     type2_deg1,
     type4_move,
 )
+from thmc import moves
 from thmc.core import all_paths
 
 
@@ -397,26 +401,33 @@ class TestEnumeration:
 
 
 class RecordingRng:
-    """A Generator stand-in that records the highs of every ``integers`` call.
+    """A Generator stand-in that records the highs and rows of every
+    ``integers`` call.
 
-    ``random()`` returns ``u`` when one is given, so a test can pick the
-    family slice a draw lands in.
+    ``random(size)`` returns ``u`` in every entry when one is given, so a
+    test can pick the family slice the draws land in.
     """
 
     def __init__(self, seed: int, u: float | None = None) -> None:
         self.rng = np.random.default_rng(seed)
         self.u = u
         self.highs: list = []
+        self.rows: list = []
 
-    def random(self) -> float:
-        return self.rng.random() if self.u is None else self.u
+    def random(self, size=None):
+        if self.u is None:
+            return self.rng.random(size)
+        return np.full(size, self.u) if size is not None else self.u
 
-    def integers(self, low, high):
+    def integers(self, low, high, size=None):
+        rows = self.rng.integers(low, high, size=size)
         self.highs.append(high)
-        return self.rng.integers(low, high)
+        self.rows.append(rows)
+        return rows
 
 
 def drawn_families(sampler: ProposalSampler, rng: RecordingRng) -> list[Family]:
+    """The family of each ``integers`` call, one call per family and block."""
     return [next(f for f in Family if sampler._highs[f] is h) for h in rng.highs]
 
 
@@ -447,14 +458,58 @@ class TestProposalSampler:
             sampler.sample(rng)
         assert Family.DEG3_SLIDING not in drawn_families(sampler, rng)
 
+    def test_block_draws_keep_the_per_draw_law(self):
+        # Over 200k draws at T=4: each family's share of the rows, and the
+        # share of null proposals, lie within 5 SD of the law of one draw at
+        # a time, and the memo holds for each row drawn the move (or null)
+        # a fresh sampler builds from it.
+        T, draws = 4, 200_000
+        sampler = ProposalSampler(T)
+        rng = RecordingRng(14)
+        nulls = sum(sampler.sample(rng) is None for _ in range(draws))
+        fresh = ProposalSampler(T)
+        null_law = 0.0
+        by_family = dict.fromkeys(Family, 0)
+        for fam, rows in zip(drawn_families(sampler, rng), rng.rows):
+            by_family[fam] += len(rows)
+            for row in rows.tolist():
+                key = (fam, tuple(row[:-1]))
+                assert sampler._cache[key] == fresh._try_build(fam, row)
+        rows_drawn = -(-draws // moves._BLOCK) * moves._BLOCK
+        assert sum(by_family.values()) == rows_drawn
+        for fam, w in zip(Family, sampler.weights):
+            space = list(itertools.product(*map(range, sampler._highs[fam][:-1])))
+            null_share = sum(fresh._try_build(fam, d + (0,)) is None for d in space)
+            null_law += w * null_share / len(space)
+            sd = math.sqrt(w * (1 - w) / rows_drawn)
+            assert abs(by_family[fam] / rows_drawn - w) < 5 * sd
+        sd = math.sqrt(null_law * (1 - null_law) / draws)
+        assert abs(nulls / draws - null_law) < 5 * sd
+
+    def test_alternating_generators_is_deterministic(self):
+        # A call with the other generator drops the rest of the block, so
+        # the proposals depend only on the seeds and the order of calls.
+        def run():
+            sampler = ProposalSampler(4)
+            rngs = np.random.default_rng(1), np.random.default_rng(2)
+            order = [0, 1, 1, 0, 0, 0, 1] * 40
+            return [sampler.sample(rngs[i]) for i in order]
+
+        first, second = run(), run()
+        assert first == second
+        # The first call with the second generator starts from its seed.
+        assert first[1] == ProposalSampler(4).sample(np.random.default_rng(2))
+        assert sum(p is not None for p in first) > 20
+
     @pytest.mark.parametrize("T", [3, 4, 5, 6])
     def test_memoised_draws_match_fresh_builds(self, T):
         memo, fresh = ProposalSampler(T), ProposalSampler(T)
+        # Without its memo a sampler builds every draw, as above the cap.
+        fresh._cache = None
         rng_memo, rng_fresh = np.random.default_rng(T), np.random.default_rng(T)
         families = set()
         draws = 20_000
         for _ in range(draws):
-            fresh._cache.clear()
             prop = memo.sample(rng_memo)
             assert prop == fresh.sample(rng_fresh)
             if prop is not None:
