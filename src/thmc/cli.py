@@ -19,7 +19,7 @@ import click
 
 from . import fiber as fiber_mod
 from . import inference
-from .core import DENSE_T_CAP, TransitionStat, decode, path_str, suff_stat
+from .core import DENSE_T_CAP, MIN_T, TransitionStat, suff_stat
 from .ingest import IngestError, ingest, parse_mapping
 from .moves import Family, enumerate_family, format_move
 
@@ -272,8 +272,8 @@ def cmd_test(input_path, mapping_spec, samples, burnin, seed, output_path,
 @click.option("--report", "report_path", default=None, help="Write the JSON report here.")
 def cmd_verify_basis(T, n_max, families_spec, report_path) -> None:
     """Enumerate every fiber up to n-max and check connectivity."""
-    if T < 3:
-        _fail(EXIT_USAGE, f"--T must be >= 3, got {T}")
+    if T < MIN_T:
+        _fail(EXIT_USAGE, f"--T must be >= {MIN_T}, got {T}")
     if n_max < 0:
         _fail(EXIT_USAGE, f"--n-max must be >= 0, got {n_max}")
     try:
@@ -338,9 +338,10 @@ def cmd_verify_basis(T, n_max, families_spec, report_path) -> None:
 @click.option("--T", "T", required=True, type=int, help="Path length.")
 @click.option("--b", "b_spec", required=True, help="Transition counts b11,b12,b21,b22.")
 def cmd_enumerate_fiber(T, b_spec) -> None:
-    """List every table in one fiber, one 'path:count' line per table."""
-    if T < 3:
-        _fail(EXIT_USAGE, f"--T must be >= 3, got {T}")
+    """List every table in one fiber, one 'path:count' line per table.  A
+    search that runs to its budget of 10**8 nodes takes about 6 minutes."""
+    if T < MIN_T:
+        _fail(EXIT_USAGE, f"--T must be >= {MIN_T}, got {T}")
     try:
         b = _parse_stat(b_spec)
     except ValueError as exc:
@@ -357,9 +358,7 @@ def cmd_enumerate_fiber(T, b_spec) -> None:
     if not fib.cells:
         click.echo(f"fiber of b={b.as_tuple()} at T={T} is empty", err=True)
         return
-    texts = {i: path_str(decode(i, T)) for i in set().union(*fib.cells)}
-    for cells in fib.cells:
-        click.echo(fiber_mod._cells_text(texts, cells))
+    click.echo("\n".join(fiber_mod.fiber_texts(fib)))
 
 
 @main.command("moves")
@@ -368,8 +367,8 @@ def cmd_enumerate_fiber(T, b_spec) -> None:
               help="One of: " + ", ".join(f.value for f in Family))
 def cmd_moves(T, family_token) -> None:
     """List every move of one family, e.g. '+1 1121  -1 1211' per line."""
-    if T < 3:
-        _fail(EXIT_USAGE, f"--T must be >= 3, got {T}")
+    if T < MIN_T:
+        _fail(EXIT_USAGE, f"--T must be >= {MIN_T}, got {T}")
     try:
         family = Family(family_token)
     except ValueError:

@@ -10,9 +10,9 @@ Inside this module a table is the sorted tuple of its paths' cell indices
 (path encodings, one entry per unit of count), so enumeration, the move
 index and connectivity all work on tuples of small integers;
 :class:`PathTable` objects are built only where a caller asks for them.
-:func:`enumerate_fiber` searches only the cells whose own statistic fits
-under the target, since no other cell can appear in the fiber, and builds
-just those cells' statistics.
+Each function builds only the cells it uses: :func:`enumerate_fiber` those
+that fit its target, a sweep all 2**T once its tables hold a path, and
+:func:`fiber_texts` the texts of the cells present.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations, combinations_with_replacement
 from math import comb
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -30,8 +30,6 @@ from .core import (
     MIN_T,
     PathTable,
     TransitionStat,
-    all_paths,
-    configuration,
     decode,
     encode,
     path_str,
@@ -56,10 +54,6 @@ class BudgetExceeded(RuntimeError):
         self.nodes_visited = nodes_visited
 
 
-def _cells_table(T: int, cells: Cells) -> PathTable:
-    return PathTable(T, {decode(i, T): cells.count(i) for i in dict.fromkeys(cells)})
-
-
 @dataclass(frozen=True)
 class Fiber:
     """All tables with a given transition statistic, canonically ordered.
@@ -75,29 +69,26 @@ class Fiber:
 
     @cached_property
     def elements(self) -> tuple[PathTable, ...]:
-        return tuple(_cells_table(self.T, c) for c in self.cells)
+        return tuple(
+            PathTable(self.T, {decode(i, self.T): c.count(i) for i in dict.fromkeys(c)})
+            for c in self.cells
+        )
 
     def __len__(self) -> int:
         return len(self.cells)
 
 
-@lru_cache(maxsize=None)
-def _path_texts(T: int) -> tuple[str, ...]:
-    """Per-path digit strings, indexed by path encoding."""
-    return tuple(path_str(p) for p in all_paths(T))
-
-
 def _fitting_cells(
     T: int, target: tuple[int, int, int, int]
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The cells whose statistic is <= the target in every coordinate, in
-    encoding order, and their statistics, one row per cell.
+    """The fiber layer's one cell builder: the cells whose statistic is <=
+    the target in every coordinate, in encoding order, and their statistics
+    as rows; a target of T-1 in every coordinate keeps all 2**T cells.
 
-    Built as :func:`configuration` builds its columns, by putting one state
-    in front of the suffixes built so far: first state 1 before every
-    suffix, then state 2, which keeps encoding order.  A suffix's statistic
-    only grows as states are put in front, so each step drops the suffixes
-    that already exceed the target.
+    Built by putting one state in front of the suffixes built so far:
+    first state 1 before every suffix, then state 2, which keeps encoding
+    order.  A suffix's statistic only grows as states are put in front, so
+    each step drops the suffixes that already exceed the target.
     """
     cells = np.arange(2)
     stats = np.zeros((2, 4), dtype=np.int64)
@@ -194,7 +185,9 @@ def enumerate_fiber(T: int, b: TransitionStat | Sequence[int]) -> Fiber:
     integers (Python or numpy); any other type raises :class:`ValueError`.
     Raises :class:`BudgetExceeded` before any search when each table would
     hold more than ``MAX_FIBER_ELEMENTS`` paths, and during it past
-    ``MAX_FIBER_ELEMENTS`` tables or ``MAX_DFS_NODES`` search nodes.
+    ``MAX_FIBER_ELEMENTS`` tables or ``MAX_DFS_NODES`` search nodes; a
+    search that runs to the node budget prints nothing for about 6 minutes
+    (10**7 nodes took 38 s on a 2-core machine).
     """
     if T < MIN_T:
         raise ValueError(f"T must be >= {MIN_T}, got {T}")
@@ -208,7 +201,7 @@ def enumerate_fiber(T: int, b: TransitionStat | Sequence[int]) -> Fiber:
 @dataclass(frozen=True)
 class ConnectivityReport:
     """Connected components of a fiber under a move set; ``component_tables``
-    renders each component's tables as :func:`table_text` does."""
+    renders each component's tables as :func:`fiber_texts` does."""
 
     T: int
     b: TransitionStat
@@ -288,10 +281,6 @@ class _UnionFind:
             self.count -= 1
 
 
-def _cells_text(texts: Sequence[str] | Mapping[int, str], cells: Cells) -> str:
-    return " ".join(f"{texts[i]}:{cells.count(i)}" for i in dict.fromkeys(cells))
-
-
 def connectivity(
     fiber: Fiber,
     move_set: Iterable[Move] | Iterable[Family | str] | None = None,
@@ -301,14 +290,14 @@ def connectivity(
     Two tables are adjacent when some move in the set carries one to the
     other without any count going negative.  ``move_set`` is either a list
     of explicit moves or a selection of families (all six by default).
-    Tables are the fiber's cell-index tuples, and each move is a pair of
-    cell-index tuples indexed by its negative part, once per T and family
-    selection.  A table's neighbours come from looking up each distinct
-    sub-multiset of at most the largest move degree, then removing the
-    negative cells, adding the positive ones and sorting; one sign of each
-    move suffices, because its other sign is found from the far end.
-    Output is deterministic: components are ordered by their smallest
-    element, and no :class:`PathTable` is built.
+    Each move is a pair of cell-index tuples indexed by its negative part,
+    once per T and family selection.  A table's neighbours come from
+    looking up each distinct sub-multiset of at most the largest move
+    degree, then removing the negative cells, adding the positive ones and
+    sorting; one sign of each move suffices, because its other sign is
+    found from the far end.  Components are ordered by their smallest
+    element and rendered by :func:`fiber_texts`, which reads only the
+    cells present; no :class:`PathTable` is built.
     """
     (by_negative, max_degree), description = _resolve_moves(fiber.T, move_set)
     tables = fiber.cells
@@ -339,14 +328,12 @@ def connectivity(
     for i in range(n):
         groups.setdefault(uf.find(i), []).append(i)
     comps = tuple(tuple(groups[r]) for r in sorted(groups))
-    texts = _path_texts(fiber.T)
+    texts = fiber_texts(fiber)
     return ConnectivityReport(
         T=fiber.T,
         b=fiber.b,
         components=comps,
-        component_tables=tuple(
-            tuple(_cells_text(texts, tables[i]) for i in c) for c in comps
-        ),
+        component_tables=tuple(tuple(texts[i] for i in c) for c in comps),
         move_set=description,
     )
 
@@ -359,10 +346,10 @@ def _tables_by_stat(
     A table is the sorted tuple of its paths' cell indices, and each group
     lists its tables in ``combinations_with_replacement`` order: descending
     in dense count vectors, the reverse of the canonical fiber order.  Since
-    sum(b) = n(T-1), each group is a complete fiber.  Raises
-    :class:`BudgetExceeded` before any enumeration when the tables of
-    n <= n_max, C(2**T + n_max, n_max) of them, outnumber
-    ``MAX_FIBER_ELEMENTS``.
+    sum(b) = n(T-1), each group is a complete fiber.  The cells are built
+    only when n_max >= 1.  Raises :class:`BudgetExceeded` before any
+    enumeration when the tables of n <= n_max, C(2**T + n_max, n_max) of
+    them, outnumber ``MAX_FIBER_ELEMENTS``.
     """
     tables = comb(2**T + n_max, n_max)
     if tables > MAX_FIBER_ELEMENTS:
@@ -370,7 +357,9 @@ def _tables_by_stat(
             f"{tables} tables of n <= {n_max} at T={T} exceed the budget "
             f"of {MAX_FIBER_ELEMENTS}", 0, 0
         )
-    stats = configuration(T).T.tolist()
+    if T < MIN_T:
+        raise ValueError(f"T must be >= {MIN_T}, got {T}")
+    stats = _fitting_cells(T, (T - 1,) * 4)[1].tolist() if n_max > 0 else []
     for n in range(0, n_max + 1):
         groups: dict[tuple[int, int, int, int], list[Cells]] = {}
         for combo in combinations_with_replacement(range(len(stats)), n):
@@ -425,8 +414,7 @@ def sweep(
             stat = TransitionStat(*b)
             if stat_filter is not None and not stat_filter(stat):
                 continue
-            tables.reverse()
-            reports.append(connectivity(Fiber(T, stat, tuple(tables)), move_set))
+            reports.append(connectivity(Fiber(T, stat, tuple(reversed(tables))), move_set))
     return reports
 
 
@@ -438,3 +426,17 @@ def disconnected(reports: Iterable[ConnectivityReport]) -> list[ConnectivityRepo
 def table_text(table: PathTable) -> str:
     """One-line 'path:count' rendering in canonical order, e.g. '111:1 122:2'."""
     return " ".join(f"{path_str(p)}:{c}" for p, c in table.items())
+
+
+def _path_text(T: int, cell: int) -> str:
+    return format(cell, f"0{T}b").replace("1", "2").replace("0", "1")
+
+
+def fiber_texts(fiber: Fiber) -> list[str]:
+    """The fiber's tables in order, each as :func:`table_text` renders it.
+    Only the cells present are rendered, each once, from its binary digits."""
+    texts = {i: _path_text(fiber.T, i) for i in set().union(*fiber.cells)}
+    return [
+        " ".join([f"{texts[i]}:{cells.count(i)}" for i in dict.fromkeys(cells)])
+        for cells in fiber.cells
+    ]

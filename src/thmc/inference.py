@@ -441,20 +441,19 @@ def exact_test(
     evaluator = _LikelihoodRatioEvaluator(table)
     L_obs = evaluator.L
 
+    # Chains past the steps-th get no sample; spawned child i ignores the count.
     if chains == 1:
         rngs = [np.random.default_rng(seed)]
     else:
-        rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(chains)]
-    base, rem = divmod(steps, chains)
-    quotas = [base + (1 if i < rem else 0) for i in range(chains)]
+        spawned = np.random.SeedSequence(seed).spawn(min(chains, steps))
+        rngs = [np.random.default_rng(s) for s in spawned]
+    base, rem = divmod(steps, len(rngs))
 
     values: list[float] = []
     accepted = nulls = 0
-    for rng, quota in zip(rngs, quotas):
-        if quota == 0:
-            continue
+    for i, rng in enumerate(rngs):
         chain = _Chain(evaluator, rng, sampler)
-        values.extend(chain.L for _ in chain.run(burnin, quota))
+        values.extend(chain.L for _ in chain.run(burnin, base + (1 if i < rem else 0)))
         accepted += chain.accepted
         nulls += chain.null_proposals
 

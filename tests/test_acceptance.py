@@ -164,9 +164,10 @@ def _reference_test(table: PathTable) -> tuple[float, float, float]:
 
 
 class TestCriterion1:
-    #: Spread of p_exact across seeds at 100k samples and 5k burn-in on the
-    #: Klotz table (32 seeds: mean 0.8075, standard deviation 0.0149).
-    P_EXACT_SD = 0.015
+    #: Tolerance on the 100k-sample p_exact (5k burn-in) on the Klotz
+    #: table: about 3.2 standard deviations of its spread over seeds
+    #: 0..95 on block-drawn proposals (SD 0.0188).
+    P_EXACT_TOL = 0.06
 
     def test_klotz_reproduction(self):
         """Klotz example: L, asymptotic p, exact p and runtime, each checked
@@ -178,16 +179,17 @@ class TestCriterion1:
           ``test_inference.py::test_klotz_birch_condition`` on purpose, so
           that the criterion's one line covers every part of the fit.
         - The asymptotic p must match scipy's chi-square(1) tail at that L.
-        - A 100k-sample chain must give an exact p within 4 standard
-          deviations (``P_EXACT_SD``) of the exact conditional p-value,
-          computed from the law of the initial-state-1 count by a 3-D DFT.
+        - A 100k-sample chain must give an exact p within ``P_EXACT_TOL``
+          (0.06, about 3.2 measured standard deviations) of the exact
+          conditional p-value, computed from the law of the initial-state-1
+          count by a 3-D DFT.
         - That p must also lie nearer the exact p-value than the p-value
           that leaves out the tables tying with the observed one (the atom
           P(k_obs | b) = 0.0905), so that a strict ``L > L_obs`` count
           fails.  On block-drawn proposals, seeds 0..95 give a mean of
           0.8078 and an SD of 0.0188 (drawn one at a time: 0.8084 and
           0.0162 over the same seeds).  Seed 0 gives 0.7675, the lowest
-          of seeds 0..31 and 2.8 ``P_EXACT_SD`` below the exact value.
+          of seeds 0..31 and 2.3 measured SD below the exact value.
         - The default 10k-sample, 5k burn-in run must finish within 10 s.
 
         Values on the bundled table: L = 0.1121, asymptotic p = 0.7378,
@@ -214,7 +216,7 @@ class TestCriterion1:
             fit_mle(suff_stat(table), 4, k).residual
             for k in (None, initial_freq(table)[0])
         ]
-        tol = 4 * self.P_EXACT_SD
+        tol = self.P_EXACT_TOL
 
         checks = {
             f"L = {L_ref:.6f} +- 1e-6": abs(result.L_observed - L_ref) <= 1e-6,

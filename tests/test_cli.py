@@ -445,7 +445,7 @@ class TestCmdVerifyBasis:
         def refuse(*args, **kwargs):
             raise AssertionError("enumerated tables")
 
-        monkeypatch.setattr(fiber, "configuration", refuse)
+        monkeypatch.setattr(fiber, "_fitting_cells", refuse)
         result = runner.invoke(main, ["verify-basis", "--T", "6", "--n-max", "6"])
         assert result.exit_code == 5
         assert result.stdout == ""
@@ -531,9 +531,9 @@ class TestCmdEnumerateFiber:
 
     def test_T_over_dense_cap_is_usage_error(self, runner, monkeypatch):
         def refuse(T, *args):
-            raise AssertionError(f"built all 2**{T} cells")
+            raise AssertionError(f"built the cells of T={T}")
 
-        monkeypatch.setattr(fiber, "configuration", refuse)
+        monkeypatch.setattr(fiber, "_fitting_cells", refuse)
         result = runner.invoke(main, ["enumerate-fiber", "--T", "40", "--b", "39,0,0,0"])
         assert result.exit_code == 1
         assert isinstance(result.exception, SystemExit)

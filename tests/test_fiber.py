@@ -96,10 +96,10 @@ class TestEnumerateFiber:
 
     def test_tables_of_more_paths_than_the_budget_refused(self, monkeypatch):
         def refuse(T, *args):
-            raise AssertionError(f"built all 2**{T} cells")
+            raise AssertionError(f"built the cells of T={T}")
 
         monkeypatch.setattr(fiber, "MAX_FIBER_ELEMENTS", 10)
-        monkeypatch.setattr(fiber, "configuration", refuse)
+        monkeypatch.setattr(fiber, "_fitting_cells", refuse)
         with pytest.raises(BudgetExceeded, match="11 paths") as err:
             enumerate_fiber(3, (22, 0, 0, 0))
         assert err.value.partial_count == 0
@@ -242,6 +242,28 @@ class TestConnectivity:
         "    print(exc)\n"
     )
 
+    # Each table is rendered from the texts of the cells present, each cell
+    # rendered once, not from a text per path of {1,2}^20.
+    def test_T20_renders_only_the_cells_present(self, monkeypatch):
+        from thmc import type1_deg1
+
+        fib = enumerate_fiber(20, (1, 1, 1, 16))
+        rendered = []
+        real_path_text = fiber._path_text
+
+        def counted(T, cell):
+            rendered.append(cell)
+            return real_path_text(T, cell)
+
+        monkeypatch.setattr(fiber, "_path_text", counted)
+        move = type1_deg1((2, 2, 1, 1) + (2,) * 16, 1, 5, 6)
+        report = connectivity(fib, [move])
+        assert len(fib) == 19 and report.n_components == 18
+        assert sorted(rendered) == sorted(set().union(*fib.cells))
+        assert report.component_tables == tuple(
+            tuple(table_text(fib.elements[i]) for i in c) for c in report.components
+        )
+
     def test_move_outside_fiber_raises(self):
         fib = enumerate_fiber(3, (0, 1, 1, 2))
         part = Fiber(3, fib.b, fib.cells[:2])
@@ -302,11 +324,21 @@ class TestSweep:
         monkeypatch.setattr(fiber, "MAX_FIBER_ELEMENTS", 45)
         assert sum(r.fiber_size for r in sweep(3, 2)) == 45
         monkeypatch.setattr(fiber, "MAX_FIBER_ELEMENTS", 44)
-        monkeypatch.setattr(fiber, "configuration", refuse)
+        monkeypatch.setattr(fiber, "_fitting_cells", refuse)
         with pytest.raises(BudgetExceeded, match="45 tables"):
             sweep(3, 2)
         with pytest.raises(BudgetExceeded):
             realizable_stats(3, 2)
+
+    # The tables of n = 0 hold no path, so no cell is built at any T, also
+    # past the dense cap.
+    @pytest.mark.parametrize("T", [22, 25])
+    def test_empty_statistic_built_without_cells(self, monkeypatch, T):
+        def refuse(T, *args):
+            raise AssertionError(f"built the cells of T={T}")
+
+        monkeypatch.setattr(fiber, "_fitting_cells", refuse)
+        assert realizable_stats(T, 0) == [thmc.TransitionStat(0, 0, 0, 0)]
 
     def test_realizable_stats_match_brute_force(self):
         paths = list(all_paths(3))

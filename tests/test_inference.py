@@ -401,6 +401,30 @@ class TestExactTest:
         again = exact_test(klotz, steps=1_000, burnin=200, seed=11, chains=4)
         assert pooled == again
 
+    # Only the first min(chains, steps) chains get a sample, so only those
+    # are seeded: seeding 10**9 chains would allocate for minutes first.
+    def test_chains_past_the_steps_not_seeded(self, klotz, monkeypatch):
+        spawned = []
+
+        class Recorded(np.random.SeedSequence):
+            def spawn(self, n):
+                spawned.append(n)
+                if n > 5:
+                    raise AssertionError(f"seeded {n} chains for 5 samples")
+                return super().spawn(n)
+
+        monkeypatch.setattr(np.random, "SeedSequence", Recorded)
+        many = exact_test(klotz, steps=5, burnin=0, seed=2, chains=10**9)
+        assert spawned == [5]
+        assert many == exact_test(klotz, steps=5, burnin=0, seed=2, chains=5)
+
+    # Spawned child i does not depend on the spawn count; one chain draws
+    # from the seed itself.
+    def test_more_chains_than_steps_keep_the_stream(self, klotz):
+        five = exact_test(klotz, steps=3, burnin=0, seed=1, chains=5)
+        assert five == exact_test(klotz, steps=3, burnin=0, seed=1, chains=3)
+        assert five != exact_test(klotz, steps=3, burnin=0, seed=1, chains=1)
+
     def test_histogram_bins(self, klotz):
         result = exact_test(klotz, steps=1_000, burnin=200, seed=13)
         lowers = [lo for lo, _ in result.histogram]
