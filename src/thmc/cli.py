@@ -291,38 +291,43 @@ def cmd_verify_basis(T, n_max, families_spec, report_path) -> None:
         _fail(EXIT_USAGE, str(exc))
         return
     bad = fiber_mod.disconnected(reports)
-    payload = {
-        "T": T,
-        "n_max": n_max,
-        "families": [f.value for f in families],
-        "fibers": [
-            {
+    summary = {
+        "fibers": len(reports),
+        "connected": len(reports) - len(bad),
+        "disconnected": len(bad),
+    }
+    # The table texts are rendered only for the report.  Each report goes
+    # once its texts are, so the next texts reuse its tables' memory.
+    if report_path is not None:
+        fibers = []
+        reports.reverse()
+        while reports:
+            r = reports.pop()
+            fibers.append({
                 "T": r.T,
                 "b": list(r.b.as_tuple()),
                 "fiber_size": r.fiber_size,
                 "components": r.component_tables,
                 "move_set": list(r.move_set),
-            }
-            for r in reports
-        ],
-        "summary": {
-            "fibers": len(reports),
-            "connected": len(reports) - len(bad),
-            "disconnected": len(bad),
-        },
-        "provenance": {
-            "command": "verify-basis",
-            "flags": {
-                "T": T,
-                "n_max": n_max,
-                "families": families_spec,
+            })
+        payload = {
+            "T": T,
+            "n_max": n_max,
+            "families": [f.value for f in families],
+            "fibers": fibers,
+            "summary": summary,
+            "provenance": {
+                "command": "verify-basis",
+                "flags": {
+                    "T": T,
+                    "n_max": n_max,
+                    "families": families_spec,
+                },
             },
-        },
-    }
-    if report_path is not None:
+        }
         _write_file(report_path, _json_text(payload) + "\n")
     click.echo(
-        f"checked {len(reports)} fibers at T={T}, n<={n_max}: "
+        f"checked {summary['fibers']} fibers at T={T}, n<={n_max}: "
         f"{len(bad)} disconnected"
     )
     for r in bad:

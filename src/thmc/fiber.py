@@ -12,11 +12,21 @@ index and connectivity all work on tuples of small integers;
 :class:`PathTable` objects are built only where a caller asks for them.
 Each function builds only the cells it uses: :func:`enumerate_fiber` those
 that fit its target, a sweep all 2**T once its tables hold a path, and
-:func:`fiber_texts` the texts of the cells present.
+:func:`fiber_texts` the texts of the cells present, when a report's texts
+are first read.
+
+:func:`connectivity` searches classes of tables, not tables.  A degree-1
+move swaps one path for another of the same statistic, so the tables that
+differ only by such swaps, those with one multiset of path classes, are
+always connected; the search joins these multisets by the other moves
+mapped onto classes, after checking that the fiber holds every table of
+each multiset (Diaconis & Sturmfels (1998), Ann. Statist. 26:363-397,
+Thm 3.1, for moves as fiber connectors).
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations, combinations_with_replacement
@@ -200,14 +210,26 @@ def enumerate_fiber(T: int, b: TransitionStat | Sequence[int]) -> Fiber:
 
 @dataclass(frozen=True)
 class ConnectivityReport:
-    """Connected components of a fiber under a move set; ``component_tables``
-    renders each component's tables as :func:`fiber_texts` does."""
+    """Connected components of a fiber under a move set, as lists of the
+    fiber's table indices; ``component_tables`` renders them as
+    :func:`fiber_texts` does, on first read."""
 
-    T: int
-    b: TransitionStat
+    fiber: Fiber
     components: tuple[tuple[int, ...], ...]
-    component_tables: tuple[tuple[str, ...], ...]
     move_set: tuple[str, ...]
+
+    @property
+    def T(self) -> int:
+        return self.fiber.T
+
+    @property
+    def b(self) -> TransitionStat:
+        return self.fiber.b
+
+    @cached_property
+    def component_tables(self) -> tuple[tuple[str, ...], ...]:
+        texts = fiber_texts(self.fiber)
+        return tuple(tuple(texts[i] for i in c) for c in self.components)
 
     @property
     def fiber_size(self) -> int:
@@ -224,40 +246,6 @@ class ConnectivityReport:
     @property
     def connected(self) -> bool:
         return self.n_components <= 1
-
-
-_MoveIndex = tuple[dict[Cells, list[Cells]], int]
-
-
-def _move_index(moves: Sequence[Move]) -> _MoveIndex:
-    """The positive cells of each move keyed by its negative cells, and the
-    largest move degree.  A move's deltas come in encoding order, so both
-    cell tuples come out sorted."""
-    by_negative: dict[Cells, list[Cells]] = {}
-    for move in moves:
-        negative = tuple(encode(p) for p, d in move.deltas if d < 0 for _ in range(-d))
-        positive = tuple(encode(p) for p, d in move.deltas if d > 0 for _ in range(d))
-        by_negative.setdefault(negative, []).append(positive)
-    return by_negative, max((m.degree for m in moves), default=0)
-
-
-@lru_cache(maxsize=None)
-def _family_index(T: int, families: tuple[Family, ...]) -> _MoveIndex:
-    return _move_index(enumerate_families(T, families))
-
-
-def _resolve_moves(
-    T: int, move_set: Iterable[Move] | Iterable[Family | str] | None
-) -> tuple[_MoveIndex, tuple[str, ...]]:
-    """The move index of a move set, and the set's description."""
-    items = list(Family if move_set is None else move_set)
-    if items and isinstance(items[0], Move):
-        for m in items:
-            if m.T != T:  # type: ignore[union-attr]
-                raise ValueError(f"move has T={m.T}, fiber has T={T}")  # type: ignore[union-attr]
-        return _move_index(items), ("custom",)  # type: ignore[arg-type]
-    fams = tuple(Family(f) for f in items)
-    return _family_index(T, fams), tuple(f.value for f in fams)
 
 
 class _UnionFind:
@@ -281,60 +269,163 @@ class _UnionFind:
             self.count -= 1
 
 
+@dataclass(frozen=True)
+class _MoveIndex:
+    """A move set as :func:`connectivity` reads it.
+
+    The degree-1 moves join cells into classes, the components of the graph
+    they make on the cells.  ``classes`` maps each cell they name to the
+    smallest cell of its class, and ``sizes`` counts each class's cells; any
+    other cell is a class of its own.  ``by_negative`` holds every move of
+    degree >= 2 mapped onto classes: its positive class tuple keyed by its
+    negative one, with one sign and no duplicates.  ``degree`` is the
+    largest mapped degree and ``move_set`` the set's description.
+    """
+
+    classes: dict[int, int]
+    sizes: dict[int, int]
+    by_negative: dict[Cells, list[Cells]]
+    degree: int
+    move_set: tuple[str, ...]
+
+
+def _move_index(moves: Sequence[Move], move_set: tuple[str, ...]) -> _MoveIndex:
+    """Index a move set: its classes, and the rest of its moves mapped onto
+    them.  A mapped move keeps the classes its two parts share, since the
+    move still needs them present; one that maps onto itself is dropped."""
+    parts = [
+        (
+            tuple(encode(p) for p, d in m.deltas if d < 0 for _ in range(-d)),
+            tuple(encode(p) for p, d in m.deltas if d > 0 for _ in range(d)),
+        )
+        for m in moves
+    ]
+    named = sorted({c for part in parts if len(part[0]) == 1 for c in part[0] + part[1]})
+    position = {c: i for i, c in enumerate(named)}
+    uf = _UnionFind(len(named))
+    for negative, positive in parts:
+        if len(negative) == 1:
+            uf.union(position[negative[0]], position[positive[0]])
+    # Each root is the smallest position of its class, so of its smallest cell.
+    classes = {c: named[uf.find(i)] for i, c in enumerate(named)}
+    by_negative: dict[Cells, list[Cells]] = {}
+    mapped = set()
+    for negative, positive in parts:
+        if len(negative) > 1:
+            pair = tuple(tuple(sorted(classes.get(c, c) for c in part))
+                         for part in (negative, positive))
+            pair = min(pair, pair[::-1])
+            if pair[0] != pair[1] and pair not in mapped:
+                mapped.add(pair)
+                by_negative.setdefault(pair[0], []).append(pair[1])
+    return _MoveIndex(
+        classes, Counter(classes.values()), by_negative,
+        max(map(len, by_negative), default=0), move_set,
+    )
+
+
+@lru_cache(maxsize=None)
+def _family_index(T: int, families: tuple[Family, ...]) -> _MoveIndex:
+    return _move_index(enumerate_families(T, families), tuple(f.value for f in families))
+
+
+def _resolve_moves(
+    T: int, move_set: Iterable[Move] | Iterable[Family | str] | None
+) -> _MoveIndex:
+    """The move index of a move set."""
+    items = list(Family if move_set is None else move_set)
+    if items and isinstance(items[0], Move):
+        for m in items:
+            if m.T != T:  # type: ignore[union-attr]
+                raise ValueError(f"move has T={m.T}, fiber has T={T}")  # type: ignore[union-attr]
+        return _move_index(items, ("custom",))  # type: ignore[arg-type]
+    return _family_index(T, tuple(Family(f) for f in items))
+
+
+_INCOMPLETE = "move led outside the enumerated fiber; enumeration incomplete"
+
+
 def connectivity(
     fiber: Fiber,
-    move_set: Iterable[Move] | Iterable[Family | str] | None = None,
+    move_set: Iterable[Move] | Iterable[Family | str] | _MoveIndex | None = None,
 ) -> ConnectivityReport:
     """Connected components of the fiber graph under a move set.
 
     Two tables are adjacent when some move in the set carries one to the
-    other without any count going negative.  ``move_set`` is either a list
-    of explicit moves or a selection of families (all six by default).
-    Each move is a pair of cell-index tuples indexed by its negative part,
-    once per T and family selection.  A table's neighbours come from
-    looking up each distinct sub-multiset of at most the largest move
-    degree, then removing the negative cells, adding the positive ones and
-    sorting; one sign of each move suffices, because its other sign is
-    found from the far end.  Components are ordered by their smallest
-    element and rendered by :func:`fiber_texts`, which reads only the
-    cells present; no :class:`PathTable` is built.
+    other without any count going negative.  ``move_set`` is a list of
+    explicit moves, a selection of families (all six by default, indexed
+    once per T and selection), or the index :func:`sweep` builds once for
+    all its fibers.
+
+    A degree-1 move swaps one path for another of the same statistic, and
+    applies to every table holding the first path.  So the tables with one
+    class multiset, the multiset of their cells' classes, are all joined by
+    degree-1 moves, and a complete fiber holds every such table:
+    ``prod_c C(|c| + k_c - 1, k_c)`` of them, where ``k_c`` counts class
+    ``c``.  Any table of a multiset can then hold the negative part of a
+    move of degree >= 2 whose classes the multiset holds, so such a move
+    joins two multisets exactly when its mapped form carries one to the
+    other.  The search therefore runs on the distinct multisets, each a
+    sorted tuple of its classes' smallest cells; a multiset's neighbours
+    come from looking up its distinct sub-multisets of at most the mapped
+    degree, then removing the negative classes, adding the positive ones
+    and sorting.  One sign of each move suffices, because its other sign is
+    found from the far end.  A multiset short of tables, or a move leading
+    to a multiset outside the fiber, raises :class:`AssertionError`; the
+    first multiset is always expanded.  Without degree-1 moves each table
+    is its own multiset and the search runs on the tables directly.  Each
+    table takes its multiset's component, and components are ordered by
+    their smallest element; no :class:`PathTable` is built, and the texts
+    are rendered when first read.
     """
-    (by_negative, max_degree), description = _resolve_moves(fiber.T, move_set)
+    index = move_set if isinstance(move_set, _MoveIndex) else _resolve_moves(fiber.T, move_set)
     tables = fiber.cells
     if not tables:
         raise ValueError("connectivity of an empty fiber is undefined")
-    n = len(tables)
-    index = {t: i for i, t in enumerate(tables)}
-    uf = _UnionFind(n)
-    for i, table in enumerate(tables):
-        if uf.count == 1:
-            break
-        for size in range(1, min(max_degree, len(table)) + 1):
-            for negative in dict.fromkeys(combinations(table, size)):
+    classes = index.classes
+    if classes:
+        # A cell outside every class is a class of its own.
+        position: dict[Cells, int] = {}
+        group = [
+            position.setdefault(tuple(sorted(map(classes.get, t, t))), len(position))
+            for t in tables
+        ]
+        held = Counter(group)
+        for multiset, g in position.items():
+            expected = 1
+            for c in dict.fromkeys(multiset):
+                k = multiset.count(c)
+                expected *= comb(index.sizes.get(c, 1) + k - 1, k)
+            if held[g] != expected:
+                raise AssertionError(_INCOMPLETE)
+        multisets: Sequence[Cells] = list(position)
+    else:
+        multisets, group = tables, range(len(tables))
+        position = {t: i for i, t in enumerate(tables)}
+    by_negative, max_degree = index.by_negative, index.degree
+    uf = _UnionFind(len(multisets))
+    for i, multiset in enumerate(multisets):
+        for size in range(1, min(max_degree, len(multiset)) + 1):
+            for negative in dict.fromkeys(combinations(multiset, size)):
                 for positive in by_negative.get(negative, ()):
-                    y = list(table)
+                    y = list(multiset)
                     for c in negative:
                         y.remove(c)
                     y += positive
                     y.sort()
-                    j = index.get(tuple(y))
+                    j = position.get(tuple(y))
                     if j is None:
-                        raise AssertionError(
-                            "move led outside the enumerated fiber; "
-                            "enumeration incomplete"
-                        )
+                        raise AssertionError(_INCOMPLETE)
                     uf.union(i, j)
+        if uf.count == 1:
+            break
     groups: dict[int, list[int]] = {}
-    for i in range(n):
-        groups.setdefault(uf.find(i), []).append(i)
-    comps = tuple(tuple(groups[r]) for r in sorted(groups))
-    texts = fiber_texts(fiber)
+    for i, g in enumerate(group):
+        groups.setdefault(uf.find(g), []).append(i)
     return ConnectivityReport(
-        T=fiber.T,
-        b=fiber.b,
-        components=comps,
-        component_tables=tuple(tuple(texts[i] for i in c) for c in comps),
-        move_set=description,
+        fiber=fiber,
+        components=tuple(tuple(groups[r]) for r in sorted(groups)),
+        move_set=index.move_set,
     )
 
 
@@ -401,12 +492,11 @@ def sweep(
     fibers with b11 = 0).  Every table is enumerated once, as a cell-index
     tuple, and grouped by statistic, so each fiber is complete and a report
     with more than one component is a certified disconnection under the
-    move set.  No fiber builds its ``PathTable`` elements.  Reports come in
-    ascending (total, b) order.
+    move set.  The move set is indexed once, before any enumeration, and
+    no fiber builds its ``PathTable`` elements or, until they are read, its
+    texts.  Reports come in ascending (total, b) order.
     """
-    if move_set is not None:
-        move_set = list(move_set)
-    _resolve_moves(T, move_set)  # reject a bad T or family before enumerating
+    index = _resolve_moves(T, move_set)
     reports = []
     for groups in _tables_by_stat(T, n_max):
         for b in sorted(groups):
@@ -414,7 +504,7 @@ def sweep(
             stat = TransitionStat(*b)
             if stat_filter is not None and not stat_filter(stat):
                 continue
-            reports.append(connectivity(Fiber(T, stat, tuple(reversed(tables))), move_set))
+            reports.append(connectivity(Fiber(T, stat, tuple(reversed(tables))), index))
     return reports
 
 

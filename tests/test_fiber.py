@@ -259,10 +259,10 @@ class TestConnectivity:
         move = type1_deg1((2, 2, 1, 1) + (2,) * 16, 1, 5, 6)
         report = connectivity(fib, [move])
         assert len(fib) == 19 and report.n_components == 18
-        assert sorted(rendered) == sorted(set().union(*fib.cells))
         assert report.component_tables == tuple(
             tuple(table_text(fib.elements[i]) for i in c) for c in report.components
         )
+        assert sorted(rendered) == sorted(set().union(*fib.cells))
 
     def test_move_outside_fiber_raises(self):
         fib = enumerate_fiber(3, (0, 1, 1, 2))
@@ -271,23 +271,61 @@ class TestConnectivity:
             connectivity(part)
 
     def test_move_outside_fiber_raises_under_optimize(self):
+        assert self.run_optimized(self.INCOMPLETE_FIBER).startswith(
+            "move led outside the enumerated fiber"
+        )
+
+    @staticmethod
+    def run_optimized(script):
         env = dict(os.environ, PYTHONPATH=str(Path(thmc.__file__).parents[1]))
         out = subprocess.run(
-            [sys.executable, "-O", "-c", self.INCOMPLETE_FIBER],
+            [sys.executable, "-O", "-c", script],
             env=env, capture_output=True, text=True, check=True,
         )
-        assert out.stdout.startswith("move led outside the enumerated fiber")
+        return out.stdout
+
+    # The first table of the same fiber, '212:1 222:1', is reached only by
+    # the degree-1 move 121 <-> 212, so its class multiset falls one table
+    # short of the two that the class {121, 212} and the cell 222 make.
+    MISSING_DEGREE_ONE_NEIGHBOUR = (
+        "from thmc import Fiber, connectivity, enumerate_fiber\n"
+        "fib = enumerate_fiber(3, (0, 1, 1, 2))\n"
+        "assert len(fib) == 3\n"
+        "part = Fiber(3, fib.b, fib.cells[1:])\n"
+        "try:\n"
+        "    connectivity(part)\n"
+        "except AssertionError as exc:\n"
+        "    print(exc)\n"
+    )
+
+    def test_missing_degree_one_neighbour_raises(self):
+        fib = enumerate_fiber(3, (0, 1, 1, 2))
+        assert fiber.fiber_texts(fib)[0] == "212:1 222:1"
+        part = Fiber(3, fib.b, fib.cells[1:])
+        with pytest.raises(AssertionError, match="move led outside the enumerated fiber"):
+            connectivity(part)
+
+    def test_missing_degree_one_neighbour_raises_under_optimize(self):
+        assert self.run_optimized(self.MISSING_DEGREE_ONE_NEIGHBOUR).startswith(
+            "move led outside the enumerated fiber"
+        )
 
 
 class TestSweep:
     def test_moves_indexed_once_per_selection(self, monkeypatch):
         enumerations = []
+        indexed = []
         connectivity_calls = []
         real_enumerate, real_connectivity = fiber.enumerate_families, fiber.connectivity
+        real_move_index = fiber._move_index
 
         def counted_enumerate(*args, **kwargs):
             enumerations.append(args)
             return real_enumerate(*args, **kwargs)
+
+        def counted_move_index(*args):
+            indexed.append(args)
+            return real_move_index(*args)
 
         def counted_connectivity(*args, **kwargs):
             connectivity_calls.append(args)
@@ -298,6 +336,29 @@ class TestSweep:
         reports = sweep(4, 3, ["crossing", "type2"])
         assert len(connectivity_calls) == len(reports) > 1
         assert len(enumerations) <= 1
+
+        # An explicit move list, even a one-pass iterator, is indexed once
+        # per sweep, not once per fiber.
+        moves = real_enumerate(4, ["crossing", "type2"])
+        monkeypatch.setattr(fiber, "_move_index", counted_move_index)
+        assert sweep(4, 3, iter(moves)) == sweep(4, 3, moves)
+        assert len(connectivity_calls) == 3 * len(reports)
+        assert len(indexed) == 2
+
+    # Nothing reads the texts of these reports, so none is rendered.
+    def test_texts_rendered_only_when_read(self, monkeypatch):
+        rendered = []
+        real_path_text = fiber._path_text
+
+        def counted(T, cell):
+            rendered.append(cell)
+            return real_path_text(T, cell)
+
+        monkeypatch.setattr(fiber, "_path_text", counted)
+        reports = sweep(4, 3)
+        assert len(reports) > 1 and rendered == []
+        assert reports[-1].component_tables
+        assert sorted(rendered) == sorted(set().union(*reports[-1].fiber.cells))
 
     def test_full_set_T4_n3(self):
         reports = sweep(4, 3)
@@ -416,20 +477,9 @@ def reference_components(fib, moves):
 
 
 class TestSweepOracle:
-    @pytest.mark.parametrize("T", [3, 4])
-    @pytest.mark.parametrize(
-        "families",
-        [
-            None,
-            ["type1", "crossing"],
-            ["type1", "crossing", "2x2", "type4"],
-            ["deg3-sliding", "type2"],
-        ],
-    )
-    def test_sweep_matches_dfs_and_apply_move(self, T, families):
-        moves = enumerate_families(T, families)
-        reports = sweep(T, 3, families)
-        assert [r.b for r in reports] == realizable_stats(T, 3)
+    def check(self, T, n_max, move_set, moves):
+        reports = sweep(T, n_max, move_set)
+        assert [r.b for r in reports] == realizable_stats(T, n_max)
         for report in reports:
             fib = enumerate_fiber(T, report.b)
             comps = reference_components(fib, moves)
@@ -438,3 +488,31 @@ class TestSweepOracle:
             assert report.component_tables == tuple(
                 tuple(table_text(fib.elements[i]) for i in c) for c in comps
             )
+
+    @pytest.mark.parametrize("T", [3, 4, 5])
+    @pytest.mark.parametrize(
+        "families",
+        [
+            None,
+            ["type1", "crossing"],
+            ["type1", "crossing", "2x2", "type4"],
+            ["deg3-sliding", "type2"],
+            # At T=5 some crossing moves keep a type II class on both sides.
+            ["crossing", "type2"],
+        ],
+    )
+    def test_sweep_matches_dfs_and_apply_move(self, T, families):
+        self.check(T, 3 if T < 5 else 2, families, enumerate_families(T, families))
+
+    # Degree-1 moves alone leave no mapped move; type I with sliding moves
+    # leaves mapped moves over classes of several cells.
+    @pytest.mark.parametrize("T", [4, 5])
+    @pytest.mark.parametrize(
+        "families, mapped", [(["type1", "type2"], False), (["type1", "deg3-sliding"], True)]
+    )
+    def test_explicit_moves_match_dfs_and_apply_move(self, T, families, mapped):
+        moves = enumerate_families(T, families)
+        index = fiber._resolve_moves(T, moves)
+        assert max(index.sizes.values()) > 1
+        assert bool(index.by_negative) == mapped
+        self.check(T, 3 if T < 5 else 2, moves, moves)
