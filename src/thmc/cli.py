@@ -5,6 +5,13 @@ failure, 4 disconnected fibers found, 5 enumeration budget exceeded.
 Results go to stdout or the requested files; stderr carries diagnostics
 only.  JSON output embeds the seed and the full flag set, and numbers are
 written with 17 significant digits so byte-identical reruns are auditable.
+Strings are escaped to ASCII as ``json.dumps`` escapes them: a control
+character in a flag or path is written as its JSON escape (``\\t``,
+``\\u0001``) and a non-ASCII character as ``\\uXXXX``.
+JSON is built as a list of pieces in one pass: ``thmc test`` joins them,
+and ``verify-basis --report`` writes each fiber's pieces to the report as
+soon as they are serialized, so each fiber's texts are rendered once and
+dropped once written, and the whole report is never held in memory.
 """
 
 from __future__ import annotations
@@ -13,6 +20,7 @@ import errno
 import math
 import os
 import sys
+from json.encoder import encode_basestring_ascii as _json_string
 from pathlib import Path as FilePath
 
 import click
@@ -42,30 +50,46 @@ def _fail(code: int, message: str) -> None:
     sys.exit(code)
 
 
-def _json_text(value, indent: int = 0) -> str:
-    """Serialize to JSON with floats at 17 significant digits."""
-    pad = " " * indent
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        inner = ",\n".join(
-            f'{pad}  "{k}": {_json_text(v, indent + 2)}' for k, v in value.items()
-        )
-        return "{\n" + inner + "\n" + pad + "}"
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        inner = ",\n".join(f"{pad}  {_json_text(v, indent + 2)}" for v in value)
-        return "[\n" + inner + "\n" + pad + "]"
+def _json_pieces(value, out: list[str], pad: str = "\n") -> None:
+    """Append the JSON text of ``value`` to ``out``, laid out as
+    ``json.dumps(value, indent=2)`` lays it out; ``pad`` is the newline and
+    indent of the current level.
+
+    A dict is an object, and any other iterable but a string is a list,
+    read once, so a generator's items can be written out between its
+    steps.  Strings are escaped to ASCII as ``json.dumps`` escapes them,
+    and floats are written with 17 significant digits.
+    """
+    if isinstance(value, str):
+        out.append(_json_string(value))
+        return
     if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return format(value, ".17g")
+        out.append("true" if value else "false")
+        return
     if isinstance(value, int):
-        return str(value)
+        out.append(str(value))
+        return
+    if isinstance(value, float):
+        out.append(format(value, ".17g"))
+        return
     if value is None:
-        return "null"
-    return '"' + str(value).replace("\\", "\\\\").replace('"', '\\"') + '"'
+        out.append("null")
+        return
+    inner = pad + "  "
+    if isinstance(value, dict):
+        sep = "{" + inner
+        for key, item in value.items():
+            out.append(f"{sep}{_json_string(key)}: ")
+            _json_pieces(item, out, inner)
+            sep = "," + inner
+        out.append("{}" if sep[0] == "{" else pad + "}")
+        return
+    sep = "[" + inner
+    for item in value:
+        out.append(sep)
+        _json_pieces(item, out, inner)
+        sep = "," + inner
+    out.append("[]" if sep[0] == "[" else pad + "]")
 
 
 def _write_file(destination: str, text: str) -> None:
@@ -249,7 +273,10 @@ def cmd_test(input_path, mapping_spec, samples, burnin, seed, output_path,
             },
         },
     }
-    _write_output(_json_text(payload) + "\n", output_path)
+    pieces: list[str] = []
+    _json_pieces(payload, pieces)
+    pieces.append("\n")
+    _write_output("".join(pieces), output_path)
     if histogram_path is not None:
         lines = ["bin_lower,count"]
         lines += [f"{format(lo, '.17g')},{c}" for lo, c in result.histogram]
@@ -296,36 +323,47 @@ def cmd_verify_basis(T, n_max, families_spec, report_path) -> None:
         "connected": len(reports) - len(bad),
         "disconnected": len(bad),
     }
-    # The table texts are rendered only for the report.  Each report goes
-    # once its texts are, so the next texts reuse its tables' memory.
+    # The report is written as it is serialized: each report is dropped
+    # once its fiber's dict is read, and that fiber's pieces are written
+    # before the next fiber's texts are rendered.
     if report_path is not None:
-        fibers = []
-        reports.reverse()
-        while reports:
-            r = reports.pop()
-            fibers.append({
-                "T": r.T,
-                "b": list(r.b.as_tuple()),
-                "fiber_size": r.fiber_size,
-                "components": r.component_tables,
-                "move_set": list(r.move_set),
-            })
-        payload = {
-            "T": T,
-            "n_max": n_max,
-            "families": [f.value for f in families],
-            "fibers": fibers,
-            "summary": summary,
-            "provenance": {
-                "command": "verify-basis",
-                "flags": {
+        pieces: list[str] = []
+
+        def fibers(fh):
+            reports.reverse()
+            while reports:
+                r = reports.pop()
+                yield {
+                    "T": r.T,
+                    "b": list(r.b.as_tuple()),
+                    "fiber_size": r.fiber_size,
+                    "components": r.component_tables,
+                    "move_set": list(r.move_set),
+                }
+                fh.write("".join(pieces))
+                pieces.clear()
+
+        try:
+            with open(report_path, "w", encoding="utf-8") as fh:
+                _json_pieces({
                     "T": T,
                     "n_max": n_max,
-                    "families": families_spec,
-                },
-            },
-        }
-        _write_file(report_path, _json_text(payload) + "\n")
+                    "families": [f.value for f in families],
+                    "fibers": fibers(fh),
+                    "summary": summary,
+                    "provenance": {
+                        "command": "verify-basis",
+                        "flags": {
+                            "T": T,
+                            "n_max": n_max,
+                            "families": families_spec,
+                        },
+                    },
+                }, pieces)
+                pieces.append("\n")
+                fh.write("".join(pieces))
+        except OSError as exc:
+            _fail(EXIT_USAGE, f"cannot write {report_path}: {exc.strerror or exc}")
     click.echo(
         f"checked {summary['fibers']} fibers at T={T}, n<={n_max}: "
         f"{len(bad)} disconnected"

@@ -12,8 +12,10 @@ index and connectivity all work on tuples of small integers;
 :class:`PathTable` objects are built only where a caller asks for them.
 Each function builds only the cells it uses: :func:`enumerate_fiber` those
 that fit its target, a sweep all 2**T once its tables hold a path, and
-:func:`fiber_texts` the texts of the cells present, when a report's texts
-are first read.
+:func:`fiber_texts` the ``path:1`` token of each cell present, once per
+fiber, when a report's texts are first read; a table of distinct paths
+is its tokens joined.  ``thmc verify-basis --report`` reads each report's
+texts just before it writes that fiber out, and drops them once written.
 
 :func:`connectivity` searches classes of tables, not tables.  A degree-1
 move swaps one path for another of the same statistic, so the tables that
@@ -228,8 +230,8 @@ class ConnectivityReport:
 
     @cached_property
     def component_tables(self) -> tuple[tuple[str, ...], ...]:
-        texts = fiber_texts(self.fiber)
-        return tuple(tuple(texts[i] for i in c) for c in self.components)
+        get = fiber_texts(self.fiber).__getitem__
+        return tuple([tuple(map(get, c)) for c in self.components])
 
     @property
     def fiber_size(self) -> int:
@@ -524,9 +526,20 @@ def _path_text(T: int, cell: int) -> str:
 
 def fiber_texts(fiber: Fiber) -> list[str]:
     """The fiber's tables in order, each as :func:`table_text` renders it.
-    Only the cells present are rendered, each once, from its binary digits."""
-    texts = {i: _path_text(fiber.T, i) for i in set().union(*fiber.cells)}
-    return [
-        " ".join([f"{texts[i]}:{cells.count(i)}" for i in dict.fromkeys(cells)])
-        for cells in fiber.cells
-    ]
+
+    Only the cells present are rendered, each once per fiber from its
+    binary digits, as its ``path:1`` token.  A table whose paths are all
+    distinct is those tokens joined; only a table with a repeated path
+    counts its paths.
+    """
+    paths = {i: _path_text(fiber.T, i) for i in set().union(*fiber.cells)}
+    token = {i: f"{text}:1" for i, text in paths.items()}.__getitem__
+    texts = []
+    for cells in fiber.cells:
+        if len(set(cells)) == len(cells):
+            texts.append(" ".join(map(token, cells)))
+        else:
+            texts.append(
+                " ".join([f"{paths[i]}:{cells.count(i)}" for i in dict.fromkeys(cells)])
+            )
+    return texts

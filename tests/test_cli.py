@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -19,7 +20,7 @@ from thmc import (
     parse_mapping,
     serialize_table,
 )
-from thmc.cli import main
+from thmc.cli import _json_pieces, main
 from thmc.core import all_paths, path_str, transitions
 from thmc.ingest import IngestError
 
@@ -123,6 +124,76 @@ class TestIngest:
                 parse_mapping(bad)
 
 
+def serialized(value) -> str:
+    pieces: list[str] = []
+    _json_pieces(value, pieces)
+    return "".join(pieces)
+
+
+def random_value(rng: random.Random, depth: int = 0):
+    """A random float-free value, and the same value with each of its lists
+    read once through a generator."""
+    kind = rng.randrange(7 if depth < 4 else 2)
+    if kind == 0:
+        v = rng.choice([0, -7, 2**70, True, False, None])
+        return v, v
+    if kind == 1:
+        s = "".join(rng.choice('ab1: "\\\t\n\x01\x7f\u00e9\u2028\udcff\U0001f600')
+                    for _ in range(rng.randrange(5)))
+        return s, s
+    items = [random_value(rng, depth + 1) for _ in range(rng.randrange(4))]
+    if kind == 2:
+        keys = [f"k{i}\t\u00e9" for i in range(len(items))]
+        return ({k: v for k, (v, _) in zip(keys, items)},
+                {k: lazy for k, (_, lazy) in zip(keys, items)})
+    eager = [v for v, _ in items]
+    if kind == 3:
+        return eager, [lazy for _, lazy in items]
+    if kind == 4:
+        return tuple(eager), tuple(lazy for _, lazy in items)
+    return eager, (lazy for _, lazy in items)
+
+
+class TestJsonPieces:
+    @pytest.mark.parametrize("value", [
+        {}, [], (), "", 0, -3, True, False, None,
+        {"a": [], "b": {}, "c": [[], {}], "d": ([{}],)},
+        {"fibers": [{"T": 3, "b": [2, 2, 0, 2], "components": (("112:2 222:1",),)}]},
+        ["x", ["y", ["z", []]], {"k": {"l": {}}}],
+    ])
+    def test_matches_json_dumps(self, value):
+        assert serialized(value) == json.dumps(value, indent=2)
+
+    def test_random_values_match_json_dumps(self):
+        rng = random.Random(17)
+        for _ in range(300):
+            eager, lazy = random_value(rng)
+            assert serialized(lazy) == json.dumps(eager, indent=2)
+
+    def test_generators_are_lists(self):
+        value = {"a": (v for v in [1, [], {}, iter([])]), "b": iter(())}
+        assert serialized(value) == json.dumps({"a": [1, [], {}, []], "b": []}, indent=2)
+
+    def test_floats_at_17_significant_digits(self):
+        values = [0.1, 1 / 3, -2.5e-8, 1e300, 0.0]
+        assert serialized(values) == (
+            "[\n  " + ",\n  ".join(format(x, ".17g") for x in values) + "\n]"
+        )
+        assert serialized({"L": 0.1}) == '{\n  "L": 0.10000000000000001\n}'
+
+    @pytest.mark.parametrize("text", [
+        "\t", "\n", '"', "\\", "\udcff", "a\tb\"c\\d\ne\udcff\u00e9\U0001f600",
+    ])
+    def test_strings_round_trip_as_ascii(self, text):
+        out = serialized({"s": [text]})
+        assert out.isascii()
+        assert json.loads(out) == {"s": [text]}
+
+    def test_printable_ascii_keeps_its_bytes(self):
+        text = "111:1 122:2 ~!#$%&'()*+,-./;<=>?@[]^_`{|}"
+        assert serialized(text) == f'"{text}"'
+
+
 class TestCmdTest:
     def test_klotz_json(self, runner, tmp_path):
         out = tmp_path / "result.json"
@@ -142,6 +213,31 @@ class TestCmdTest:
         lines = hist.read_text().splitlines()
         assert lines[0] == "bin_lower,count"
         assert sum(int(l.split(",")[1]) for l in lines[1:]) == 500
+
+    # Control characters and non-ASCII text in the flags are escaped, so the
+    # JSON parses and gives the flags back; a path that is not UTF-8 keeps
+    # its surrogate escapes.
+    @pytest.mark.parametrize("name", ["k\tlotz.csv", "kl\u00f6tz.csv", "k\udcff.csv"])
+    @pytest.mark.parametrize("to_file", [False, True])
+    def test_flags_with_control_and_non_ascii_characters(self, runner, tmp_path,
+                                                          name, to_file):
+        data = tmp_path / name
+        try:
+            data.write_bytes(klotz_path().read_bytes())
+        except (OSError, UnicodeError):
+            pytest.skip(f"the file system cannot name {name!r}")
+        spec = "M=1,\tF=2"
+        out = tmp_path / "r.json"
+        result = runner.invoke(main, [
+            "test", "--input", str(data), "--map", spec,
+            "--samples", "50", "--burnin", "0",
+            *(["--output", str(out)] if to_file else []),
+        ])
+        assert result.exit_code == 0, result.output
+        text = out.read_text(encoding="ascii") if to_file else result.stdout
+        assert text.isascii()
+        flags = json.loads(text)["provenance"]["flags"]
+        assert (flags["input"], flags["map"]) == (str(data), spec)
 
     def test_byte_identical_reruns(self, runner, tmp_path):
         outs = []
@@ -465,6 +561,49 @@ class TestCmdVerifyBasis:
         assert result.stdout == ""
         assert result.stderr.startswith("error: cannot write ")
         assert len(result.stderr.splitlines()) == 1
+
+    def test_control_character_in_families(self, runner, tmp_path):
+        report = tmp_path / "rep.json"
+        spec = "type1,\tcrossing"
+        result = runner.invoke(main, [
+            "verify-basis", "--T", "3", "--n-max", "2", "--families", spec,
+            "--report", str(report),
+        ])
+        assert result.exit_code in (0, 4), result.output
+        payload = json.loads(report.read_text(encoding="ascii"))
+        assert payload["families"] == ["type1", "crossing"]
+        assert payload["provenance"]["flags"]["families"] == spec
+
+    # The first case fails when the file is closed, the second while a
+    # fiber's pieces are written; either gives one line and exit 1.
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("args", [["--T", "3", "--n-max", "2"],
+                                      ["--T", "4", "--n-max", "3"]])
+    def test_failed_streamed_write_is_usage_error(self, runner, args):
+        result = runner.invoke(main, ["verify-basis", *args, "--report", "/dev/full"])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert result.stdout == ""
+        assert result.stderr == "error: cannot write /dev/full: No space left on device\n"
+
+    # Each fiber is written out before the next one's texts are rendered,
+    # so most of the report is on disk by the time the last fiber is read.
+    def test_report_written_as_it_is_serialized(self, runner, tmp_path, monkeypatch):
+        report = tmp_path / "rep.json"
+        sizes = []
+        real_fiber_texts = fiber.fiber_texts
+
+        def sized(fib):
+            sizes.append(report.stat().st_size)
+            return real_fiber_texts(fib)
+
+        monkeypatch.setattr(fiber, "fiber_texts", sized)
+        result = runner.invoke(main, [
+            "verify-basis", "--T", "4", "--n-max", "3", "--report", str(report),
+        ])
+        assert result.exit_code == 0, result.output
+        assert len(sizes) == 213 and sizes == sorted(sizes)
+        assert sizes[-1] > report.stat().st_size / 2
 
     # Report hashes recorded from an implementation that enumerated every
     # fiber by depth-first search (the T=5 one from the one-pass sweep over

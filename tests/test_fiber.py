@@ -360,6 +360,18 @@ class TestSweep:
         assert reports[-1].component_tables
         assert sorted(rendered) == sorted(set().union(*reports[-1].fiber.cells))
 
+    # A table of distinct paths is rendered by joining the cells' tokens, and
+    # only a table with a repeated path counts its paths; both must give
+    # what table_text gives for the table's PathTable.
+    @pytest.mark.parametrize("T, n_max", [(3, 4), (4, 3)])
+    def test_fiber_texts_match_table_text(self, T, n_max):
+        kinds = set()
+        for report in sweep(T, n_max):
+            fib = report.fiber
+            assert fiber.fiber_texts(fib) == [table_text(t) for t in fib.elements]
+            kinds.update(len(set(cells)) == len(cells) for cells in fib.cells)
+        assert kinds == {True, False}
+
     def test_full_set_T4_n3(self):
         reports = sweep(4, 3)
         assert reports
