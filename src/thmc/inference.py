@@ -8,8 +8,9 @@ needs numpy only.  The exact test runs a Metropolis-Hastings chain over the
 fiber of the observed table with the hypergeometric conditional
 distribution pi(x) proportional to 1/prod x!, the distribution of a
 multinomial sample given its sufficient statistic.
-The chain's state is its count map plus the initial-state-1 count k, which
-alone sets L within a fiber; the fiber is checked once per chain.
+The chain's state is its count map, keyed by path code (the path's
+encoding), plus the initial-state-1 count k, which alone sets L within a
+fiber; the fiber is checked once per chain.
 """
 
 from __future__ import annotations
@@ -22,11 +23,11 @@ from typing import Iterator, Mapping, Sequence
 import numpy as np
 
 from .core import (
-    Path,
     PathTable,
     TransitionStat,
     Variant,
     configuration,
+    decode,
     encode,
     initial_freq,
     suff_stat,
@@ -206,7 +207,8 @@ class _LikelihoodRatioEvaluator:
     only on ``b`` plus the initial frequencies, so its value is cached per
     initial-state-1 count.  Warm-starting the alternative fit at the null
     optimum makes the likelihood ordering (and hence L >= 0) hold by
-    construction.  ``k`` and ``L`` are those of ``table`` itself.
+    construction.  ``cells`` (the counts by path code), ``k`` and ``L``
+    are those of ``table`` itself.
     """
 
     def __init__(self, table: PathTable) -> None:
@@ -217,20 +219,22 @@ class _LikelihoodRatioEvaluator:
         # The null optimum, embedded in the 6-row with-initial space.
         self._theta0 = np.concatenate([fit0.theta, np.zeros(2)])
         self._cache: dict[int, float] = {}
+        self.cells = {encode(p): c for p, c in table.counts.items()}
         self.k = initial_freq(table)[0]
-        self.L = self.value(table.counts, self.k)
+        self.L = self.value(self.cells, self.k)
 
-    def value(self, counts: Mapping[Path, int], k: int) -> float:
+    def value(self, cells: Mapping[int, int], k: int) -> float:
         """L of the fiber's tables with initial-state-1 count ``k``; on a
         cache miss the alternative model is fitted to ``(b, k)`` and its gap
-        to the null summed over ``counts`` in encoding order."""
+        to the null summed over ``cells`` (counts by path code) in encoding
+        order."""
         cached = self._cache.get(k)
         if cached is not None:
             return cached
         fit1 = fit_mle(self.b, self.table.T, k, theta0=self._theta0)
         logp1 = _log_probs(fit1)
         total = 0.0
-        for idx, count in sorted((encode(p), c) for p, c in counts.items()):
+        for idx, count in sorted(cells.items()):
             total += count * (logp1[idx] - self._logp0[idx])
         L = 2.0 * total
         if L < 0.0:
@@ -292,10 +296,12 @@ class _Chain:
     moves repeat the current state.  The acceptance ratio is computed in
     log space from the changed cells only.
 
-    The walk starts at the evaluator's table.  Its state is the count map
-    plus ``k``, the initial-state-1 count, which sets ``L`` within the
-    fiber.  Moves preserve the statistic by construction (see
-    :class:`Move`); :meth:`run` confirms it once, at the end.
+    The walk starts at the evaluator's table.  Its state is the count map,
+    keyed by path code as the proposals are, plus ``k``, the
+    initial-state-1 count, which sets ``L`` within the fiber; a move shifts
+    ``k`` by the deltas of its codes whose top bit (state at time 1) is 0.
+    Proposals preserve the statistic by construction (the sampler checks
+    every decoded draw); :meth:`run` confirms it once, at the end.
     """
 
     def __init__(
@@ -307,7 +313,8 @@ class _Chain:
         self.evaluator = evaluator
         self.rng = rng
         self.sampler = sampler
-        self.counts = dict(evaluator.table.counts)
+        self.counts = dict(evaluator.cells)
+        self._top = 1 << (evaluator.table.T - 1)
         self.k = evaluator.k
         self.L = evaluator.L
         self.accepted = 0
@@ -319,28 +326,33 @@ class _Chain:
         if proposal is None:
             self.null_proposals += 1
             return False
-        move, sign = proposal
+        entries, sign = proposal
         counts = self.counts
-        changes: list[tuple[Path, int]] = []
+        changes: list[tuple[int, int]] = []
         log_ratio = 0.0
-        for path, delta in move.deltas:
-            old = counts.get(path, 0)
+        for code, delta in entries:
+            old = counts.get(code, 0)
             new = old + sign * delta
             if new < 0:
                 return False
-            changes.append((path, new))
+            changes.append((code, new))
             log_ratio += math.lgamma(old + 1) - math.lgamma(new + 1)
         if log_ratio < 0 and self.rng.random() >= math.exp(log_ratio):
             return False
-        for path, new in changes:
+        for code, new in changes:
             if new:
-                counts[path] = new
+                counts[code] = new
             else:
-                del counts[path]
+                del counts[code]
         self.accepted += 1
-        self.k += sign * move.initial_shift
+        self.k += sign * sum(d for c, d in entries if c < self._top)
         self.L = self.evaluator.value(counts, self.k)
         return True
+
+    def table(self) -> PathTable:
+        """The current state as a table of paths."""
+        T = self.evaluator.table.T
+        return PathTable(T, {decode(c, T): n for c, n in self.counts.items()})
 
     def run(self, burnin: int, steps: int) -> Iterator[bool]:
         """Take ``burnin`` steps, reset the counters, then take ``steps``
@@ -351,7 +363,7 @@ class _Chain:
         self.accepted = self.null_proposals = 0
         for _ in range(steps):
             yield self.step()
-        if suff_stat(PathTable(self.evaluator.table.T, self.counts)) != self.evaluator.b:
+        if suff_stat(self.table()) != self.evaluator.b:
             raise AssertionError("chain left its fiber")
 
 
@@ -380,7 +392,7 @@ def mh_chain(
     table = None
     for moved in chain.run(burnin, steps):
         if moved or table is None:
-            table = PathTable(start.T, chain.counts)
+            table = chain.table()
         yield table, chain.L
 
 
@@ -429,7 +441,7 @@ def exact_test(
     convention).  With ``chains`` > 1 the samples are split over
     independent chains, run one after another and pooled in chain index
     order; diagnostics cover the post-burn-in phase.  The chains share one
-    proposal sampler, and with it its memo of built moves.
+    proposal sampler, and with it its lookup tables.
     """
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")

@@ -6,9 +6,13 @@ Four families additionally preserve the initial-state frequencies; type II
 degree-one moves and degree-3 sliding moves shift them by exactly one path.
 
 Times are 1-based throughout, matching the (state, time) node convention of
-move graphs.  A family's enumeration is every move the proposal sampler can
-draw for it, so the moves a basis sweep certifies are the moves the exact
-test proposes.
+move graphs.  The constructors build :class:`Move` objects on path tuples.
+The proposal sampler decodes its parameter draws in numpy on path codes
+(a path's encoding), family by family, following the same rules, and
+checks the decoded rows in array form (:mod:`thmc._decode`).  Up to
+``ENUMERATION_T_CAP`` each family's draw space is decoded once into a
+lookup table, and a family's enumeration is read from it, so the moves a
+basis sweep certifies are the moves the exact test proposes.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .core import MIN_T, Path, PathTable, path_str
+from .core import MIN_T, Path, PathTable, decode, path_str
 
 #: Cap on the path length accepted by the family enumerators.
 ENUMERATION_T_CAP = 6
@@ -65,12 +69,14 @@ class Move:
     """A signed sparse integer table with balanced, statistic-preserving parts.
 
     ``deltas`` holds (path, nonzero signed count) pairs in encoding order.
-    Construction is the one check of a move's paths: it verifies each
-    path's length and states and the order of the deltas, and accumulates
-    the signed change of the transition counts and the mass in one pass;
-    both must be zero, so the positive and negative parts carry the same
-    mass and statistic.  Paths of one length over {1, 2} compare as tuples
-    in encoding order.
+    Construction checks a move's paths: it verifies each path's length and
+    states and the order of the deltas, and accumulates the signed change
+    of the transition counts and the mass in one pass; both must be zero,
+    so the positive and negative parts carry the same mass and statistic.
+    Paths of one length over {1, 2} compare as tuples in encoding order.
+    The sampler's draws are not built as moves: they are checked for the
+    same conditions in array form, on path codes (see
+    :func:`thmc._decode.check`).
     """
 
     T: int
@@ -129,10 +135,6 @@ class Move:
         if self.deltas[0][1] > 0:
             return self.deltas
         return tuple((p, -d) for p, d in self.deltas)
-
-    def canonical(self) -> "Move":
-        items = self.canonical_items()
-        return self if items is self.deltas else Move(self.T, self.family, items)
 
     def __repr__(self) -> str:
         return f"Move({self.family.value}, {format_move(self)!r})"
@@ -442,28 +444,27 @@ def apply_move(table: PathTable, move: Move, sign: int = 1) -> PathTable:
 # Enumeration
 
 
-def _dedup(moves: Iterable[Move]) -> list[Move]:
-    """Keep one move per canonical signed form, in deterministic order."""
-    seen: dict[tuple, Move] = {}
-    for m in moves:
-        key = m.canonical_items()
-        if key not in seen:
-            seen[key] = m.canonical()
-    return [seen[k] for k in sorted(seen)]
-
-
 @lru_cache(maxsize=None)
 def _enumerate_family_cached(T: int, family: Family) -> tuple[Move, ...]:
     """Every move the sampler can draw for one family, deduplicated.
 
-    Walks each parameter draw of :class:`ProposalSampler` with the sign
-    slot fixed and skips the draws that yield a null proposal, so the
-    enumerated set is exactly the set the chain proposes.
+    Reads the family's lookup table, as the sampler builds it, at sign slot
+    0, skips the null draws and keeps one move per canonical signed form,
+    so the enumerated set is exactly the set the chain proposes.  Path
+    codes sort as their paths do, so sorting the canonical entries sorts
+    the moves.
     """
-    sampler = ProposalSampler(T)
-    draws = itertools.product(*map(range, sampler._highs[family][:-1]))
-    moves = (sampler._try_build(family, d + (0,)) for d in draws)
-    return tuple(_dedup(m for m in moves if m is not None))
+    canonical = set()
+    for item in _lookup_table(T, family)[::2]:
+        if item is not None:
+            entries = item[0]
+            if entries[0][1] < 0:
+                entries = tuple((c, -d) for c, d in entries)
+            canonical.add(entries)
+    return tuple(
+        Move(T, family, tuple((decode(c, T), d) for c, d in entries))
+        for entries in sorted(canonical)
+    )
 
 
 def enumerate_family(T: int, family: Family | str) -> list[Move]:
@@ -491,7 +492,53 @@ def enumerate_families(
 
 
 # ---------------------------------------------------------------------------
-# Random proposal sampling
+# Decoded draws
+
+
+@lru_cache(maxsize=None)
+def _decoder(T: int):
+    """The array decoder of the draws at length T.
+
+    Its module is imported here, on first use, so a command that decodes no
+    draw does not compile it.
+    """
+    from ._decode import Decoder
+
+    return Decoder(T)
+
+
+#: Draws decoded at once while a lookup table is filled; bounds the
+#: decoder's temporary arrays.
+_TABLE_CHUNK = 1024
+
+
+def _lookup_table(T: int, family: Family) -> list:
+    """Every draw of one family, decoded: by flat draw index (sign slot last,
+    so even indices have sign +1), the ``(entries, sign)`` proposal or None
+    for a null draw.  Draws that give one move share its proposals.
+
+    Not cached: a sampler keeps the tables it reads, and an enumeration
+    keeps only its moves, so no table outlives its user.
+    """
+    dec = _decoder(T)
+    highs, strides = dec.highs[family], dec.strides[family]
+    size = int(np.prod(highs[:-1]))
+    table: list = [None] * (2 * size)
+    shared: dict = {}
+    for lo in range(0, 2 * size, 2 * _TABLE_CHUNK):
+        flat = np.arange(lo, min(lo + 2 * _TABLE_CHUNK, 2 * size), 2)
+        index, entries = dec.decode([(family, flat[:, None] // strides % highs)])
+        for i, e in zip(index, entries):
+            pair = shared.get(e)
+            if pair is None:
+                pair = shared[e] = ((e, 1), (e, -1))
+            table[lo + 2 * i], table[lo + 2 * i + 1] = pair
+    return table
+
+
+#: Longest path the sampler takes: it codes paths as int64 numerals and
+#: shifts them by up to T bits.
+MAX_SAMPLER_T = 62
 
 
 def _normalize_weights(
@@ -518,6 +565,11 @@ def _normalize_weights(
     return tuple(vec)
 
 
+#: A proposal: the ``(path code, delta)`` entries of a move by code, and the
+#: sign it is applied with.
+Proposal = tuple[tuple[tuple[int, int], ...], int]
+
+
 class ProposalSampler:
     """Symmetric random proposal over all six families.
 
@@ -529,6 +581,11 @@ class ProposalSampler:
     moves satisfies q(z) = q(-z), and every constructible move of every
     family has positive probability.
 
+    A proposal is ``(entries, sign)``: the move's ``(code, delta)`` pairs
+    in increasing code order, where a path's code is its encoding, and a
+    sign of +1 or -1.  The entries are the move's deltas, with each path
+    coded, that the family's constructor builds from the same draw.
+
     Proposals are drawn in blocks of ``_BLOCK`` from one generator: one
     ``random`` call picks the block's families, then one ``integers`` call
     per family drawn fills that family's rows, parameter slots and sign
@@ -539,9 +596,13 @@ class ProposalSampler:
     block came from drops the rest of the block and draws a new one, so
     each generator's proposals depend on its seed and the order of calls.
 
-    Up to ``ENUMERATION_T_CAP`` each parameter draw is decoded and
-    validated once: its move (or null) is memoised by family and draw
-    without the sign slot, and repeats look it up.
+    Draws are decoded in numpy, on path codes, and each decoded row is
+    checked in array form (zero mass and net transition statistic).  Up to
+    ``ENUMERATION_T_CAP`` each family's whole draw space is decoded once,
+    on first use, into a lookup table by flat draw index, the table
+    :func:`enumerate_family` reads; above it, each block's draws are
+    decoded as they come.  T is capped at ``MAX_SAMPLER_T``, where codes
+    still fit an int64.
     """
 
     def __init__(
@@ -551,6 +612,11 @@ class ProposalSampler:
     ) -> None:
         if T < MIN_T:
             raise ValueError(f"T must be >= {MIN_T}, got {T}")
+        if T > MAX_SAMPLER_T:
+            raise ValueError(
+                f"T must be <= {MAX_SAMPLER_T} for proposals, got {T}: "
+                f"path codes are int64"
+            )
         self.T = T
         self.weights = _normalize_weights(weights)
         # Upper bounds of the families' slices of [0, 1).  The weights may
@@ -560,36 +626,20 @@ class ProposalSampler:
         bounds = list(itertools.accumulate(self.weights))
         bounds[last:] = [math.inf] * (len(FAMILIES) - last)
         self._bounds = np.array(bounds)
-        self._time_triples = list(itertools.combinations(range(1, T + 1), 3))
-        self._2x2_pairs = [
-            (t0, t1) for t0 in range(1, T - 1) for t1 in range(t0 + 1, T)
-        ]
-        ctx = [2] * (2 * (T - 3))
-        highs = {
-            Family.TYPE1_DEG1: [2] * T + [len(self._time_triples)],
-            Family.CROSSING: [2] * (2 * T) + [T],
-            Family.TWO_BY_TWO: [2, len(self._2x2_pairs)] + ctx,
-            Family.TYPE4: [2, T - 2, T - 2] + ctx if T >= 4 else [],
-            Family.TYPE2_DEG1: [2] * T + [T - 2],
-            Family.DEG3_SLIDING: [T - 1, T - 1, T - 1, 2, 2],
-        }
-        # Every draw ends in the fair sign slot.
-        self._highs = {
-            f: np.array(h + [2], dtype=np.int64) for f, h in highs.items()
-        }
-        # Built move (or None for a null draw) per family and draw without
-        # its sign slot.  Kept only where ``enumerate_family`` walks the
-        # whole draw space: above that cap draws rarely repeat.
-        self._cache: Optional[dict[tuple[Family, tuple[int, ...]], Optional[Move]]] = (
+        self._decoder = _decoder(T)
+        self._highs = self._decoder.highs
+        # Lookup tables by family, built on first use; None above the cap,
+        # where draws rarely repeat.
+        self._tables: Optional[dict[Family, list]] = (
             {} if T <= ENUMERATION_T_CAP else None
         )
         # Proposals of the current block, last one first, and the generator
         # they were drawn from.
-        self._block: list[Optional[tuple[Move, int]]] = []
+        self._block: list[Optional[Proposal]] = []
         self._block_rng: Optional[np.random.Generator] = None
 
-    def sample(self, rng: np.random.Generator) -> Optional[tuple[Move, int]]:
-        """One proposal draw: a (move, sign) pair or None."""
+    def sample(self, rng: np.random.Generator) -> Optional[Proposal]:
+        """One proposal draw: ``(entries, sign)``, or None for a null draw."""
         if rng is not self._block_rng or not self._block:
             self._draw_block(rng)
         return self._block.pop()
@@ -597,76 +647,29 @@ class ProposalSampler:
     def _draw_block(self, rng: np.random.Generator) -> None:
         """Draw the next ``_BLOCK`` proposals from ``rng``."""
         fams = np.searchsorted(self._bounds, rng.random(_BLOCK), side="right")
-        block: list[Optional[tuple[Move, int]]] = [None] * _BLOCK
-        cache = self._cache
+        drawn = []
         for i, fam in enumerate(FAMILIES):
             slots = np.flatnonzero(fams == i)
-            if not len(slots):
-                continue
-            highs = self._highs[fam]
-            rows = rng.integers(0, highs, size=(len(slots), len(highs))).tolist()
-            for slot, d in zip(slots.tolist(), rows):
-                if cache is None:
-                    move = self._try_build(fam, d)
-                else:
-                    key = (fam, tuple(d[:-1]))
-                    try:
-                        move = cache[key]
-                    except KeyError:
-                        move = cache[key] = self._try_build(fam, d)
-                if move is not None:
-                    block[slot] = (move, 1 if d[-1] == 0 else -1)
+            if len(slots):
+                highs = self._highs[fam]
+                draws = rng.integers(0, highs, size=(len(slots), len(highs)))
+                drawn.append((fam, slots, draws))
+        block: list[Optional[Proposal]] = [None] * _BLOCK
+        tables = self._tables
+        if tables is None:
+            index, entries = self._decoder.decode([(f, d) for f, _, d in drawn])
+            slots = np.concatenate([s for _, s, _ in drawn]).tolist()
+            signs = (1 - 2 * np.concatenate([d[:, -1] for _, _, d in drawn])).tolist()
+            for i, e in zip(index, entries):
+                block[slots[i]] = (e, signs[i])
+        else:
+            for fam, slots, draws in drawn:
+                table = tables.get(fam)
+                if table is None:
+                    table = tables[fam] = _lookup_table(self.T, fam)
+                flat = draws @ self._decoder.strides[fam]
+                for slot, i in zip(slots.tolist(), flat.tolist()):
+                    block[slot] = table[i]
         block.reverse()
         self._block = block
         self._block_rng = rng
-
-    def _try_build(self, fam: Family, d: Sequence[int]) -> Optional[Move]:
-        """:meth:`_build`, with None for a draw that yields no move."""
-        try:
-            return self._build(fam, d)
-        except MoveError:
-            return None
-
-    def _build(self, fam: Family, d: Sequence[int]) -> Move:
-        """Decode one parameter draw (sign slot last, unused here) into a move."""
-        T = self.T
-        if fam is Family.TYPE1_DEG1:
-            (path,) = _split_states(d, T)
-            t0, t1, t2 = self._time_triples[d[T]]
-            return type1_deg1(path, t0, t1, t2)
-        if fam is Family.CROSSING:
-            p1, p2 = _split_states(d, T, T)
-            return crossing_swap(p1, p2, d[2 * T] + 1)
-        if fam is Family.TWO_BY_TWO:
-            pattern = "A" if d[0] == 0 else "B"
-            t0, t1 = self._2x2_pairs[d[1]]
-            mid = max(t1 - t0 - 2, 0)
-            ctx = _split_states(
-                d[2:-1], t0 - 1, mid, T - t1 - 1, t0 - 1, mid, T - t1 - 1
-            )
-            return two_by_two_swap(T, pattern, t0, t1, *ctx)
-        if fam is Family.TYPE4:
-            if T < 4:
-                raise MoveError("window trades need T >= 4")
-            t0, t1 = d[1] + 1, d[2] + 1
-            ctx = _split_states(d[3:-1], t0 - 1, T - t0 - 2, t1 - 1, T - t1 - 2)
-            return type4_move(T, t0, t1, *ctx, swap_states=bool(d[0]))
-        if fam is Family.TYPE2_DEG1:
-            (path,) = _split_states(d, T)
-            return type2_deg1(path, d[T] + 2)
-        if fam is Family.DEG3_SLIDING:
-            a, b, u = d[0] + 1, d[1] + 1, d[2] + 1
-            return deg3_sliding(
-                T, a, b, u, state_swap=bool(d[3]), time_reverse=bool(d[4])
-            )
-        raise AssertionError(fam)
-
-
-def _split_states(bits: Sequence[int], *lengths: int) -> list[Path]:
-    """Cut leading fair-bit draws into consecutive state runs of the given lengths."""
-    out, pos = [], 0
-    for ln in lengths:
-        out.append(tuple(v + 1 for v in bits[pos : pos + ln]))
-        pos += ln
-    return out
-

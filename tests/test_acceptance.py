@@ -40,7 +40,6 @@ from thmc import (
     suff_stat,
     sweep,
 )
-from thmc.core import encode
 from thmc.fiber import disconnected
 from thmc.inference import BIRCH_TOL
 
@@ -464,36 +463,42 @@ class TestCriterion6:
 
 
 class TestCriterion7:
-    DRAWS_PER_T = 20_000
+    DRAWS_PER_FAMILY = 4_000
 
     def test_sampled_proposals_are_exact_moves(self):
+        # A proposal is its (path code, delta) entries and a sign; it names
+        # no family, so each family is drawn alone.
         start = time.perf_counter()
         checked = 0
         for T in range(4, 9):
             config = configuration(T, Variant.WITHOUT_INITIAL)
-            sampler = ProposalSampler(T)
             rng = np.random.default_rng(100 + T)
-            for _ in range(self.DRAWS_PER_T):
-                prop = sampler.sample(rng)
-                if prop is None:
-                    continue
-                move, _ = prop
-                z = np.zeros(config.shape[1], dtype=np.int64)
-                for path, delta in move.deltas:
-                    z[encode(path)] = delta
-                assert not (config @ z).any(), (T, move)
-                if move.family in (Family.TYPE2_DEG1, Family.DEG3_SLIDING):
-                    assert abs(move.initial_shift) == 1
-                else:
-                    assert move.initial_shift == 0
-                checked += 1
+            for fam in Family:
+                sampler = ProposalSampler(T, {fam: 1.0})
+                for _ in range(self.DRAWS_PER_FAMILY):
+                    prop = sampler.sample(rng)
+                    if prop is None:
+                        continue
+                    entries, _ = prop
+                    z = np.zeros(config.shape[1], dtype=np.int64)
+                    for code, delta in entries:
+                        z[code] = delta
+                    assert not (config @ z).any(), (T, fam, entries)
+                    # Codes below 2**(T-1) are the paths that start in state 1.
+                    shift = int(z[: 1 << (T - 1)].sum())
+                    if fam in (Family.TYPE2_DEG1, Family.DEG3_SLIDING):
+                        assert abs(shift) == 1
+                    else:
+                        assert shift == 0
+                    checked += 1
         elapsed = time.perf_counter() - start
         report(
             "criterion 7 (proposal validity, T=4..8)",
             True,
-            f"({checked} non-null of {5 * self.DRAWS_PER_T} draws, {elapsed:.0f}s)",
+            f"({checked} non-null of {5 * len(Family) * self.DRAWS_PER_FAMILY} draws, "
+            f"{elapsed:.0f}s)",
         )
-        assert checked > 5 * self.DRAWS_PER_T // 10
+        assert checked > 5 * len(Family) * self.DRAWS_PER_FAMILY // 10
 
 
 class TestCriterion8:

@@ -464,7 +464,9 @@ class TestCmdTest:
     # sha256 of the whole JSON and histogram files, recorded when proposals
     # came to be drawn in blocks.  The input is named by a relative path, so every byte is
     # fixed; the cases cover non-uniform weights and chains that share one
-    # sampler.
+    # sampler.  The input is the Klotz table unless the case names another:
+    # t12.csv holds 30 seeded paths at T=12, above the sampler's enumeration
+    # cap, and its pin was recorded before the decoder worked on path codes.
     @pytest.mark.parametrize("args, json_digest, hist_digest", [
         (["--weights", "type2=0.5,deg3-sliding=0.5", "--seed", "3"],
          "50a9d89903e6979d6059508c9c7008026530a06f161922e582871c1553b1dfc6",
@@ -472,14 +474,20 @@ class TestCmdTest:
         (["--chains", "2", "--seed", "5"],
          "13092dbfeed0e9e4399b247f4da8e19d721d9e4d5aefcc4d384fcfbf0784b71f",
          "ffdea4468e194297415bb12806a5ab0d8a2fbcafa832d5c811e9710bf7d7456a"),
+        (["--input", "t12.csv", "--seed", "7"],
+         "dc59c47b76f321ecf9a3f631a24571bfff2ab304db0c339d6e6f77212db81fe0",
+         "ebe7f530e9a5808398c522333f3e66430796ba0d6e6c00cc059f4062cf06a81c"),
     ])
     def test_seeded_output_bytes(self, runner, tmp_path, args, json_digest,
                                  hist_digest):
+        if "--input" not in args:
+            args = ["--input", "klotz.csv", "--map", "M=1,F=2", *args]
         with runner.isolated_filesystem(temp_dir=tmp_path):
             Path("klotz.csv").write_bytes(klotz_path().read_bytes())
+            Path("t12.csv").write_text(
+                serialize_table(random_table(np.random.default_rng(12), 12, 30)))
             result = runner.invoke(main, [
-                "test", "--input", "klotz.csv", "--map", "M=1,F=2", *args,
-                "--output", "r.json", "--histogram", "h.csv",
+                "test", *args, "--output", "r.json", "--histogram", "h.csv",
             ])
             assert result.exit_code == 0, result.output
             assert hashlib.sha256(Path("r.json").read_bytes()).hexdigest() == json_digest

@@ -1,6 +1,5 @@
 import hashlib
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -38,14 +37,14 @@ TWO_ELEMENT_START = PathTable(3, {(1, 1, 2): 1, (2, 2, 1): 1})
 
 @pytest.fixture()
 def fiber_breaking_proposal(monkeypatch):
-    """Make every proposal +1 on 111 and -1 on 112.
+    """Make every proposal +1 on 111 and -1 on 112 (path codes 0 and 1).
 
     The move is feasible on TWO_ELEMENT_START and keeps the initial
-    frequencies, but changes the transition statistic, which no real move
-    can do (Move validates against it).
+    frequencies, but changes the transition statistic, which no real
+    proposal can do (the sampler's decoder checks every draw against it).
     """
-    fake = SimpleNamespace(deltas=(((1, 1, 1), 1), ((1, 1, 2), -1)), initial_shift=0)
-    monkeypatch.setattr(ProposalSampler, "sample", lambda self, rng: (fake, 1))
+    fake = (((encode((1, 1, 1)), 1), (encode((1, 1, 2)), -1)), 1)
+    monkeypatch.setattr(ProposalSampler, "sample", lambda self, rng: fake)
 
 
 @pytest.fixture()
@@ -263,12 +262,10 @@ class TestMhChain:
 
     def test_kernel_is_exactly_in_detailed_balance(self):
         # Build the full transition matrix of the walk on a nontrivial fiber
-        # by enumerating every proposal draw, and check detailed balance
-        # against the hypergeometric law exactly.
-        import itertools
-
-        from thmc.core import encode
-        from thmc.moves import Family, MoveError, ProposalSampler
+        # from every proposal draw, read from the sampler's lookup tables,
+        # and check detailed balance against the hypergeometric law exactly.
+        from thmc import moves
+        from thmc.moves import Family
 
         T = 4
         fib = enumerate_fiber(T, (3, 2, 2, 2))
@@ -278,15 +275,12 @@ class TestMhChain:
 
         proposals = []
         for fam_weight, fam in zip(sampler.weights, Family):
-            highs = sampler._highs[fam]
-            share = fam_weight / int(np.prod(highs))
-            for combo in itertools.product(*[range(int(h)) for h in highs]):
-                draw = np.array(combo)
-                try:
-                    move = sampler._build(fam, draw)
-                except MoveError:
-                    move = None
-                proposals.append((share, move, 1 if draw[-1] == 0 else -1))
+            table = moves._lookup_table(T, fam)
+            assert len(table) == int(np.prod(sampler._highs[fam]))
+            share = fam_weight / len(table)
+            for prop in table:
+                entries, sign = (None, 1) if prop is None else prop
+                proposals.append((share, entries, sign))
         assert abs(sum(p for p, _, _ in proposals) - 1.0) < 1e-12
 
         weights = np.array(
@@ -299,32 +293,27 @@ class TestMhChain:
         n = len(states)
         P = np.zeros((n, n))
         for i, state in enumerate(states):
-            current = dict(state.counts)
-            for prob, move, sign in proposals:
-                if move is None:
+            current = {encode(p): c for p, c in state.counts.items()}
+            for prob, entries, sign in proposals:
+                if entries is None:
                     P[i, i] += prob
                     continue
                 nxt = dict(current)
                 feasible = True
-                for path, delta in move.deltas:
-                    c = nxt.get(path, 0) + sign * delta
+                for code, delta in entries:
+                    c = nxt.get(code, 0) + sign * delta
                     if c < 0:
                         feasible = False
                         break
-                    nxt[path] = c
+                    nxt[code] = c
                 if not feasible:
                     P[i, i] += prob
                     continue
-                key = tuple(
-                    sorted(
-                        ((p, c) for p, c in nxt.items() if c),
-                        key=lambda kv: encode(kv[0]),
-                    )
-                )
+                key = tuple((decode(code, T), c) for code, c in sorted(nxt.items()) if c)
                 j = index[key]
                 log_ratio = sum(
-                    math.lgamma(current.get(p, 0) + 1) - math.lgamma(nxt[p] + 1)
-                    for p, _ in move.deltas
+                    math.lgamma(current.get(code, 0) + 1) - math.lgamma(nxt[code] + 1)
+                    for code, _ in entries
                 )
                 accept = min(1.0, math.exp(log_ratio))
                 P[i, j] += prob * accept
@@ -337,15 +326,24 @@ class TestMhChain:
 
     # sha256 over "table_text\tL" lines of the stream, recorded when
     # proposals came to be drawn in blocks; pins both the random stream and
-    # every L value bit for bit.
+    # every L value bit for bit.  The T=9 table lies above the sampler's
+    # enumeration cap, so its proposals are decoded block by block; it was
+    # recorded before the decoder worked on path codes, and its chain
+    # accepts 59 moves.
     @pytest.mark.parametrize("start, kwargs, digest", [
         ("klotz", dict(steps=3000, burnin=500, seed=0),
          "f4773edd05f07a80789ce6895353e7d066cf9c95111c94039669016499b5eaf2"),
         ("two-element", dict(steps=20_000, seed=0),
          "30600f45526db2845a752a5d3ea62c3da2b713efcb613eedc01fc2ae6745badb"),
+        ("random-T9", dict(steps=3000, burnin=500, seed=0),
+         "fbb50c72037f0d027538bd2d4b9b869f3b9442b854df2cfc7a34082ca5f1c8c4"),
     ])
     def test_stream_digest(self, klotz, start, kwargs, digest):
-        table = klotz if start == "klotz" else TWO_ELEMENT_START
+        table = {
+            "klotz": klotz,
+            "two-element": TWO_ELEMENT_START,
+            "random-T9": random_table(np.random.default_rng(9), 9, 80),
+        }[start]
         h = hashlib.sha256()
         for t, L in mh_chain(table, **kwargs):
             h.update(f"{table_text(t)}\t{float(L)!r}\n".encode())

@@ -1,5 +1,10 @@
 import itertools
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,12 +28,17 @@ from thmc import (
     type2_deg1,
     type4_move,
 )
-from thmc import moves
-from thmc.core import all_paths
+from thmc import _decode, moves
+from thmc.core import all_paths, decode, encode
 
 
 def as_dict(move: Move) -> dict:
     return dict(move.deltas)
+
+
+def coded(move: Move) -> tuple:
+    """A move's deltas with each path coded, as the sampler proposes them."""
+    return tuple((encode(p), d) for p, d in move.deltas)
 
 
 def sides(move: Move) -> tuple[PathTable, PathTable]:
@@ -41,6 +51,19 @@ def sides(move: Move) -> tuple[PathTable, PathTable]:
 def both_sides_stat(move: Move):
     positive, negative = sides(move)
     return suff_stat(positive), suff_stat(negative)
+
+
+def entries_stats(T: int, entries: tuple):
+    """Statistics of the positive and negated negative parts of a proposal."""
+    positive = PathTable(T, {decode(c, T): d for c, d in entries if d > 0})
+    negative = PathTable(T, {decode(c, T): -d for c, d in entries if d < 0})
+    return suff_stat(positive), suff_stat(negative)
+
+
+def initial_shift(T: int, entries: tuple) -> int:
+    """Change of the initial-state-1 count: the deltas of codes whose top
+    bit, the state at time 1, is 0."""
+    return sum(d for c, d in entries if c < 1 << (T - 1))
 
 
 class TestMoveValidation:
@@ -67,7 +90,7 @@ class TestMoveValidation:
 
 
 # The constructors check their family's conditions only; each of these
-# passes them, so the state 3 reaches Move, the one check of path states.
+# passes them, so the state 3 reaches Move, which checks path states.
 @pytest.mark.parametrize("build", [
     lambda: type1_deg1((1, 2, 1, 3, 1), 1, 3, 5),
     lambda: crossing_swap((1, 1, 3), (2, 1, 2), 2),
@@ -461,26 +484,28 @@ class TestProposalSampler:
     def test_block_draws_keep_the_per_draw_law(self):
         # Over 200k draws at T=4: each family's share of the rows, and the
         # share of null proposals, lie within 5 SD of the law of one draw at
-        # a time, and the memo holds for each row drawn the move (or null)
-        # a fresh sampler builds from it.
+        # a time, and the lookup table holds for each row drawn the proposal
+        # (or null) a fresh decoder gives for it.
         T, draws = 4, 200_000
         sampler = ProposalSampler(T)
         rng = RecordingRng(14)
         nulls = sum(sampler.sample(rng) is None for _ in range(draws))
-        fresh = ProposalSampler(T)
+        fresh = _decode.Decoder(T)
         null_law = 0.0
         by_family = dict.fromkeys(Family, 0)
         for fam, rows in zip(drawn_families(sampler, rng), rng.rows):
             by_family[fam] += len(rows)
-            for row in rows.tolist():
-                key = (fam, tuple(row[:-1]))
-                assert sampler._cache[key] == fresh._try_build(fam, row)
+            decoded = [None] * len(rows)
+            index, entries = fresh.decode([(fam, rows)])
+            for i, e in zip(index, entries):
+                decoded[i] = (e, 1 - 2 * int(rows[i, -1]))
+            table = sampler._tables[fam]
+            assert [table[i] for i in (rows @ fresh.strides[fam]).tolist()] == decoded
         rows_drawn = -(-draws // moves._BLOCK) * moves._BLOCK
         assert sum(by_family.values()) == rows_drawn
         for fam, w in zip(Family, sampler.weights):
-            space = list(itertools.product(*map(range, sampler._highs[fam][:-1])))
-            null_share = sum(fresh._try_build(fam, d + (0,)) is None for d in space)
-            null_law += w * null_share / len(space)
+            table = sampler._tables[fam]
+            null_law += w * sum(p is None for p in table) / len(table)
             sd = math.sqrt(w * (1 - w) / rows_drawn)
             assert abs(by_family[fam] / rows_drawn - w) < 5 * sd
         sd = math.sqrt(null_law * (1 - null_law) / draws)
@@ -503,27 +528,39 @@ class TestProposalSampler:
 
     @pytest.mark.parametrize("T", [3, 4, 5, 6])
     def test_memoised_draws_match_fresh_builds(self, T):
-        memo, fresh = ProposalSampler(T), ProposalSampler(T)
-        # Without its memo a sampler builds every draw, as above the cap.
-        fresh._cache = None
-        rng_memo, rng_fresh = np.random.default_rng(T), np.random.default_rng(T)
-        families = set()
-        draws = 20_000
-        for _ in range(draws):
-            prop = memo.sample(rng_memo)
-            assert prop == fresh.sample(rng_fresh)
-            if prop is not None:
-                families.add(prop[0].family)
+        tabled, fresh = ProposalSampler(T), ProposalSampler(T)
+        # Without its lookup tables a sampler decodes every block, as above
+        # the cap.
+        fresh._tables = None
+        rng_tabled, rng_fresh = RecordingRng(T), np.random.default_rng(T)
+        for _ in range(20_000):
+            assert tabled.sample(rng_tabled) == fresh.sample(rng_fresh)
+        # Every family with moves at T gave a proposal.
+        strides, tables = tabled._decoder.strides, tabled._tables
+        families = {
+            fam
+            for fam, rows in zip(drawn_families(tabled, rng_tabled), rng_tabled.rows)
+            if any(tables[fam][i] is not None for i in (rows @ strides[fam]).tolist())
+        }
         assert families == {f for f in Family if enumerate_family(T, f)}
-        assert 0 < len(memo._cache) < draws
+        # Each table covers its family's whole draw space, and is the table
+        # enumerate_family reads.
+        for fam, table in tabled._tables.items():
+            assert len(table) == int(np.prod(tabled._highs[fam]))
+            assert table == moves._lookup_table(T, fam)
+        assert fresh._tables is None
 
     @pytest.mark.parametrize("T", [7, 12])
-    def test_no_memo_above_enumeration_cap(self, T):
+    def test_no_memo_above_enumeration_cap(self, T, monkeypatch):
+        def no_table(T, family):
+            raise AssertionError(f"lookup table built at T={T}")
+
+        monkeypatch.setattr(moves, "_lookup_table", no_table)
         sampler = ProposalSampler(T)
         rng = np.random.default_rng(T)
         for _ in range(5_000):
             sampler.sample(rng)
-        assert sampler._cache is None
+        assert sampler._tables is None
 
     def test_sign_is_fair(self):
         rng = np.random.default_rng(1)
@@ -544,21 +581,21 @@ class TestProposalSampler:
             prop = sampler.sample(rng)
             if prop is None:
                 continue
-            move, sign = prop
+            entries, sign = prop
             assert sign in (1, -1)
-            pos, neg = both_sides_stat(move)
+            pos, neg = entries_stats(4, entries)
             assert pos == neg
             seen += 1
         assert seen > 10_000
 
     def test_indispensable_move_is_reachable_at_T3(self):
         rng = np.random.default_rng(3)
-        target = dict(deg3_sliding(3, 1, 1, 1).deltas)
+        target = coded(deg3_sliding(3, 1, 1, 1))
         weights = {Family.DEG3_SLIDING: 1.0}
         sampler = ProposalSampler(3, weights)
         for k in range(100_000):
             prop = sampler.sample(rng)
-            if prop is not None and as_dict(prop[0]) == target:
+            if prop is not None and prop[0] == target:
                 return
         pytest.fail("indispensable sliding move never proposed in 1e5 draws")
 
@@ -571,9 +608,11 @@ class TestProposalSampler:
             prop = sampler.sample(rng)
             if prop is None:
                 continue
-            move, sign = prop
-            items = move.canonical_items()
-            orientation = sign if items == move.deltas else -sign
+            entries, sign = prop
+            if entries[0][1] > 0:
+                items, orientation = entries, sign
+            else:
+                items, orientation = tuple((c, -d) for c, d in entries), -sign
             plus, minus = tallies.get(items, (0, 0))
             tallies[items] = (
                 plus + (orientation == 1),
@@ -618,14 +657,187 @@ class TestProposalSampler:
         assert by_token.weights == by_family.weights == (0.25, 0, 0, 0, 0, 0.75)
 
     def test_initial_shift_split_by_family(self):
+        # A proposal names no family, so each family is drawn alone.
         rng = np.random.default_rng(5)
-        sampler = ProposalSampler(5)
-        for _ in range(20_000):
-            prop = sampler.sample(rng)
-            if prop is None:
-                continue
-            move, _ = prop
-            if move.family in (Family.TYPE2_DEG1, Family.DEG3_SLIDING):
-                assert abs(move.initial_shift) == 1
+        for fam in Family:
+            sampler = ProposalSampler(5, {fam: 1.0})
+            shifts = set()
+            for _ in range(4_000):
+                prop = sampler.sample(rng)
+                if prop is not None:
+                    shifts.add(abs(initial_shift(5, prop[0])))
+            if fam in (Family.TYPE2_DEG1, Family.DEG3_SLIDING):
+                assert shifts == {1}
             else:
-                assert move.initial_shift == 0
+                assert shifts == {0}
+
+    def test_path_codes_past_int64_rejected(self):
+        with pytest.raises(ValueError, match="int64") as info:
+            ProposalSampler(moves.MAX_SAMPLER_T + 1)
+        assert "\n" not in str(info.value)
+        sampler = ProposalSampler(moves.MAX_SAMPLER_T)
+        rng = np.random.default_rng(0)
+        props = [p for p in (sampler.sample(rng) for _ in range(256)) if p]
+        for entries, _ in props:
+            pos, neg = entries_stats(moves.MAX_SAMPLER_T, entries)
+            assert pos == neg
+        assert props
+
+
+class ScalarOracle:
+    """Decode one parameter draw with the public family constructors.
+
+    The slot layout is the sampler's: fair bits are states (0 for state 1),
+    times are offsets into their admissible ranges, and the sign slot comes
+    last.  Returns the constructor's move, or None where it raises
+    ``MoveError``.
+    """
+
+    def __init__(self, T: int) -> None:
+        self.T = T
+        self.triples = list(itertools.combinations(range(1, T + 1), 3))
+        self.pairs = [(t0, t1) for t0 in range(1, T - 1) for t1 in range(t0 + 1, T)]
+
+    @staticmethod
+    def runs(bits, *lengths):
+        out, pos = [], 0
+        for n in lengths:
+            out.append(tuple(b + 1 for b in bits[pos:pos + n]))
+            pos += n
+        return out
+
+    def __call__(self, fam: Family, d: list) -> Move | None:
+        T = self.T
+        try:
+            if fam is Family.TYPE1_DEG1:
+                return type1_deg1(self.runs(d, T)[0], *self.triples[d[T]])
+            if fam is Family.CROSSING:
+                p1, p2 = self.runs(d, T, T)
+                return crossing_swap(p1, p2, d[2 * T] + 1)
+            if fam is Family.TWO_BY_TWO:
+                t0, t1 = self.pairs[d[1]]
+                mid = max(t1 - t0 - 2, 0)
+                lengths = (t0 - 1, mid, T - t1 - 1)
+                ctx = self.runs(d[2:-1], *lengths, *lengths)
+                return two_by_two_swap(T, "AB"[d[0]], t0, t1, *ctx)
+            if fam is Family.TYPE4:
+                if T < 4:
+                    return None
+                t0, t1 = d[1] + 1, d[2] + 1
+                ctx = self.runs(d[3:-1], t0 - 1, T - t0 - 2, t1 - 1, T - t1 - 2)
+                return type4_move(T, t0, t1, *ctx, swap_states=bool(d[0]))
+            if fam is Family.TYPE2_DEG1:
+                return type2_deg1(self.runs(d, T)[0], d[T] + 2)
+            return deg3_sliding(T, d[0] + 1, d[1] + 1, d[2] + 1,
+                                state_swap=bool(d[3]), time_reverse=bool(d[4]))
+        except MoveError:
+            return None
+
+
+def decoded(decoder, fam: Family, draws: np.ndarray) -> list:
+    """The decoder's entries for each row of ``draws``, None where null."""
+    out = [None] * len(draws)
+    index, entries = decoder.decode([(fam, draws)])
+    for i, e in zip(index, entries):
+        out[i] = e
+    return out
+
+
+def draw_space(highs: np.ndarray) -> np.ndarray:
+    """Every draw of a family, sign slot 0."""
+    space = list(itertools.product(*map(range, highs[:-1].tolist())))
+    return np.array([d + (0,) for d in space], dtype=np.int64).reshape(len(space), -1)
+
+
+class TestDecoder:
+    """The array decoder against the scalar constructors, draw by draw."""
+
+    @pytest.mark.parametrize("T", [3, 4, 5])
+    def test_full_draw_spaces_match_the_constructors(self, T):
+        decoder, oracle = _decode.Decoder(T), ScalarOracle(T)
+        for fam in Family:
+            draws = draw_space(decoder.highs[fam])
+            want = [oracle(fam, d) for d in draws.tolist()]
+            assert decoded(decoder, fam, draws) == [
+                None if m is None else coded(m) for m in want
+            ]
+            # The lookup table holds the same entries with both signs.
+            table = moves._lookup_table(T, fam)
+            assert table[::2] == [None if m is None else (coded(m), 1) for m in want]
+            assert table[1::2] == [None if m is None else (coded(m), -1) for m in want]
+
+    @pytest.mark.parametrize("T", [6, 9, 12, 16, 24])
+    def test_seeded_draws_match_the_constructors(self, T):
+        decoder, oracle = _decode.Decoder(T), ScalarOracle(T)
+        rng = np.random.default_rng(T)
+        for fam in Family:
+            highs = decoder.highs[fam]
+            draws = rng.integers(0, highs, size=(20_000, len(highs)))
+            got = decoded(decoder, fam, draws)
+            for d, entries in zip(draws.tolist(), got):
+                move = oracle(fam, d)
+                assert entries == (None if move is None else coded(move)), (fam, d)
+            assert any(got) or fam is Family.TYPE4 and T < 4
+
+    @staticmethod
+    def unmerged(codes, deltas):
+        """A merge step that sorts each row and drops its zero padding, but
+        leaves equal codes apart."""
+        rows, width = codes.shape
+        order = np.argsort(codes, axis=1)
+        codes = np.take_along_axis(codes, order, axis=1).ravel()
+        deltas = np.take_along_axis(deltas, order, axis=1).ravel()
+        keep = deltas != 0
+        return codes[keep], deltas[keep], np.repeat(np.arange(rows), width)[keep]
+
+    @pytest.mark.parametrize("fam", [Family.CROSSING, Family.DEG3_SLIDING])
+    def test_unmerged_rows_fail_the_check(self, monkeypatch, fam):
+        # Two crossing paths that are equal give four equal codes; a sliding
+        # move with a = b names one single-step path twice.
+        monkeypatch.setattr(_decode, "merge", self.unmerged)
+        decoder = _decode.Decoder(4)
+        with pytest.raises(AssertionError, match="codes out of order"):
+            decoder.decode([(fam, draw_space(decoder.highs[fam]))])
+
+    #: Pattern A with (1,1) in place of (1,2) at t1: it breaks the statistic.
+    CORRUPT_A = (((1, 1), (1, 1)), ((2, 2), (2, 1)))
+
+    def test_corrupted_2x2_template_fails_the_check(self, monkeypatch):
+        monkeypatch.setitem(moves._2X2_WINDOWS, "A", self.CORRUPT_A)
+        decoder = _decode.Decoder(5)
+        draws = draw_space(decoder.highs[Family.TWO_BY_TWO])
+        with pytest.raises(AssertionError, match="transition statistic"):
+            decoder.decode([(Family.TWO_BY_TWO, draws)])
+
+    def test_the_check_holds_under_python_O(self):
+        # The two faults above, in a child interpreter run with -O, which
+        # strips assert statements: the check's raises remain.
+        script = textwrap.dedent("""
+            import sys
+            sys.path.insert(0, sys.argv[1])
+            from test_moves import Family, TestDecoder, _decode, draw_space, moves
+
+            def decode(T, fam):
+                decoder = _decode.Decoder(T)
+                try:
+                    decoder.decode([(fam, draw_space(decoder.highs[fam]))])
+                except AssertionError as exc:
+                    print(exc)
+
+            print("optimize", sys.flags.optimize)
+            merge, _decode.merge = _decode.merge, TestDecoder.unmerged
+            decode(4, Family.CROSSING)
+            _decode.merge = merge
+            moves._2X2_WINDOWS["A"] = TestDecoder.CORRUPT_A
+            decode(5, Family.TWO_BY_TWO)
+        """)
+        tests = Path(__file__).resolve().parent
+        result = subprocess.run(
+            [sys.executable, "-O", "-c", script, str(tests)],
+            capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": str(tests.parent / "src")},
+        )
+        lines = result.stdout.splitlines()
+        assert len(lines) == 3 and lines[0] == "optimize 1"
+        assert "codes out of order" in lines[1]
+        assert "transition statistic" in lines[2]
