@@ -57,8 +57,9 @@ def _json_pieces(value, out: list[str], pad: str = "\n") -> None:
 
     A dict is an object, and any other iterable but a string is a list,
     read once, so a generator's items can be written out between its
-    steps.  Strings are escaped to ASCII as ``json.dumps`` escapes them,
-    and floats are written with 17 significant digits.
+    steps; a list or tuple of strings alone is written with one join.
+    Strings are escaped to ASCII as ``json.dumps`` escapes them, and floats
+    are written with 17 significant digits.
     """
     if isinstance(value, str):
         out.append(_json_string(value))
@@ -83,6 +84,9 @@ def _json_pieces(value, out: list[str], pad: str = "\n") -> None:
             _json_pieces(item, out, inner)
             sep = "," + inner
         out.append("{}" if sep[0] == "{" else pad + "}")
+        return
+    if type(value) in (list, tuple) and set(map(type, value)) == {str}:
+        out.append(f"[{inner}{(',' + inner).join(map(_json_string, value))}{pad}]")
         return
     sep = "[" + inner
     for item in value:

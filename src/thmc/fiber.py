@@ -6,16 +6,18 @@ which move families connect them is the desk-scale oracle for the basis
 claims: a family set is a Markov basis exactly when every fiber comes out
 as a single component.
 
-Inside this module a table is the sorted tuple of its paths' cell indices
-(path encodings, one entry per unit of count), so enumeration, the move
-index and connectivity all work on tuples of small integers;
-:class:`PathTable` objects are built only where a caller asks for them.
-Each function builds only the cells it uses: :func:`enumerate_fiber` those
-that fit its target, a sweep all 2**T once its tables hold a path, and
-:func:`fiber_texts` the ``path:1`` token of each cell present, once per
-fiber, when a report's texts are first read; a table of distinct paths
-is its tokens joined.  ``thmc verify-basis --report`` reads each report's
-texts just before it writes that fiber out, and drops them once written.
+A table is the sorted tuple of its paths' cell indices (path encodings,
+one entry per unit of count), or the same indices as one row of an
+(N, n) array.  A sweep builds the tables of each path count as one array
+and finds their statistics, canonical order, class multisets and texts
+by array operations over all of them (:mod:`thmc._bulk`, imported on
+first use); tuples and :class:`PathTable` objects are built only where a
+caller reads them.  Each function builds only the cells it uses:
+:func:`enumerate_fiber` those that fit its target, a sweep all 2**T once
+its tables hold a path, and :func:`fiber_texts` the text of each cell
+present, when a report's texts are first read.  ``thmc verify-basis
+--report`` reads each report's texts just before it writes that fiber
+out, and drops them once written.
 
 :func:`connectivity` searches classes of tables, not tables.  A degree-1
 move swaps one path for another of the same statistic, so the tables that
@@ -31,9 +33,10 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations
 from math import comb
-from typing import Callable, Iterable, Iterator, Sequence
+from operator import eq
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -72,7 +75,8 @@ class Fiber:
 
     ``cells[i]`` holds table ``i`` as the sorted tuple of its paths' cell
     indices; ``elements[i]`` is the same table as a :class:`PathTable`,
-    built on first use.
+    built on first use.  ``_rows`` holds the tables as array rows; a fiber
+    from :func:`sweep` is made with these and builds ``cells`` when read.
     """
 
     T: int
@@ -85,6 +89,26 @@ class Fiber:
             PathTable(self.T, {decode(i, self.T): c.count(i) for i in dict.fromkeys(c)})
             for c in self.cells
         )
+
+    @cached_property
+    def _rows(self) -> np.ndarray:
+        return np.array(self.cells, dtype=np.min_scalar_type((1 << self.T) - 1))
+
+    @cached_property
+    def _keys(self) -> np.ndarray:
+        from . import _bulk
+
+        return _bulk.run_keys(self.T, self._rows)
+
+    def __getattr__(self, name: str):
+        # Only a swept fiber lacks cells: build them from its rows.
+        rows = vars(self).get("_rows")
+        if name != "cells" or rows is None:
+            raise AttributeError(name)
+        from . import _bulk
+
+        cells = vars(self)["cells"] = tuple(_bulk.tuples(rows))
+        return cells
 
     def __len__(self) -> int:
         return len(self.cells)
@@ -280,14 +304,14 @@ class _MoveIndex:
     smallest cell of its class, and ``sizes`` counts each class's cells; any
     other cell is a class of its own.  ``by_negative`` holds every move of
     degree >= 2 mapped onto classes: its positive class tuple keyed by its
-    negative one, with one sign and no duplicates.  ``degree`` is the
-    largest mapped degree and ``move_set`` the set's description.
+    negative one, with one sign and no duplicates.  ``degrees`` spans the
+    mapped degrees and ``move_set`` is the set's description.
     """
 
     classes: dict[int, int]
     sizes: dict[int, int]
     by_negative: dict[Cells, list[Cells]]
-    degree: int
+    degrees: range
     move_set: tuple[str, ...]
 
 
@@ -320,9 +344,10 @@ def _move_index(moves: Sequence[Move], move_set: tuple[str, ...]) -> _MoveIndex:
             if pair[0] != pair[1] and pair not in mapped:
                 mapped.add(pair)
                 by_negative.setdefault(pair[0], []).append(pair[1])
+    degrees = list(map(len, by_negative))
     return _MoveIndex(
         classes, Counter(classes.values()), by_negative,
-        max(map(len, by_negative), default=0), move_set,
+        range(min(degrees, default=1), max(degrees, default=0) + 1), move_set,
     )
 
 
@@ -368,47 +393,38 @@ def connectivity(
     move of degree >= 2 whose classes the multiset holds, so such a move
     joins two multisets exactly when its mapped form carries one to the
     other.  The search therefore runs on the distinct multisets, each a
-    sorted tuple of its classes' smallest cells; a multiset's neighbours
-    come from looking up its distinct sub-multisets of at most the mapped
-    degree, then removing the negative classes, adding the positive ones
-    and sorting.  One sign of each move suffices, because its other sign is
-    found from the far end.  A multiset short of tables, or a move leading
-    to a multiset outside the fiber, raises :class:`AssertionError`; the
-    first multiset is always expanded.  Without degree-1 moves each table
-    is its own multiset and the search runs on the tables directly.  Each
-    table takes its multiset's component, and components are ordered by
-    their smallest element; no :class:`PathTable` is built, and the texts
-    are rendered when first read.
+    sorted tuple of its classes' smallest cells, which
+    :func:`thmc._bulk.group` finds and counts for all tables at once (a
+    sweep passes them in).  A multiset's neighbours come from looking up
+    its distinct sub-multisets of the mapped degrees, then removing the
+    negative classes, adding the positive ones and sorting; one sign of
+    each move suffices, as the other is found from the far end.  A
+    multiset short of tables, or a move leading outside the fiber, raises
+    :class:`AssertionError`; the first multiset is always expanded.
+    Components are ordered by their smallest table.
     """
+    from . import _bulk
+
     index = move_set if isinstance(move_set, _MoveIndex) else _resolve_moves(fiber.T, move_set)
-    tables = fiber.cells
-    if not tables:
+    if not len(fiber._rows):
         raise ValueError("connectivity of an empty fiber is undefined")
-    classes = index.classes
-    if classes:
-        # A cell outside every class is a class of its own.
-        position: dict[Cells, int] = {}
-        group = [
-            position.setdefault(tuple(sorted(map(classes.get, t, t))), len(position))
-            for t in tables
-        ]
-        held = Counter(group)
-        for multiset, g in position.items():
-            expected = 1
-            for c in dict.fromkeys(multiset):
-                k = multiset.count(c)
-                expected *= comb(index.sizes.get(c, 1) + k - 1, k)
-            if held[g] != expected:
-                raise AssertionError(_INCOMPLETE)
-        multisets: Sequence[Cells] = list(position)
-    else:
-        multisets, group = tables, range(len(tables))
-        position = {t: i for i, t in enumerate(tables)}
-    by_negative, max_degree = index.by_negative, index.degree
+    grouped = vars(fiber).pop("_grouped", None)
+    if grouped is None or grouped[0] is not index:
+        grouped = (index, *_bulk.fiber_group(fiber._rows, index.classes, index.sizes))
+    _, multisets, multiset_of, complete, tables = grouped
+    if not complete:
+        raise AssertionError(_INCOMPLETE)
+    by_negative, degrees = index.by_negative, index.degrees
+    top = degrees.stop - 1
+    position = dict(zip(multisets, range(len(multisets))))
     uf = _UnionFind(len(multisets))
     for i, multiset in enumerate(multisets):
-        for size in range(1, min(max_degree, len(multiset)) + 1):
-            for negative in dict.fromkeys(combinations(multiset, size)):
+        pool = multiset
+        if len(multiset) > top > 0 and any(map(eq, multiset, multiset[top:])):
+            # A class held more than top times is kept top times.
+            pool = tuple(c for j, c in enumerate(multiset) if j < top or multiset[j - top] != c)
+        for size in degrees:
+            for negative in dict.fromkeys(combinations(pool, size)):
                 for positive in by_negative.get(negative, ()):
                     y = list(multiset)
                     for c in negative:
@@ -421,28 +437,20 @@ def connectivity(
                     uf.union(i, j)
         if uf.count == 1:
             break
-    groups: dict[int, list[int]] = {}
-    for i, g in enumerate(group):
-        groups.setdefault(uf.find(g), []).append(i)
-    return ConnectivityReport(
-        fiber=fiber,
-        components=tuple(tuple(groups[r]) for r in sorted(groups)),
-        move_set=index.move_set,
+    components = (tables,) if uf.count == 1 else _bulk.components(
+        multiset_of, [uf.find(i) for i in range(len(multisets))]
     )
+    return ConnectivityReport(fiber=fiber, components=components, move_set=index.move_set)
 
 
-def _tables_by_stat(
-    T: int, n_max: int
-) -> Iterator[dict[tuple[int, int, int, int], list[Cells]]]:
-    """For n = 0..n_max, every table of total count n grouped by statistic.
+def _levels(T: int, n_max: int):
+    """:func:`thmc._bulk.levels` over all 2**T cells: for n = 0..n_max, the
+    tables of total count n, in complete fibers since sum(b) = n(T-1).
 
-    A table is the sorted tuple of its paths' cell indices, and each group
-    lists its tables in ``combinations_with_replacement`` order: descending
-    in dense count vectors, the reverse of the canonical fiber order.  Since
-    sum(b) = n(T-1), each group is a complete fiber.  The cells are built
-    only when n_max >= 1.  Raises :class:`BudgetExceeded` before any
-    enumeration when the tables of n <= n_max, C(2**T + n_max, n_max) of
-    them, outnumber ``MAX_FIBER_ELEMENTS``.
+    The cells are built only when n_max >= 1.  Raises
+    :class:`BudgetExceeded` before any enumeration when the tables of
+    n <= n_max, C(2**T + n_max, n_max) of them, outnumber
+    ``MAX_FIBER_ELEMENTS``.
     """
     tables = comb(2**T + n_max, n_max)
     if tables > MAX_FIBER_ELEMENTS:
@@ -452,23 +460,15 @@ def _tables_by_stat(
         )
     if T < MIN_T:
         raise ValueError(f"T must be >= {MIN_T}, got {T}")
-    stats = _fitting_cells(T, (T - 1,) * 4)[1].tolist() if n_max > 0 else []
-    for n in range(0, n_max + 1):
-        groups: dict[tuple[int, int, int, int], list[Cells]] = {}
-        for combo in combinations_with_replacement(range(len(stats)), n):
-            acc = (0, 0, 0, 0)
-            for i in combo:
-                s = stats[i]
-                acc = (acc[0] + s[0], acc[1] + s[1], acc[2] + s[2], acc[3] + s[3])
-            groups.setdefault(acc, []).append(combo)
-        yield groups
+    from . import _bulk
+
+    stats = _fitting_cells(T, (T - 1,) * 4)[1] if n_max > 0 else np.zeros((0, 4), np.int64)
+    return _bulk.levels(T, n_max, stats)
 
 
 def realizable_stats(T: int, n_max: int) -> list[TransitionStat]:
     """Every transition statistic realized by a table with total count <= n_max."""
-    return [
-        TransitionStat(*b) for groups in _tables_by_stat(T, n_max) for b in sorted(groups)
-    ]
+    return [TransitionStat(*b) for _, _, stats in _levels(T, n_max) for b in stats]
 
 
 def initial_frequency_classes(fiber: Fiber) -> tuple[tuple[int, ...], ...]:
@@ -491,22 +491,33 @@ def sweep(
     """Connectivity reports for every realizable fiber with total count <= n_max.
 
     ``stat_filter`` optionally restricts the swept statistics (e.g. to
-    fibers with b11 = 0).  Every table is enumerated once, as a cell-index
-    tuple, and grouped by statistic, so each fiber is complete and a report
+    fibers with b11 = 0).  Every table is enumerated once, and the tables
+    of each total count are ordered into fibers and grouped into class
+    multisets in one array pass, so each fiber is complete and a report
     with more than one component is a certified disconnection under the
     move set.  The move set is indexed once, before any enumeration, and
-    no fiber builds its ``PathTable`` elements or, until they are read, its
-    texts.  Reports come in ascending (total, b) order.
+    no fiber builds its cell tuples, ``PathTable`` elements or, until they
+    are read, texts.  Reports come in ascending (total, b) order.
     """
     index = _resolve_moves(T, move_set)
+    levels = _levels(T, n_max)
+    from . import _bulk
+
+    ids, size, reps = _bulk.classes(range(1 << T if n_max else 0), index.classes, index.sizes)
     reports = []
-    for groups in _tables_by_stat(T, n_max):
-        for b in sorted(groups):
-            tables = groups.pop(b)
-            stat = TransitionStat(*b)
+    for rows, starts, stats in levels:
+        grouped = _bulk.group(ids[rows], starts, size, reps)
+        keys = _bulk.run_keys(T, rows)
+        bounds = starts.tolist() + [len(rows)]
+        for a, b, stat, groups in zip(bounds, bounds[1:], stats, grouped):
+            stat = TransitionStat(*stat)
             if stat_filter is not None and not stat_filter(stat):
                 continue
-            reports.append(connectivity(Fiber(T, stat, tuple(reversed(tables))), index))
+            fib = Fiber.__new__(Fiber)
+            vars(fib).update(
+                T=T, b=stat, _rows=rows[a:b], _keys=keys[a:b], _grouped=(index, *groups)
+            )
+            reports.append(connectivity(fib, index))
     return reports
 
 
@@ -520,26 +531,11 @@ def table_text(table: PathTable) -> str:
     return " ".join(f"{path_str(p)}:{c}" for p, c in table.items())
 
 
-def _path_text(T: int, cell: int) -> str:
-    return format(cell, f"0{T}b").replace("1", "2").replace("0", "1")
-
-
 def fiber_texts(fiber: Fiber) -> list[str]:
-    """The fiber's tables in order, each as :func:`table_text` renders it.
+    """The fiber's tables in order, each as :func:`table_text` renders it,
+    all at once from their :func:`thmc._bulk.run_keys`."""
+    if not len(fiber._rows):
+        return []
+    from . import _bulk
 
-    Only the cells present are rendered, each once per fiber from its
-    binary digits, as its ``path:1`` token.  A table whose paths are all
-    distinct is those tokens joined; only a table with a repeated path
-    counts its paths.
-    """
-    paths = {i: _path_text(fiber.T, i) for i in set().union(*fiber.cells)}
-    token = {i: f"{text}:1" for i, text in paths.items()}.__getitem__
-    texts = []
-    for cells in fiber.cells:
-        if len(set(cells)) == len(cells):
-            texts.append(" ".join(map(token, cells)))
-        else:
-            texts.append(
-                " ".join([f"{paths[i]}:{cells.count(i)}" for i in dict.fromkeys(cells)])
-            )
-    return texts
+    return _bulk.texts(fiber.T, fiber._keys)

@@ -626,6 +626,16 @@ class TestCmdVerifyBasis:
          "0bddfd32436018415a7c72249e1ee95c8e556a955e92a4cbc8a452111c5cb7cd"),
         (["--T", "5", "--n-max", "4"], 0,
          "72aa606089a48b662915d5b5845f6f31843070d321d3493d314b2fe82552d2dc"),
+        # Recorded from the per-table renderer and per-fiber class grouping:
+        # 4,301 fibers with counts of two digits, then 520 of them split
+        # without deg3-sliding, then 335 split fibers of up to 19 components.
+        (["--T", "3", "--n-max", "10"], 0,
+         "575dc095919b62cf739028e4e275b22892a2899cc1ea806e69af5a5625f7fd72"),
+        (["--T", "3", "--n-max", "10",
+          "--families", "type1,crossing,2x2,type4,type2"], 4,
+         "3a6891440e95ac6395366f7d9a03f8430f49fe57bb1793246f60028318c79d30"),
+        (["--T", "4", "--n-max", "4", "--families", "crossing,2x2"], 4,
+         "6cbe3cea9a7db6ca41bb0a7b0fed23cc4272c51c40d8944934dd2d1850504b3d"),
     ])
     def test_report_bytes(self, runner, tmp_path, args, code, digest):
         report = tmp_path / "rep.json"
@@ -645,6 +655,17 @@ class TestCmdEnumerateFiber:
             "1112:1 2212:1\n"
             "1112:1 2122:1\n"
             "1112:1 1221:1\n"
+        )
+
+    # Counts of one and two digits share a column.
+    def test_two_digit_counts_pinned(self, runner):
+        result = runner.invoke(main, ["enumerate-fiber", "--T", "3", "--b", "1,2,1,20"])
+        assert result.exit_code == 0
+        assert result.stdout == (
+            "122:2 211:1 222:9\n"
+            "112:1 212:1 222:10\n"
+            "112:1 122:1 221:1 222:9\n"
+            "112:1 121:1 222:10\n"
         )
 
     def test_indispensable_pair(self, runner):

@@ -245,17 +245,17 @@ class TestConnectivity:
     # Each table is rendered from the texts of the cells present, each cell
     # rendered once, not from a text per path of {1,2}^20.
     def test_T20_renders_only_the_cells_present(self, monkeypatch):
-        from thmc import type1_deg1
+        from thmc import _bulk, type1_deg1
 
         fib = enumerate_fiber(20, (1, 1, 1, 16))
         rendered = []
-        real_path_text = fiber._path_text
+        real_cell_texts = _bulk.cell_texts
 
-        def counted(T, cell):
-            rendered.append(cell)
-            return real_path_text(T, cell)
+        def counted(T, cells):
+            rendered.extend(cells.tolist())
+            return real_cell_texts(T, cells)
 
-        monkeypatch.setattr(fiber, "_path_text", counted)
+        monkeypatch.setattr(_bulk, "cell_texts", counted)
         move = type1_deg1((2, 2, 1, 1) + (2,) * 16, 1, 5, 6)
         report = connectivity(fib, [move])
         assert len(fib) == 19 and report.n_components == 18
@@ -263,6 +263,24 @@ class TestConnectivity:
             tuple(table_text(fib.elements[i]) for i in c) for c in report.components
         )
         assert sorted(rendered) == sorted(set().union(*fib.cells))
+
+    # One table of 2,000 copies of the path 111 has C(2000, 3) triples of
+    # positions but one distinct sub-multiset of each size; the search must
+    # probe only those.  Run in a child, so a slow search fails the test
+    # instead of stalling the suite.
+    def test_one_table_of_many_paths_probes_distinct_sub_multisets(self):
+        script = (
+            "from thmc import connectivity, enumerate_fiber\n"
+            "fib = enumerate_fiber(3, (4000, 0, 0, 0))\n"
+            "assert len(fib) == 1 and len(fib.cells[0]) == 2000\n"
+            "print(connectivity(fib).components)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(thmc.__file__).parents[1]))
+        out = subprocess.run(
+            [sys.executable, "-c", script],
+            env=env, capture_output=True, text=True, check=True, timeout=10,
+        )
+        assert out.stdout == "((0,),)\n"
 
     def test_move_outside_fiber_raises(self):
         fib = enumerate_fiber(3, (0, 1, 1, 2))
@@ -347,14 +365,16 @@ class TestSweep:
 
     # Nothing reads the texts of these reports, so none is rendered.
     def test_texts_rendered_only_when_read(self, monkeypatch):
+        from thmc import _bulk
+
         rendered = []
-        real_path_text = fiber._path_text
+        real_cell_texts = _bulk.cell_texts
 
-        def counted(T, cell):
-            rendered.append(cell)
-            return real_path_text(T, cell)
+        def counted(T, cells):
+            rendered.extend(cells.tolist())
+            return real_cell_texts(T, cells)
 
-        monkeypatch.setattr(fiber, "_path_text", counted)
+        monkeypatch.setattr(_bulk, "cell_texts", counted)
         reports = sweep(4, 3)
         assert len(reports) > 1 and rendered == []
         assert reports[-1].component_tables
@@ -430,12 +450,14 @@ def minimal_generators_by_degree(T, n_max):
     exactly when a chain of tables, each sharing a path with the next,
     links them; each such component past the first needs one generator of
     degree n (Takemura & Aoki (2004), Ann. Inst. Statist. Math. 56:1-17).
-    Uses the one-pass grouping of the sweep and no move family.
+    Uses the one-pass enumeration of the sweep and no move family.
     """
     counts = []
-    for groups in itertools.islice(fiber._tables_by_stat(T, n_max), 1, None):
+    for rows, starts, _ in itertools.islice(fiber._levels(T, n_max), 1, None):
         generators = 0
-        for tables in groups.values():
+        bounds = [*starts.tolist(), len(rows)]
+        for a, b in zip(bounds, bounds[1:]):
+            tables = rows[a:b].tolist()
             parent = list(range(len(tables)))
 
             def root(i):
