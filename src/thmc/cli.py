@@ -8,10 +8,11 @@ written with 17 significant digits so byte-identical reruns are auditable.
 Strings are escaped to ASCII as ``json.dumps`` escapes them: a control
 character in a flag or path is written as its JSON escape (``\\t``,
 ``\\u0001``) and a non-ASCII character as ``\\uXXXX``.
-JSON is built as a list of pieces in one pass: ``thmc test`` joins them,
-and ``verify-basis --report`` writes each fiber's pieces to the report as
-soon as they are serialized, so each fiber's texts are rendered once and
-dropped once written, and the whole report is never held in memory.
+JSON is serialized in one pass, piece by piece, through a write callable:
+``thmc test`` collects the pieces and joins them, and ``verify-basis
+--report`` writes each piece to the report as soon as it is serialized, so
+each fiber's texts are rendered once and dropped once written, and the
+whole report is never held in memory.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import errno
 import math
 import os
 import sys
+from collections.abc import Callable
 from json.encoder import encode_basestring_ascii as _json_string
 from pathlib import Path as FilePath
 
@@ -50,10 +52,10 @@ def _fail(code: int, message: str) -> None:
     sys.exit(code)
 
 
-def _json_pieces(value, out: list[str], pad: str = "\n") -> None:
-    """Append the JSON text of ``value`` to ``out``, laid out as
-    ``json.dumps(value, indent=2)`` lays it out; ``pad`` is the newline and
-    indent of the current level.
+def _json_pieces(value, write: Callable[[str], object], pad: str = "\n") -> None:
+    """Pass the JSON text of ``value`` to ``write`` piece by piece, laid
+    out as ``json.dumps(value, indent=2)`` lays it out; ``pad`` is the
+    newline and indent of the current level.
 
     A dict is an object, and any other iterable but a string is a list,
     read once, so a generator's items can be written out between its
@@ -62,38 +64,38 @@ def _json_pieces(value, out: list[str], pad: str = "\n") -> None:
     are written with 17 significant digits.
     """
     if isinstance(value, str):
-        out.append(_json_string(value))
+        write(_json_string(value))
         return
     if isinstance(value, bool):
-        out.append("true" if value else "false")
+        write("true" if value else "false")
         return
     if isinstance(value, int):
-        out.append(str(value))
+        write(str(value))
         return
     if isinstance(value, float):
-        out.append(format(value, ".17g"))
+        write(format(value, ".17g"))
         return
     if value is None:
-        out.append("null")
+        write("null")
         return
     inner = pad + "  "
     if isinstance(value, dict):
         sep = "{" + inner
         for key, item in value.items():
-            out.append(f"{sep}{_json_string(key)}: ")
-            _json_pieces(item, out, inner)
+            write(f"{sep}{_json_string(key)}: ")
+            _json_pieces(item, write, inner)
             sep = "," + inner
-        out.append("{}" if sep[0] == "{" else pad + "}")
+        write("{}" if sep[0] == "{" else pad + "}")
         return
     if type(value) in (list, tuple) and set(map(type, value)) == {str}:
-        out.append(f"[{inner}{(',' + inner).join(map(_json_string, value))}{pad}]")
+        write(f"[{inner}{(',' + inner).join(map(_json_string, value))}{pad}]")
         return
     sep = "[" + inner
     for item in value:
-        out.append(sep)
-        _json_pieces(item, out, inner)
+        write(sep)
+        _json_pieces(item, write, inner)
         sep = "," + inner
-    out.append("[]" if sep[0] == "[" else pad + "]")
+    write("[]" if sep[0] == "[" else pad + "]")
 
 
 def _write_file(destination: str, text: str) -> None:
@@ -278,7 +280,7 @@ def cmd_test(input_path, mapping_spec, samples, burnin, seed, output_path,
         },
     }
     pieces: list[str] = []
-    _json_pieces(payload, pieces)
+    _json_pieces(payload, pieces.append)
     pieces.append("\n")
     _write_output("".join(pieces), output_path)
     if histogram_path is not None:
@@ -331,9 +333,7 @@ def cmd_verify_basis(T, n_max, families_spec, report_path) -> None:
     # once its fiber's dict is read, and that fiber's pieces are written
     # before the next fiber's texts are rendered.
     if report_path is not None:
-        pieces: list[str] = []
-
-        def fibers(fh):
+        def fibers():
             reports.reverse()
             while reports:
                 r = reports.pop()
@@ -344,8 +344,6 @@ def cmd_verify_basis(T, n_max, families_spec, report_path) -> None:
                     "components": r.component_tables,
                     "move_set": list(r.move_set),
                 }
-                fh.write("".join(pieces))
-                pieces.clear()
 
         try:
             with open(report_path, "w", encoding="utf-8") as fh:
@@ -353,7 +351,7 @@ def cmd_verify_basis(T, n_max, families_spec, report_path) -> None:
                     "T": T,
                     "n_max": n_max,
                     "families": [f.value for f in families],
-                    "fibers": fibers(fh),
+                    "fibers": fibers(),
                     "summary": summary,
                     "provenance": {
                         "command": "verify-basis",
@@ -363,9 +361,8 @@ def cmd_verify_basis(T, n_max, families_spec, report_path) -> None:
                             "families": families_spec,
                         },
                     },
-                }, pieces)
-                pieces.append("\n")
-                fh.write("".join(pieces))
+                }, fh.write)
+                fh.write("\n")
         except OSError as exc:
             _fail(EXIT_USAGE, f"cannot write {report_path}: {exc.strerror or exc}")
     click.echo(

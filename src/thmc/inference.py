@@ -23,6 +23,7 @@ from typing import Iterator, Mapping, Sequence
 import numpy as np
 
 from .core import (
+    MIN_T,
     PathTable,
     TransitionStat,
     Variant,
@@ -114,8 +115,8 @@ def fit_mle(
         loglik = float(th @ b_obs - n * logz)
         return p, loglik
 
-    def birch_gap(p: np.ndarray) -> float:
-        return float(np.max(np.abs(b_obs - n * (A @ p))))
+    def birch_gap(mean: np.ndarray) -> float:
+        return float(np.max(np.abs(b_obs - n * mean)))
 
     # n * (A @ p) sums 2**T rounded terms of total n * (T - 1), so it carries
     # a rounding error of order sqrt(2**T) units in the last place of that
@@ -130,7 +131,7 @@ def fit_mle(
     stop = "the budget FIT_MAX_ITER is spent"
     for iterations in range(1, FIT_MAX_ITER + 1):
         mean = A @ p
-        residual = birch_gap(p)
+        residual = birch_gap(mean)
         if residual < tol:
             break
         if np.max(np.abs(theta)) > _THETA_BOUNDARY and residual <= prev_residual:
@@ -148,7 +149,7 @@ def fit_mle(
             cand = theta + lam * step
             p_new, ll_new = state(cand)
             if ll_new > loglik or (
-                ll_new >= loglik - slack and birch_gap(p_new) < residual
+                ll_new >= loglik - slack and birch_gap(A @ p_new) < residual
             ):
                 theta, p, loglik = cand, p_new, ll_new
                 break
@@ -160,7 +161,9 @@ def fit_mle(
                 boundary = True
             stop = "no step improved the fit"
             break
-    residual = birch_gap(p)
+    else:
+        # The budget ran out after a step, so the residual is the new fit's.
+        residual = birch_gap(A @ p)
     if not (residual < tol or boundary):
         raise FitError(
             f"no convergence after {iterations} "
@@ -255,12 +258,21 @@ def likelihood_ratio(table: PathTable) -> float:
 
 
 def lr_df(T: int) -> int:
-    """Degrees of freedom: the rank gap between the two configuration matrices."""
-    a0 = configuration(T, Variant.WITHOUT_INITIAL).astype(float)
-    a1 = configuration(T, Variant.WITH_INITIAL).astype(float)
-    rank0 = int(np.sum(np.linalg.svd(a0, compute_uv=False) > 1e-9))
-    rank1 = int(np.sum(np.linalg.svd(a1, compute_uv=False) > 1e-9))
-    return rank1 - rank0
+    """Degrees of freedom of the likelihood ratio: 1 for every ``T >= MIN_T``.
+
+    The df is the rank of the with-initial configuration less that of the
+    without-initial one, and this argument fixes it without building either
+    matrix.  The two initial-state rows sum to the all-ones row, which is
+    ``1/(T-1)`` times the sum of the four transition rows, so they add at
+    most one to the rank.  They add exactly one: the paths
+    ``(1,2,1,...,1)`` and ``(2,1,...,1,2)`` have the same transitions but
+    different first states, so every combination of the transition rows
+    takes one value on both columns, while the first initial-state row
+    takes 1 on one and 0 on the other.
+    """
+    if T < MIN_T:
+        raise ValueError(f"T must be >= {MIN_T}, got {T}")
+    return 1
 
 
 def chi2_sf(x: float, df: int) -> float:

@@ -126,7 +126,7 @@ class TestIngest:
 
 def serialized(value) -> str:
     pieces: list[str] = []
-    _json_pieces(value, pieces)
+    _json_pieces(value, pieces.append)
     return "".join(pieces)
 
 

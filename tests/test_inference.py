@@ -10,6 +10,7 @@ from thmc import (
     inference,
     Variant,
     chi2_sf,
+    configuration,
     enumerate_fiber,
     exact_test,
     fit_mle,
@@ -20,8 +21,9 @@ from thmc import (
     mh_chain,
     suff_stat,
     swap_states,
+    transitions,
 )
-from thmc.core import all_paths, decode, encode
+from thmc.core import MIN_T, all_paths, decode, encode
 from thmc.fiber import table_text
 from thmc.moves import ProposalSampler
 
@@ -175,9 +177,33 @@ class TestLikelihoodRatio:
 
 
 class TestDegreesOfFreedom:
+    # The rank gap of the two configurations is the definition that
+    # lr_df's closed form stands in for.
     def test_all_T(self):
-        for T in range(3, 9):
-            assert lr_df(T) == 1
+        for T in range(3, 13):
+            rank1 = np.linalg.matrix_rank(configuration(T, Variant.WITH_INITIAL))
+            rank0 = np.linalg.matrix_rank(configuration(T, Variant.WITHOUT_INITIAL))
+            assert lr_df(T) == rank1 - rank0 == 1
+
+    # The two paths lr_df's docstring names share their transitions but not
+    # their first state, so the initial rows add exactly one to the rank.
+    def test_witness_pair(self):
+        for T in range(3, 41):
+            ones = (1,) * (T - 3)
+            a, b = (1, 2, 1) + ones, (2, 1) + ones + (2,)
+            assert transitions(a) == transitions(b)
+            assert a[0] != b[0]
+
+    def test_builds_no_matrix(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("lr_df built or factored a matrix")
+
+        monkeypatch.setattr(inference, "configuration", refuse)
+        monkeypatch.setattr(np.linalg, "svd", refuse)
+        # Past DENSE_T_CAP, where a 2**T-column matrix is refused.
+        assert lr_df(40) == 1
+        with pytest.raises(ValueError, match=f"T must be >= {MIN_T}"):
+            lr_df(2)
 
 
 class TestChi2Sf:
