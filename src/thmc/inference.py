@@ -313,7 +313,15 @@ class _Chain:
     initial-state-1 count, which sets ``L`` within the fiber; a move shifts
     ``k`` by the deltas of its codes whose top bit (state at time 1) is 0.
     Proposals preserve the statistic by construction (the sampler checks
-    every decoded draw); :meth:`run` confirms it once, at the end.
+    every decoded draw); :meth:`check` confirms it once a walk is done.
+
+    :meth:`walk` takes a block of proposals at a time from the sampler and
+    steps through it in one loop.  It records the steps as runs, not one by
+    one: an ``(L, length)`` pair per stretch of consecutive steps with one
+    L, or with one state when the caller also asks for the tables.  A walk
+    takes exactly the steps it is asked for, so one that ends mid-block (a
+    burn-in, or a whole chain) leaves the rest of the block to the next
+    walk with the same generator.
     """
 
     def __init__(
@@ -326,57 +334,84 @@ class _Chain:
         self.rng = rng
         self.sampler = sampler
         self.counts = dict(evaluator.cells)
-        self._top = 1 << (evaluator.table.T - 1)
         self.k = evaluator.k
         self.L = evaluator.L
-        self.accepted = 0
-        self.null_proposals = 0
 
-    def step(self) -> bool:
-        """One MH step; True when a move was accepted."""
-        proposal = self.sampler.sample(self.rng)
-        if proposal is None:
-            self.null_proposals += 1
-            return False
-        entries, sign = proposal
-        counts = self.counts
-        changes: list[tuple[int, int]] = []
-        log_ratio = 0.0
-        for code, delta in entries:
-            old = counts.get(code, 0)
-            new = old + sign * delta
-            if new < 0:
-                return False
-            changes.append((code, new))
-            log_ratio += math.lgamma(old + 1) - math.lgamma(new + 1)
-        if log_ratio < 0 and self.rng.random() >= math.exp(log_ratio):
-            return False
-        for code, new in changes:
-            if new:
-                counts[code] = new
-            else:
-                del counts[code]
-        self.accepted += 1
-        self.k += sign * sum(d for c, d in entries if c < self._top)
-        self.L = self.evaluator.value(counts, self.k)
-        return True
+    def walk(
+        self,
+        steps: int,
+        runs: list[tuple[float, int]] | None = None,
+        tables: list[PathTable] | None = None,
+    ) -> tuple[int, int]:
+        """Take ``steps`` MH steps; return the counts of accepted moves and
+        of null proposals among them.
+
+        With ``runs``, append the steps' ``(L, length)`` runs to it: a run
+        ends where L changes.  With ``tables`` too, a run ends at every
+        accepted move instead, and each run's table is appended to
+        ``tables``.  A move accepted at the first step leaves a run of
+        length 0."""
+        rng, counts, value = self.rng, self.counts, self.evaluator.value
+        take, random, lgamma, exp = self.sampler.take, rng.random, math.lgamma, math.exp
+        top = 1 << (self.evaluator.table.T - 1)
+        k, L = self.k, self.L
+        accepted = nulls = 0
+        done = start = 0
+        if tables is not None:
+            tables.append(self.table())
+        while done < steps:
+            block = take(rng, steps - done)
+            nulls += block.count(None)
+            for i, proposal in enumerate(block, done):
+                if proposal is None:
+                    continue
+                entries, sign = proposal
+                changes = []
+                log_ratio = 0.0
+                for code, delta in entries:
+                    old = counts.get(code, 0)
+                    new = old + sign * delta
+                    if new < 0:
+                        break
+                    changes.append((code, new))
+                    log_ratio += lgamma(old + 1) - lgamma(new + 1)
+                else:
+                    if log_ratio < 0 and random() >= exp(log_ratio):
+                        continue
+                    for code, new in changes:
+                        if new:
+                            counts[code] = new
+                        else:
+                            del counts[code]
+                    accepted += 1
+                    k += sign * sum(d for c, d in entries if c < top)
+                    moved_L = value(counts, k)
+                    if runs is not None and (tables is not None or moved_L != L):
+                        runs.append((L, i - start))
+                        start = i
+                        if tables is not None:
+                            tables.append(self.table())
+                    L = moved_L
+            done += len(block)
+        if runs is not None:
+            runs.append((L, steps - start))
+        self.k, self.L = k, L
+        return accepted, nulls
 
     def table(self) -> PathTable:
         """The current state as a table of paths."""
         T = self.evaluator.table.T
         return PathTable(T, {decode(c, T): n for c, n in self.counts.items()})
 
-    def run(self, burnin: int, steps: int) -> Iterator[bool]:
-        """Take ``burnin`` steps, reset the counters, then take ``steps``
-        steps, yielding after each whether it moved.  Once the steps are
-        exhausted, raise if the counts left the starting table's fiber."""
-        for _ in range(burnin):
-            self.step()
-        self.accepted = self.null_proposals = 0
-        for _ in range(steps):
-            yield self.step()
+    def check(self) -> None:
+        """Raise if the counts left the starting table's fiber."""
         if suff_stat(self.table()) != self.evaluator.b:
             raise AssertionError("chain left its fiber")
+
+
+#: Steps :func:`mh_chain` walks at a time; it holds the runs and tables of
+#: that many steps.
+_STREAM_STEPS = 4096
 
 
 def mh_chain(
@@ -401,11 +436,15 @@ def mh_chain(
         np.random.default_rng(seed),
         ProposalSampler(start.T, weights),
     )
-    table = None
-    for moved in chain.run(burnin, steps):
-        if moved or table is None:
-            table = chain.table()
-        yield table, chain.L
+    chain.walk(burnin)
+    for done in range(0, steps, _STREAM_STEPS):
+        runs: list[tuple[float, int]] = []
+        tables: list[PathTable] = []
+        chain.walk(min(_STREAM_STEPS, steps - done), runs, tables)
+        for (L, length), table in zip(runs, tables):
+            for _ in range(length):
+                yield table, L
+    chain.check()
 
 
 @dataclass(frozen=True)
@@ -424,14 +463,17 @@ class TestResult:
     histogram: tuple[tuple[float, int], ...]
 
 
-def _histogram(values: Sequence[float]) -> tuple[tuple[float, int], ...]:
-    """(bin lower bound, count) of each occupied bin, in ascending order.
+def _histogram(runs: Sequence[tuple[float, int]]) -> tuple[tuple[float, int], ...]:
+    """(bin lower bound, count) of each occupied bin of the ``(L, length)``
+    runs' L values, each counted ``length`` times, in ascending order.
 
     Bin ``i`` holds the values in ``[i, i + 1)`` bin widths; ``L`` grows with
     the counts, so empty bins are left out.
     """
     bin_width = HISTOGRAM_BIN_WIDTH
-    counts = Counter(int(v / bin_width) for v in values)
+    counts: Counter[int] = Counter()
+    for L, length in runs:
+        counts[int(L / bin_width)] += length
     return tuple((i * bin_width, counts[i]) for i in sorted(counts))
 
 
@@ -473,29 +515,31 @@ def exact_test(
         rngs = [np.random.default_rng(s) for s in spawned]
     base, rem = divmod(steps, len(rngs))
 
-    values: list[float] = []
+    runs: list[tuple[float, int]] = []
     accepted = nulls = 0
     for i, rng in enumerate(rngs):
         chain = _Chain(evaluator, rng, sampler)
-        values.extend(chain.L for _ in chain.run(burnin, base + (1 if i < rem else 0)))
-        accepted += chain.accepted
-        nulls += chain.null_proposals
+        chain.walk(burnin)
+        moved, null = chain.walk(base + (1 if i < rem else 0), runs)
+        chain.check()
+        accepted += moved
+        nulls += null
 
-    count = sum(1 for v in values if v >= L_obs - _LR_TIE_EPS)
+    count = sum(length for L, length in runs if L >= L_obs - _LR_TIE_EPS)
     if add_observed:
-        p_exact = (1 + count) / (len(values) + 1)
+        p_exact = (1 + count) / (steps + 1)
     else:
-        p_exact = count / len(values)
+        p_exact = count / steps
     df = lr_df(table.T)
     return TestResult(
         L_observed=L_obs,
         df=df,
         p_asymptotic=chi2_sf(L_obs, df),
         p_exact=p_exact,
-        samples=len(values),
+        samples=steps,
         burnin=burnin,
         acceptance_rate=accepted / steps,
         null_proposal_rate=nulls / steps,
         seed=seed,
-        histogram=_histogram(values),
+        histogram=_histogram(runs),
     )

@@ -32,7 +32,7 @@ from .core import MIN_T, Path, PathTable, decode, path_str
 ENUMERATION_T_CAP = 6
 
 #: Proposals :class:`ProposalSampler` draws per block.
-_BLOCK = 256
+_BLOCK = 1024
 
 
 class Family(str, Enum):
@@ -586,15 +586,18 @@ class ProposalSampler:
     sign of +1 or -1.  The entries are the move's deltas, with each path
     coded, that the family's constructor builds from the same draw.
 
-    Proposals are drawn in blocks of ``_BLOCK`` from one generator: one
-    ``random`` call picks the block's families, then one ``integers`` call
-    per family drawn fills that family's rows, parameter slots and sign
-    slot together.  Each draw keeps the law above, independent of the
-    others, so only the random stream differs from drawing one proposal
-    at a time; a seed gives other proposals than in versions that drew
-    them one by one.  A call with another generator than the one the
-    block came from drops the rest of the block and draws a new one, so
-    each generator's proposals depend on its seed and the order of calls.
+    Proposals are drawn in blocks of ``_BLOCK`` (1,024) from one
+    generator: one ``random`` call picks the block's families, then one
+    ``integers`` call per family drawn fills that family's rows, parameter
+    slots and sign slot together.  Each draw keeps the law above,
+    independent of the others, so only the random stream differs from
+    drawing one proposal at a time; a seed gives other proposals than in
+    versions that drew them one by one or in blocks of 256.
+    :meth:`take` hands out the unused proposals of the current block, in
+    draw order, and :meth:`sample` takes one of them.  A call with another
+    generator than the one the block came from drops the rest of the block
+    and draws a new one, so each generator's proposals depend on its seed
+    and the order of calls.
 
     Draws are decoded in numpy, on path codes, and each decoded row is
     checked in array form (zero mass and net transition statistic).  Up to
@@ -633,16 +636,25 @@ class ProposalSampler:
         self._tables: Optional[dict[Family, list]] = (
             {} if T <= ENUMERATION_T_CAP else None
         )
-        # Proposals of the current block, last one first, and the generator
-        # they were drawn from.
+        # Proposals of the current block, the position of the first unused
+        # one, and the generator they were drawn from.
         self._block: list[Optional[Proposal]] = []
+        self._next = 0
         self._block_rng: Optional[np.random.Generator] = None
 
     def sample(self, rng: np.random.Generator) -> Optional[Proposal]:
         """One proposal draw: ``(entries, sign)``, or None for a null draw."""
-        if rng is not self._block_rng or not self._block:
+        return self.take(rng, 1)[0]
+
+    def take(self, rng: np.random.Generator, m: int) -> list[Optional[Proposal]]:
+        """The next proposals from ``rng``, in draw order: the unused ones of
+        the current block, at most ``m`` (at least 1) of them.  A new block is
+        drawn when the current one is spent or came from another generator."""
+        if rng is not self._block_rng or self._next == len(self._block):
             self._draw_block(rng)
-        return self._block.pop()
+        start = self._next
+        self._next = min(start + m, _BLOCK)
+        return self._block[start:self._next]
 
     def _draw_block(self, rng: np.random.Generator) -> None:
         """Draw the next ``_BLOCK`` proposals from ``rng``."""
@@ -670,6 +682,6 @@ class ProposalSampler:
                 flat = draws @ self._decoder.strides[fam]
                 for slot, i in zip(slots.tolist(), flat.tolist()):
                     block[slot] = table[i]
-        block.reverse()
         self._block = block
+        self._next = 0
         self._block_rng = rng

@@ -413,23 +413,23 @@ class TestCmdTest:
         assert json.loads(out.read_text())["samples"] == 300
 
 
-    # Chain-derived fields of seeded runs, recorded when proposals came to
-    # be drawn in blocks; they pin the random stream.
+    # Chain-derived fields of seeded runs, recorded when proposal blocks
+    # grew from 256 to 1,024 draws; they pin the random stream.
     # L and p_asymptotic come from BLAS-dependent fits and are not pinned.
     # The histogram digests are of the counts column when every bin from 0
     # up was listed; the file now lists occupied bins only, so the test puts
     # the empty bins back before hashing.
     @pytest.mark.parametrize("case, args, fields, hist_digest", [
         ("klotz", ["--map", "M=1,F=2", "--seed", "7"],
-         (0.821, 0.218, 0.7186),
-         "fd94464b1e4f4e94122fd1723b9af4510e2eda26340d890d5cfbe61f802560af"),
+         (0.8056, 0.2091, 0.7209),
+         "8b5ac5ece692220f2e2a1c652429c3e78cd14f999aab904499ddc91b62dfca80"),
         ("random-T6", ["--samples", "3000", "--burnin", "500", "--seed", "11"],
-         (0.48033333333333333, 0.065, 0.6286666666666667),
-         "434ab70cb08d978903140f1c27641fdd9fcdf779b57e4ecb50acd9d1835299ae"),
+         (0.5043333333333333, 0.07133333333333333, 0.636),
+         "5ea46eb9f575b0d91b34a841c979eb8fc7e5fbaa339376c37254618e8bd7aa64"),
         ("klotz-chains", ["--map", "M=1,F=2", "--seed", "7", "--chains", "3",
                           "--samples", "3000"],
-         (0.9023333333333333, 0.212, 0.7166666666666667),
-         "4a874565cd0e8fefd3f819a1d25c3699152a23ba641cb7156b0cca611aa40451"),
+         (0.6943333333333334, 0.224, 0.7103333333333334),
+         "dabac5076e43e5ac93f7d5dfdc5f6bf058d8f57736a6cff05292b3a22a2efef6"),
     ])
     def test_seeded_chain_fields(self, runner, tmp_path, case, args, fields,
                                  hist_digest):
@@ -461,22 +461,22 @@ class TestCmdTest:
         counts = ",".join(occupied.get(i, "0") for i in range(max(occupied) + 1))
         assert hashlib.sha256(counts.encode()).hexdigest() == hist_digest
 
-    # sha256 of the whole JSON and histogram files, recorded when proposals
-    # came to be drawn in blocks.  The input is named by a relative path, so every byte is
-    # fixed; the cases cover non-uniform weights and chains that share one
-    # sampler.  The input is the Klotz table unless the case names another:
-    # t12.csv holds 30 seeded paths at T=12, above the sampler's enumeration
-    # cap, and its pin was recorded before the decoder worked on path codes.
+    # sha256 of the whole JSON and histogram files, recorded when proposal
+    # blocks grew from 256 to 1,024 draws.  The input is named by a relative
+    # path, so every byte is fixed; the cases cover non-uniform weights and
+    # chains that share one sampler.  The input is the Klotz table unless
+    # the case names another: t12.csv holds 30 seeded paths at T=12, above
+    # the sampler's enumeration cap, so its blocks are decoded as drawn.
     @pytest.mark.parametrize("args, json_digest, hist_digest", [
         (["--weights", "type2=0.5,deg3-sliding=0.5", "--seed", "3"],
-         "50a9d89903e6979d6059508c9c7008026530a06f161922e582871c1553b1dfc6",
-         "44681b0ce0d20eba9eb8b86324e0a121b59ca0ac1e2e870745c924d6a05e647d"),
+         "09876ff22925ce57edb91a185e7752a0e4d1ab3ea0938e5f916e938205b63560",
+         "f662e3f422be689c6a546399177c3f43d2209f36b983aa2c119eee519bc18534"),
         (["--chains", "2", "--seed", "5"],
-         "13092dbfeed0e9e4399b247f4da8e19d721d9e4d5aefcc4d384fcfbf0784b71f",
-         "ffdea4468e194297415bb12806a5ab0d8a2fbcafa832d5c811e9710bf7d7456a"),
+         "ceb58a47f46f60eef3216d9de2b042c800a23ca4cdaf1afc44c7d815df07119f",
+         "706727c9623ea157e91e6d813cdcb5347e22f619b98fd01d98cf3338c6ee07b6"),
         (["--input", "t12.csv", "--seed", "7"],
-         "dc59c47b76f321ecf9a3f631a24571bfff2ab304db0c339d6e6f77212db81fe0",
-         "ebe7f530e9a5808398c522333f3e66430796ba0d6e6c00cc059f4062cf06a81c"),
+         "943ad6e1866e727e4cfc3fc8b06322454697127c2ef4c96f00703055c8c580c4",
+         "0d9ff14a55c7f20da330278c1cbcff77fd6a81866c42a74c50634048c50892b1"),
     ])
     def test_seeded_output_bytes(self, runner, tmp_path, args, json_digest,
                                  hist_digest):

@@ -1,5 +1,6 @@
 import hashlib
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -44,9 +45,10 @@ def fiber_breaking_proposal(monkeypatch):
     The move is feasible on TWO_ELEMENT_START and keeps the initial
     frequencies, but changes the transition statistic, which no real
     proposal can do (the sampler's decoder checks every draw against it).
+    The chain takes its proposals through ``ProposalSampler.take``.
     """
     fake = (((encode((1, 1, 1)), 1), (encode((1, 1, 2)), -1)), 1)
-    monkeypatch.setattr(ProposalSampler, "sample", lambda self, rng: fake)
+    monkeypatch.setattr(ProposalSampler, "take", lambda self, rng, m: [fake] * m)
 
 
 @pytest.fixture()
@@ -351,18 +353,17 @@ class TestMhChain:
         assert np.abs(pi @ P - pi).max() < 1e-12
 
     # sha256 over "table_text\tL" lines of the stream, recorded when
-    # proposals came to be drawn in blocks; pins both the random stream and
-    # every L value bit for bit.  The T=9 table lies above the sampler's
-    # enumeration cap, so its proposals are decoded block by block; it was
-    # recorded before the decoder worked on path codes, and its chain
-    # accepts 59 moves.
+    # proposal blocks grew from 256 to 1,024 draws; pins both the random
+    # stream and every L value bit for bit.  The T=9 table lies above the
+    # sampler's enumeration cap, so its proposals are decoded block by
+    # block.
     @pytest.mark.parametrize("start, kwargs, digest", [
         ("klotz", dict(steps=3000, burnin=500, seed=0),
-         "f4773edd05f07a80789ce6895353e7d066cf9c95111c94039669016499b5eaf2"),
+         "babb20bd449b99a1653f7373059394b44e69cf960af88e6bd37eb005217e91ba"),
         ("two-element", dict(steps=20_000, seed=0),
-         "30600f45526db2845a752a5d3ea62c3da2b713efcb613eedc01fc2ae6745badb"),
+         "7a3283f352afd16529a97e311e9c2dcc0c6af80318dc9aae81ce833880e7e4d3"),
         ("random-T9", dict(steps=3000, burnin=500, seed=0),
-         "fbb50c72037f0d027538bd2d4b9b869f3b9442b854df2cfc7a34082ca5f1c8c4"),
+         "f1d2519505cab51fd6a9db16a418ff1fc661ab4cf7cafa11928fd44fe57671ef"),
     ])
     def test_stream_digest(self, klotz, start, kwargs, digest):
         table = {
@@ -385,6 +386,60 @@ class TestMhChain:
             list(mh_chain(start, steps=0))
         with pytest.raises(ValueError):
             list(mh_chain(start, steps=1, burnin=-1))
+
+
+def one_step_test(table, steps, burnin, seed, chains):
+    """``exact_test``'s chain-derived fields, recomputed one proposal at a
+    time: each step calls ``ProposalSampler.sample`` and applies the MH rule
+    to that proposal alone, and every post-burn-in step's L is kept.  L is
+    ``likelihood_ratio`` of the first table visited with each
+    initial-state-1 count."""
+    sampler = ProposalSampler(table.T)
+    if chains == 1:
+        rngs = [np.random.default_rng(seed)]
+    else:
+        spawned = np.random.SeedSequence(seed).spawn(min(chains, steps))
+        rngs = [np.random.default_rng(s) for s in spawned]
+    base, rem = divmod(steps, len(rngs))
+    L_of_k: dict[int, float] = {}
+    values: list[float] = []
+    accepted = nulls = 0
+    for i, rng in enumerate(rngs):
+        counts = {encode(p): c for p, c in table.items()}
+        k = initial_freq(table)[0]
+        L = L_of_k.setdefault(k, likelihood_ratio(table))
+        for step in range(burnin + base + (1 if i < rem else 0)):
+            proposal = sampler.sample(rng)
+            moved = False
+            if proposal is not None:
+                entries, sign = proposal
+                new = {c: counts.get(c, 0) + sign * d for c, d in entries}
+                if min(new.values()) >= 0:
+                    log_ratio = sum(
+                        math.lgamma(counts.get(c, 0) + 1) - math.lgamma(n + 1)
+                        for c, n in new.items()
+                    )
+                    moved = log_ratio >= 0 or rng.random() < math.exp(log_ratio)
+            if moved:
+                counts.update(new)
+                k += sign * sum(d for c, d in entries if c < 1 << (table.T - 1))
+                if k not in L_of_k:
+                    current = {decode(c, table.T): n for c, n in counts.items() if n}
+                    L_of_k[k] = likelihood_ratio(PathTable(table.T, current))
+                L = L_of_k[k]
+            if step >= burnin:
+                values.append(L)
+                accepted += moved
+                nulls += proposal is None
+    L_obs = likelihood_ratio(table)
+    width = inference.HISTOGRAM_BIN_WIDTH
+    bins = Counter(int(v / width) for v in values)
+    return {
+        "p_exact": sum(v >= L_obs - inference._LR_TIE_EPS for v in values) / steps,
+        "histogram": tuple((i * width, bins[i]) for i in sorted(bins)),
+        "acceptance_rate": accepted / steps,
+        "null_proposal_rate": nulls / steps,
+    }
 
 
 class TestExactTest:
@@ -443,11 +498,12 @@ class TestExactTest:
         assert many == exact_test(klotz, steps=5, burnin=0, seed=2, chains=5)
 
     # Spawned child i does not depend on the spawn count; one chain draws
-    # from the seed itself.
+    # from the seed itself.  At seed 2 the first draws of the spawned
+    # chains and of the seed's own generator give different diagnostics.
     def test_more_chains_than_steps_keep_the_stream(self, klotz):
-        five = exact_test(klotz, steps=3, burnin=0, seed=1, chains=5)
-        assert five == exact_test(klotz, steps=3, burnin=0, seed=1, chains=3)
-        assert five != exact_test(klotz, steps=3, burnin=0, seed=1, chains=1)
+        five = exact_test(klotz, steps=3, burnin=0, seed=2, chains=5)
+        assert five == exact_test(klotz, steps=3, burnin=0, seed=2, chains=3)
+        assert five != exact_test(klotz, steps=3, burnin=0, seed=2, chains=1)
 
     def test_histogram_bins(self, klotz):
         result = exact_test(klotz, steps=1_000, burnin=200, seed=13)
@@ -467,6 +523,22 @@ class TestExactTest:
     def test_leaving_the_fiber_raises(self, fiber_breaking_proposal):
         with pytest.raises(AssertionError, match="chain left its fiber"):
             exact_test(TWO_ELEMENT_START, steps=10, burnin=0, seed=0)
+
+    # The chain walks a block of proposals per loop and keeps L as runs; the
+    # burn-in (1,000 steps) and the chains end mid-block (blocks hold 1,024
+    # draws).  Klotz's proposals come from lookup tables; the T=9 table lies
+    # above the enumeration cap, so its blocks are decoded as drawn.
+    @pytest.mark.parametrize("case, seed, chains", [
+        ("klotz", 4, 1),
+        ("random-T9", 4, 1),
+        ("klotz", 6, 3),
+    ])
+    def test_runs_match_one_step_at_a_time(self, klotz, case, seed, chains):
+        table = klotz if case == "klotz" else random_table(np.random.default_rng(9), 9, 80)
+        result = exact_test(table, steps=2500, burnin=1000, seed=seed, chains=chains)
+        expected = one_step_test(table, 2500, 1000, seed, chains)
+        assert {name: getattr(result, name) for name in expected} == expected
+        assert result.acceptance_rate > 0
 
     # One null fit, then one fit per initial-state-1 count the seed-7 chain
     # visits; the count depends on the random stream.
