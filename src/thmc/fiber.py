@@ -8,24 +8,26 @@ as a single component.
 
 A table is the sorted tuple of its paths' cell indices (path encodings,
 one entry per unit of count), or the same indices as one row of an
-(N, n) array.  A sweep builds the tables of each path count as one array
-and finds their statistics, canonical order, class multisets and texts
-by array operations over all of them (:mod:`thmc._bulk`, imported on
-first use); tuples and :class:`PathTable` objects are built only where a
-caller reads them.  Each function builds only the cells it uses:
-:func:`enumerate_fiber` those that fit its target, a sweep all 2**T once
-its tables hold a path, and :func:`fiber_texts` the text of each cell
-present, when a report's texts are first read.  ``thmc verify-basis
---report`` reads each report's texts just before it writes that fiber
-out, and drops them once written.
+(N, n) array.  A sweep builds the tables of each path count, a level, as
+one array and does the work of all the level's fibers at once, by array
+operations (:mod:`thmc._bulk`, imported on first use): their statistics,
+canonical order, class multisets, components and run keys; each fiber
+keeps a slice of the result.  Tuples and :class:`PathTable` objects are
+built only where a caller reads them.  Each function builds only the
+cells it uses: :func:`enumerate_fiber` those that fit its target, a sweep
+all 2**T once its tables hold a path, and :func:`fiber_texts` the text of
+each cell present, when a fiber's texts are first read: for a swept
+fiber, once for its whole level.  ``thmc verify-basis --report`` reads
+each report's texts just before it writes that fiber out, and drops them
+once written.
 
-:func:`connectivity` searches classes of tables, not tables.  A degree-1
-move swaps one path for another of the same statistic, so the tables that
+Connectivity is found on classes of tables, not tables.  A degree-1 move
+swaps one path for another of the same statistic, so the tables that
 differ only by such swaps, those with one multiset of path classes, are
-always connected; the search joins these multisets by the other moves
-mapped onto classes, after checking that the fiber holds every table of
-each multiset (Diaconis & Sturmfels (1998), Ann. Statist. 26:363-397,
-Thm 3.1, for moves as fiber connectors).
+always connected; the other moves, mapped onto classes, join these
+multisets, once the fiber is known to hold every table of each multiset
+(Diaconis & Sturmfels (1998), Ann. Statist. 26:363-397, Thm 3.1, for
+moves as fiber connectors).
 """
 
 from __future__ import annotations
@@ -33,9 +35,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import combinations
 from math import comb
-from operator import eq
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -49,7 +49,8 @@ from .core import (
     encode,
     path_str,
 )
-from .moves import Family, Move, enumerate_families
+# enumerate_families stays a name of this module: perfbench's tracer wraps it.
+from .moves import Family, Move, enumerate_families, family_entries  # noqa: F401
 
 #: Enumeration budgets of :func:`enumerate_fiber`, read at each call; the
 #: element budget also caps the tables a :func:`sweep` may enumerate.
@@ -99,6 +100,12 @@ class Fiber:
         from . import _bulk
 
         return _bulk.run_keys(self.T, self._rows)
+
+    @cached_property
+    def _tokens(self):
+        from . import _bulk
+
+        return _bulk.Tokens(self.T, self._keys)
 
     def __getattr__(self, name: str):
         # Only a swept fiber lacks cells: build them from its rows.
@@ -274,27 +281,6 @@ class ConnectivityReport:
         return self.n_components <= 1
 
 
-class _UnionFind:
-    def __init__(self, n: int) -> None:
-        self.parent = list(range(n))
-        self.count = n
-
-    def find(self, i: int) -> int:
-        p = self.parent
-        while p[i] != i:
-            p[i] = p[p[i]]
-            i = p[i]
-        return i
-
-    def union(self, i: int, j: int) -> None:
-        ri, rj = self.find(i), self.find(j)
-        if ri != rj:
-            if rj < ri:
-                ri, rj = rj, ri
-            self.parent[rj] = ri
-            self.count -= 1
-
-
 @dataclass(frozen=True)
 class _MoveIndex:
     """A move set as :func:`connectivity` reads it.
@@ -304,36 +290,45 @@ class _MoveIndex:
     smallest cell of its class, and ``sizes`` counts each class's cells; any
     other cell is a class of its own.  ``by_negative`` holds every move of
     degree >= 2 mapped onto classes: its positive class tuple keyed by its
-    negative one, with one sign and no duplicates.  ``degrees`` spans the
-    mapped degrees and ``move_set`` is the set's description.
+    negative one, with one sign and no duplicates.  ``move_set`` is the
+    set's description.
     """
 
     classes: dict[int, int]
     sizes: dict[int, int]
     by_negative: dict[Cells, list[Cells]]
-    degrees: range
     move_set: tuple[str, ...]
 
 
-def _move_index(moves: Sequence[Move], move_set: tuple[str, ...]) -> _MoveIndex:
-    """Index a move set: its classes, and the rest of its moves mapped onto
-    them.  A mapped move keeps the classes its two parts share, since the
-    move still needs them present; one that maps onto itself is dropped."""
-    parts = [
-        (
-            tuple(encode(p) for p, d in m.deltas if d < 0 for _ in range(-d)),
-            tuple(encode(p) for p, d in m.deltas if d > 0 for _ in range(d)),
-        )
-        for m in moves
-    ]
+#: A move's negative and positive parts, each as the sorted tuple of its
+#: paths' cell indices, one entry per unit of count.
+Parts = tuple[Cells, Cells]
+
+
+def _parts(entries: Sequence[tuple[int, int]]) -> Parts:
+    """A move's parts from its ``(cell, delta)`` entries in cell order."""
+    return (
+        tuple(c for c, d in entries if d < 0 for _ in range(-d)),
+        tuple(c for c, d in entries if d > 0 for _ in range(d)),
+    )
+
+
+def _move_index(parts: Sequence[Parts], move_set: tuple[str, ...]) -> _MoveIndex:
+    """Index a move set, given as its moves' parts: its classes, and the
+    rest of its moves mapped onto them.  A mapped move keeps the classes
+    its two parts share, since the move still needs them present; one that
+    maps onto itself is dropped."""
+    from . import _bulk
+
     named = sorted({c for part in parts if len(part[0]) == 1 for c in part[0] + part[1]})
     position = {c: i for i, c in enumerate(named)}
-    uf = _UnionFind(len(named))
-    for negative, positive in parts:
-        if len(negative) == 1:
-            uf.union(position[negative[0]], position[positive[0]])
+    pairs = np.array(
+        [(position[n[0]], position[p[0]]) for n, p in parts if len(n) == 1], dtype=np.intp
+    ).reshape(-1, 2)
+    label = np.arange(len(named))
+    _bulk.join(label, pairs[:, 0], pairs[:, 1])
     # Each root is the smallest position of its class, so of its smallest cell.
-    classes = {c: named[uf.find(i)] for i, c in enumerate(named)}
+    classes = dict(zip(named, [named[r] for r in label.tolist()]))
     by_negative: dict[Cells, list[Cells]] = {}
     mapped = set()
     for negative, positive in parts:
@@ -344,16 +339,17 @@ def _move_index(moves: Sequence[Move], move_set: tuple[str, ...]) -> _MoveIndex:
             if pair[0] != pair[1] and pair not in mapped:
                 mapped.add(pair)
                 by_negative.setdefault(pair[0], []).append(pair[1])
-    degrees = list(map(len, by_negative))
-    return _MoveIndex(
-        classes, Counter(classes.values()), by_negative,
-        range(min(degrees, default=1), max(degrees, default=0) + 1), move_set,
-    )
+    return _MoveIndex(classes, Counter(classes.values()), by_negative, move_set)
 
 
 @lru_cache(maxsize=None)
 def _family_index(T: int, families: tuple[Family, ...]) -> _MoveIndex:
-    return _move_index(enumerate_families(T, families), tuple(f.value for f in families))
+    """The index of a family selection, from the families' canonical
+    ``(code, delta)`` entries; a path's code is its cell index."""
+    return _move_index(
+        [_parts(entries) for f in families for entries in family_entries(T, f)],
+        tuple(f.value for f in families),
+    )
 
 
 def _resolve_moves(
@@ -365,7 +361,11 @@ def _resolve_moves(
         for m in items:
             if m.T != T:  # type: ignore[union-attr]
                 raise ValueError(f"move has T={m.T}, fiber has T={T}")  # type: ignore[union-attr]
-        return _move_index(items, ("custom",))  # type: ignore[arg-type]
+        parts = [
+            _parts([(encode(p), d) for p, d in m.deltas])  # type: ignore[union-attr]
+            for m in items
+        ]
+        return _move_index(parts, ("custom",))
     return _family_index(T, tuple(Family(f) for f in items))
 
 
@@ -392,16 +392,14 @@ def connectivity(
     ``c``.  Any table of a multiset can then hold the negative part of a
     move of degree >= 2 whose classes the multiset holds, so such a move
     joins two multisets exactly when its mapped form carries one to the
-    other.  The search therefore runs on the distinct multisets, each a
-    sorted tuple of its classes' smallest cells, which
-    :func:`thmc._bulk.group` finds and counts for all tables at once (a
-    sweep passes them in).  A multiset's neighbours come from looking up
-    its distinct sub-multisets of the mapped degrees, then removing the
-    negative classes, adding the positive ones and sorting; one sign of
-    each move suffices, as the other is found from the far end.  A
+    other.  The components are therefore found on the distinct multisets,
+    by :func:`thmc._bulk.group`: for a sweep once per table count, for all
+    its fibers at once, and here for a lone fiber by the same kernel
+    (:func:`thmc._bulk.fiber_group`).  This function reads each
+    multiset's root and gives each table its multiset's component.  A
     multiset short of tables, or a move leading outside the fiber, raises
-    :class:`AssertionError`; the first multiset is always expanded.
-    Components are ordered by their smallest table.
+    :class:`AssertionError`.  Components are ordered by their smallest
+    table.
     """
     from . import _bulk
 
@@ -410,36 +408,13 @@ def connectivity(
         raise ValueError("connectivity of an empty fiber is undefined")
     grouped = vars(fiber).pop("_grouped", None)
     if grouped is None or grouped[0] is not index:
-        grouped = (index, *_bulk.fiber_group(fiber._rows, index.classes, index.sizes))
-    _, multisets, multiset_of, complete, tables = grouped
+        grouped = (index, *_bulk.fiber_group(
+            fiber._rows, index.classes, index.sizes, index.by_negative
+        ))
+    _, roots, multiset_of, complete, tables = grouped
     if not complete:
         raise AssertionError(_INCOMPLETE)
-    by_negative, degrees = index.by_negative, index.degrees
-    top = degrees.stop - 1
-    position = dict(zip(multisets, range(len(multisets))))
-    uf = _UnionFind(len(multisets))
-    for i, multiset in enumerate(multisets):
-        pool = multiset
-        if len(multiset) > top > 0 and any(map(eq, multiset, multiset[top:])):
-            # A class held more than top times is kept top times.
-            pool = tuple(c for j, c in enumerate(multiset) if j < top or multiset[j - top] != c)
-        for size in degrees:
-            for negative in dict.fromkeys(combinations(pool, size)):
-                for positive in by_negative.get(negative, ()):
-                    y = list(multiset)
-                    for c in negative:
-                        y.remove(c)
-                    y += positive
-                    y.sort()
-                    j = position.get(tuple(y))
-                    if j is None:
-                        raise AssertionError(_INCOMPLETE)
-                    uf.union(i, j)
-        if uf.count == 1:
-            break
-    components = (tables,) if uf.count == 1 else _bulk.components(
-        multiset_of, [uf.find(i) for i in range(len(multisets))]
-    )
+    components = (tables,) if roots is None else _bulk.components(multiset_of, roots)
     return ConnectivityReport(fiber=fiber, components=components, move_set=index.move_set)
 
 
@@ -492,22 +467,25 @@ def sweep(
 
     ``stat_filter`` optionally restricts the swept statistics (e.g. to
     fibers with b11 = 0).  Every table is enumerated once, and the tables
-    of each total count are ordered into fibers and grouped into class
-    multisets in one array pass, so each fiber is complete and a report
-    with more than one component is a certified disconnection under the
-    move set.  The move set is indexed once, before any enumeration, and
-    no fiber builds its cell tuples, ``PathTable`` elements or, until they
-    are read, texts.  Reports come in ascending (total, b) order.
+    of each total count are ordered into fibers, grouped into class
+    multisets and split into components in one array pass, so each fiber
+    is complete and a report with more than one component is a certified
+    disconnection under the move set.  The move set is indexed once,
+    before any enumeration, and no fiber builds its cell tuples,
+    ``PathTable`` elements or, until one of its count's fibers is read,
+    texts.  Reports come in ascending (total, b) order.
     """
     index = _resolve_moves(T, move_set)
     levels = _levels(T, n_max)
     from . import _bulk
 
     ids, size, reps = _bulk.classes(range(1 << T if n_max else 0), index.classes, index.sizes)
+    moves = _bulk.mapped(index.by_negative, reps)
     reports = []
     for rows, starts, stats in levels:
-        grouped = _bulk.group(ids[rows], starts, size, reps)
+        grouped = _bulk.group(ids[rows], starts, size, reps, moves)
         keys = _bulk.run_keys(T, rows)
+        tokens = _bulk.Tokens(T, keys)
         bounds = starts.tolist() + [len(rows)]
         for a, b, stat, groups in zip(bounds, bounds[1:], stats, grouped):
             stat = TransitionStat(*stat)
@@ -515,7 +493,8 @@ def sweep(
                 continue
             fib = Fiber.__new__(Fiber)
             vars(fib).update(
-                T=T, b=stat, _rows=rows[a:b], _keys=keys[a:b], _grouped=(index, *groups)
+                T=T, b=stat, _rows=rows[a:b], _keys=keys[a:b], _tokens=tokens,
+                _grouped=(index, *groups),
             )
             reports.append(connectivity(fib, index))
     return reports
@@ -533,9 +512,8 @@ def table_text(table: PathTable) -> str:
 
 def fiber_texts(fiber: Fiber) -> list[str]:
     """The fiber's tables in order, each as :func:`table_text` renders it,
-    all at once from their :func:`thmc._bulk.run_keys`."""
+    all at once: their :func:`thmc._bulk.run_keys` looked up among the
+    tokens of their level, for a swept fiber, or of their own."""
     if not len(fiber._rows):
         return []
-    from . import _bulk
-
-    return _bulk.texts(fiber.T, fiber._keys)
+    return fiber._tokens.texts(fiber._keys)

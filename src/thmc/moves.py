@@ -445,11 +445,12 @@ def apply_move(table: PathTable, move: Move, sign: int = 1) -> PathTable:
 
 
 @lru_cache(maxsize=None)
-def _enumerate_family_cached(T: int, family: Family) -> tuple[Move, ...]:
-    """Every move the sampler can draw for one family, deduplicated.
+def _family_entries_cached(T: int, family: Family) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Every move the sampler can draw for one family, deduplicated, as
+    its ``(path code, delta)`` entries.
 
     Reads the family's lookup table, as the sampler builds it, at sign slot
-    0, skips the null draws and keeps one move per canonical signed form,
+    0, skips the null draws and keeps one canonical signed form per move,
     so the enumerated set is exactly the set the chain proposes.  Path
     codes sort as their paths do, so sorting the canonical entries sorts
     the moves.
@@ -461,10 +462,30 @@ def _enumerate_family_cached(T: int, family: Family) -> tuple[Move, ...]:
             if entries[0][1] < 0:
                 entries = tuple((c, -d) for c, d in entries)
             canonical.add(entries)
+    return tuple(sorted(canonical))
+
+
+@lru_cache(maxsize=None)
+def _enumerate_family_cached(T: int, family: Family) -> tuple[Move, ...]:
     return tuple(
         Move(T, family, tuple((decode(c, T), d) for c, d in entries))
-        for entries in sorted(canonical)
+        for entries in _family_entries_cached(T, family)
     )
+
+
+def _check_enumeration_T(T: int) -> None:
+    if T < MIN_T:
+        raise ValueError(f"T must be >= {MIN_T}, got {T}")
+    if T > ENUMERATION_T_CAP:
+        raise ValueError(f"enumeration is capped at T <= {ENUMERATION_T_CAP}, got {T}")
+
+
+def family_entries(T: int, family: Family | str) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """The moves of :func:`enumerate_family`, in its order, each as the
+    ``(path code, delta)`` entries a proposal carries; no :class:`Move` is
+    built.  T is capped as there."""
+    _check_enumeration_T(T)
+    return _family_entries_cached(T, Family(family))
 
 
 def enumerate_family(T: int, family: Family | str) -> list[Move]:
@@ -473,10 +494,7 @@ def enumerate_family(T: int, family: Family | str) -> list[Move]:
     The list holds every move :class:`ProposalSampler` can draw for the
     family; T is capped (``ENUMERATION_T_CAP``) because the counts grow quickly.
     """
-    if T < MIN_T:
-        raise ValueError(f"T must be >= {MIN_T}, got {T}")
-    if T > ENUMERATION_T_CAP:
-        raise ValueError(f"enumeration is capped at T <= {ENUMERATION_T_CAP}, got {T}")
+    _check_enumeration_T(T)
     return list(_enumerate_family_cached(T, Family(family)))
 
 

@@ -330,16 +330,18 @@ class TestConnectivity:
 
 
 class TestSweep:
+    # A family selection is read as its families' (code, delta) entries,
+    # once per selection and family; no Move is built for the index.
     def test_moves_indexed_once_per_selection(self, monkeypatch):
         enumerations = []
         indexed = []
         connectivity_calls = []
-        real_enumerate, real_connectivity = fiber.enumerate_families, fiber.connectivity
+        real_entries, real_connectivity = fiber.family_entries, fiber.connectivity
         real_move_index = fiber._move_index
 
-        def counted_enumerate(*args, **kwargs):
+        def counted_entries(*args, **kwargs):
             enumerations.append(args)
-            return real_enumerate(*args, **kwargs)
+            return real_entries(*args, **kwargs)
 
         def counted_move_index(*args):
             indexed.append(args)
@@ -349,21 +351,30 @@ class TestSweep:
             connectivity_calls.append(args)
             return real_connectivity(*args, **kwargs)
 
-        monkeypatch.setattr(fiber, "enumerate_families", counted_enumerate)
+        def refuse(self):
+            raise AssertionError("built a Move")
+
+        monkeypatch.setattr(fiber, "family_entries", counted_entries)
         monkeypatch.setattr(fiber, "connectivity", counted_connectivity)
-        reports = sweep(4, 3, ["crossing", "type2"])
+        fiber._family_index.cache_clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(thmc.moves.Move, "__post_init__", refuse)
+            reports = sweep(4, 3, ["crossing", "type2"])
+            fiber._resolve_moves(4, ["crossing", "type2"])
         assert len(connectivity_calls) == len(reports) > 1
-        assert len(enumerations) <= 1
+        assert sorted(enumerations) == [(4, Family.CROSSING), (4, Family.TYPE2_DEG1)]
 
         # An explicit move list, even a one-pass iterator, is indexed once
         # per sweep, not once per fiber.
-        moves = real_enumerate(4, ["crossing", "type2"])
+        moves = enumerate_families(4, ["crossing", "type2"])
         monkeypatch.setattr(fiber, "_move_index", counted_move_index)
         assert sweep(4, 3, iter(moves)) == sweep(4, 3, moves)
         assert len(connectivity_calls) == 3 * len(reports)
         assert len(indexed) == 2
 
-    # Nothing reads the texts of these reports, so none is rendered.
+    # Nothing is rendered before a read.  The first read of a fiber renders
+    # the tokens of its whole table count, each cell of that count at most
+    # once; a second fiber of the same count renders nothing more.
     def test_texts_rendered_only_when_read(self, monkeypatch):
         from thmc import _bulk
 
@@ -377,8 +388,15 @@ class TestSweep:
         monkeypatch.setattr(_bulk, "cell_texts", counted)
         reports = sweep(4, 3)
         assert len(reports) > 1 and rendered == []
-        assert reports[-1].component_tables
-        assert sorted(rendered) == sorted(set().union(*reports[-1].fiber.cells))
+        level = [r for r in reports if r.fiber_size and len(r.fiber.cells[0]) == 3]
+        assert len(level) > 1
+        assert level[-1].component_tables
+        held = set().union(*(c for r in level for c in r.fiber.cells))
+        assert len(rendered) == len(set(rendered))
+        assert set().union(*level[-1].fiber.cells) <= set(rendered) <= held
+        first = list(rendered)
+        assert level[0].component_tables
+        assert rendered == first
 
     # A table of distinct paths is rendered by joining the cells' tokens, and
     # only a table with a repeated path counts its paths; both must give
@@ -550,3 +568,76 @@ class TestSweepOracle:
         assert max(index.sizes.values()) > 1
         assert bool(index.by_negative) == mapped
         self.check(T, 3 if T < 5 else 2, moves, moves)
+
+
+def brute_components(fib, moves):
+    """Components by union-find over tables: each move, with each sign,
+    applied to every table as a dense count vector.  The DFS enumeration
+    and the path encoding are the only program parts used."""
+    from thmc.core import encode
+
+    counts = np.zeros((len(fib.cells), 1 << fib.T), dtype=np.int64)
+    for i, cells in enumerate(fib.cells):
+        np.add.at(counts[i], list(cells), 1)
+    index = {row.tobytes(): i for i, row in enumerate(counts)}
+    deltas = np.zeros((len(moves), 1 << fib.T), dtype=np.int64)
+    for k, move in enumerate(moves):
+        for path, d in move.deltas:
+            deltas[k, encode(path)] = d
+    parent = list(range(len(counts)))
+
+    def root(i):
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    for delta in np.concatenate([deltas, -deltas]):
+        moved = counts + delta
+        for i in np.flatnonzero((moved >= 0).all(axis=1)).tolist():
+            a, b = sorted((root(i), root(index[moved[i].tobytes()])))
+            parent[b] = a
+    groups = {}
+    for i in range(len(counts)):
+        groups.setdefault(root(i), []).append(i)
+    return sorted(tuple(g) for g in groups.values())
+
+
+class TestComponentsOracle:
+    """The components of a sweep, found for each table count at once, and
+    those of connectivity on a lone enumerated fiber equal brute force on
+    every fiber; each case splits some fibers."""
+
+    def check(self, T, n_max, move_set, moves, split):
+        reports = sweep(T, n_max, move_set)
+        assert [r.b for r in reports] == realizable_stats(T, n_max)
+        assert sum(not r.connected for r in reports) == split
+        for report in reports:
+            fib = enumerate_fiber(T, report.b)
+            comps = brute_components(fib, moves)
+            assert list(report.components) == comps
+            assert list(connectivity(fib, move_set).components) == comps
+
+    @pytest.mark.parametrize("T, n_max, families, split", [
+        (3, 5, ["type1", "crossing"], 255),
+        (4, 4, ["crossing", "2x2"], 335),
+        (4, 3, [f.value for f in Family if f is not Family.DEG3_SLIDING], 4),
+    ])
+    def test_family_selection(self, T, n_max, families, split):
+        self.check(T, n_max, families, enumerate_families(T, families), split)
+
+    # Two crossing moves, the type II swap of 121 and 212, and one sliding
+    # move: degrees 1, 2 and 3, with one class of two cells.
+    def test_explicit_move_list(self):
+        moves = [enumerate_families(3)[i] for i in (0, 1, 3, 5)]
+        assert sorted(m.degree for m in moves) == [1, 2, 2, 3]
+        self.check(3, 4, moves, moves, 35)
+
+    # Tables of 20 paths over the classes present have keys past int64,
+    # which are then kept as Python ints.
+    def test_lone_fiber_of_many_paths(self):
+        moves = enumerate_families(4, ["type1", "crossing"])
+        fib = enumerate_fiber(4, (25, 5, 5, 25))
+        assert len(fib) == 3228 and len(fib.cells[0]) == 20
+        report = connectivity(fib, ["type1", "crossing"])
+        assert report.n_components == 31
+        assert list(report.components) == brute_components(fib, moves)
