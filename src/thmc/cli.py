@@ -10,9 +10,9 @@ character in a flag or path is written as its JSON escape (``\\t``,
 ``\\u0001``) and a non-ASCII character as ``\\uXXXX``.
 JSON is serialized in one pass, piece by piece, through a write callable:
 ``thmc test`` collects the pieces and joins them, and ``verify-basis
---report`` writes each piece to the report as soon as it is serialized, so
-each fiber's texts are rendered once and dropped once written, and the
-whole report is never held in memory.
+--report`` writes each piece to the report as soon as it is serialized;
+its fibers are rendered a chunk at a time, so the whole report is never
+held in memory.
 """
 
 from __future__ import annotations
@@ -59,12 +59,13 @@ def _json_pieces(value, write: Callable[[str], object], pad: str = "\n") -> None
 
     A dict is an object, and any other iterable but a string is a list,
     read once, so a generator's items can be written out between its
-    steps; a list or tuple of strings alone is written with one join.
-    Strings are escaped to ASCII as ``json.dumps`` escapes them, and floats
-    are written with 17 significant digits.
+    steps; a list or tuple of strings or of ints (not bools) alone is
+    written with one join.  Strings are escaped to ASCII as ``json.dumps``
+    escapes them, bar one whose ``is_json`` is true, and floats are written
+    with 17 significant digits.
     """
     if isinstance(value, str):
-        write(_json_string(value))
+        write(value if getattr(value, "is_json", False) else _json_string(value))
         return
     if isinstance(value, bool):
         write("true" if value else "false")
@@ -87,8 +88,10 @@ def _json_pieces(value, write: Callable[[str], object], pad: str = "\n") -> None
             sep = "," + inner
         write("{}" if sep[0] == "{" else pad + "}")
         return
-    if type(value) in (list, tuple) and set(map(type, value)) == {str}:
-        write(f"[{inner}{(',' + inner).join(map(_json_string, value))}{pad}]")
+    kinds = set(map(type, value)) if type(value) in (list, tuple) else ()
+    if kinds in ({str}, {int}):
+        text = map(_json_string if str in kinds else str, value)
+        write(f"[{inner}{(',' + inner).join(text)}{pad}]")
         return
     sep = "[" + inner
     for item in value:
@@ -329,21 +332,16 @@ def cmd_verify_basis(T, n_max, families_spec, report_path) -> None:
         "connected": len(reports) - len(bad),
         "disconnected": len(bad),
     }
-    # The report is written as it is serialized: each report is dropped
-    # once its fiber's dict is read, and that fiber's pieces are written
-    # before the next fiber's texts are rendered.
+    # The report is written as it is serialized, its fibers popped and
+    # rendered a chunk at a time; their components sit three levels down.
     if report_path is not None:
-        def fibers():
-            reports.reverse()
-            while reports:
-                r = reports.pop()
-                yield {
-                    "T": r.T,
-                    "b": list(r.b.as_tuple()),
-                    "fiber_size": r.fiber_size,
-                    "components": r.component_tables,
-                    "move_set": list(r.move_set),
-                }
+        from . import _bulk
+
+        fibers = (
+            {"T": r.T, "b": list(r.b.as_tuple()), "fiber_size": r.fiber_size,
+             "components": c, "move_set": list(r.move_set)}
+            for r, c in _bulk.report_components(reports, "\n" + "  " * 3)
+        )
 
         try:
             with open(report_path, "w", encoding="utf-8") as fh:
@@ -351,7 +349,7 @@ def cmd_verify_basis(T, n_max, families_spec, report_path) -> None:
                     "T": T,
                     "n_max": n_max,
                     "families": [f.value for f in families],
-                    "fibers": fibers(),
+                    "fibers": fibers,
                     "summary": summary,
                     "provenance": {
                         "command": "verify-basis",

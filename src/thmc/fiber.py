@@ -17,9 +17,9 @@ built only where a caller reads them.  Each function builds only the
 cells it uses: :func:`enumerate_fiber` those that fit its target, a sweep
 all 2**T once its tables hold a path, and :func:`fiber_texts` the text of
 each cell present, when a fiber's texts are first read: for a swept
-fiber, once for its whole level.  ``thmc verify-basis --report`` reads
-each report's texts just before it writes that fiber out, and drops them
-once written.
+fiber, once for its whole level.  ``thmc verify-basis --report`` writes
+its fibers' components from their run keys and tokens, a chunk of fibers
+at a time, without these texts.
 
 Connectivity is found on classes of tables, not tables.  A degree-1 move
 swaps one path for another of the same statistic, so the tables that

@@ -160,9 +160,19 @@ class TestJsonPieces:
         {"a": [], "b": {}, "c": [[], {}], "d": ([{}],)},
         {"fibers": [{"T": 3, "b": [2, 2, 0, 2], "components": (("112:2 222:1",),)}]},
         ["x", ["y", ["z", []]], {"k": {"l": {}}}],
+        # Lists of ints alone are joined at once; a bool among them is not
+        # an int there, and ints past 2**63 keep every digit.
+        [-3, 0, -(2**64) - 1, 2**63, 2**70], (7,), (1, True, 2), [False, 0],
+        {"b": (2, 2, 0, 2), "n": [[1, -1], [2**64]]},
     ])
     def test_matches_json_dumps(self, value):
         assert serialized(value) == json.dumps(value, indent=2)
+
+    def test_json_text_written_as_it_is(self):
+        from thmc._bulk import JsonText
+
+        value = ["x", JsonText('{"k": [1]}'), {"t": JsonText("[]")}]
+        assert serialized(value) == '[\n  "x",\n  {"k": [1]},\n  {\n    "t": []\n  }\n]'
 
     def test_random_values_match_json_dumps(self):
         rng = random.Random(17)
@@ -594,24 +604,66 @@ class TestCmdVerifyBasis:
         assert result.stdout == ""
         assert result.stderr == "error: cannot write /dev/full: No space left on device\n"
 
-    # Each fiber is written out before the next one's texts are rendered,
-    # so most of the report is on disk by the time the last fiber is read.
+    # The fibers are rendered a chunk at a time, each chunk within one table
+    # count and, unless it is one fiber, within _RUN_CHUNK table cells, and
+    # written out before the next chunk is rendered, so most of the report
+    # is on disk by the time the last chunk is.  Chunks of at most 64 cells
+    # make many of them, and the report keeps its bytes.
     def test_report_written_as_it_is_serialized(self, runner, tmp_path, monkeypatch):
+        from thmc import _bulk
+
         report = tmp_path / "rep.json"
-        sizes = []
-        real_fiber_texts = fiber.fiber_texts
+        sizes, chunks = [], []
+        real_chunk_components = _bulk._chunk_components
 
-        def sized(fib):
+        def sized(chunk, *args):
             sizes.append(report.stat().st_size)
-            return real_fiber_texts(fib)
+            chunks.append(chunk)
+            return real_chunk_components(chunk, *args)
 
-        monkeypatch.setattr(fiber, "fiber_texts", sized)
+        monkeypatch.setattr(_bulk, "_RUN_CHUNK", 64)
+        monkeypatch.setattr(_bulk, "_chunk_components", sized)
         result = runner.invoke(main, [
             "verify-basis", "--T", "4", "--n-max", "3", "--report", str(report),
         ])
         assert result.exit_code == 0, result.output
-        assert len(sizes) == 213 and sizes == sorted(sizes)
+        assert len(sizes) > 50 and sizes == sorted(sizes)
         assert sizes[-1] > report.stat().st_size / 2
+        assert sum(map(len, chunks)) == 213
+        for chunk in chunks:
+            assert len({id(r.fiber._tokens) for r in chunk}) == 1
+            assert len(chunk) == 1 or sum(r.fiber._keys.size for r in chunk) <= 64
+        assert hashlib.sha256(report.read_bytes()).hexdigest() == (
+            "869b84b58eaa330cec1000d3cc0a42bbefade59444c2de93e33d87fcfafcba8c"
+        )
+
+    # An oracle apart from the chunk renderer: the report is what json.dumps
+    # writes for its own content, and each fiber's components are the
+    # sweep's component_tables, rendered table by table through
+    # fiber_texts.  The cases hold counts of two digits, split fibers of up
+    # to 4 and 19 components and, as every sweep, the table of no paths.
+    @pytest.mark.parametrize("args, code, most", [
+        (["--T", "3", "--n-max", "10", "--families", "type1,crossing,2x2,type4,type2"],
+         4, 4),
+        (["--T", "4", "--n-max", "4", "--families", "crossing,2x2"], 4, 19),
+        (["--T", "5", "--n-max", "4"], 0, 1),
+    ])
+    def test_report_matches_json_dumps_and_sweep(self, runner, tmp_path, args, code, most):
+        report = tmp_path / "rep.json"
+        result = runner.invoke(main, ["verify-basis", *args, "--report", str(report)])
+        assert result.exit_code == code, result.output
+        text = report.read_text(encoding="ascii")
+        payload = json.loads(text)
+        assert text == json.dumps(payload, indent=2) + "\n"
+        fibers = payload["fibers"]
+        T, n_max = int(args[1]), int(args[3])
+        reports = fiber.sweep(T, n_max, args[5].split(",") if len(args) > 4 else None)
+        assert [f["b"] for f in fibers] == [list(r.b.as_tuple()) for r in reports]
+        assert [f["components"] for f in fibers] == [
+            [list(c) for c in r.component_tables] for r in reports
+        ]
+        assert fibers[0]["components"] == [[""]]
+        assert max(len(f["components"]) for f in fibers) == most
 
     # Report hashes recorded from an implementation that enumerated every
     # fiber by depth-first search (the T=5 one from the one-pass sweep over
