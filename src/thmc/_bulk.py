@@ -7,11 +7,11 @@ builds every table of each count and orders them into fibers;
 :func:`group` finds each table's class multiset, checks each multiset's
 table count and finds the components of every multiset of the level in
 one search; :class:`Tokens` renders a level's ``path:count`` tokens once,
-and a fiber's lines are its tables' tokens joined, while
-:func:`report_components` joins them into a report's JSON a chunk of
-fibers at a time.  :mod:`thmc.fiber`
-imports this module on first use, so a command that sweeps or renders no
-fiber does not compile it.
+and a run of its tables' keys takes one gather of their tokens: a fiber's
+lines are its tokens joined, and :mod:`thmc._report` joins a chunk of
+fibers' tokens into a report's JSON.  :mod:`thmc.fiber` imports this
+module on first use, so a command that sweeps or renders no fiber does
+not compile it.
 """
 
 from __future__ import annotations
@@ -420,16 +420,22 @@ class Tokens:
     key of some tables, rendered on first read: a sweep makes one per
     level, shared by its fibers, and a lone fiber its own.
 
-    Each cell present is rendered once, from its binary digits, and each
-    token carries the space or line end that follows it.
+    Each cell present is rendered once, from its binary digits, and the
+    tokens followed by each line end asked for are kept in an object
+    array, so a run of keys takes one gather.  A key's place in it comes
+    from an index by key where the largest key is below the tables' cell
+    count, so that the index is never longer than the keys, and from a
+    search otherwise, as for a table of a million copies of one path,
+    whose one key is two million.
     """
 
     def __init__(self, T: int, keys: np.ndarray) -> None:
         self.T = T
         self._keys = keys
+        self._words: dict[str, np.ndarray] = {}
 
     @cached_property
-    def table(self) -> dict[int, str]:
+    def _table(self) -> tuple[np.ndarray, list[str], np.ndarray | None]:
         keys = self._keys
         del self._keys
         n = keys.shape[1]
@@ -437,10 +443,24 @@ class Tokens:
         width = 2 * n + 2
         cells = _distinct(distinct // width)
         paths = dict(zip(cells.tolist(), cell_texts(self.T, cells)))
-        return {
-            k: f"{paths[k // width]}:{k // 2 % (n + 1)}" + ("\n" if k & 1 else " ")
-            for k in distinct.tolist()
-        }
+        tokens = [f"{paths[k // width]}:{k // 2 % (n + 1)}" for k in distinct.tolist()]
+        index = None
+        if len(distinct) and distinct[-1] < keys.size:
+            index = np.zeros(int(distinct[-1]) + 1, distinct.dtype)
+            index[distinct] = np.arange(len(distinct))
+        return distinct, tokens, index
+
+    def words(self, keys: np.ndarray, end: str) -> list[str]:
+        """The token of each of the nonzero ``keys``, in order, followed by
+        a space, or by ``end`` where it ends its table."""
+        distinct, tokens, index = self._table
+        if end not in self._words:
+            self._words[end] = np.array(
+                [t + (end if k & 1 else " ") for t, k in zip(tokens, distinct.tolist())],
+                dtype=object,
+            )
+        at = np.searchsorted(distinct, keys) if index is None else index[keys]
+        return self._words[end][at].tolist()
 
     def texts(self, keys: np.ndarray) -> list[str]:
         """Each table's ``path:count`` line, as :func:`thmc.fiber.table_text`
@@ -449,71 +469,4 @@ class Tokens:
         count, n = keys.shape
         if not n:
             return [""] * count
-        return "".join(map(self.table.__getitem__, keys[keys != 0].tolist())).split("\n")[:-1]
-
-
-class JsonText(str):
-    """Text in JSON form already: :func:`thmc.cli._json_pieces` writes a
-    string whose ``is_json`` is true as it is."""
-
-    is_json = True
-
-
-def report_components(reports: list, pad: str) -> Iterator[tuple[object, JsonText]]:
-    """Each of the :class:`thmc.fiber.ConnectivityReport` objects in
-    ``reports``, in order, with its ``components`` as JSON text: its
-    ``component_tables`` as :func:`thmc.cli._json_pieces` lays them out at
-    the newline and indent ``pad``.
-
-    The reports are popped off the front of the list a chunk at a time,
-    consecutive fibers of one token table of about ``_RUN_CHUNK`` table
-    cells in all, or one larger fiber, and each chunk is rendered by
-    :func:`_chunk_components`, with the table's line end replaced by the
-    close-quote, comma, indent and open-quote between two tables.
-    """
-    # A table's text sits two levels below the components: in their list,
-    # then in its component's.
-    end = '",' + pad + '    "'
-    reports.reverse()
-    tokens = None
-    while reports:
-        if reports[-1].fiber._tokens is not tokens:
-            tokens = reports[-1].fiber._tokens
-            table = {k: t[:-1] + end if k & 1 else t for k, t in tokens.table.items()}
-        chunk = [reports.pop()]
-        cells = chunk[0].fiber._keys.size
-        while reports and reports[-1].fiber._tokens is tokens:
-            cells += reports[-1].fiber._keys.size
-            if cells > _RUN_CHUNK:
-                break
-            chunk.append(reports.pop())
-        yield from zip(chunk, _chunk_components(chunk, table, pad, end))
-
-
-def _chunk_components(chunk: list, table: dict, pad: str, end: str) -> list[JsonText]:
-    """The ``components`` JSON text of each report of ``chunk``, from the
-    keys of its fibers' tables and the ``table`` of their tokens, each
-    table's tokens ending in ``end`` (:func:`report_components`).
-
-    The keys are gathered in the order of the components' tables and their
-    tokens looked up in one pass, so a component is one join and no table
-    is a string of its own; table texts hold only digits, ``:`` and spaces,
-    which need no escaping.  Each component's text is cut before its last
-    ``end``, and the close-quote put back, since a table of no paths has
-    no tokens.
-    """
-    inner = pad + "  "
-    groups = [(r.fiber._keys, c) for r in chunk for c in r.components]
-    # A component of all its fiber's tables holds them in order already.
-    keys = np.concatenate([k if len(c) == len(k) else k[list(c)] for k, c in groups])
-    last = np.cumsum([len(c) for _, c in groups]) - 1
-    stops = np.cumsum(np.count_nonzero(keys, axis=1))[last].tolist()
-    words = list(map(table.__getitem__, keys[keys != 0].tolist()))
-    texts = iter([
-        f'[{inner}  "{"".join(words[lo:hi])[:-len(end)]}"{inner}]'
-        for lo, hi in zip([0] + stops, stops)
-    ])
-    return [
-        JsonText(f"[{inner}{(',' + inner).join([next(texts) for _ in r.components])}{pad}]")
-        for r in chunk
-    ]
+        return "".join(self.words(keys[keys != 0], "\n")).split("\n")[:-1]

@@ -92,8 +92,9 @@ class Decoder:
     Per family, a method turns an (m, slots) array of draws (sign slot
     last, unused here) into the null mask, the path codes of each row and
     their signs, following the family's constructor; :meth:`decode` merges
-    and checks the rows.  ``highs`` holds the number of values of each
-    slot, and ``strides`` the flat-index weight of each.
+    and checks the rows, and :meth:`merged` does so in arrays.  ``highs``
+    holds the number of values of each slot, and ``strides`` the
+    flat-index weight of each.
     """
 
     def __init__(self, T: int) -> None:
@@ -162,6 +163,18 @@ class Decoder:
         null draw, or one whose codes all cancel, gives none.  The merged
         rows are checked with :func:`check` before any is returned.
         """
+        index, codes, deltas, starts = self.merged(parts)
+        pairs = list(zip(codes.tolist(), deltas.tolist()))
+        bounds = starts.tolist() + [len(pairs)]
+        entries = [tuple(pairs[a:b]) for a, b in zip(bounds, bounds[1:])]
+        return index.tolist(), entries
+
+    def merged(
+        self, parts: Sequence[tuple[Family, np.ndarray]]
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """:meth:`decode` in arrays: the numbers of the rows that give a
+        move, their entries' codes and deltas, flat, and the first entry of
+        each row."""
         n = sum(len(draws) for _, draws in parts)
         codes = np.full((n, WIDTH), -1, dtype=np.int64)
         deltas = np.zeros((n, WIDTH), dtype=np.int64)
@@ -176,14 +189,11 @@ class Decoder:
             at = end
         index = np.flatnonzero(live)
         if not len(index):
-            return [], []
+            return index, codes[:0, 0], deltas[:0, 0], index
         codes, deltas, rows = merge(codes[index], deltas[index])
         starts = np.flatnonzero(np.diff(rows, prepend=-1))
         check(self.T, codes, deltas, starts)
-        pairs = list(zip(codes.tolist(), deltas.tolist()))
-        bounds = starts.tolist() + [len(pairs)]
-        entries = [tuple(pairs[a:b]) for a, b in zip(bounds, bounds[1:])]
-        return index[rows[starts]].tolist(), entries
+        return index[rows[starts]], codes, deltas, starts
 
     def _type1(self, d: np.ndarray):
         """:func:`type1_deg1`: T path bits, then a time triple."""

@@ -332,16 +332,15 @@ def cmd_verify_basis(T, n_max, families_spec, report_path) -> None:
         "connected": len(reports) - len(bad),
         "disconnected": len(bad),
     }
-    # The report is written as it is serialized, its fibers popped and
-    # rendered a chunk at a time; their components sit three levels down.
+    # The report is written as it is serialized; its fibers share one move set.
     if report_path is not None:
-        from . import _bulk
+        from . import _report
 
-        fibers = (
-            {"T": r.T, "b": list(r.b.as_tuple()), "fiber_size": r.fiber_size,
-             "components": c, "move_set": list(r.move_set)}
-            for r, c in _bulk.report_components(reports, "\n" + "  " * 3)
-        )
+        hole, layout = _report.JsonText("\0"), []
+        _json_pieces({"T": hole, "b": [hole] * 4, "fiber_size": hole,
+                      "components": [[hole, hole], [hole]],
+                      "move_set": list(reports[0].move_set)}, layout.append, "\n    ")
+        fibers = _report.report_fibers(reports, "".join(layout))
 
         try:
             with open(report_path, "w", encoding="utf-8") as fh:

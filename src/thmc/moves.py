@@ -11,8 +11,9 @@ The proposal sampler decodes its parameter draws in numpy on path codes
 (a path's encoding), family by family, following the same rules, and
 checks the decoded rows in array form (:mod:`thmc._decode`).  Up to
 ``ENUMERATION_T_CAP`` each family's draw space is decoded once into a
-lookup table, and a family's enumeration is read from it, so the moves a
-basis sweep certifies are the moves the exact test proposes.
+lookup table, and a family's enumeration decodes the same draws with the
+same steps, so the moves a basis sweep certifies are the moves the exact
+test proposes.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, lru_cache
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -449,20 +450,34 @@ def _family_entries_cached(T: int, family: Family) -> tuple[tuple[tuple[int, int
     """Every move the sampler can draw for one family, deduplicated, as
     its ``(path code, delta)`` entries.
 
-    Reads the family's lookup table, as the sampler builds it, at sign slot
-    0, skips the null draws and keeps one canonical signed form per move,
-    so the enumerated set is exactly the set the chain proposes.  Path
-    codes sort as their paths do, so sorting the canonical entries sorts
-    the moves.
+    Decodes the family's draws at sign slot 0 with the steps of the
+    sampler's lookup table, a chunk at a time, and keeps one canonical
+    signed form per move, its first delta positive, so the enumerated set
+    is exactly the set the chain proposes.  The moves are rows of
+    ``(code, delta)`` pairs padded with -1, which sort as their tuples do,
+    since path codes sort as their paths do; one ``lexsort`` orders them
+    and drops repeats.
     """
-    canonical = set()
-    for item in _lookup_table(T, family)[::2]:
-        if item is not None:
-            entries = item[0]
-            if entries[0][1] < 0:
-                entries = tuple((c, -d) for c, d in entries)
-            canonical.add(entries)
-    return tuple(sorted(canonical))
+    dec = _decoder(T)
+    merged = [dec.merged([(family, draws)])[1:] for _, draws in _draws(dec, family)]
+    codes = np.concatenate([c for c, _, _ in merged])
+    deltas = np.concatenate([d for _, d, _ in merged])
+    lengths = np.concatenate([np.diff(s, append=len(c)) for c, _, s in merged])
+    if not len(lengths):
+        return ()
+    row = np.repeat(np.arange(len(lengths)), lengths)
+    starts = np.cumsum(lengths) - lengths
+    pairs = np.full((len(lengths), lengths.max(), 2), -1, dtype=np.int64)
+    pairs[row, np.arange(len(codes)) - starts[row]] = np.stack(
+        [codes, deltas * np.sign(deltas[starts])[row]], axis=1
+    )
+    pairs = pairs.reshape(len(lengths), -1)
+    pairs = pairs[np.lexsort(pairs.T[::-1])]
+    pairs = pairs[np.append(True, (pairs[1:] != pairs[:-1]).any(axis=1))]
+    held = pairs[:, ::2] >= 0
+    entries = list(zip(pairs[:, ::2][held].tolist(), pairs[:, 1::2][held].tolist()))
+    bounds = np.cumsum(held.sum(axis=1)).tolist()
+    return tuple(tuple(entries[a:b]) for a, b in zip([0, *bounds], bounds))
 
 
 @lru_cache(maxsize=None)
@@ -530,22 +545,29 @@ def _decoder(T: int):
 _TABLE_CHUNK = 1024
 
 
+def _draws(dec, family: Family) -> Iterator[tuple[int, np.ndarray]]:
+    """Every draw of one family at sign slot 0, ``_TABLE_CHUNK`` at a time:
+    the flat index of each chunk's first draw, and the chunk."""
+    highs, strides = dec.highs[family], dec.strides[family]
+    size = 2 * int(np.prod(highs[:-1]))
+    for lo in range(0, size, 2 * _TABLE_CHUNK):
+        flat = np.arange(lo, min(lo + 2 * _TABLE_CHUNK, size), 2)
+        yield lo, flat[:, None] // strides % highs
+
+
 def _lookup_table(T: int, family: Family) -> list:
     """Every draw of one family, decoded: by flat draw index (sign slot last,
     so even indices have sign +1), the ``(entries, sign)`` proposal or None
     for a null draw.  Draws that give one move share its proposals.
 
-    Not cached: a sampler keeps the tables it reads, and an enumeration
-    keeps only its moves, so no table outlives its user.
+    Not cached: a sampler keeps the tables it reads, so no table outlives
+    its user.
     """
     dec = _decoder(T)
-    highs, strides = dec.highs[family], dec.strides[family]
-    size = int(np.prod(highs[:-1]))
-    table: list = [None] * (2 * size)
+    table: list = [None] * (2 * int(np.prod(dec.highs[family][:-1])))
     shared: dict = {}
-    for lo in range(0, 2 * size, 2 * _TABLE_CHUNK):
-        flat = np.arange(lo, min(lo + 2 * _TABLE_CHUNK, 2 * size), 2)
-        index, entries = dec.decode([(family, flat[:, None] // strides % highs)])
+    for lo, draws in _draws(dec, family):
+        index, entries = dec.decode([(family, draws)])
         for i, e in zip(index, entries):
             pair = shared.get(e)
             if pair is None:

@@ -169,7 +169,7 @@ class TestJsonPieces:
         assert serialized(value) == json.dumps(value, indent=2)
 
     def test_json_text_written_as_it_is(self):
-        from thmc._bulk import JsonText
+        from thmc._report import JsonText
 
         value = ["x", JsonText('{"k": [1]}'), {"t": JsonText("[]")}]
         assert serialized(value) == '[\n  "x",\n  {"k": [1]},\n  {\n    "t": []\n  }\n]'
@@ -610,11 +610,11 @@ class TestCmdVerifyBasis:
     # is on disk by the time the last chunk is.  Chunks of at most 64 cells
     # make many of them, and the report keeps its bytes.
     def test_report_written_as_it_is_serialized(self, runner, tmp_path, monkeypatch):
-        from thmc import _bulk
+        from thmc import _bulk, _report
 
         report = tmp_path / "rep.json"
         sizes, chunks = [], []
-        real_chunk_components = _bulk._chunk_components
+        real_chunk_components = _report._chunk_components
 
         def sized(chunk, *args):
             sizes.append(report.stat().st_size)
@@ -622,7 +622,7 @@ class TestCmdVerifyBasis:
             return real_chunk_components(chunk, *args)
 
         monkeypatch.setattr(_bulk, "_RUN_CHUNK", 64)
-        monkeypatch.setattr(_bulk, "_chunk_components", sized)
+        monkeypatch.setattr(_report, "_chunk_components", sized)
         result = runner.invoke(main, [
             "verify-basis", "--T", "4", "--n-max", "3", "--report", str(report),
         ])
@@ -641,12 +641,14 @@ class TestCmdVerifyBasis:
     # writes for its own content, and each fiber's components are the
     # sweep's component_tables, rendered table by table through
     # fiber_texts.  The cases hold counts of two digits, split fibers of up
-    # to 4 and 19 components and, as every sweep, the table of no paths.
+    # to 4 and 19 components and, as every sweep, the table of no paths; at
+    # n <= 0 it is the one table, and its level has no tokens at all.
     @pytest.mark.parametrize("args, code, most", [
         (["--T", "3", "--n-max", "10", "--families", "type1,crossing,2x2,type4,type2"],
          4, 4),
         (["--T", "4", "--n-max", "4", "--families", "crossing,2x2"], 4, 19),
         (["--T", "5", "--n-max", "4"], 0, 1),
+        (["--T", "3", "--n-max", "0"], 0, 1),
     ])
     def test_report_matches_json_dumps_and_sweep(self, runner, tmp_path, args, code, most):
         report = tmp_path / "rep.json"
@@ -688,6 +690,10 @@ class TestCmdVerifyBasis:
          "3a6891440e95ac6395366f7d9a03f8430f49fe57bb1793246f60028318c79d30"),
         (["--T", "4", "--n-max", "4", "--families", "crossing,2x2"], 4,
          "6cbe3cea9a7db6ca41bb0a7b0fed23cc4272c51c40d8944934dd2d1850504b3d"),
+        # Recorded from the key-to-token lookup renderer: only the table of
+        # no paths, so no token.
+        (["--T", "3", "--n-max", "0"], 0,
+         "67fcf2f0a46229df58b6036cd867539a08b62c19808355aad7ccf9686340eccd"),
     ])
     def test_report_bytes(self, runner, tmp_path, args, code, digest):
         report = tmp_path / "rep.json"

@@ -166,6 +166,10 @@ class TestEnumerateFiber:
         monkeypatch.setattr(fiber, "MAX_DFS_NODES", 10)
         fib = enumerate_fiber(3, (2 * 10**6, 0, 0, 0))
         assert fib.cells == ((0,) * 10**6,)
+        assert fiber.fiber_texts(fib) == ["111:1000000"]
+        # Its one run key, 2,000,001, passes its 10**6 cells, so the token
+        # is found by search, with no index by key.
+        assert fib._tokens._table[2] is None
 
     # Pushing only the children the suffix bound admits takes 30,983 nodes.
     def test_children_pushed_only_when_completable(self, monkeypatch):
