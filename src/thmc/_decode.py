@@ -161,7 +161,10 @@ class Decoder:
         through the parts in order.  Returns the numbers of the rows that
         give a move, and for each its ``(code, delta)`` entries by code.  A
         null draw, or one whose codes all cancel, gives none.  The merged
-        rows are checked with :func:`check` before any is returned.
+        rows are checked with :func:`check` before any is returned.  The
+        sampler's lookup tables hold these tuples; above the enumeration cap
+        it keeps :meth:`merged`'s arrays instead, which the MH chain screens
+        against its counts, building tuples only for the rows that can fit.
         """
         index, codes, deltas, starts = self.merged(parts)
         pairs = list(zip(codes.tolist(), deltas.tolist()))
@@ -170,11 +173,15 @@ class Decoder:
         return index.tolist(), entries
 
     def merged(
-        self, parts: Sequence[tuple[Family, np.ndarray]]
+        self,
+        parts: Sequence[tuple[Family, np.ndarray]],
+        numbers: np.ndarray | None = None,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """:meth:`decode` in arrays: the numbers of the rows that give a
         move, their entries' codes and deltas, flat, and the first entry of
-        each row."""
+        each row.  ``numbers``, a permutation of the row numbers, renumbers
+        the rows through the parts in order (the sampler passes their draw
+        slots); the rows are returned in the new order."""
         n = sum(len(draws) for _, draws in parts)
         codes = np.full((n, WIDTH), -1, dtype=np.int64)
         deltas = np.zeros((n, WIDTH), dtype=np.int64)
@@ -183,9 +190,10 @@ class Decoder:
         for fam, draws in parts:
             ok, fam_codes, signs = self._families[fam](draws)
             end, width = at + len(draws), fam_codes.shape[1]
-            codes[at:end, :width] = fam_codes
-            deltas[at:end, :width] = signs
-            live[at:end] = ok
+            rows = slice(at, end) if numbers is None else numbers[at:end]
+            codes[rows, :width] = fam_codes
+            deltas[rows, :width] = signs
+            live[rows] = ok
             at = end
         index = np.flatnonzero(live)
         if not len(index):

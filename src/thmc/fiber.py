@@ -35,7 +35,6 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from math import comb
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -418,6 +417,11 @@ def connectivity(
     return ConnectivityReport(fiber=fiber, components=components, move_set=index.move_set)
 
 
+#: Table counts :func:`_levels` names in full when it refuses a sweep;
+#: past this one it says "more than" it.
+_COUNT_SHOWN = 10**18
+
+
 def _levels(T: int, n_max: int):
     """:func:`thmc._bulk.levels` over all 2**T cells: for n = 0..n_max, the
     tables of total count n, in complete fibers since sum(b) = n(T-1).
@@ -425,16 +429,24 @@ def _levels(T: int, n_max: int):
     The cells are built only when n_max >= 1.  Raises
     :class:`BudgetExceeded` before any enumeration when the tables of
     n <= n_max, C(2**T + n_max, n_max) of them, outnumber
-    ``MAX_FIBER_ELEMENTS``.
+    ``MAX_FIBER_ELEMENTS``.  The count is the running product of the
+    counts C(2**T + j, j) for j = 1..n_max, which stops once it passes
+    ``_COUNT_SHOWN``, so a huge n_max costs a few hundred steps at most.
     """
-    tables = comb(2**T + n_max, n_max)
-    if tables > MAX_FIBER_ELEMENTS:
-        raise BudgetExceeded(
-            f"{tables} tables of n <= {n_max} at T={T} exceed the budget "
-            f"of {MAX_FIBER_ELEMENTS}", 0, 0
-        )
     if T < MIN_T:
         raise ValueError(f"T must be >= {MIN_T}, got {T}")
+    if n_max < 0:
+        raise ValueError(f"n_max must be >= 0, got {n_max}")
+    tables = j = 1
+    while j <= n_max and tables <= _COUNT_SHOWN:
+        tables = tables * (2**T + j) // j
+        j += 1
+    if tables > MAX_FIBER_ELEMENTS:
+        shown = tables if tables <= _COUNT_SHOWN else f"more than {_COUNT_SHOWN:.0e}"
+        raise BudgetExceeded(
+            f"{shown} tables of n <= {n_max} at T={T} exceed the budget "
+            f"of {MAX_FIBER_ELEMENTS}", 0, 0
+        )
     from . import _bulk
 
     stats = _fitting_cells(T, (T - 1,) * 4)[1] if n_max > 0 else np.zeros((0, 4), np.int64)

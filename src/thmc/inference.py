@@ -16,9 +16,10 @@ fiber; the fiber is checked once per chain.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -33,7 +34,7 @@ from .core import (
     initial_freq,
     suff_stat,
 )
-from .moves import Family, ProposalSampler
+from .moves import MAX_SAMPLER_T, Family, Proposal, ProposalSampler
 
 #: Fisher-scoring convergence tolerance on the Birch residual
 #: ||b_obs - n E[b]||_inf, and the iteration budget; both are read at
@@ -300,6 +301,19 @@ def chi2_sf(x: float, df: int) -> float:
     return tail
 
 
+#: Decoded rows in a row with no accepted move after which
+#: :meth:`_Chain.walk`, above the enumeration cap, screens the rest of a
+#: block against its counts; read at each screen.  Screening again after
+#: every accepted move made a dense T=7 table of 2,000 paths (acceptance
+#: 0.32) 6 to 8 times slower, and 16 rows made one of 60 paths about 20%
+#: slower; at 64 and 128 rows dense tables ran as fast as with no screen
+#: after the first accepted move.
+_RESCREEN = 64
+
+#: No path code: codes are below 2**MAX_SAMPLER_T.
+_NO_CODE = 1 << MAX_SAMPLER_T
+
+
 class _Chain:
     """Metropolis-Hastings walk on the fiber of a starting table.
 
@@ -315,11 +329,18 @@ class _Chain:
     Proposals preserve the statistic by construction (the sampler checks
     every decoded draw); :meth:`check` confirms it once a walk is done.
 
-    :meth:`walk` takes a block of proposals at a time from the sampler and
-    steps through it in one loop.  It records the steps as runs, not one by
-    one: an ``(L, length)`` pair per stretch of consecutive steps with one
-    L, or with one state when the caller also asks for the tables.  A walk
-    takes exactly the steps it is asked for, so one that ends mid-block (a
+    :meth:`walk` takes a block of draws at a time from the sampler and
+    steps through its proposals in one loop.  Up to the enumeration cap
+    that is every proposal of the block.  Above it the block is the
+    decoder's arrays, and the walk steps through the rows that may fit: it
+    screens the rest of a block against the counts in numpy once 64 rows
+    in a row have passed with no accepted move (:meth:`_fitting`), and
+    skips only proposals the MH step would reject without a random draw,
+    so the walk, its random stream and its output are those of one step
+    per proposal.  It records the steps as runs, not one by one: an
+    ``(L, length)`` pair per stretch of consecutive steps with one L, or
+    with one state when the caller also asks for the tables.  A walk takes
+    exactly the steps it is asked for, so one that ends mid-block (a
     burn-in, or a whole chain) leaves the rest of the block to the next
     walk with the same generator.
     """
@@ -336,6 +357,11 @@ class _Chain:
         self.counts = dict(evaluator.cells)
         self.k = evaluator.k
         self.L = evaluator.L
+        # The step of the last move accepted in the current walk, and the
+        # decoded rows handed out since the last accepted move (see
+        # _fitting); none has been accepted yet.
+        self._last = -1
+        self._since = _RESCREEN
 
     def walk(
         self,
@@ -352,51 +378,126 @@ class _Chain:
         ``tables``.  A move accepted at the first step leaves a run of
         length 0."""
         rng, counts, value = self.rng, self.counts, self.evaluator.value
-        take, random, lgamma, exp = self.sampler.take, rng.random, math.lgamma, math.exp
+        span, random, lgamma, exp = self.sampler.span, rng.random, math.lgamma, math.exp
         top = 1 << (self.evaluator.table.T - 1)
         k, L = self.k, self.L
         accepted = nulls = 0
         done = start = 0
+        self._last = -1
         if tables is not None:
             tables.append(self.table())
         while done < steps:
-            block = take(rng, steps - done)
-            nulls += block.count(None)
-            for i, proposal in enumerate(block, done):
-                if proposal is None:
-                    continue
-                entries, sign = proposal
-                changes = []
-                log_ratio = 0.0
-                for code, delta in entries:
-                    old = counts.get(code, 0)
-                    new = old + sign * delta
-                    if new < 0:
-                        break
-                    changes.append((code, new))
-                    log_ratio += lgamma(old + 1) - lgamma(new + 1)
-                else:
-                    if log_ratio < 0 and random() >= exp(log_ratio):
+            block, first, stop = span(rng, steps - done)
+            if isinstance(block, list):
+                block = block[first:stop]
+                nulls += block.count(None)
+                batches: Iterable = (enumerate(block, done),)
+            else:
+                rows = np.searchsorted(block[0], (first, stop)).tolist()
+                nulls += stop - first - (rows[1] - rows[0])
+                batches = self._fitting(block, *rows, done - first)
+            for batch in batches:
+                for i, proposal in batch:
+                    if proposal is None:
                         continue
-                    for code, new in changes:
-                        if new:
-                            counts[code] = new
-                        else:
-                            del counts[code]
-                    accepted += 1
-                    k += sign * sum(d for c, d in entries if c < top)
-                    moved_L = value(counts, k)
-                    if runs is not None and (tables is not None or moved_L != L):
-                        runs.append((L, i - start))
-                        start = i
-                        if tables is not None:
-                            tables.append(self.table())
-                    L = moved_L
-            done += len(block)
+                    entries, sign = proposal
+                    changes = []
+                    log_ratio = 0.0
+                    for code, delta in entries:
+                        old = counts.get(code, 0)
+                        new = old + sign * delta
+                        if new < 0:
+                            break
+                        changes.append((code, new))
+                        log_ratio += lgamma(old + 1) - lgamma(new + 1)
+                    else:
+                        if log_ratio < 0 and random() >= exp(log_ratio):
+                            continue
+                        for code, new in changes:
+                            if new:
+                                counts[code] = new
+                            else:
+                                del counts[code]
+                        accepted += 1
+                        self._last = i
+                        k += sign * sum(d for c, d in entries if c < top)
+                        moved_L = value(counts, k)
+                        if runs is not None and (tables is not None or moved_L != L):
+                            runs.append((L, i - start))
+                            start = i
+                            if tables is not None:
+                                tables.append(self.table())
+                        L = moved_L
+            done += stop - first
         if runs is not None:
             runs.append((L, steps - start))
         self.k, self.L = k, L
         return accepted, nulls
+
+    def _fitting(
+        self, block: tuple, row: int, end: int, offset: int
+    ) -> Iterator[list[tuple[int, Proposal]]]:
+        """The proposals of rows ``row`` to ``end - 1`` of a decoded block
+        that may fit the counts, in batches of ``(step, proposal)`` pairs in
+        slot order.
+
+        ``block`` is the sampler's block above the cap: the draw slot of
+        each row, the entries' codes and sign-applied deltas, flat, and the
+        rows' bounds.  A row's step is ``offset`` plus its slot, and its
+        proposal carries the sign-applied deltas with sign +1.  Rows are
+        handed out in order until ``_RESCREEN`` rows in a row, counted
+        across blocks, have passed with no accepted move; the rest of the
+        block is then screened against the counts at once (:meth:`_fits`),
+        and only the rows that fit are handed out, one per batch, until one
+        is accepted, which voids the screen.  Each batch holds consecutive
+        rows, whose entries are read from the arrays at once.  The screen skips only rows
+        whose proposals the MH step would reject without a random draw, so
+        the walk and its random stream are those of every row handed out.
+        The walk keeps the step of its last accepted move in ``self._last``.
+        """
+        slots, codes, deltas, bounds, _ = block
+        since = self._since
+        while row < end:
+            screened = since >= _RESCREEN
+            if screened:
+                spans = [(r, r + 1) for r in self._fits(block, row, end)]
+                row = end
+            else:
+                spans = [(row, min(end, row + _RESCREEN - since))]
+                row = spans[0][1]
+            for a, b in spans:
+                lo, hi = bounds[a], bounds[b]
+                pairs = list(zip(codes[lo:hi].tolist(), deltas[lo:hi].tolist()))
+                bound, slot = (bounds[a : b + 1] - lo).tolist(), slots[a:b].tolist()
+                last = self._last
+                yield [
+                    (offset + slot[i], (tuple(pairs[bound[i] : bound[i + 1]]), 1))
+                    for i in range(b - a)
+                ]
+                if self._last == last:
+                    since += b - a
+                    continue
+                # Count the rows after the one accepted.
+                since = b - 1 - a - bisect_left(slot, self._last - offset)
+                if screened:
+                    row = b
+                    break
+        self._since = since
+
+    def _fits(self, block: tuple, row: int, end: int) -> list[int]:
+        """The rows from ``row`` to ``end - 1`` of a decoded block that leave
+        every count nonnegative: each entry's code is looked up in the
+        sorted codes of the counts, ended by ``_NO_CODE``."""
+        _, codes, deltas, bounds, _ = block
+        held = sorted(self.counts)
+        support = np.array(held + [_NO_CODE])
+        count = np.array([self.counts[c] for c in held] + [0])
+        lo, hi = bounds[row], bounds[end]
+        code = codes[lo:hi]
+        at = np.searchsorted(support, code)
+        short = count[at] * (support[at] == code) + deltas[lo:hi] < 0
+        fits = ~np.logical_or.reduceat(short, bounds[row:end] - lo)
+        return (row + np.flatnonzero(fits)).tolist()
 
     def table(self) -> PathTable:
         """The current state as a table of paths."""

@@ -634,18 +634,25 @@ class ProposalSampler:
     drawing one proposal at a time; a seed gives other proposals than in
     versions that drew them one by one or in blocks of 256.
     :meth:`take` hands out the unused proposals of the current block, in
-    draw order, and :meth:`sample` takes one of them.  A call with another
-    generator than the one the block came from drops the rest of the block
-    and draws a new one, so each generator's proposals depend on its seed
-    and the order of calls.
+    draw order, and :meth:`sample` takes one of them; :meth:`span` hands
+    out the unused draws as positions in the block itself.  A call with
+    another generator than the one the block came from drops the rest of
+    the block and draws a new one, so each generator's proposals depend on
+    its seed and the order of calls.
 
     Draws are decoded in numpy, on path codes, and each decoded row is
     checked in array form (zero mass and net transition statistic).  Up to
     ``ENUMERATION_T_CAP`` each family's whole draw space is decoded once,
     on first use, into a lookup table by flat draw index, the table
-    :func:`enumerate_family` reads; above it, each block's draws are
-    decoded as they come.  T is capped at ``MAX_SAMPLER_T``, where codes
-    still fit an int64.
+    :func:`enumerate_family` reads, and a block is the list of its
+    proposals.  Above the cap each block's draws are decoded as they come
+    and kept as arrays: ``(slots, codes, deltas, bounds, signs)``, the draw
+    slot of each row that gives a move, in increasing order, the rows'
+    codes and their deltas times the row's sign, flat, the bounds of each
+    row in them, and the sign of every slot.  :meth:`take` builds its
+    proposals from these arrays; the MH chain screens them against its
+    counts.  T is capped at ``MAX_SAMPLER_T``, where codes still fit an
+    int64.
     """
 
     def __init__(
@@ -676,9 +683,9 @@ class ProposalSampler:
         self._tables: Optional[dict[Family, list]] = (
             {} if T <= ENUMERATION_T_CAP else None
         )
-        # Proposals of the current block, the position of the first unused
-        # one, and the generator they were drawn from.
-        self._block: list[Optional[Proposal]] = []
+        # The current block (see the class docstring), the position of its
+        # first unused draw, and the generator it was drawn from.
+        self._block: object = []
         self._next = 0
         self._block_rng: Optional[np.random.Generator] = None
 
@@ -687,14 +694,31 @@ class ProposalSampler:
         return self.take(rng, 1)[0]
 
     def take(self, rng: np.random.Generator, m: int) -> list[Optional[Proposal]]:
-        """The next proposals from ``rng``, in draw order: the unused ones of
-        the current block, at most ``m`` (at least 1) of them.  A new block is
-        drawn when the current one is spent or came from another generator."""
-        if rng is not self._block_rng or self._next == len(self._block):
+        """The next proposals from ``rng``, in draw order: those of the
+        draws :meth:`span` hands out."""
+        block, start, stop = self.span(rng, m)
+        if isinstance(block, list):
+            return block[start:stop]
+        slots, codes, deltas, bounds, signs = block
+        out: list[Optional[Proposal]] = [None] * (stop - start)
+        first, end = np.searchsorted(slots, (start, stop)).tolist()
+        for row in range(first, end):
+            slot, lo, hi = int(slots[row]), int(bounds[row]), int(bounds[row + 1])
+            sign = int(signs[slot])
+            moved = zip(codes[lo:hi].tolist(), (deltas[lo:hi] * sign).tolist())
+            out[slot - start] = (tuple(moved), sign)
+        return out
+
+    def span(self, rng: np.random.Generator, m: int) -> tuple[object, int, int]:
+        """Hand out the next unused draws of ``rng``'s block, at most ``m``
+        (at least 1): the block and the positions ``start`` to ``stop - 1``
+        of the draws.  A new block is drawn when the current one is spent
+        or came from another generator."""
+        if rng is not self._block_rng or self._next == _BLOCK:
             self._draw_block(rng)
         start = self._next
         self._next = min(start + m, _BLOCK)
-        return self._block[start:self._next]
+        return self._block, start, self._next
 
     def _draw_block(self, rng: np.random.Generator) -> None:
         """Draw the next ``_BLOCK`` proposals from ``rng``."""
@@ -706,15 +730,19 @@ class ProposalSampler:
                 highs = self._highs[fam]
                 draws = rng.integers(0, highs, size=(len(slots), len(highs)))
                 drawn.append((fam, slots, draws))
-        block: list[Optional[Proposal]] = [None] * _BLOCK
         tables = self._tables
         if tables is None:
-            index, entries = self._decoder.decode([(f, d) for f, _, d in drawn])
-            slots = np.concatenate([s for _, s, _ in drawn]).tolist()
-            signs = (1 - 2 * np.concatenate([d[:, -1] for _, _, d in drawn])).tolist()
-            for i, e in zip(index, entries):
-                block[slots[i]] = (e, signs[i])
+            slots = np.concatenate([s for _, s, _ in drawn])
+            signs = np.empty(_BLOCK, dtype=np.int64)
+            signs[slots] = 1 - 2 * np.concatenate([d[:, -1] for _, _, d in drawn])
+            rows, codes, deltas, starts = self._decoder.merged(
+                [(f, d) for f, _, d in drawn], slots
+            )
+            bounds = np.append(starts, len(codes))
+            deltas *= np.repeat(signs[rows], np.diff(bounds))
+            self._block = (rows, codes, deltas, bounds, signs)
         else:
+            block: list[Optional[Proposal]] = [None] * _BLOCK
             for fam, slots, draws in drawn:
                 table = tables.get(fam)
                 if table is None:
@@ -722,6 +750,6 @@ class ProposalSampler:
                 flat = draws @ self._decoder.strides[fam]
                 for slot, i in zip(slots.tolist(), flat.tolist()):
                     block[slot] = table[i]
-        self._block = block
+            self._block = block
         self._next = 0
         self._block_rng = rng

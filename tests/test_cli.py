@@ -566,6 +566,19 @@ class TestCmdVerifyBasis:
         assert result.stderr.startswith("error: 131115985 tables of n <= 6 at T=6 ")
         assert len(result.stderr.splitlines()) == 1
 
+    # C(2**3 + n, n) for this n has 156 digits; the error names no count
+    # past 10**18.
+    def test_huge_n_max_refused_in_one_short_line(self, runner):
+        result = runner.invoke(main, [
+            "verify-basis", "--T", "3", "--n-max", "99999999999999999999",
+        ])
+        assert result.exit_code == 5
+        assert result.stdout == ""
+        assert result.stderr == (
+            "error: more than 1e+18 tables of n <= 99999999999999999999 at T=3 "
+            "exceed the budget of 1000000\n"
+        )
+
     def test_unwritable_report_is_usage_error(self, runner, tmp_path, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("swept the fibers")

@@ -2,6 +2,7 @@ import itertools
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -444,6 +445,24 @@ class TestSweep:
             sweep(3, 2)
         with pytest.raises(BudgetExceeded):
             realizable_stats(3, 2)
+
+    # C(2**20 + 10**6, 10**6) has 616,430 digits, and math.comb took about
+    # 32 s to find them; the running product stops once it passes 10**18.
+    def test_huge_sweep_refused_without_its_exact_count(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("enumerated tables")
+
+        monkeypatch.setattr(fiber, "_fitting_cells", refuse)
+        start = time.perf_counter()
+        with pytest.raises(BudgetExceeded) as err:
+            realizable_stats(20, 10**6)
+        assert time.perf_counter() - start < 2
+        assert str(err.value) == (
+            "more than 1e+18 tables of n <= 1000000 at T=20 exceed the budget "
+            "of 1000000"
+        )
+        with pytest.raises(ValueError, match="n_max must be >= 0"):
+            realizable_stats(3, -1)
 
     # The tables of n = 0 hold no path, so no cell is built at any T, also
     # past the dense cap.

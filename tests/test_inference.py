@@ -1,5 +1,6 @@
 import hashlib
 import math
+import random
 from collections import Counter
 
 import numpy as np
@@ -24,6 +25,7 @@ from thmc import (
     swap_states,
     transitions,
 )
+from thmc import moves
 from thmc.core import MIN_T, all_paths, decode, encode
 from thmc.fiber import table_text
 from thmc.moves import ProposalSampler
@@ -38,17 +40,34 @@ KLOTZ_LR = 0.112098497
 TWO_ELEMENT_START = PathTable(3, {(1, 1, 2): 1, (2, 2, 1): 1})
 
 
+#: A start above the enumeration cap with one path of code 0 (all ones) and
+#: one of code 1 (all ones, then a 2), as TWO_ELEMENT_START has at T=3.
+ABOVE_CAP_START = PathTable(7, {(1,) * 7: 1, (1,) * 6 + (2,): 1})
+
+
 @pytest.fixture()
 def fiber_breaking_proposal(monkeypatch):
-    """Make every proposal +1 on 111 and -1 on 112 (path codes 0 and 1).
+    """Make every proposal +1 on code 0 (all ones) and -1 on code 1 (all
+    ones, then a 2).
 
-    The move is feasible on TWO_ELEMENT_START and keeps the initial
-    frequencies, but changes the transition statistic, which no real
-    proposal can do (the sampler's decoder checks every draw against it).
-    The chain takes its proposals through ``ProposalSampler.take``.
+    The move is feasible on TWO_ELEMENT_START and on ABOVE_CAP_START and
+    keeps the initial frequencies, but changes the transition statistic,
+    which no real proposal can do (the sampler's decoder checks every draw
+    against it).  The chain takes its proposals through
+    ``ProposalSampler.span``: up to the enumeration cap as a list of
+    proposals, above it as the decoded block's arrays.
     """
-    fake = (((encode((1, 1, 1)), 1), (encode((1, 1, 2)), -1)), 1)
-    monkeypatch.setattr(ProposalSampler, "take", lambda self, rng, m: [fake] * m)
+    fake = (((0, 1), (1, -1)), 1)
+
+    def span(self, rng, m):
+        m = min(m, moves._BLOCK)
+        if self.T <= moves.ENUMERATION_T_CAP:
+            return [fake] * m, 0, m
+        signs = np.ones(m, dtype=np.int64)
+        block = (np.arange(m), np.tile([0, 1], m), np.tile([1, -1], m), 2 * np.arange(m + 1), signs)
+        return block, 0, m
+
+    monkeypatch.setattr(ProposalSampler, "span", span)
 
 
 @pytest.fixture()
@@ -380,6 +399,10 @@ class TestMhChain:
         with pytest.raises(AssertionError, match="chain left its fiber"):
             list(mh_chain(TWO_ELEMENT_START, steps=10, seed=0))
 
+    def test_leaving_the_fiber_above_the_cap_raises(self, fiber_breaking_proposal):
+        with pytest.raises(AssertionError, match="chain left its fiber"):
+            list(mh_chain(ABOVE_CAP_START, steps=10, seed=0))
+
     def test_invalid_arguments(self):
         start = PathTable(3, {(1, 1, 2): 1})
         with pytest.raises(ValueError):
@@ -524,6 +547,10 @@ class TestExactTest:
         with pytest.raises(AssertionError, match="chain left its fiber"):
             exact_test(TWO_ELEMENT_START, steps=10, burnin=0, seed=0)
 
+    def test_leaving_the_fiber_above_the_cap_raises(self, fiber_breaking_proposal):
+        with pytest.raises(AssertionError, match="chain left its fiber"):
+            exact_test(ABOVE_CAP_START, steps=10, burnin=0, seed=0)
+
     # The chain walks a block of proposals per loop and keeps L as runs; the
     # burn-in (1,000 steps) and the chains end mid-block (blocks hold 1,024
     # draws).  Klotz's proposals come from lookup tables; the T=9 table lies
@@ -608,3 +635,129 @@ class TestExactTest:
             exact_test(klotz, steps=0)
         with pytest.raises(ValueError):
             exact_test(klotz, steps=10, chains=0)
+
+
+def seeded_paths(T: int, n: int) -> PathTable:
+    """n paths of length T, each state drawn from ``random.Random(T * n)``."""
+    rng = random.Random(T * n)
+    return PathTable(T, Counter(
+        tuple(rng.choice((1, 2)) for _ in range(T)) for _ in range(n)
+    ))
+
+
+def reference_walk(chain, steps, runs=None, tables=None):
+    """``_Chain.walk`` one proposal at a time: each step takes one proposal
+    through ``ProposalSampler.take`` and applies the MH rule to it alone.
+    Returns the walk's counts of accepted moves and of nulls, and leaves
+    the chain's counts, k and L where the walk would."""
+    counts, top = chain.counts, 1 << (chain.evaluator.table.T - 1)
+    accepted = nulls = start = 0
+    if tables is not None:
+        tables.append(chain.table())
+    for i in range(steps):
+        (proposal,) = chain.sampler.take(chain.rng, 1)
+        if proposal is None:
+            nulls += 1
+            continue
+        entries, sign = proposal
+        new = {c: counts.get(c, 0) + sign * d for c, d in entries}
+        if min(new.values()) < 0:
+            continue
+        log_ratio = 0.0
+        for c, n in new.items():
+            log_ratio += math.lgamma(counts.get(c, 0) + 1) - math.lgamma(n + 1)
+        if log_ratio < 0 and chain.rng.random() >= math.exp(log_ratio):
+            continue
+        for c, n in new.items():
+            if n:
+                counts[c] = n
+            else:
+                del counts[c]
+        accepted += 1
+        chain.k += sign * sum(d for c, d in entries if c < top)
+        L = chain.evaluator.value(counts, chain.k)
+        if runs is not None and (tables is not None or L != chain.L):
+            runs.append((chain.L, i - start))
+            start = i
+            if tables is not None:
+                tables.append(chain.table())
+        chain.L = L
+    if runs is not None:
+        runs.append((chain.L, steps - start))
+    return accepted, nulls
+
+
+class TestScreenedWalk:
+    """Above the enumeration cap the walk screens each decoded block against
+    the counts and steps only through the rows that can fit; every
+    accepted move, null, run, final count and k must be those of the MH
+    rule applied to one proposal at a time."""
+
+    @staticmethod
+    def walks(table, seed, plan, chains=1):
+        """Walk ``plan``'s ``(steps, runs, tables)`` walks on each of
+        ``chains`` chains, one chain after another on one shared sampler,
+        with ``_Chain.walk`` and with ``reference_walk``; return the
+        records of both."""
+        if chains == 1:
+            seeds = [seed]
+        else:
+            seeds = np.random.SeedSequence(seed).spawn(chains)
+        records = []
+        for walk in (inference._Chain.walk, reference_walk):
+            sampler = ProposalSampler(table.T)
+            evaluator = inference._LikelihoodRatioEvaluator(table)
+            record = []
+            for s in seeds:
+                chain = inference._Chain(evaluator, np.random.default_rng(s), sampler)
+                for steps, with_runs, with_tables in plan:
+                    runs = [] if with_runs else None
+                    tables = [] if with_tables else None
+                    moved = walk(chain, steps, runs, tables)
+                    record.append((moved, runs, tables))
+                record.append((chain.counts, chain.k, chain.L))
+            records.append(record)
+        return records
+
+    # The burn-in of 1,000 steps ends mid-block (blocks hold 1,024 draws),
+    # as does the 2,500-step walk after it.  The dense tables accept
+    # 32%, 14% and 5% of their steps; the T=12 table almost none.
+    @pytest.mark.parametrize("T, n", [(7, 2000), (8, 300), (7, 60), (9, 80), (12, 30)])
+    def test_runs_match_the_reference(self, T, n):
+        table = random_table(np.random.default_rng(T), T, n) if T >= 9 else seeded_paths(T, n)
+        walked, expected = self.walks(table, 3, [(1000, False, False), (2500, True, False)])
+        assert walked == expected
+        (accepted, _), _, _ = walked[1]
+        assert accepted > 0
+
+    # A screen after every accepted move (0) and after every row that is
+    # not accepted (1) hand out the same rows as the default.
+    @pytest.mark.parametrize("rescreen", [0, 1, 64])
+    @pytest.mark.parametrize("T, n", [(7, 60), (12, 30)])
+    def test_rescreen_policy_keeps_the_walk(self, monkeypatch, T, n, rescreen):
+        monkeypatch.setattr(inference, "_RESCREEN", rescreen)
+        table = seeded_paths(T, n) if T < 9 else random_table(np.random.default_rng(T), T, n)
+        walked, expected = self.walks(table, 5, [(700, False, False), (3000, True, True)])
+        assert walked == expected
+
+    def test_two_chains_share_one_sampler(self):
+        walked, expected = self.walks(
+            seeded_paths(8, 300), 11, [(300, False, False), (1500, True, False)], chains=2
+        )
+        assert walked == expected
+
+    # mh_chain asks for the tables of each run, walking 4,096 steps at a
+    # time after the burn-in.
+    def test_mh_chain_matches_the_reference(self):
+        table = seeded_paths(7, 60)
+        chain = inference._Chain(
+            inference._LikelihoodRatioEvaluator(table),
+            np.random.default_rng(2),
+            ProposalSampler(table.T),
+        )
+        reference_walk(chain, 300)
+        runs, tables = [], []
+        reference_walk(chain, 5000, runs, tables)
+        expected = [(t, L) for (L, length), t in zip(runs, tables) for _ in range(length)]
+        assert list(mh_chain(table, steps=5000, burnin=300, seed=2)) == expected
+        assert len(set(t for t, _ in expected)) > 10
