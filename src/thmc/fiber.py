@@ -49,7 +49,13 @@ from .core import (
     path_str,
 )
 # enumerate_families stays a name of this module: perfbench's tracer wraps it.
-from .moves import Family, Move, enumerate_families, family_entries  # noqa: F401
+from .moves import (  # noqa: F401
+    Family,
+    Move,
+    _check_enumeration_T,
+    enumerate_families,
+    family_entries,
+)
 
 #: Enumeration budgets of :func:`enumerate_fiber`, read at each call; the
 #: element budget also caps the tables a :func:`sweep` may enumerate.
@@ -343,11 +349,18 @@ def _move_index(parts: Sequence[Parts], move_set: tuple[str, ...]) -> _MoveIndex
 
 @lru_cache(maxsize=None)
 def _family_index(T: int, families: tuple[Family, ...]) -> _MoveIndex:
-    """The index of a family selection, from the families' canonical
-    ``(code, delta)`` entries; a path's code is its cell index."""
+    """The index of a family selection.  One with type I moves is built on
+    points (:func:`thmc._points.index`); any other from the families'
+    canonical ``(code, delta)`` entries, where a path's code is its cell
+    index.  T is capped as for :func:`family_entries`."""
+    move_set = tuple(f.value for f in families)
+    if Family.TYPE1_DEG1 in families:
+        _check_enumeration_T(T)
+        from . import _points
+
+        return _MoveIndex(*_points.index(T, families), move_set)
     return _move_index(
-        [_parts(entries) for f in families for entries in family_entries(T, f)],
-        tuple(f.value for f in families),
+        [_parts(entries) for f in families for entries in family_entries(T, f)], move_set
     )
 
 

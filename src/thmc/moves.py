@@ -12,8 +12,12 @@ The proposal sampler decodes its parameter draws in numpy on path codes
 checks the decoded rows in array form (:mod:`thmc._decode`).  Up to
 ``ENUMERATION_T_CAP`` each family's draw space is decoded once into a
 lookup table, and a family's enumeration decodes the same draws with the
-same steps, so the moves a basis sweep certifies are the moves the exact
-test proposes.
+same steps, so the enumeration lists the moves the exact test proposes.
+A basis sweep reads a selection with type I moves on points instead
+(:mod:`thmc._points`), and any other from this enumeration; the tests
+check that both give the same index at T = 3..8, and on that check rests
+the claim that the moves a sweep certifies are the moves the test
+proposes.
 """
 
 from __future__ import annotations

@@ -566,6 +566,40 @@ class TestCmdVerifyBasis:
         assert result.stderr.startswith("error: 131115985 tables of n <= 6 at T=6 ")
         assert len(result.stderr.splitlines()) == 1
 
+    # Past T=6 the sweep is refused before any index or table is built,
+    # for a selection indexed on points and for one indexed from its
+    # families' entries alike, and however few tables it would hold.
+    @pytest.mark.parametrize("args", [
+        ["--n-max", "4"],
+        ["--n-max", "0"],
+        ["--n-max", "0", "--families", "crossing,type2"],
+    ])
+    def test_T_over_enumeration_cap_is_usage_error(self, runner, args):
+        result = runner.invoke(main, ["verify-basis", "--T", "7", *args])
+        assert result.exit_code == 1
+        assert result.stdout == ""
+        assert result.stderr == "error: enumeration is capped at T <= 6, got 7\n"
+
+    # The default selection is indexed on points, so the sweep decodes no
+    # proposal draw and never compiles the decoder.
+    def test_default_sweep_imports_no_decoder(self):
+        code = (
+            "import sys\n"
+            "from thmc.cli import main\n"
+            "try:\n"
+            "    main(['verify-basis', '--T', '5', '--n-max', '4'])\n"
+            "except SystemExit as exc:\n"
+            "    print(exc.code, 'thmc._decode' in sys.modules)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(thmc.__file__).parents[1]))
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+            check=True,
+        )
+        assert out.stdout.splitlines() == [
+            "checked 895 fibers at T=5, n<=4: 0 disconnected", "0 False",
+        ]
+
     # C(2**3 + n, n) for this n has 156 digits; the error names no count
     # past 10**18.
     def test_huge_n_max_refused_in_one_short_line(self, runner):

@@ -335,8 +335,10 @@ class TestConnectivity:
 
 
 class TestSweep:
-    # A family selection is read as its families' (code, delta) entries,
-    # once per selection and family; no Move is built for the index.
+    # A selection with type I moves is indexed on points and reads no
+    # family's (code, delta) entries; any other is read as its families'
+    # entries, once per selection and family.  No Move is built for the
+    # index.
     def test_moves_indexed_once_per_selection(self, monkeypatch):
         enumerations = []
         indexed = []
@@ -364,6 +366,10 @@ class TestSweep:
         fiber._family_index.cache_clear()
         with monkeypatch.context() as patch:
             patch.setattr(thmc.moves.Move, "__post_init__", refuse)
+            assert len(sweep(4, 3)) > 1
+            fiber._resolve_moves(4, None)
+            assert enumerations == []
+            connectivity_calls.clear()
             reports = sweep(4, 3, ["crossing", "type2"])
             fiber._resolve_moves(4, ["crossing", "type2"])
         assert len(connectivity_calls) == len(reports) > 1
@@ -664,3 +670,42 @@ class TestComponentsOracle:
         report = connectivity(fib, ["type1", "crossing"])
         assert report.n_components == 31
         assert list(report.components) == brute_components(fib, moves)
+
+
+class TestPointIndex:
+    """A selection with type I moves is indexed on points; it must give the
+    index the path-level builder gives from every decoded draw: the same
+    classes, class sizes and set of mapped moves.  Past the enumeration
+    cap the path-level side reads the uncapped enumeration."""
+
+    SELECTIONS = [
+        tuple(Family),
+        tuple(f for f in Family if f is not Family.DEG3_SLIDING),
+        (Family.TYPE1_DEG1, Family.CROSSING, Family.TWO_BY_TWO, Family.TYPE4),
+        (Family.TYPE1_DEG1, Family.CROSSING),
+        (Family.TYPE1_DEG1, Family.TYPE2_DEG1),
+    ]
+
+    @staticmethod
+    def moves(by_negative):
+        return {(n, p) for n, positives in by_negative.items() for p in positives}
+
+    @pytest.mark.parametrize("T", range(3, 9))
+    def test_equals_path_level_index(self, T):
+        from thmc import _points
+
+        entries = thmc.moves._family_entries_cached
+        try:
+            for families in self.SELECTIONS:
+                parts = [fiber._parts(e) for f in families for e in entries(T, f)]
+                path_level = fiber._move_index(parts, ())
+                classes, sizes, by_negative = _points.index(T, families)
+                assert classes == path_level.classes
+                assert sizes == path_level.sizes
+                assert self.moves(by_negative) == self.moves(path_level.by_negative)
+                # One sign of each move, none onto itself, in ascending order.
+                assert all(n < p for n, positives in by_negative.items() for p in positives)
+                assert list(by_negative) == sorted(by_negative)
+        finally:
+            if T > thmc.moves.ENUMERATION_T_CAP:
+                entries.cache_clear()
