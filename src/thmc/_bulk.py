@@ -1,21 +1,19 @@
-"""Array kernels of the fiber layer: the tables of one path count at once.
+"""Array kernels of the fiber layer: the tables, or class multisets, of one
+path count, a level, at once.
 
-The tables of n paths are an (N, n) array, one row per table holding its
-paths' cell indices in ascending order, the row form of the sorted tuples
-of :mod:`thmc.fiber`; the tables of one count are a level.  :func:`levels`
-builds every table of each count and orders them into fibers;
-:func:`group` finds each table's class multiset, checks each multiset's
-table count and finds the components of every multiset of the level in
-one search; :class:`Tokens` renders a level's ``path:count`` tokens once,
-and a run of its tables' keys takes one gather of their tokens: a fiber's
-lines are its tokens joined, and :mod:`thmc._report` joins a chunk of
-fibers' tokens into a report's JSON.  :mod:`thmc.fiber` imports this
-module on first use, so a command that sweeps or renders no fiber does
-not compile it.
+A level is an (N, n) array, one row per table holding its paths' cells in
+ascending order (the sorted tuples of :mod:`thmc.fiber`), or per multiset
+its classes.  :func:`levels` builds every row of each count and orders the
+rows into fibers; :func:`sweep` finds each fiber's components and table
+counts on its class multisets with one :func:`search` per level, and
+:func:`tables` builds one fiber's tables when read.  :class:`Tokens`
+renders a level's ``path:count`` tokens once, so a run of table keys takes
+one gather; :mod:`thmc._report` joins them into a report's JSON.
 """
 
 from __future__ import annotations
 
+import math
 from functools import cached_property
 from itertools import combinations
 from typing import Iterator, Sequence
@@ -26,14 +24,12 @@ import numpy as np
 def levels(
     T: int, n_max: int, stats: np.ndarray
 ) -> Iterator[tuple[np.ndarray, np.ndarray, list[tuple[int, ...]]]]:
-    """For n = 0..n_max, every table of n paths over the cells whose
-    statistics are the rows of ``stats``, in cell order.
-
-    Yields the tables in canonical order, by statistic and then by
-    descending cell tuple, with the first row of each fiber and the fibers'
-    statistics.  A table's statistic is one key: the sum of its cells'
-    statistics written in base ``n_max * (T-1) + 1``, which no coordinate
-    of a statistic reaches, so keys sort as statistics.
+    """For n = 0..n_max, every table of n paths over the cells (or classes)
+    whose statistics are the rows of ``stats``, in canonical order: by
+    statistic, then by descending cell tuple; with the first row of each
+    fiber and the fibers' statistics.  A table's statistic is one key: the
+    sum of its cells' statistics in base ``n_max * (T-1) + 1``, which no
+    coordinate of a statistic reaches, so keys sort as statistics.
     """
     base = n_max * (T - 1) + 1
     weights = base ** np.arange(3, -1, -1, dtype=np.int64)
@@ -70,9 +66,7 @@ def _extend(
     low = rows[:, -1].astype(np.intp) if rows.shape[1] else np.zeros(1, np.intp)
     fan = len(cell_key) - low
     new = _ranges(low, fan)
-    rows = np.concatenate(
-        [np.repeat(rows, fan, axis=0), new[:, None].astype(rows.dtype)], axis=1
-    )
+    rows = np.concatenate([np.repeat(rows, fan, axis=0), new[:, None].astype(rows.dtype)], 1)
     return rows, np.repeat(keys, fan) + cell_key[new]
 
 
@@ -108,7 +102,7 @@ def classes(
     reps = sorted(set(rep))
     number = {r: i for i, r in enumerate(reps)}
     ids = np.array([number[r] for r in rep], dtype=np.min_scalar_type(len(reps)))
-    size = np.array([sizes.get(r, 1) for r in reps], dtype=np.float64)
+    size = np.array([sizes.get(r, 1) for r in reps], dtype=np.int64)
     return ids, size, np.array(reps, dtype=np.int64)
 
 
@@ -170,10 +164,8 @@ def join(label: np.ndarray, i: np.ndarray, j: np.ndarray) -> None:
     root, and leave every index pointing at its root.
 
     Min-label propagation with pointer jumping: each round points every
-    index at its root, then hooks the larger root of each pair still
-    split under the smaller.  A root only moves under a smaller root of
-    its component, so each root stays the smallest index of its
-    component.
+    index at its root, then hooks the larger root of each pair still split
+    under the smaller, so each root stays its component's smallest index.
     """
     while True:
         while True:
@@ -200,18 +192,15 @@ def search(
     of its component, and the multisets a move leads out of, whose
     neighbour is not among them.
 
-    A multiset's neighbours come from its distinct sub-multisets of each
-    mapped degree d: for each d-subset of columns, one ``searchsorted`` of
-    the rows' keys among the negative parts' finds the rows that hold a
-    negative part.  Such a row's neighbour is the row with the negative
-    classes replaced by the positive ones, sorted, and its key is looked up
-    among the level's.  Only the leftmost columns holding a sub-multiset
-    probe it, and copies of a class past the largest degree are left out
-    of the columns drawn from, so a row of many copies of one class probes
-    each sub-multiset once.  One sign of each move suffices, as the other
-    is found from the far end.  The edges of each column subset are
-    joined into the labels (:func:`join`) before the next subset's are
-    found.
+    For each mapped degree d and d-subset of columns, one ``searchsorted``
+    of the rows' keys among the negative parts' finds the rows holding a
+    negative part; such a row's neighbour, with the negative classes
+    replaced by the positive ones and sorted, is looked up among the
+    level's keys.  Only the leftmost columns holding a sub-multiset probe
+    it, and copies of a class past the largest degree are left out, so a
+    row of many copies of one class probes each sub-multiset once.  One
+    sign of each move suffices, as the other is found from the far end.
+    Each column subset's edges are joined (:func:`join`) before the next.
     """
     count, n = multisets.shape
     label = np.arange(count)
@@ -262,104 +251,110 @@ def search(
     return label, np.concatenate(escaped)
 
 
-def group(
-    ids: np.ndarray, starts: np.ndarray, size: np.ndarray, reps: np.ndarray,
-    moves: dict[int, Mapped],
-) -> list[tuple[np.ndarray | None, np.ndarray, bool, tuple[int, ...]]]:
-    """The class multisets of the tables of several fibers, and their
-    components under the mapped moves ``moves`` (:func:`mapped`).
-
-    ``ids`` holds the class id of each path of each table, with the tables
-    of a fiber contiguous and the fibers beginning at ``starts``; its rows
-    are sorted in place.  ``size`` and ``reps`` give each class's size and
-    smallest cell, as :func:`classes` returns them.  Distinct multisets
-    come from one ``lexsort`` of the sorted rows, and are numbered in the
-    order of their first tables, from 0 in each fiber.  For each fiber,
-    returns each multiset's root, the first multiset of its component, or
-    None when the fiber is one component; the number of each table's
-    multiset; whether the fiber is complete, each multiset having all the
-    tables its classes make, ``prod_c C(|c| + k_c - 1, k_c)`` for class
-    ``c`` held ``k_c`` times, and no move leading out of it; and
-    ``tuple(range(len(fiber)))``, the one component of a connected fiber,
-    with its ints shared by all the fibers.  The components of all the
-    fibers come from one :func:`search` over all the multisets.
-    """
-    count, n = ids.shape
-    fibers = len(starts)
-    fiber = np.repeat(
-        np.arange(fibers, dtype=np.min_scalar_type(fibers)), np.diff(np.append(starts, count))
-    )
-    ids.sort(axis=1)
-    order = np.lexsort((*ids.T[::-1], fiber))
-    ids, fiber_of = ids[order], fiber[order]
-    del fiber
-    new = np.append(True, (ids[1:] != ids[:-1]).any(axis=1) | (fiber_of[1:] != fiber_of[:-1]))
-    first = np.flatnonzero(new)
-    rows = ids[first]
-    del ids
-    fiber_of = fiber_of[first]
-    # The product over runs of C(s + k - 1, k), one factor (s + r - 1) / r
-    # at the r-th copy of a class.  Each partial product is a whole number,
-    # exact in a float below 2**53; a larger one is far from any count held.
-    expected = np.ones(len(first))
-    run = np.ones(len(first))
+def counts(multisets: np.ndarray, size: np.ndarray) -> np.ndarray:
+    """The table count of each class multiset, ``prod_c C(|c| + k_c - 1,
+    k_c)`` for class ``c`` of ``size[c]`` cells held ``k_c`` times, one
+    factor ``(|c| + r - 1) / r`` per copy.  Each partial product is whole,
+    and at most n times all tables of n paths: int64 where that fits."""
+    count, n = multisets.shape
+    cells = int(size.sum())
+    fits = math.comb(cells + n, n) * (cells + n) < 2**63
+    out = np.ones(count, dtype=np.int64 if fits else object)
+    run = np.ones(count, dtype=np.int64)
     for j in range(n):
         if j:
-            run = np.where(rows[:, j] == rows[:, j - 1], run + 1, 1)
-        expected = expected * (size[rows[:, j]] + run - 1) / run
-    held = np.diff(np.append(first, count))
-    short = np.bincount(fiber_of[expected != held], minlength=fibers)
-    del expected, run, held
-    # Number the multisets in the order of their first tables, from 0 in
-    # each fiber, and give each table its multiset's number.
-    by_table = np.argsort(order[first])
-    fiber_of = fiber_of[by_table]
-    bounds = np.append(0, np.cumsum(np.bincount(fiber_of, minlength=fibers)))
-    rank = np.empty_like(by_table)
-    rank[by_table] = np.arange(len(by_table)) - bounds[fiber_of]
-    multiset = np.cumsum(new)
-    multiset -= 1
-    multiset_of = np.empty_like(multiset)
-    multiset_of[order] = rank[multiset]
-    del new, first, multiset, order, rank
-    label, escaped = search(rows[by_table], moves, len(reps) + 1)
-    del rows
-    short += np.bincount(fiber_of[escaped], minlength=fibers)
-    root = label == np.arange(len(label))
-    split = np.bincount(fiber_of[root], minlength=fibers) > 1
-    label -= bounds[fiber_of]
-    bounds, starts = bounds.tolist(), [*starts.tolist(), count]
-    indices = tuple(range(max(b - a for a, b in zip(starts, starts[1:]))))
-    return [
-        (
-            label[bounds[f]:bounds[f + 1]] if s else None,
-            multiset_of[starts[f]:starts[f + 1]],
-            not k,
-            indices[:starts[f + 1] - starts[f]],
-        )
-        for f, (k, s) in enumerate(zip(short.tolist(), split.tolist()))
-    ]
+            run = np.where(multisets[:, j] == multisets[:, j - 1], run + 1, 1)
+        out = out * (size[multisets[:, j]] + run - 1) // run
+    return out
 
 
-def fiber_group(
-    rows: np.ndarray, class_of: dict[int, int], sizes: dict[int, int],
-    by_negative: dict[tuple[int, ...], list[tuple[int, ...]]],
-) -> tuple[np.ndarray | None, np.ndarray, bool, tuple[int, ...]]:
-    """:func:`group` for the tables of one fiber, over the cells they hold."""
+def sweep(T: int, n_max: int, stats: np.ndarray, index) -> tuple[np.ndarray, Iterator]:
+    """The class id of each cell with statistics ``stats`` under a
+    :class:`thmc.fiber._MoveIndex`, and for n = 0..n_max, in ascending
+    statistic order, the fibers of n paths: each one's statistic, class
+    multisets as sorted rows, each component's table count (:func:`counts`)
+    and each multiset's root (:func:`search`).  A level holds every
+    multiset, so no move leads out of it.  A multiset's
+    first table holds its classes' largest cells, so :func:`levels` over the
+    classes ordered by largest cell gives the multisets in that order."""
+    ids, size, reps = classes(range(len(stats)), index.classes, index.sizes)
+    moves = mapped(index.by_negative, reps)
+    top = np.zeros(len(size), np.intp)
+    np.maximum.at(top, ids, np.arange(len(ids)))
+    by_top = np.argsort(top).astype(ids.dtype)
+
+    def fibers(rows, starts, fiber_stats):
+        multisets = by_top[rows]
+        multisets.sort(axis=1)
+        label = search(multisets, moves, len(size) + 1)[0]
+        tables = counts(multisets, size)
+        held = np.zeros_like(tables)
+        np.add.at(held, label, tables)
+        root = np.flatnonzero(label == np.arange(len(label)))
+        bounds = [*starts.tolist(), len(rows)]
+        cuts, sizes = np.searchsorted(root, bounds).tolist(), held[root].tolist()
+        return [(stat, multisets[a:b], tuple(sizes[i:j]), label[a:b] - a)
+                for stat, a, b, i, j in zip(fiber_stats, bounds, bounds[1:], cuts, cuts[1:])]
+
+    return ids, (fibers(*level) for level in levels(T, n_max, stats[np.sort(top)]))
+
+
+def tables(fiber) -> np.ndarray:
+    """A fiber's tables as rows, from its cells, or for a swept fiber from
+    its class multisets, in canonical order: for a class held k times, each
+    column takes its cells from the one the column before took."""
+    if "cells" in vars(fiber):
+        return np.array(fiber.cells, dtype=np.min_scalar_type((1 << fiber.T) - 1))
+    multisets, ids = fiber._multisets, fiber._ids
+    count, n = multisets.shape
+    members = np.argsort(ids, kind="stable").astype(np.min_scalar_type(max(len(ids) - 1, 0)))
+    bounds = np.append(0, np.cumsum(np.bincount(ids)))
+    at, of = np.zeros((count, 0), np.intp), np.arange(count)
+    for j in range(n):
+        c = multisets[of, j].astype(np.intp)
+        low = bounds[c]
+        if j:
+            same = c == multisets[of, j - 1]
+            low[same] = at[same, -1]
+        fan = bounds[c + 1] - low
+        at = np.concatenate([np.repeat(at, fan, axis=0), _ranges(low, fan)[:, None]], axis=1)
+        of = np.repeat(of, fan)
+    rows = members[at]
+    rows.sort(axis=1)
+    return rows[np.lexsort(rows.T[::-1])[::-1]] if n else rows
+
+
+def fiber_group(rows: np.ndarray, index) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
+    """One fiber's tables as sorted rows of class ids under a
+    :class:`thmc.fiber._MoveIndex`, their distinct class multisets in the
+    order of their first tables, and each multiset's root (:func:`search`),
+    or None when a move leads out or a multiset is short (:func:`counts`)."""
     cells = _distinct(rows)
-    ids, size, reps = classes(cells.tolist(), class_of, sizes)
-    return group(
-        ids[np.searchsorted(cells, rows)], np.zeros(1, np.intp), size, reps,
-        mapped(by_negative, reps),
-    )[0]
+    ids, size, reps = classes(cells.tolist(), index.classes, index.sizes)
+    ids = ids[np.searchsorted(cells, rows)]
+    ids.sort(axis=1)
+    keys = _keys(ids, len(reps) + 1)
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    start = np.flatnonzero(np.append(True, keys[1:] != keys[:-1]))
+    by_first = np.argsort(order[start])
+    multisets = ids[order[start[by_first]]]
+    held = np.diff(np.append(start, len(keys)))[by_first]
+    label, escaped = search(multisets, mapped(index.by_negative, reps), len(reps) + 1)
+    complete = not len(escaped) and (held == counts(multisets, size)).all()
+    return ids, multisets, label if complete else None
 
 
-def components(multiset_of: np.ndarray, roots: np.ndarray) -> tuple[tuple[int, ...], ...]:
-    """The components of a fiber's tables, given each table's multiset and
-    each multiset's root, the first multiset of its component.  The tables
-    are grouped by root, and since each root is the first multiset of its
-    component, the components come ordered by their first tables."""
-    root = roots[multiset_of]
+def components(rows: np.ndarray, multisets: np.ndarray, roots: np.ndarray) -> tuple:
+    """The components of a fiber's tables, rows of class ids (sorted here),
+    given its class multisets and each one's root, the first multiset of
+    its component.  Each table is found among the multisets and grouped by
+    its root, so the components come ordered by their first tables."""
+    rows.sort(axis=1)
+    base = int(multisets.max(initial=0)) + 1
+    keys = _keys(multisets, base)
+    order = np.argsort(keys, kind="stable")
+    root = roots[order[np.searchsorted(keys[order], _keys(rows, base))]]
     tables = np.argsort(root, kind="stable")
     cuts = np.flatnonzero(np.diff(root[tables])) + 1
     return tuple(tuple(t.tolist()) for t in np.split(tables, cuts))
@@ -388,11 +383,10 @@ def run_keys(T: int, rows: np.ndarray) -> np.ndarray:
 
     A run of k equal cells c has key (c * (n + 1) + k) * 2 + e at its first
     position, where e is 1 when the run ends its table, and every other
-    position has key 0.  The rows are read a chunk of whole tables at a
-    time, flat: the run starts are the positions that begin a table or
-    differ from the one before, and each run ends where the next begins.
-    Only the keys span all the tables, so a table of a million copies of
-    one path takes one key's temporaries.
+    position has key 0.  The rows are read flat, a chunk of whole tables at
+    a time: a run starts where a table begins or the cell changes.  Only
+    the keys span all the tables, so a table of a million copies of one
+    path takes one key's temporaries.
     """
     count, n = rows.shape
     keys = np.zeros(rows.shape, dtype=np.min_scalar_type(((1 << T) - 1) * (2 * n + 2) + 2 * n + 1))
@@ -424,10 +418,15 @@ class Tokens:
     tokens followed by each line end asked for are kept in an object
     array, so a run of keys takes one gather.  A key's place in it comes
     from an index by key where the largest key is below the tables' cell
-    count, so that the index is never longer than the keys, and from a
-    search otherwise, as for a table of a million copies of one path,
-    whose one key is two million.
+    count, and from a search otherwise, as for a table of a million copies
+    of one path, whose one key is two million.
     """
+
+    @classmethod
+    def level(cls, T: int, n: int) -> Tokens:
+        """Tokens of every key n paths can make, for a sweep's level."""
+        keys = np.arange((2 * n + 2) << T)
+        return cls(T, keys[keys // 2 % (n + 1) > 0].reshape(-1, max(n, 1)))
 
     def __init__(self, T: int, keys: np.ndarray) -> None:
         self.T = T

@@ -6,8 +6,9 @@ classes, the components of its degree-1 moves, are taken to be its
 points: that type I moves join all the paths of each point has been
 checked, against the path-level index of :mod:`thmc.fiber`, which decodes
 every draw of every family, for T = 3..8 only (tests/test_fiber.py,
-``TestPointIndex``); past T = 8 it rests on no proof.  Each family's
-moves, mapped onto classes, are then read off the points of path pieces:
+``TestPointIndex``), so the index serves sweeps and lone fibers up to
+``POINT_INDEX_T_CAP`` = 8 and refuses a longer T.  Each family's moves,
+mapped onto classes, are then read off the points of path pieces:
 
 - a crossing at time t trades the tails of two paths whose heads end in
   one state, so it trades tail pieces between two head pieces;
@@ -31,7 +32,13 @@ from functools import lru_cache
 import numpy as np
 
 from ._bulk import _distinct
+from .core import MIN_T
 from .moves import Family
+
+#: The largest T :func:`index` serves: ``TestPointIndex`` checks it against
+#: the path-level index at T = 3..8, and past that, that the classes are
+#: the points rests on no proof.
+POINT_INDEX_T_CAP = 8
 
 
 def _point_keys(T: int, L: int) -> np.ndarray:
@@ -56,8 +63,13 @@ def index(T: int, families: tuple[Family, ...]):
     ``by_negative`` keys the positive parts by the negative one, both in
     ascending order.  Class numbers stand for classes until the end, so a
     move's four classes pack into one int64 below ``classes**4``; with at
-    most ``2 * T**3`` classes, that holds up to T = 30.
+    most ``2 * T**3`` classes, that holds up to T = 30.  T is capped at
+    ``POINT_INDEX_T_CAP``.
     """
+    if T < MIN_T:
+        raise ValueError(f"T must be >= {MIN_T}, got {T}")
+    if T > POINT_INDEX_T_CAP:
+        raise ValueError(f"the point index is capped at T <= {POINT_INDEX_T_CAP}, got {T}")
     point = _point_keys(T, T)
     key = point >> 1 if Family.TYPE2_DEG1 in families else point
     # Each class is numbered by the rank of its smallest cell, the first

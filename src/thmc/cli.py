@@ -319,6 +319,8 @@ def cmd_verify_basis(T, n_max, families_spec, report_path) -> None:
         return
     _check_writable(report_path)
     try:
+        # A report writes every table, so the table budget holds as well.
+        levels = fiber_mod._levels(T, n_max) if report_path is not None else None
         reports = fiber_mod.sweep(T, n_max, families)
     except fiber_mod.BudgetExceeded as exc:
         _fail(EXIT_BUDGET, str(exc))
@@ -332,15 +334,11 @@ def cmd_verify_basis(T, n_max, families_spec, report_path) -> None:
         "connected": len(reports) - len(bad),
         "disconnected": len(bad),
     }
-    # The report is written as it is serialized; its fibers share one move set.
+    # The report is written as it is serialized.
     if report_path is not None:
         from . import _report
 
-        hole, layout = _report.JsonText("\0"), []
-        _json_pieces({"T": hole, "b": [hole] * 4, "fiber_size": hole,
-                      "components": [[hole, hole], [hole]],
-                      "move_set": list(reports[0].move_set)}, layout.append, "\n    ")
-        fibers = _report.report_fibers(reports, "".join(layout))
+        fibers = _report.report_fibers(reports, levels)
 
         try:
             with open(report_path, "w", encoding="utf-8") as fh:

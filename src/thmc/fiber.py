@@ -8,18 +8,11 @@ as a single component.
 
 A table is the sorted tuple of its paths' cell indices (path encodings,
 one entry per unit of count), or the same indices as one row of an
-(N, n) array.  A sweep builds the tables of each path count, a level, as
-one array and does the work of all the level's fibers at once, by array
-operations (:mod:`thmc._bulk`, imported on first use): their statistics,
-canonical order, class multisets, components and run keys; each fiber
-keeps a slice of the result.  Tuples and :class:`PathTable` objects are
-built only where a caller reads them.  Each function builds only the
-cells it uses: :func:`enumerate_fiber` those that fit its target, a sweep
-all 2**T once its tables hold a path, and :func:`fiber_texts` the text of
-each cell present, when a fiber's texts are first read: for a swept
-fiber, once for its whole level.  ``thmc verify-basis --report`` writes
-its fibers' components from their run keys and tokens, a chunk of fibers
-at a time, without these texts.
+(N, n) array.  A sweep enumerates the class multisets of each path count,
+a level, as one array (:mod:`thmc._bulk`, imported on first use) and finds
+the level's fibers, table counts and components on them, with no table
+built.  A swept fiber builds its own tables when they are read, and
+``thmc verify-basis --report`` builds each level's tables once.
 
 Connectivity is found on classes of tables, not tables.  A degree-1 move
 swaps one path for another of the same statistic, so the tables that
@@ -52,13 +45,13 @@ from .core import (
 from .moves import (  # noqa: F401
     Family,
     Move,
-    _check_enumeration_T,
     enumerate_families,
     family_entries,
 )
 
 #: Enumeration budgets of :func:`enumerate_fiber`, read at each call; the
-#: element budget also caps the tables a :func:`sweep` may enumerate.
+#: element budget also caps a :func:`sweep`'s class multisets and the
+#: tables :func:`_levels` builds.
 MAX_FIBER_ELEMENTS = 10**6
 MAX_DFS_NODES = 10**8
 
@@ -82,7 +75,8 @@ class Fiber:
     ``cells[i]`` holds table ``i`` as the sorted tuple of its paths' cell
     indices; ``elements[i]`` is the same table as a :class:`PathTable`,
     built on first use.  ``_rows`` holds the tables as array rows; a fiber
-    from :func:`sweep` is made with these and builds ``cells`` when read.
+    from :func:`sweep` is made with its class multisets and the cells'
+    class ids, and builds ``_rows`` and ``cells`` from them when read.
     """
 
     T: int
@@ -98,7 +92,9 @@ class Fiber:
 
     @cached_property
     def _rows(self) -> np.ndarray:
-        return np.array(self.cells, dtype=np.min_scalar_type((1 << self.T) - 1))
+        from . import _bulk
+
+        return _bulk.tables(self)
 
     @cached_property
     def _keys(self) -> np.ndarray:
@@ -114,12 +110,11 @@ class Fiber:
 
     def __getattr__(self, name: str):
         # Only a swept fiber lacks cells: build them from its rows.
-        rows = vars(self).get("_rows")
-        if name != "cells" or rows is None:
+        if name != "cells" or "_multisets" not in vars(self):
             raise AttributeError(name)
         from . import _bulk
 
-        cells = vars(self)["cells"] = tuple(_bulk.tuples(rows))
+        cells = vars(self)["cells"] = tuple(_bulk.tuples(self._rows))
         return cells
 
     def __len__(self) -> int:
@@ -250,11 +245,24 @@ def enumerate_fiber(T: int, b: TransitionStat | Sequence[int]) -> Fiber:
 class ConnectivityReport:
     """Connected components of a fiber under a move set, as lists of the
     fiber's table indices; ``component_tables`` renders them as
-    :func:`fiber_texts` does, on first read."""
+    :func:`fiber_texts` does, on first read.  One from :func:`sweep` holds
+    each component's table count and each class multiset's root, and
+    builds ``components`` when read."""
 
     fiber: Fiber
     components: tuple[tuple[int, ...], ...]
     move_set: tuple[str, ...]
+
+    def __getattr__(self, name: str):
+        # Only a swept report lacks components: build them when read.
+        if name != "components" or "_roots" not in vars(self):
+            raise AttributeError(name)
+        from . import _bulk
+
+        fib = self.fiber
+        rows = fib._ids[fib._rows]
+        components = vars(self)["components"] = _bulk.components(rows, fib._multisets, self._roots)
+        return components
 
     @property
     def T(self) -> int:
@@ -271,15 +279,15 @@ class ConnectivityReport:
 
     @property
     def fiber_size(self) -> int:
-        return sum(map(len, self.components))
+        return sum(self.component_sizes)
 
     @property
     def component_sizes(self) -> tuple[int, ...]:
-        return tuple(map(len, self.components))
+        return vars(self).get("_sizes") or tuple(map(len, self.components))
 
     @property
     def n_components(self) -> int:
-        return len(self.components)
+        return len(self.component_sizes)
 
     @property
     def connected(self) -> bool:
@@ -350,12 +358,11 @@ def _move_index(parts: Sequence[Parts], move_set: tuple[str, ...]) -> _MoveIndex
 @lru_cache(maxsize=None)
 def _family_index(T: int, families: tuple[Family, ...]) -> _MoveIndex:
     """The index of a family selection.  One with type I moves is built on
-    points (:func:`thmc._points.index`); any other from the families'
-    canonical ``(code, delta)`` entries, where a path's code is its cell
-    index.  T is capped as for :func:`family_entries`."""
+    points (:func:`thmc._points.index`, capped at ``POINT_INDEX_T_CAP``);
+    any other from the families' canonical ``(code, delta)`` entries, where
+    a path's code is its cell index, capped as :func:`family_entries` is."""
     move_set = tuple(f.value for f in families)
     if Family.TYPE1_DEG1 in families:
-        _check_enumeration_T(T)
         from . import _points
 
         return _MoveIndex(*_points.index(T, families), move_set)
@@ -393,41 +400,29 @@ def connectivity(
     Two tables are adjacent when some move in the set carries one to the
     other without any count going negative.  ``move_set`` is a list of
     explicit moves, a selection of families (all six by default, indexed
-    once per T and selection), or the index :func:`sweep` builds once for
-    all its fibers.
+    once per T and selection), or a move index.
 
     A degree-1 move swaps one path for another of the same statistic, and
     applies to every table holding the first path.  So the tables with one
     class multiset, the multiset of their cells' classes, are all joined by
     degree-1 moves, and a complete fiber holds every such table:
     ``prod_c C(|c| + k_c - 1, k_c)`` of them, where ``k_c`` counts class
-    ``c``.  Any table of a multiset can then hold the negative part of a
-    move of degree >= 2 whose classes the multiset holds, so such a move
-    joins two multisets exactly when its mapped form carries one to the
-    other.  The components are therefore found on the distinct multisets,
-    by :func:`thmc._bulk.group`: for a sweep once per table count, for all
-    its fibers at once, and here for a lone fiber by the same kernel
-    (:func:`thmc._bulk.fiber_group`).  This function reads each
-    multiset's root and gives each table its multiset's component.  A
-    multiset short of tables, or a move leading outside the fiber, raises
-    :class:`AssertionError`.  Components are ordered by their smallest
-    table.
+    ``c``.  A move of degree >= 2 then joins two multisets exactly when its
+    mapped form carries one to the other.  The fiber's multisets are its
+    tables' distinct ones, searched by the kernel of a sweep
+    (:func:`thmc._bulk.fiber_group`).  A multiset short of tables, or a
+    move leading outside the fiber, raises :class:`AssertionError`.
+    Components are ordered by their smallest table.
     """
     from . import _bulk
 
     index = move_set if isinstance(move_set, _MoveIndex) else _resolve_moves(fiber.T, move_set)
     if not len(fiber._rows):
         raise ValueError("connectivity of an empty fiber is undefined")
-    grouped = vars(fiber).pop("_grouped", None)
-    if grouped is None or grouped[0] is not index:
-        grouped = (index, *_bulk.fiber_group(
-            fiber._rows, index.classes, index.sizes, index.by_negative
-        ))
-    _, roots, multiset_of, complete, tables = grouped
-    if not complete:
+    ids, multisets, roots = _bulk.fiber_group(fiber._rows, index)
+    if roots is None:
         raise AssertionError(_INCOMPLETE)
-    components = (tables,) if roots is None else _bulk.components(multiset_of, roots)
-    return ConnectivityReport(fiber=fiber, components=components, move_set=index.move_set)
+    return ConnectivityReport(fiber, _bulk.components(ids, multisets, roots), index.move_set)
 
 
 #: Table counts :func:`_levels` names in full when it refuses a sweep;
@@ -435,31 +430,33 @@ def connectivity(
 _COUNT_SHOWN = 10**18
 
 
-def _levels(T: int, n_max: int):
-    """:func:`thmc._bulk.levels` over all 2**T cells: for n = 0..n_max, the
-    tables of total count n, in complete fibers since sum(b) = n(T-1).
-
-    The cells are built only when n_max >= 1.  Raises
-    :class:`BudgetExceeded` before any enumeration when the tables of
-    n <= n_max, C(2**T + n_max, n_max) of them, outnumber
-    ``MAX_FIBER_ELEMENTS``.  The count is the running product of the
-    counts C(2**T + j, j) for j = 1..n_max, which stops once it passes
-    ``_COUNT_SHOWN``, so a huge n_max costs a few hundred steps at most.
-    """
+def _check_count(T: int, n_max: int, items: int, what: str) -> None:
+    """Raise :class:`BudgetExceeded` when the multisets of n <= n_max of
+    ``items`` things, C(items + n_max, n_max), outnumber
+    ``MAX_FIBER_ELEMENTS``.  The count is a running product that stops
+    past ``_COUNT_SHOWN``, so a huge n_max costs a few hundred steps."""
     if T < MIN_T:
         raise ValueError(f"T must be >= {MIN_T}, got {T}")
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
-    tables = j = 1
-    while j <= n_max and tables <= _COUNT_SHOWN:
-        tables = tables * (2**T + j) // j
+    count = j = 1
+    while j <= n_max and count <= _COUNT_SHOWN:
+        count = count * (items + j) // j
         j += 1
-    if tables > MAX_FIBER_ELEMENTS:
-        shown = tables if tables <= _COUNT_SHOWN else f"more than {_COUNT_SHOWN:.0e}"
+    if count > MAX_FIBER_ELEMENTS:
+        shown = count if count <= _COUNT_SHOWN else f"more than {_COUNT_SHOWN:.0e}"
         raise BudgetExceeded(
-            f"{shown} tables of n <= {n_max} at T={T} exceed the budget "
+            f"{shown} {what} of n <= {n_max} at T={T} exceed the budget "
             f"of {MAX_FIBER_ELEMENTS}", 0, 0
         )
+
+
+def _levels(T: int, n_max: int):
+    """:func:`thmc._bulk.levels` over all 2**T cells: for n = 0..n_max, the
+    tables of total count n, in complete fibers since sum(b) = n(T-1).
+    The cells are built only when n_max >= 1, and only once the tables of
+    n <= n_max pass :func:`_check_count`."""
+    _check_count(T, n_max, 1 << T, "tables")
     from . import _bulk
 
     stats = _fitting_cells(T, (T - 1,) * 4)[1] if n_max > 0 else np.zeros((0, 4), np.int64)
@@ -491,37 +488,31 @@ def sweep(
     """Connectivity reports for every realizable fiber with total count <= n_max.
 
     ``stat_filter`` optionally restricts the swept statistics (e.g. to
-    fibers with b11 = 0).  Every table is enumerated once, and the tables
-    of each total count are ordered into fibers, grouped into class
-    multisets and split into components in one array pass, so each fiber
-    is complete and a report with more than one component is a certified
-    disconnection under the move set.  The move set is indexed once,
-    before any enumeration, and no fiber builds its cell tuples,
-    ``PathTable`` elements or, until one of its count's fibers is read,
-    texts.  Reports come in ascending (total, b) order.
+    fibers with b11 = 0).  The move set is indexed once, and then the
+    budget counts its class multisets.  Those of each total count are
+    enumerated, all of them, and split into fibers and components in one
+    array pass (:func:`thmc._bulk.sweep`), so a report with more than one
+    component is a certified disconnection under the move set.  Sizes come
+    from table counts, and no table is built until read.  Reports come in
+    ascending (total, b) order.
     """
     index = _resolve_moves(T, move_set)
-    levels = _levels(T, n_max)
+    _check_count(T, n_max, (1 << T) - len(index.classes) + len(index.sizes), "class multisets")
     from . import _bulk
 
-    ids, size, reps = _bulk.classes(range(1 << T if n_max else 0), index.classes, index.sizes)
-    moves = _bulk.mapped(index.by_negative, reps)
+    stats = _fitting_cells(T, (T - 1,) * 4)[1] if n_max else np.zeros((0, 4), np.int64)
+    ids, levels = _bulk.sweep(T, n_max, stats, index)
     reports = []
-    for rows, starts, stats in levels:
-        grouped = _bulk.group(ids[rows], starts, size, reps, moves)
-        keys = _bulk.run_keys(T, rows)
-        tokens = _bulk.Tokens(T, keys)
-        bounds = starts.tolist() + [len(rows)]
-        for a, b, stat, groups in zip(bounds, bounds[1:], stats, grouped):
+    for n, level in enumerate(levels):
+        tokens = _bulk.Tokens.level(T, n)
+        for stat, multisets, sizes, roots in level:
             stat = TransitionStat(*stat)
             if stat_filter is not None and not stat_filter(stat):
                 continue
-            fib = Fiber.__new__(Fiber)
-            vars(fib).update(
-                T=T, b=stat, _rows=rows[a:b], _keys=keys[a:b], _tokens=tokens,
-                _grouped=(index, *groups),
-            )
-            reports.append(connectivity(fib, index))
+            fib, report = Fiber.__new__(Fiber), ConnectivityReport.__new__(ConnectivityReport)
+            vars(fib).update(T=T, b=stat, _multisets=multisets, _ids=ids, _tokens=tokens)
+            vars(report).update(fiber=fib, move_set=index.move_set, _sizes=sizes, _roots=roots)
+            reports.append(report)
     return reports
 
 

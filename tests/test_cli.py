@@ -554,31 +554,81 @@ class TestCmdVerifyBasis:
         ])
         assert result.exit_code == 1
 
-    # T=6 with n <= 6 has C(70, 6), about 131M, tables.
-    def test_over_budget_sweep_exits_at_once(self, runner, monkeypatch):
+    # The 26 classes of T=6 make C(33, 7), about 4.3M, class multisets of
+    # n <= 7; a report of T=6, n <= 6 would write C(70, 6), about 131M,
+    # tables.  Both are refused before any cell is built, and the report
+    # before its file is opened.
+    def test_over_budget_sweep_exits_at_once(self, runner, monkeypatch, tmp_path):
         def refuse(*args, **kwargs):
             raise AssertionError("enumerated tables")
 
         monkeypatch.setattr(fiber, "_fitting_cells", refuse)
-        result = runner.invoke(main, ["verify-basis", "--T", "6", "--n-max", "6"])
-        assert result.exit_code == 5
-        assert result.stdout == ""
-        assert result.stderr.startswith("error: 131115985 tables of n <= 6 at T=6 ")
-        assert len(result.stderr.splitlines()) == 1
+        report = tmp_path / "r.json"
+        for args, line in [
+            (["--n-max", "7"], "error: 4272048 class multisets of n <= 7 at T=6 "),
+            (["--n-max", "6", "--report", str(report)],
+             "error: 131115985 tables of n <= 6 at T=6 "),
+        ]:
+            result = runner.invoke(main, ["verify-basis", "--T", "6", *args])
+            assert result.exit_code == 5
+            assert result.stdout == ""
+            assert result.stderr.startswith(line)
+            assert len(result.stderr.splitlines()) == 1
+        assert not report.exists()
 
-    # Past T=6 the sweep is refused before any index or table is built,
-    # for a selection indexed on points and for one indexed from its
-    # families' entries alike, and however few tables it would hold.
+    # Past T=8 a selection with type I moves is refused before any index or
+    # multiset is built, and past T=6 one indexed from its families'
+    # entries, however few tables either would hold.
     @pytest.mark.parametrize("args", [
-        ["--n-max", "4"],
-        ["--n-max", "0"],
-        ["--n-max", "0", "--families", "crossing,type2"],
+        (["--T", "9", "--n-max", "4"], "the point index is capped at T <= 8, got 9"),
+        (["--T", "9", "--n-max", "0"], "the point index is capped at T <= 8, got 9"),
+        (["--T", "7", "--n-max", "0", "--families", "crossing,type2"],
+         "enumeration is capped at T <= 6, got 7"),
     ])
     def test_T_over_enumeration_cap_is_usage_error(self, runner, args):
-        result = runner.invoke(main, ["verify-basis", "--T", "7", *args])
+        argv, line = args
+        result = runner.invoke(main, ["verify-basis", *argv])
         assert result.exit_code == 1
         assert result.stdout == ""
-        assert result.stderr == "error: enumeration is capped at T <= 6, got 7\n"
+        assert result.stderr == f"error: {line}\n"
+
+    # The class sweep runs past T=6 with the default selection: 46 classes
+    # and 230,300 multisets at T=8, n <= 4, for C(260, 4), about 1.9e8,
+    # tables.  Without the degree-3 sliding moves, 60 fibers split.
+    @pytest.mark.parametrize("args, code, line", [
+        (["--T", "7", "--n-max", "2"], 0, "checked 229 fibers at T=7, n<=2: 0 disconnected"),
+        (["--T", "8", "--n-max", "4"], 0, "checked 2800 fibers at T=8, n<=4: 0 disconnected"),
+        (["--T", "8", "--n-max", "4", "--families", "type1,crossing,2x2,type4,type2"], 4,
+         "checked 2800 fibers at T=8, n<=4: 60 disconnected"),
+    ])
+    def test_sweep_past_the_enumeration_cap(self, runner, args, code, line):
+        result = runner.invoke(main, ["verify-basis", *args])
+        first, *split = result.stdout.splitlines()
+        assert result.exit_code == code
+        assert first == line
+        assert len(split) == (60 if code else 0)
+        assert all(s.startswith("  b=(") for s in split)
+        assert result.stderr == ""
+
+    # A report writes every table, so --report keeps the table budget: the
+    # 8 paths of T=3 make 45 tables of n <= 2 over 36 class multisets, and
+    # T=7, n <= 4 has 12,082,785 tables.  No report file is left.
+    def test_report_keeps_the_table_budget(self, runner, monkeypatch, tmp_path):
+        report = tmp_path / "r.json"
+        monkeypatch.setattr(fiber, "MAX_FIBER_ELEMENTS", 44)
+        assert runner.invoke(main, ["verify-basis", "--T", "3", "--n-max", "2"]).exit_code == 0
+        for args, line in [
+            (["--T", "3", "--n-max", "2"], "45 tables of n <= 2 at T=3 exceed the budget of 44"),
+            (["--T", "7", "--n-max", "4"],
+             "12082785 tables of n <= 4 at T=7 exceed the budget of 1000000"),
+        ]:
+            if args[1] == "7":
+                monkeypatch.setattr(fiber, "MAX_FIBER_ELEMENTS", 10**6)
+            result = runner.invoke(main, ["verify-basis", *args, "--report", str(report)])
+            assert result.exit_code == 5
+            assert result.stdout == ""
+            assert result.stderr == f"error: {line}\n"
+            assert not report.exists()
 
     # The default selection is indexed on points, so the sweep decodes no
     # proposal draw and never compiles the decoder.
@@ -601,17 +651,19 @@ class TestCmdVerifyBasis:
         ]
 
     # C(2**3 + n, n) for this n has 156 digits; the error names no count
-    # past 10**18.
-    def test_huge_n_max_refused_in_one_short_line(self, runner):
-        result = runner.invoke(main, [
-            "verify-basis", "--T", "3", "--n-max", "99999999999999999999",
-        ])
-        assert result.exit_code == 5
-        assert result.stdout == ""
-        assert result.stderr == (
-            "error: more than 1e+18 tables of n <= 99999999999999999999 at T=3 "
-            "exceed the budget of 1000000\n"
-        )
+    # past 10**18, of class multisets or, with a report, of tables.
+    def test_huge_n_max_refused_in_one_short_line(self, runner, tmp_path):
+        report = ["--report", str(tmp_path / "r.json")]
+        for report, what in [([], "class multisets"), (report, "tables")]:
+            result = runner.invoke(main, [
+                "verify-basis", "--T", "3", "--n-max", "99999999999999999999", *report,
+            ])
+            assert result.exit_code == 5
+            assert result.stdout == ""
+            assert result.stderr == (
+                f"error: more than 1e+18 {what} of n <= 99999999999999999999 at T=3 "
+                "exceed the budget of 1000000\n"
+            )
 
     def test_unwritable_report_is_usage_error(self, runner, tmp_path, monkeypatch):
         def refuse(*args, **kwargs):

@@ -1,8 +1,10 @@
 import itertools
+import math
 import os
 import subprocess
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -338,7 +340,8 @@ class TestSweep:
     # A selection with type I moves is indexed on points and reads no
     # family's (code, delta) entries; any other is read as its families'
     # entries, once per selection and family.  No Move is built for the
-    # index.
+    # index, and a sweep finds its components on class multisets without
+    # calling connectivity.
     def test_moves_indexed_once_per_selection(self, monkeypatch):
         enumerations = []
         indexed = []
@@ -372,7 +375,7 @@ class TestSweep:
             connectivity_calls.clear()
             reports = sweep(4, 3, ["crossing", "type2"])
             fiber._resolve_moves(4, ["crossing", "type2"])
-        assert len(connectivity_calls) == len(reports) > 1
+        assert connectivity_calls == [] and len(reports) > 1
         assert sorted(enumerations) == [(4, Family.CROSSING), (4, Family.TYPE2_DEG1)]
 
         # An explicit move list, even a one-pass iterator, is indexed once
@@ -380,7 +383,7 @@ class TestSweep:
         moves = enumerate_families(4, ["crossing", "type2"])
         monkeypatch.setattr(fiber, "_move_index", counted_move_index)
         assert sweep(4, 3, iter(moves)) == sweep(4, 3, moves)
-        assert len(connectivity_calls) == 3 * len(reports)
+        assert connectivity_calls == []
         assert len(indexed) == 2
 
     # Nothing is rendered before a read.  The first read of a fiber renders
@@ -438,18 +441,23 @@ class TestSweep:
         for report in reports:
             assert report.b.b11 == 0
 
-    # The 8 paths of T=3 make C(8 + 2, 2) = 45 tables of n <= 2.
+    # The 8 paths of T=3 make C(8 + 2, 2) = 45 tables of n <= 2, and the 7
+    # classes of the six families C(7 + 2, 2) = 36 class multisets: a sweep
+    # counts the multisets, and realizable_stats, which builds the tables,
+    # counts every table.  The report's table budget is checked in
+    # tests/test_cli.py.
     def test_element_budget_counts_every_table(self, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("enumerated tables")
 
-        monkeypatch.setattr(fiber, "MAX_FIBER_ELEMENTS", 45)
+        monkeypatch.setattr(fiber, "MAX_FIBER_ELEMENTS", 36)
         assert sum(r.fiber_size for r in sweep(3, 2)) == 45
-        monkeypatch.setattr(fiber, "MAX_FIBER_ELEMENTS", 44)
+        monkeypatch.setattr(fiber, "MAX_FIBER_ELEMENTS", 35)
         monkeypatch.setattr(fiber, "_fitting_cells", refuse)
-        with pytest.raises(BudgetExceeded, match="45 tables"):
+        with pytest.raises(BudgetExceeded, match="^36 class multisets of n <= 2"):
             sweep(3, 2)
-        with pytest.raises(BudgetExceeded):
+        monkeypatch.setattr(fiber, "MAX_FIBER_ELEMENTS", 44)
+        with pytest.raises(BudgetExceeded, match="^45 tables of n <= 2"):
             realizable_stats(3, 2)
 
     # C(2**20 + 10**6, 10**6) has 616,430 digits, and math.comb took about
@@ -469,6 +477,9 @@ class TestSweep:
         )
         with pytest.raises(ValueError, match="n_max must be >= 0"):
             realizable_stats(3, -1)
+        # An empty selection names no family, and so no family's cap on T.
+        with pytest.raises(ValueError, match="T must be >= 3"):
+            sweep(2, 1, [])
 
     # The tables of n = 0 hold no path, so no cell is built at any T, also
     # past the dense cap.
@@ -488,6 +499,82 @@ class TestSweep:
                 table = PathTable.from_paths(combo) if combo else PathTable(3)
                 seen.add(suff_stat(table).as_tuple())
         assert {b.as_tuple() for b in realizable_stats(3, 2)} == seen
+
+
+class TestClassSweep:
+    """Past the enumeration cap of T = 6 a sweep runs on class multisets
+    alone, up to the point index's cap of T = 8."""
+
+    # The fiber sizes are products over class multisets; a level of tables
+    # of T=7 or T=8 would be 1.2e7 or 1.9e8 rows.  _extend enumerates the
+    # class multisets too, so it refuses only the 2**T cells, and the
+    # builder of one fiber's tables refuses outright.
+    @pytest.mark.parametrize("T, fibers, tables", [
+        (7, 2035, 12_082_785),
+        (8, 2800, 186_043_585),
+    ])
+    def test_fiber_sizes_count_every_table(self, monkeypatch, T, fibers, tables):
+        from thmc import _bulk
+
+        real_extend = _bulk._extend
+
+        def extend(rows, keys, cell_key):
+            if len(cell_key) == 1 << T:
+                raise AssertionError("built a level of tables")
+            return real_extend(rows, keys, cell_key)
+
+        def refuse(*args):
+            raise AssertionError("built a fiber's tables")
+
+        monkeypatch.setattr(_bulk, "_extend", extend)
+        monkeypatch.setattr(_bulk, "tables", refuse)
+        reports = sweep(T, 4)
+        assert len(reports) == fibers
+        assert sum(r.fiber_size for r in reports) == tables == math.comb(2**T + 4, 4)
+        assert disconnected(reports) == []
+
+    # A multiset's table count is prod_c C(|c| + k_c - 1, k_c), exact in
+    # int64 where every partial product fits and in Python ints past it.
+    @pytest.mark.parametrize("cells, n", [(20, 4), (400, 12)])
+    def test_table_counts_are_exact(self, cells, n):
+        from thmc import _bulk
+
+        size = np.array([1, 2, 3, 4, cells - 10])
+        multisets = np.sort(np.random.default_rng(cells).integers(0, 5, size=(50, n)), axis=1)
+        expected = [
+            math.prod(math.comb(int(size[c]) + k - 1, k) for c, k in Counter(m.tolist()).items())
+            for m in multisets
+        ]
+        counted = _bulk.counts(multisets, size)
+        assert counted.dtype == (np.int64 if cells == 20 else object)
+        assert counted.tolist() == expected
+
+    # Each swept fiber's tables, built when read, and its components equal
+    # those of connectivity on the DFS enumeration of the fiber under the
+    # path-level index, built from every decoded draw of the families.
+    # Without the sliding moves, fibers of three paths split; at n <= 3 only
+    # those are compared, since the DFS takes most of a minute over all.
+    @pytest.mark.parametrize("families, n_max, split", [
+        (tuple(Family), 2, 0),
+        (tuple(f for f in Family if f is not Family.DEG3_SLIDING), 2, 0),
+        (tuple(f for f in Family if f is not Family.DEG3_SLIDING), 3, 10),
+    ])
+    def test_matches_lone_fibers_past_the_enumeration_cap(self, families, n_max, split):
+        entries = thmc.moves._family_entries_cached
+        try:
+            parts = [fiber._parts(e) for f in families for e in entries(7, f)]
+        finally:
+            entries.cache_clear()
+        path_level = fiber._move_index(parts, ())
+        reports = sweep(7, n_max, families)
+        assert [r.b for r in reports] == realizable_stats(7, n_max)
+        assert len(disconnected(reports)) == split
+        for report in reports if n_max < 3 else disconnected(reports):
+            fib = enumerate_fiber(7, report.b)
+            lone = connectivity(fib, path_level)
+            assert report.component_sizes == lone.component_sizes
+            assert report.fiber.cells == fib.cells
+            assert report.components == lone.components
 
 
 def minimal_generators_by_degree(T, n_max):
