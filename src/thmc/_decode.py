@@ -162,9 +162,10 @@ class Decoder:
         give a move, and for each its ``(code, delta)`` entries by code.  A
         null draw, or one whose codes all cancel, gives none.  The merged
         rows are checked with :func:`check` before any is returned.  The
-        sampler's lookup tables hold these tuples; above the enumeration cap
-        it keeps :meth:`merged`'s arrays instead, which the MH chain screens
-        against its counts, building tuples only for the rows that can fit.
+        sampler's lookup tables hold these tuples, a family's enumeration
+        their set in one sign; above the enumeration cap the sampler keeps
+        :meth:`merged`'s arrays instead, which the MH chain screens against
+        its counts, building tuples only for the rows that can fit.
         """
         index, codes, deltas, starts = self.merged(parts)
         pairs = list(zip(codes.tolist(), deltas.tolist()))

@@ -59,10 +59,9 @@ def _json_pieces(value, write: Callable[[str], object], pad: str = "\n") -> None
 
     A dict is an object, and any other iterable but a string is a list,
     read once, so a generator's items can be written out between its
-    steps; a list or tuple of strings or of ints (not bools) alone is
-    written with one join.  Strings are escaped to ASCII as ``json.dumps``
-    escapes them, bar one whose ``is_json`` is true, and floats are written
-    with 17 significant digits.
+    steps.  Strings are escaped to ASCII as ``json.dumps`` escapes them,
+    bar one whose ``is_json`` is true, and floats are written with 17
+    significant digits.
     """
     if isinstance(value, str):
         write(value if getattr(value, "is_json", False) else _json_string(value))
@@ -87,11 +86,6 @@ def _json_pieces(value, write: Callable[[str], object], pad: str = "\n") -> None
             _json_pieces(item, write, inner)
             sep = "," + inner
         write("{}" if sep[0] == "{" else pad + "}")
-        return
-    kinds = set(map(type, value)) if type(value) in (list, tuple) else ()
-    if kinds in ({str}, {int}):
-        text = map(_json_string if str in kinds else str, value)
-        write(f"[{inner}{(',' + inner).join(text)}{pad}]")
         return
     sep = "[" + inner
     for item in value:

@@ -11,8 +11,9 @@ The proposal sampler decodes its parameter draws in numpy on path codes
 (a path's encoding), family by family, following the same rules, and
 checks the decoded rows in array form (:mod:`thmc._decode`).  Up to
 ``ENUMERATION_T_CAP`` each family's draw space is decoded once into a
-lookup table, and a family's enumeration decodes the same draws with the
-same steps, so the enumeration lists the moves the exact test proposes.
+lookup table, and a family's enumeration is the set of moves the same
+decode gives, each in one sign, so it lists the moves the exact test
+proposes.
 A basis sweep reads a selection with type I moves on points instead
 (:mod:`thmc._points`), and any other from this enumeration; the tests
 check that both give the same index at T = 3..8, and on that check rests
@@ -451,37 +452,20 @@ def apply_move(table: PathTable, move: Move, sign: int = 1) -> PathTable:
 
 @lru_cache(maxsize=None)
 def _family_entries_cached(T: int, family: Family) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """Every move the sampler can draw for one family, deduplicated, as
-    its ``(path code, delta)`` entries.
+    """Every move the sampler can draw for one family, deduplicated and
+    sorted, as its ``(path code, delta)`` entries.
 
-    Decodes the family's draws at sign slot 0 with the steps of the
-    sampler's lookup table, a chunk at a time, and keeps one canonical
-    signed form per move, its first delta positive, so the enumerated set
-    is exactly the set the chain proposes.  The moves are rows of
-    ``(code, delta)`` pairs padded with -1, which sort as their tuples do,
-    since path codes sort as their paths do; one ``lexsort`` orders them
-    and drops repeats.
+    The entries are those :func:`_decoded` gives, the decode that fills
+    the sampler's lookup tables, each in the sign whose first delta is
+    positive, so the enumerated set is exactly the set the chain proposes.
+    Path codes sort as their paths do, so the moves sort as their deltas do.
     """
-    dec = _decoder(T)
-    merged = [dec.merged([(family, draws)])[1:] for _, draws in _draws(dec, family)]
-    codes = np.concatenate([c for c, _, _ in merged])
-    deltas = np.concatenate([d for _, d, _ in merged])
-    lengths = np.concatenate([np.diff(s, append=len(c)) for c, _, s in merged])
-    if not len(lengths):
-        return ()
-    row = np.repeat(np.arange(len(lengths)), lengths)
-    starts = np.cumsum(lengths) - lengths
-    pairs = np.full((len(lengths), lengths.max(), 2), -1, dtype=np.int64)
-    pairs[row, np.arange(len(codes)) - starts[row]] = np.stack(
-        [codes, deltas * np.sign(deltas[starts])[row]], axis=1
-    )
-    pairs = pairs.reshape(len(lengths), -1)
-    pairs = pairs[np.lexsort(pairs.T[::-1])]
-    pairs = pairs[np.append(True, (pairs[1:] != pairs[:-1]).any(axis=1))]
-    held = pairs[:, ::2] >= 0
-    entries = list(zip(pairs[:, ::2][held].tolist(), pairs[:, 1::2][held].tolist()))
-    bounds = np.cumsum(held.sum(axis=1)).tolist()
-    return tuple(tuple(entries[a:b]) for a, b in zip([0, *bounds], bounds))
+    drawn: set = set()
+    for _, _, entries in _decoded(_decoder(T), family):
+        drawn.update(entries)
+    return tuple(sorted(
+        {e if e[0][1] > 0 else tuple((c, -d) for c, d in e) for e in drawn}
+    ))
 
 
 @lru_cache(maxsize=None)
@@ -544,19 +528,20 @@ def _decoder(T: int):
     return Decoder(T)
 
 
-#: Draws decoded at once while a lookup table is filled; bounds the
-#: decoder's temporary arrays.
+#: Draws decoded at once while a family's draw space is decoded; bounds
+#: the decoder's temporary arrays.
 _TABLE_CHUNK = 1024
 
 
-def _draws(dec, family: Family) -> Iterator[tuple[int, np.ndarray]]:
-    """Every draw of one family at sign slot 0, ``_TABLE_CHUNK`` at a time:
-    the flat index of each chunk's first draw, and the chunk."""
+def _decoded(dec, family: Family) -> Iterator[tuple[int, list, list]]:
+    """Every draw of one family at sign slot 0, decoded ``_TABLE_CHUNK`` at
+    a time: the flat index of each chunk's first draw, and the rows and
+    entries :meth:`Decoder.decode` gives for the chunk."""
     highs, strides = dec.highs[family], dec.strides[family]
     size = 2 * int(np.prod(highs[:-1]))
     for lo in range(0, size, 2 * _TABLE_CHUNK):
         flat = np.arange(lo, min(lo + 2 * _TABLE_CHUNK, size), 2)
-        yield lo, flat[:, None] // strides % highs
+        yield lo, *dec.decode([(family, flat[:, None] // strides % highs)])
 
 
 def _lookup_table(T: int, family: Family) -> list:
@@ -570,8 +555,7 @@ def _lookup_table(T: int, family: Family) -> list:
     dec = _decoder(T)
     table: list = [None] * (2 * int(np.prod(dec.highs[family][:-1])))
     shared: dict = {}
-    for lo, draws in _draws(dec, family):
-        index, entries = dec.decode([(family, draws)])
+    for lo, index, entries in _decoded(dec, family):
         for i, e in zip(index, entries):
             pair = shared.get(e)
             if pair is None:
@@ -637,9 +621,9 @@ class ProposalSampler:
     independent of the others, so only the random stream differs from
     drawing one proposal at a time; a seed gives other proposals than in
     versions that drew them one by one or in blocks of 256.
-    :meth:`take` hands out the unused proposals of the current block, in
-    draw order, and :meth:`sample` takes one of them; :meth:`span` hands
-    out the unused draws as positions in the block itself.  A call with
+    :meth:`sample` returns the next unused proposal of the current block;
+    :meth:`span` hands out the unused draws as positions in the block
+    itself, which is how the MH chain reads them.  A call with
     another generator than the one the block came from drops the rest of
     the block and draws a new one, so each generator's proposals depend on
     its seed and the order of calls.
@@ -647,14 +631,14 @@ class ProposalSampler:
     Draws are decoded in numpy, on path codes, and each decoded row is
     checked in array form (zero mass and net transition statistic).  Up to
     ``ENUMERATION_T_CAP`` each family's whole draw space is decoded once,
-    on first use, into a lookup table by flat draw index, the table
-    :func:`enumerate_family` reads, and a block is the list of its
+    on first use, into a lookup table by flat draw index, whose moves
+    :func:`enumerate_family` lists, and a block is the list of its
     proposals.  Above the cap each block's draws are decoded as they come
     and kept as arrays: ``(slots, codes, deltas, bounds, signs)``, the draw
     slot of each row that gives a move, in increasing order, the rows'
     codes and their deltas times the row's sign, flat, the bounds of each
-    row in them, and the sign of every slot.  :meth:`take` builds its
-    proposals from these arrays; the MH chain screens them against its
+    row in them, and the sign of every slot.  :meth:`sample` builds its
+    proposal from these arrays; the MH chain screens them against its
     counts.  T is capped at ``MAX_SAMPLER_T``, where codes still fit an
     int64.
     """
@@ -694,24 +678,17 @@ class ProposalSampler:
         self._block_rng: Optional[np.random.Generator] = None
 
     def sample(self, rng: np.random.Generator) -> Optional[Proposal]:
-        """One proposal draw: ``(entries, sign)``, or None for a null draw."""
-        return self.take(rng, 1)[0]
-
-    def take(self, rng: np.random.Generator, m: int) -> list[Optional[Proposal]]:
-        """The next proposals from ``rng``, in draw order: those of the
-        draws :meth:`span` hands out."""
-        block, start, stop = self.span(rng, m)
+        """The next proposal from ``rng``: the draw :meth:`span` hands out,
+        as ``(entries, sign)``, or None for a null draw."""
+        block, slot, _ = self.span(rng, 1)
         if isinstance(block, list):
-            return block[start:stop]
+            return block[slot]
         slots, codes, deltas, bounds, signs = block
-        out: list[Optional[Proposal]] = [None] * (stop - start)
-        first, end = np.searchsorted(slots, (start, stop)).tolist()
-        for row in range(first, end):
-            slot, lo, hi = int(slots[row]), int(bounds[row]), int(bounds[row + 1])
-            sign = int(signs[slot])
-            moved = zip(codes[lo:hi].tolist(), (deltas[lo:hi] * sign).tolist())
-            out[slot - start] = (tuple(moved), sign)
-        return out
+        row = int(np.searchsorted(slots, slot))
+        if row == len(slots) or slots[row] != slot:
+            return None
+        lo, hi, sign = int(bounds[row]), int(bounds[row + 1]), int(signs[slot])
+        return tuple(zip(codes[lo:hi].tolist(), (deltas[lo:hi] * sign).tolist())), sign
 
     def span(self, rng: np.random.Generator, m: int) -> tuple[object, int, int]:
         """Hand out the next unused draws of ``rng``'s block, at most ``m``

@@ -160,8 +160,8 @@ class TestJsonPieces:
         {"a": [], "b": {}, "c": [[], {}], "d": ([{}],)},
         {"fibers": [{"T": 3, "b": [2, 2, 0, 2], "components": (("112:2 222:1",),)}]},
         ["x", ["y", ["z", []]], {"k": {"l": {}}}],
-        # Lists of ints alone are joined at once; a bool among them is not
-        # an int there, and ints past 2**63 keep every digit.
+        # Lists of ints, a bool among them, and ints past 2**63, which keep
+        # every digit.
         [-3, 0, -(2**64) - 1, 2**63, 2**70], (7,), (1, True, 2), [False, 0],
         {"b": (2, 2, 0, 2), "n": [[1, -1], [2**64]]},
     ])

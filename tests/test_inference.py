@@ -647,7 +647,7 @@ def seeded_paths(T: int, n: int) -> PathTable:
 
 def reference_walk(chain, steps, runs=None, tables=None):
     """``_Chain.walk`` one proposal at a time: each step takes one proposal
-    through ``ProposalSampler.take`` and applies the MH rule to it alone.
+    through ``ProposalSampler.sample`` and applies the MH rule to it alone.
     Returns the walk's counts of accepted moves and of nulls, and leaves
     the chain's counts, k and L where the walk would."""
     counts, top = chain.counts, 1 << (chain.evaluator.table.T - 1)
@@ -655,7 +655,7 @@ def reference_walk(chain, steps, runs=None, tables=None):
     if tables is not None:
         tables.append(chain.table())
     for i in range(steps):
-        (proposal,) = chain.sampler.take(chain.rng, 1)
+        proposal = chain.sampler.sample(chain.rng)
         if proposal is None:
             nulls += 1
             continue

@@ -409,6 +409,18 @@ class TestEnumeration:
         with pytest.raises(ValueError):
             enumerate_family(7, Family.CROSSING)
 
+    @pytest.mark.parametrize("fam", list(Family))
+    @pytest.mark.parametrize("T", [3, 4, 5, 6])
+    def test_lists_the_moves_the_sampler_proposes(self, T, fam):
+        # The sign +1 slots of the sampler's lookup table hold every move it
+        # can draw; the enumeration lists each once, in the sign whose first
+        # delta is positive, sorted.
+        table = moves._lookup_table(T, fam)
+        assert {p[1] for p in table[::2] if p is not None} <= {1}
+        drawn = {p[0] for p in table[::2] if p is not None}
+        canonical = {e if e[0][1] > 0 else tuple((c, -d) for c, d in e) for e in drawn}
+        assert moves.family_entries(T, fam) == tuple(sorted(canonical))
+
     def test_swap_equivariance(self):
         # swapping all states in any move's paths gives a valid same-family move
         from thmc.core import encode
@@ -544,7 +556,7 @@ class TestProposalSampler:
         }
         assert families == {f for f in Family if enumerate_family(T, f)}
         # Each table covers its family's whole draw space, and is the table
-        # enumerate_family reads.
+        # _lookup_table builds.
         for fam, table in tabled._tables.items():
             assert len(table) == int(np.prod(tabled._highs[fam]))
             assert table == moves._lookup_table(T, fam)
