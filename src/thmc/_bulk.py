@@ -6,9 +6,10 @@ ascending order (the sorted tuples of :mod:`thmc.fiber`), or per multiset
 its classes.  :func:`levels` builds every row of each count and orders the
 rows into fibers; :func:`sweep` finds each fiber's components and table
 counts on its class multisets with one :func:`search` per level, and
-:func:`tables` builds one fiber's tables when read.  :class:`Tokens`
-renders a level's ``path:count`` tokens once, so a run of table keys takes
-one gather; :mod:`thmc._report` joins them into a report's JSON.
+:func:`tables` builds a swept fiber's tables from its multisets when read.
+:class:`Tokens` renders the ``path:count`` tokens of some tables once, so a
+run of table keys takes one gather; :mod:`thmc._report` joins a level's
+into a report's JSON.
 """
 
 from __future__ import annotations
@@ -146,16 +147,15 @@ def mapped(
 
 
 def _keys(rows: np.ndarray, base: int) -> np.ndarray:
-    """Each row of class ids below ``base`` as one integer, its digits in
-    that base, so sorted rows sort as their keys do.  The keys are Python
-    ints where an int64 could overflow: only a fiber of very many paths
-    needs them."""
+    """Each row of class ids below ``base`` as one key, so sorted rows sort
+    as their keys do: its digits in that base as an int64 where one holds
+    them, and otherwise, as only a fiber of very many paths needs, the
+    row's digits as big-endian bytes, which sort as the integer would."""
     width = rows.shape[1]
-    exact = base**width <= np.iinfo(np.int64).max
-    weights = np.array(
-        [base**k for k in range(width - 1, -1, -1)], dtype=np.int64 if exact else object
-    )
-    return (rows if exact else rows.astype(object)) @ weights
+    if base**width <= np.iinfo(np.int64).max:
+        return rows @ base ** np.arange(width - 1, -1, -1, dtype=np.int64)
+    digits = np.ascontiguousarray(rows, dtype=np.min_scalar_type(base - 1).newbyteorder(">"))
+    return digits.view(f"S{digits.itemsize * width}").reshape(-1)
 
 
 def join(label: np.ndarray, i: np.ndarray, j: np.ndarray) -> None:
@@ -299,13 +299,10 @@ def sweep(T: int, n_max: int, stats: np.ndarray, index) -> tuple[np.ndarray, Ite
     return ids, (fibers(*level) for level in levels(T, n_max, stats[np.sort(top)]))
 
 
-def tables(fiber) -> np.ndarray:
-    """A fiber's tables as rows, from its cells, or for a swept fiber from
-    its class multisets, in canonical order: for a class held k times, each
+def tables(multisets: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    """A swept fiber's tables as rows, in canonical order, from its class
+    multisets and each cell's class id: for a class held k times, each
     column takes its cells from the one the column before took."""
-    if "cells" in vars(fiber):
-        return np.array(fiber.cells, dtype=np.min_scalar_type((1 << fiber.T) - 1))
-    multisets, ids = fiber._multisets, fiber._ids
     count, n = multisets.shape
     members = np.argsort(ids, kind="stable").astype(np.min_scalar_type(max(len(ids) - 1, 0)))
     bounds = np.append(0, np.cumsum(np.bincount(ids)))
@@ -411,8 +408,8 @@ def run_keys(T: int, rows: np.ndarray) -> np.ndarray:
 
 class Tokens:
     """The ``path:count`` token of each distinct nonzero :func:`run_keys`
-    key of some tables, rendered on first read: a sweep makes one per
-    level, shared by its fibers, and a lone fiber its own.
+    key of some tables, rendered on first read: the report writer makes
+    one per level, shared by its fibers, and a fiber read alone its own.
 
     Each cell present is rendered once, from its binary digits, and the
     tokens followed by each line end asked for are kept in an object
@@ -421,12 +418,6 @@ class Tokens:
     count, and from a search otherwise, as for a table of a million copies
     of one path, whose one key is two million.
     """
-
-    @classmethod
-    def level(cls, T: int, n: int) -> Tokens:
-        """Tokens of every key n paths can make, for a sweep's level."""
-        keys = np.arange((2 * n + 2) << T)
-        return cls(T, keys[keys // 2 % (n + 1) > 0].reshape(-1, max(n, 1)))
 
     def __init__(self, T: int, keys: np.ndarray) -> None:
         self.T = T

@@ -39,11 +39,12 @@ def report_fibers(reports: list, levels: Iterator) -> Iterator[JsonText]:
     between two components; the rest of the object, the move set, is what
     the fibers share.  Each fiber fills in these holes.
     ``levels`` yields the tables of each count as :func:`thmc._bulk.levels`
-    does, and each count's are built once, when its first fiber is reached
-    (:func:`_attach`).
+    does, and each count's are built once, when its first fiber is reached,
+    and handed to its fibers with their run keys and one token table of
+    them all (:meth:`thmc.fiber.Fiber._take_level`).
 
-    The reports are popped off the front of the list a chunk at a time,
-    consecutive fibers of one token table of at most
+    The reports are popped off the front of the list a level at a time,
+    and written a chunk at a time, consecutive fibers of at most
     ``thmc._bulk._RUN_CHUNK`` table cells in all, or one larger fiber, and
     each chunk's components are rendered by :func:`_chunk_components`
     before the chunk's first fiber is yielded.
@@ -56,39 +57,24 @@ def report_fibers(reports: list, levels: Iterator) -> Iterator[JsonText]:
     end, between = f'"{end}"', f'"{between}"'
     layout = "%s".join(p.replace("%", "%%") for p in head) + '"%s"' + tail.replace("%", "%%")
     reports.reverse()
-    while reports:
-        if "_keys" not in vars(reports[-1].fiber):
-            _attach(reports, levels)
-        tokens = reports[-1].fiber._tokens
-        chunk = [reports.pop()]
-        cells = chunk[0].fiber._keys.size
-        while reports and reports[-1].fiber._tokens is tokens:
-            cells += reports[-1].fiber._keys.size
-            if cells > _bulk._RUN_CHUNK:
-                break
-            chunk.append(reports.pop())
-        for r, text in zip(chunk, _chunk_components(chunk, end, between)):
-            yield JsonText(layout % (r.T, *r.b.as_tuple(), r.fiber_size, text))
-
-
-def _attach(reports: list, levels: Iterator) -> None:
-    """Give the swept fibers of the last report's table count, at the end
-    of ``reports``, their tables from the level of that count in
-    ``levels``, in canonical order, with the level's run keys and tokens."""
-    T = reports[-1].T
-    total = reports[-1].b.total()
     for rows, starts, stats in levels:
-        if rows.shape[1] * (T - 1) == total:
-            break
-    keys = _bulk.run_keys(T, rows)
-    tokens = _bulk.Tokens(T, keys)
-    bounds = [*starts.tolist(), len(rows)]
-    at = dict(zip(stats, zip(bounds, bounds[1:])))
-    for r in reversed(reports):
-        if r.b.total() != total:
-            break
-        lo, hi = at[r.b.as_tuple()]
-        vars(r.fiber).update(_rows=rows[lo:hi], _keys=keys[lo:hi], _tokens=tokens)
+        # A sweep reports every fiber of each count, in order of b, so the
+        # level's fibers are those of the next len(stats) reports.
+        level = [reports.pop() for _ in stats]
+        keys = _bulk.run_keys(level[0].T, rows)
+        tokens = _bulk.Tokens(level[0].T, keys)
+        bounds = [*starts.tolist(), len(rows)]
+        for r, lo, hi in zip(level, bounds, bounds[1:]):
+            r.fiber._take_level(rows[lo:hi], keys[lo:hi], tokens)
+        level.reverse()
+        while level:
+            chunk = [level.pop()]
+            cells = chunk[0].fiber._keys.size
+            while level and cells + level[-1].fiber._keys.size <= _bulk._RUN_CHUNK:
+                cells += level[-1].fiber._keys.size
+                chunk.append(level.pop())
+            for r, text in zip(chunk, _chunk_components(chunk, end, between)):
+                yield JsonText(layout % (r.T, *r.b.as_tuple(), r.fiber_size, text))
 
 
 def _chunk_components(chunk: list, end: str, between: str) -> list[str]:

@@ -11,7 +11,8 @@ one entry per unit of count), or the same indices as one row of an
 (N, n) array.  A sweep enumerates the class multisets of each path count,
 a level, as one array (:mod:`thmc._bulk`, imported on first use) and finds
 the level's fibers, table counts and components on them, with no table
-built.  A swept fiber builds its own tables when they are read, and
+built.  A swept fiber and its report hold those multisets, counts and
+components' roots, and build their tables when read;
 ``thmc verify-basis --report`` builds each level's tables once.
 
 Connectivity is found on classes of tables, not tables.  A degree-1 move
@@ -68,20 +69,38 @@ class BudgetExceeded(RuntimeError):
         self.nodes_visited = nodes_visited
 
 
-@dataclass(frozen=True)
 class Fiber:
     """All tables with a given transition statistic, canonically ordered.
 
     ``cells[i]`` holds table ``i`` as the sorted tuple of its paths' cell
-    indices; ``elements[i]`` is the same table as a :class:`PathTable`,
-    built on first use.  ``_rows`` holds the tables as array rows; a fiber
-    from :func:`sweep` is made with its class multisets and the cells'
-    class ids, and builds ``_rows`` and ``cells`` from them when read.
+    indices; ``elements[i]`` is the same table as a :class:`PathTable`, and
+    ``_rows`` all tables as array rows, each built on first use.  A fiber
+    from :func:`sweep` holds its class ``multisets`` and each cell's class
+    ``ids`` in place of its cells, and builds ``_rows`` from them, then
+    ``cells``, when read.  ``repr`` shows T and b, so it builds nothing,
+    and fibers compare by identity.
     """
 
-    T: int
-    b: TransitionStat
-    cells: tuple[Cells, ...]
+    def __init__(
+        self, T: int, b: TransitionStat, cells: tuple[Cells, ...] | None = None,
+        multisets: np.ndarray | None = None, ids: np.ndarray | None = None,
+    ) -> None:
+        if (cells is None) == (multisets is None):
+            raise TypeError("a fiber takes either its cells or its class multisets")
+        self.T, self.b = T, b
+        self._multisets, self._ids = multisets, ids
+        if cells is not None:
+            # Held in place of the cached property's value.
+            self.cells = cells
+
+    def __repr__(self) -> str:
+        return f"Fiber(T={self.T}, b={self.b!r})"
+
+    @cached_property
+    def cells(self) -> tuple[Cells, ...]:
+        from . import _bulk
+
+        return tuple(_bulk.tuples(self._rows))
 
     @cached_property
     def elements(self) -> tuple[PathTable, ...]:
@@ -94,7 +113,9 @@ class Fiber:
     def _rows(self) -> np.ndarray:
         from . import _bulk
 
-        return _bulk.tables(self)
+        if self._multisets is None:
+            return np.array(self.cells, dtype=np.min_scalar_type((1 << self.T) - 1))
+        return _bulk.tables(self._multisets, self._ids)
 
     @cached_property
     def _keys(self) -> np.ndarray:
@@ -108,14 +129,10 @@ class Fiber:
 
         return _bulk.Tokens(self.T, self._keys)
 
-    def __getattr__(self, name: str):
-        # Only a swept fiber lacks cells: build them from its rows.
-        if name != "cells" or "_multisets" not in vars(self):
-            raise AttributeError(name)
-        from . import _bulk
-
-        cells = vars(self)["cells"] = tuple(_bulk.tuples(self._rows))
-        return cells
+    def _take_level(self, rows: np.ndarray, keys: np.ndarray, tokens) -> None:
+        """Hold the tables, run keys and tokens that
+        :func:`thmc._report.report_fibers` hands over from this fiber's level."""
+        self._rows, self._keys, self._tokens = rows, keys, tokens
 
     def __len__(self) -> int:
         return len(self.cells)
@@ -241,36 +258,40 @@ def enumerate_fiber(T: int, b: TransitionStat | Sequence[int]) -> Fiber:
     return Fiber(T, b, tuple(_enumerate_cells(T, b.as_tuple())))
 
 
-@dataclass(frozen=True)
 class ConnectivityReport:
-    """Connected components of a fiber under a move set, as lists of the
+    """Connected components of a fiber under a move set, as tuples of the
     fiber's table indices; ``component_tables`` renders them as
     :func:`fiber_texts` does, on first read.  One from :func:`sweep` holds
-    each component's table count and each class multiset's root, and
-    builds ``components`` when read."""
+    each component's table count, ``sizes``, and each class multiset's
+    root, ``roots``, in place of ``components``, and builds them when read.
+    ``repr`` shows the fiber and move set, so it builds nothing, and
+    reports compare by identity.
+    """
 
-    fiber: Fiber
-    components: tuple[tuple[int, ...], ...]
-    move_set: tuple[str, ...]
+    def __init__(
+        self, fiber: Fiber, components: tuple[tuple[int, ...], ...] | None,
+        move_set: tuple[str, ...], sizes: tuple[int, ...] | None = None,
+        roots: np.ndarray | None = None,
+    ) -> None:
+        if (components is None) == (roots is None):
+            raise TypeError("a report takes either its components or its roots")
+        self.fiber, self.move_set, self._roots = fiber, move_set, roots
+        self.T, self.b = fiber.T, fiber.b
+        # Each given value is held in place of its cached property's.
+        if components is not None:
+            self.components = components
+        if sizes is not None:
+            self.component_sizes = sizes
 
-    def __getattr__(self, name: str):
-        # Only a swept report lacks components: build them when read.
-        if name != "components" or "_roots" not in vars(self):
-            raise AttributeError(name)
+    def __repr__(self) -> str:
+        return f"ConnectivityReport(fiber={self.fiber!r}, move_set={self.move_set!r})"
+
+    @cached_property
+    def components(self) -> tuple[tuple[int, ...], ...]:
         from . import _bulk
 
         fib = self.fiber
-        rows = fib._ids[fib._rows]
-        components = vars(self)["components"] = _bulk.components(rows, fib._multisets, self._roots)
-        return components
-
-    @property
-    def T(self) -> int:
-        return self.fiber.T
-
-    @property
-    def b(self) -> TransitionStat:
-        return self.fiber.b
+        return _bulk.components(fib._ids[fib._rows], fib._multisets, self._roots)
 
     @cached_property
     def component_tables(self) -> tuple[tuple[str, ...], ...]:
@@ -281,9 +302,9 @@ class ConnectivityReport:
     def fiber_size(self) -> int:
         return sum(self.component_sizes)
 
-    @property
+    @cached_property
     def component_sizes(self) -> tuple[int, ...]:
-        return vars(self).get("_sizes") or tuple(map(len, self.components))
+        return tuple(map(len, self.components))
 
     @property
     def n_components(self) -> int:
@@ -493,8 +514,8 @@ def sweep(
     enumerated, all of them, and split into fibers and components in one
     array pass (:func:`thmc._bulk.sweep`), so a report with more than one
     component is a certified disconnection under the move set.  Sizes come
-    from table counts, and no table is built until read.  Reports come in
-    ascending (total, b) order.
+    from table counts, and no table is built until read (see
+    :class:`Fiber`).  Reports come in ascending (total, b) order.
     """
     index = _resolve_moves(T, move_set)
     _check_count(T, n_max, (1 << T) - len(index.classes) + len(index.sizes), "class multisets")
@@ -503,16 +524,12 @@ def sweep(
     stats = _fitting_cells(T, (T - 1,) * 4)[1] if n_max else np.zeros((0, 4), np.int64)
     ids, levels = _bulk.sweep(T, n_max, stats, index)
     reports = []
-    for n, level in enumerate(levels):
-        tokens = _bulk.Tokens.level(T, n)
+    for level in levels:
         for stat, multisets, sizes, roots in level:
             stat = TransitionStat(*stat)
-            if stat_filter is not None and not stat_filter(stat):
-                continue
-            fib, report = Fiber.__new__(Fiber), ConnectivityReport.__new__(ConnectivityReport)
-            vars(fib).update(T=T, b=stat, _multisets=multisets, _ids=ids, _tokens=tokens)
-            vars(report).update(fiber=fib, move_set=index.move_set, _sizes=sizes, _roots=roots)
-            reports.append(report)
+            if stat_filter is None or stat_filter(stat):
+                fib = Fiber(T, stat, multisets=multisets, ids=ids)
+                reports.append(ConnectivityReport(fib, None, index.move_set, sizes, roots))
     return reports
 
 
@@ -529,7 +546,7 @@ def table_text(table: PathTable) -> str:
 def fiber_texts(fiber: Fiber) -> list[str]:
     """The fiber's tables in order, each as :func:`table_text` renders it,
     all at once: their :func:`thmc._bulk.run_keys` looked up among the
-    tokens of their level, for a swept fiber, or of their own."""
+    fiber's own tokens, or its level's once a report has handed them over."""
     if not len(fiber._rows):
         return []
     return fiber._tokens.texts(fiber._keys)

@@ -720,6 +720,11 @@ class TestCmdVerifyBasis:
             chunks.append(chunk)
             return real_chunk_components(chunk, *args)
 
+        def refuse(*args):
+            raise AssertionError("built one fiber's tables")
+
+        # Each fiber's tables come from its level's, handed over.
+        monkeypatch.setattr(_bulk, "tables", refuse)
         monkeypatch.setattr(_bulk, "_RUN_CHUNK", 64)
         monkeypatch.setattr(_report, "_chunk_components", sized)
         result = runner.invoke(main, [

@@ -289,6 +289,23 @@ class TestConnectivity:
         )
         assert out.stdout == "((0,),)\n"
 
+    # Rows too wide for an int64 key are keyed by their big-endian bytes,
+    # not by Python ints whose weights run to base**(n-1): one table of
+    # 100,000 copies of 111 took about 20 s and 670 MiB that way, and takes
+    # about 1 s so.  Run in a child, as above.
+    def test_one_table_past_int64_keys_in_linear_time(self):
+        script = (
+            "from thmc import connectivity, enumerate_fiber\n"
+            "fib = enumerate_fiber(3, (200000, 0, 0, 0))\n"
+            "print(connectivity(fib).component_sizes)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(thmc.__file__).parents[1]))
+        out = subprocess.run(
+            [sys.executable, "-c", script],
+            env=env, capture_output=True, text=True, check=True, timeout=10,
+        )
+        assert out.stdout == "(1,)\n"
+
     def test_move_outside_fiber_raises(self):
         fib = enumerate_fiber(3, (0, 1, 1, 2))
         part = Fiber(3, fib.b, fib.cells[:2])
@@ -382,13 +399,17 @@ class TestSweep:
         # per sweep, not once per fiber.
         moves = enumerate_families(4, ["crossing", "type2"])
         monkeypatch.setattr(fiber, "_move_index", counted_move_index)
-        assert sweep(4, 3, iter(moves)) == sweep(4, 3, moves)
+        # Reports compare by identity, so their contents are compared.
+        def contents(reports):
+            return [(r.fiber.cells, r.components, r.move_set) for r in reports]
+
+        assert contents(sweep(4, 3, iter(moves))) == contents(sweep(4, 3, moves))
         assert connectivity_calls == []
         assert len(indexed) == 2
 
-    # Nothing is rendered before a read.  The first read of a fiber renders
-    # the tokens of its whole table count, each cell of that count at most
-    # once; a second fiber of the same count renders nothing more.
+    # Nothing is rendered before a read.  A swept fiber read alone renders
+    # the tokens of its own tables, as a lone fiber does, each of its cells
+    # once; a second read renders nothing more.
     def test_texts_rendered_only_when_read(self, monkeypatch):
         from thmc import _bulk
 
@@ -403,14 +424,41 @@ class TestSweep:
         reports = sweep(4, 3)
         assert len(reports) > 1 and rendered == []
         level = [r for r in reports if r.fiber_size and len(r.fiber.cells[0]) == 3]
-        assert len(level) > 1
-        assert level[-1].component_tables
-        held = set().union(*(c for r in level for c in r.fiber.cells))
-        assert len(rendered) == len(set(rendered))
-        assert set().union(*level[-1].fiber.cells) <= set(rendered) <= held
-        first = list(rendered)
-        assert level[0].component_tables
-        assert rendered == first
+        assert len(level) > 1 and rendered == []
+        for r in level[-1], level[0]:
+            rendered.clear()
+            assert r.component_tables and fiber.fiber_texts(r.fiber)
+            assert sorted(rendered) == sorted(set().union(*r.fiber.cells))
+
+    # A swept fiber and report hold their class multisets, sizes and roots,
+    # and repr, ==, hash and component_sizes read nothing else: no table is
+    # built, of a level or of a fiber.  A lone fiber's repr leaves out its
+    # cells, which for one table of 10**6 paths run to millions of
+    # characters.
+    def test_repr_eq_hash_and_sizes_build_no_table(self, monkeypatch):
+        from thmc import _bulk
+
+        lone = enumerate_fiber(3, (2 * 10**6, 0, 0, 0))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("built tables")
+
+        monkeypatch.setattr(_bulk, "tables", refuse)
+        monkeypatch.setattr(fiber, "_levels", refuse)
+        monkeypatch.setattr(fiber, "_enumerate_cells", refuse)
+        reports = sweep(6, 4)
+        assert len(reports) == 1430
+        for r in reports:
+            for x in r, r.fiber:
+                assert repr(x) and x == x and hash(x) == hash(x)
+            assert sum(r.component_sizes) == r.fiber_size
+        assert reports[0] != reports[1] and reports[0].fiber != reports[1].fiber
+        assert repr(reports[-1]) == (
+            "ConnectivityReport(fiber=Fiber(T=6, b=TransitionStat(b11=20, b12=0, "
+            "b21=0, b22=0)), move_set=('type1', 'crossing', '2x2', 'type4', "
+            "'type2', 'deg3-sliding'))"
+        )
+        assert repr(lone) == "Fiber(T=3, b=TransitionStat(b11=2000000, b12=0, b21=0, b22=0))"
 
     # A table of distinct paths is rendered by joining the cells' tokens, and
     # only a table with a repeated path counts its paths; both must give
