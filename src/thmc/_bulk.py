@@ -87,24 +87,28 @@ def _ranges(low: np.ndarray, fan: np.ndarray) -> np.ndarray:
     return out
 
 
-def classes(
-    cells: Sequence[int], class_of: dict[int, int], sizes: dict[int, int]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The class id of each of the ascending ``cells``, with each class's
-    size and smallest cell.
+def rep_of(cells: np.ndarray, reps: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The smallest cell of the class of each of ``x``: ``reps[i]`` for
+    ``cells[i]``, ascending, and itself for any other cell."""
+    at = np.searchsorted(cells, x)
+    return np.where(np.append(cells, -1)[at] == x, np.append(reps, -1)[at], x)
 
-    ``class_of`` maps a cell to its class's smallest cell and ``sizes``
-    counts each class's cells; a cell outside ``class_of`` is a class of
-    its own.  Ids number the classes by smallest cell, so they sort as
-    those cells do; their dtype also holds the id ``len(reps)``, which
-    :func:`mapped` gives a class none of ``cells`` belongs to.
+
+def classes(cells: np.ndarray, index) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The class id of each of the ascending ``cells`` under a
+    :class:`thmc.fiber._MoveIndex`, with each class's size and smallest
+    cell, all found by searches in the index's ``cells`` and ``reps``.
+
+    Ids number the classes by smallest cell, so they sort as those cells
+    do; their dtype also holds the id ``len(reps)``, which :func:`mapped`
+    gives a class none of ``cells`` belongs to.
     """
-    rep = [class_of.get(c, c) for c in cells]
-    reps = sorted(set(rep))
-    number = {r: i for i, r in enumerate(reps)}
-    ids = np.array([number[r] for r in rep], dtype=np.min_scalar_type(len(reps)))
-    size = np.array([sizes.get(r, 1) for r in reps], dtype=np.int64)
-    return ids, size, np.array(reps, dtype=np.int64)
+    rep = rep_of(index.cells, index.reps, cells)
+    reps = _distinct(rep)
+    ids = np.searchsorted(reps, rep).astype(np.min_scalar_type(len(reps)))
+    named = np.sort(index.reps)
+    size = np.searchsorted(named, reps, "right") - np.searchsorted(named, reps)
+    return ids, np.maximum(size, 1), reps
 
 
 #: The mapped moves of one degree in class ids: the sorted keys of their
@@ -113,37 +117,28 @@ def classes(
 Mapped = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
-def mapped(
-    by_negative: dict[tuple[int, ...], list[tuple[int, ...]]], reps: np.ndarray
-) -> dict[int, Mapped]:
-    """The moves mapped onto classes, ``by_negative`` of a move index, in
-    the class ids of :func:`classes`, by degree.
+def mapped(moves: Sequence[np.ndarray], reps: np.ndarray) -> dict[int, Mapped]:
+    """The mapped moves of a move index, ``moves``, in the class ids of
+    :func:`classes`, by degree: one search of each degree's rows among the
+    smallest cells ``reps``.
 
     A negative part holding a class none of ``reps`` stands for is left
     out, since no table holds it; a positive class of that kind gets the
-    id ``len(reps)``, so a move that adds it leads out of the tables.
-    Negative parts of one degree are sorted as tuples, so their
-    :func:`_keys` come sorted.
+    id ``len(reps)``, so a move that adds it leads out of the tables.  Ids
+    keep the order of smallest cells, so the negative parts kept come
+    sorted, and their :func:`_keys` too.
     """
-    id_of = dict(zip(reps.tolist(), range(len(reps))))
-    parts: dict[int, tuple[list, list, list]] = {}
-    for negative in sorted(by_negative):
-        ids = [id_of.get(c) for c in negative]
-        if None in ids:
-            continue
-        keys, counts, positives = parts.setdefault(len(ids), ([], [0], []))
-        keys.append(ids)
-        counts.append(len(by_negative[negative]))
-        positives += ([id_of.get(c, len(reps)) for c in p] for p in by_negative[negative])
-    dtype = np.min_scalar_type(len(reps))
-    return {
-        d: (
-            _keys(np.array(keys, dtype=dtype), len(reps) + 1),
-            np.cumsum(counts),
-            np.array(positives, dtype=dtype),
-        )
-        for d, (keys, counts, positives) in sorted(parts.items())
-    }
+    out = {}
+    for rows in moves:
+        d = rows.shape[1] // 2
+        at = np.searchsorted(reps, rows)
+        ids = np.where(np.append(reps, -1)[at] == rows, at, len(reps))
+        ids = ids[(ids[:, :d] < len(reps)).all(axis=1)].astype(np.min_scalar_type(len(reps)))
+        if len(ids):
+            keys = _keys(ids[:, :d], len(reps) + 1)
+            start = np.flatnonzero(np.append(True, keys[1:] != keys[:-1]))
+            out[d] = keys[start], np.append(start, len(keys)), ids[:, d:]
+    return out
 
 
 def _keys(rows: np.ndarray, base: int) -> np.ndarray:
@@ -270,15 +265,16 @@ def counts(multisets: np.ndarray, size: np.ndarray) -> np.ndarray:
 
 def sweep(T: int, n_max: int, stats: np.ndarray, index) -> tuple[np.ndarray, Iterator]:
     """The class id of each cell with statistics ``stats`` under a
-    :class:`thmc.fiber._MoveIndex`, and for n = 0..n_max, in ascending
+    :class:`thmc.fiber._MoveIndex` (:func:`classes`, with its moves in
+    those ids by :func:`mapped`), and for n = 0..n_max, in ascending
     statistic order, the fibers of n paths: each one's statistic, class
     multisets as sorted rows, each component's table count (:func:`counts`)
     and each multiset's root (:func:`search`).  A level holds every
     multiset, so no move leads out of it.  A multiset's
     first table holds its classes' largest cells, so :func:`levels` over the
     classes ordered by largest cell gives the multisets in that order."""
-    ids, size, reps = classes(range(len(stats)), index.classes, index.sizes)
-    moves = mapped(index.by_negative, reps)
+    ids, size, reps = classes(np.arange(len(stats)), index)
+    moves = mapped(index.moves, reps)
     top = np.zeros(len(size), np.intp)
     np.maximum.at(top, ids, np.arange(len(ids)))
     by_top = np.argsort(top).astype(ids.dtype)
@@ -323,11 +319,13 @@ def tables(multisets: np.ndarray, ids: np.ndarray) -> np.ndarray:
 
 def fiber_group(rows: np.ndarray, index) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
     """One fiber's tables as sorted rows of class ids under a
-    :class:`thmc.fiber._MoveIndex`, their distinct class multisets in the
+    :class:`thmc.fiber._MoveIndex`, the classes of its cells alone
+    (:func:`classes`, with the index's moves in their ids by
+    :func:`mapped`), their distinct class multisets in the
     order of their first tables, and each multiset's root (:func:`search`),
     or None when a move leads out or a multiset is short (:func:`counts`)."""
     cells = _distinct(rows)
-    ids, size, reps = classes(cells.tolist(), index.classes, index.sizes)
+    ids, size, reps = classes(cells, index)
     ids = ids[np.searchsorted(cells, rows)]
     ids.sort(axis=1)
     keys = _keys(ids, len(reps) + 1)
@@ -337,7 +335,7 @@ def fiber_group(rows: np.ndarray, index) -> tuple[np.ndarray | None, np.ndarray,
     by_first = np.argsort(order[start])
     multisets = ids[order[start[by_first]]]
     held = np.diff(np.append(start, len(keys)))[by_first]
-    label, escaped = search(multisets, mapped(index.by_negative, reps), len(reps) + 1)
+    label, escaped = search(multisets, mapped(index.moves, reps), len(reps) + 1)
     complete = not len(escaped) and (held == counts(multisets, size)).all()
     return ids, multisets, label if complete else None
 

@@ -22,7 +22,10 @@ O(L**2) of them against its 2**L paths, so no path pair is drawn.  A point
 is held as the key ``2 * s + first``, where a statistic's ``s`` is
 ``b11 * T**2 + b12 * T + b21`` (b22 follows from the length), so joining
 pieces adds their keys and those of the transitions between them.
-:mod:`thmc.fiber` imports this module on first use.
+The index comes out as the arrays of :class:`thmc.fiber._MoveIndex`,
+straight from those of the points: the traded moves as the digits of their
+distinct keys, the sliding moves as rows.  :mod:`thmc.fiber` imports this
+module on first use.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ import numpy as np
 
 from ._bulk import _distinct
 from .core import MIN_T
+from .fiber import _canonical
 from .moves import Family
 
 #: The largest T :func:`index` serves: ``TestPointIndex`` checks it against
@@ -53,17 +57,15 @@ def _point_keys(T: int, L: int) -> np.ndarray:
 
 
 def index(T: int, families: tuple[Family, ...]):
-    """The classes, class sizes and mapped moves of a family selection
-    that holds type I moves, as :class:`thmc.fiber._MoveIndex` keeps them.
+    """The ``cells``, ``reps`` and ``moves`` of a family selection that
+    holds type I moves, the arrays of :class:`thmc.fiber._MoveIndex`.
 
-    ``classes`` maps each cell of a class of two or more cells to the
-    class's smallest cell, and ``sizes`` counts those classes' cells.  Each
-    mapped move is a pair of sorted tuples of smallest cells, the smaller
-    as the negative part, with no repeat and none that maps onto itself;
-    ``by_negative`` keys the positive parts by the negative one, both in
-    ascending order.  Class numbers stand for classes until the end, so a
-    move's four classes pack into one int64 below ``classes**4``; with at
-    most ``2 * T**3`` classes, that holds up to T = 30.  T is capped at
+    ``cells`` holds each cell of a class of two or more cells, ascending,
+    and ``reps`` its class's smallest cell.  Class numbers stand for
+    classes until the end, so a traded move's four classes pack into one
+    int64 below ``classes**4``; with at most ``2 * T**3`` classes, that
+    holds up to T = 30.  Each call's moves are kept distinct as they are
+    traded, so the peak follows the distinct moves.  T is capped at
     ``POINT_INDEX_T_CAP``.
     """
     if T < MIN_T:
@@ -82,8 +84,6 @@ def index(T: int, families: tuple[Family, ...]):
     cls[order] = np.repeat(np.searchsorted(reps, order[first]), runs)
     size = np.bincount(cls)
     shared = np.flatnonzero(size[cls] > 1)
-    classes = dict(zip(shared.tolist(), reps[cls[shared]].tolist()))
-    sizes = {r: s for r, s in zip(reps.tolist(), size.tolist()) if s > 1}
     of_point = np.zeros(2 * T**3, dtype=np.int64)
     of_point[point] = cls
     R = len(reps)
@@ -127,11 +127,10 @@ def index(T: int, families: tuple[Family, ...]):
         neg = np.minimum(p1, p2) * R + np.maximum(p1, p2)
         pos = np.minimum(q1, q2) * R + np.maximum(q1, q2)
         move = np.minimum(neg, pos) * (R * R) + np.maximum(neg, pos)
-        traded.append(move[neg != pos])
+        traded.append(_distinct(move[neg != pos]))
 
     # Twice the key of the transition from state i to state j.
     step = np.array([[2 * T * T, 2 * T], [2, 0]], dtype=np.int64)
-    mapped = set()
     for family in families:
         if family is Family.CROSSING:
             # At time t the heads end in s; a tail starting with f adds
@@ -170,35 +169,20 @@ def index(T: int, families: tuple[Family, ...]):
                 ctx = [context(t, T - t - 1, i, j) for t in range(1, T - 1)]
                 for t in range(len(ctx) - 1):
                     trade(ctx[t], np.concatenate(ctx[t + 1:]), a, b, a, b)
-        elif family is Family.DEG3_SLIDING:
-            full = (1 << T) - 1
-            rep_of = reps[cls].tolist()
-
-            def step_class(k: int, swap: int, reverse: bool) -> int:
-                """The class of k ones then T - k twos, reversed in time
-                and state-swapped as asked; k = T and k = 0 give the flat
-                paths."""
-                code = full ^ ((1 << k) - 1) if reverse else (1 << (T - k)) - 1
-                return rep_of[code ^ swap]
-
-            # Flat-1 and the steps at a and b against flat-2 and the steps
-            # at a + u and b + T - 1 - u, as deg3_sliding builds them.
-            for a in range(1, T):
-                for b in range(a, T - a):
-                    for u in range(b, T - a):
-                        for swap in (0, full):
-                            for reverse in (False, True):
-                                parts = tuple(
-                                    tuple(sorted(step_class(k, swap, reverse) for k in ks))
-                                    for ks in ((T, a, b), (0, a + u, b + T - 1 - u))
-                                )
-                                if parts[0] != parts[1]:
-                                    mapped.add(min(parts, parts[::-1]))
+    moves = []
     if traded:
-        moves = _distinct(np.concatenate(traded))
-        digits = reps[moves[:, None] // R ** np.arange(3, -1, -1) % R].tolist()
-        mapped.update(((w, x), (y, z)) for w, x, y, z in digits)
-    by_negative: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-    for negative, positive in sorted(mapped):
-        by_negative.setdefault(negative, []).append(positive)
-    return classes, sizes, by_negative
+        # A key's digits are class numbers, which sort as the classes'
+        # smallest cells do, so the ascending keys give rows in the form.
+        keys = _distinct(np.concatenate(traded))
+        moves.append(reps[keys[:, None] // R ** np.arange(3, -1, -1) % R])
+    if Family.DEG3_SLIDING in families:
+        # Flat-1 and the steps at a and b against flat-2 and the steps at
+        # a + u and b + T - 1 - u, as deg3_sliding builds them: k ones then
+        # T - k twos, k = T and k = 0 giving the flat paths, then the same
+        # reversed in time, each also state-swapped.
+        k = np.array([(T, a, b, 0, a + u, b + T - 1 - u)
+                      for a in range(1, T) for b in range(a, T - a) for u in range(b, T - a)])
+        full = (1 << T) - 1
+        codes = np.concatenate([(1 << (T - k)) - 1, full ^ ((1 << k) - 1)])
+        moves.append(_canonical(reps[cls[np.concatenate([codes, codes ^ full])]]))
+    return shared, reps[cls[shared]], tuple(moves)

@@ -26,7 +26,6 @@ moves as fiber connectors).
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Callable, Iterable, Sequence
@@ -315,23 +314,45 @@ class ConnectivityReport:
         return self.n_components <= 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _MoveIndex:
-    """A move set as :func:`connectivity` reads it.
+    """A move set as :func:`connectivity` reads it, in arrays, as both
+    :func:`_move_index` and :func:`thmc._points.index` build it.
 
     The degree-1 moves join cells into classes, the components of the graph
-    they make on the cells.  ``classes`` maps each cell they name to the
-    smallest cell of its class, and ``sizes`` counts each class's cells; any
-    other cell is a class of its own.  ``by_negative`` holds every move of
-    degree >= 2 mapped onto classes: its positive class tuple keyed by its
-    negative one, with one sign and no duplicates.  ``move_set`` is the
-    set's description.
+    they make on the cells.  ``cells`` holds the cells they name, ascending,
+    and ``reps`` the smallest cell of each one's class; any other cell is a
+    class of its own.  ``moves`` holds the other moves mapped onto classes,
+    one ``(m, 2d)`` int64 array for each degree d >= 2 that has any, by
+    degree, each row a move's negative then positive half in the form of
+    :func:`_canonical`.  ``move_set`` is the set's description.
     """
 
-    classes: dict[int, int]
-    sizes: dict[int, int]
-    by_negative: dict[Cells, list[Cells]]
+    cells: np.ndarray
+    reps: np.ndarray
+    moves: tuple[np.ndarray, ...]
     move_set: tuple[str, ...]
+
+
+def _canonical(rows: np.ndarray) -> np.ndarray:
+    """Moves of one degree d mapped onto classes, given as ``(m, 2d)`` rows
+    of their negative then positive parts' smallest cells, in the form
+    :class:`_MoveIndex` keeps: each half sorted, the smaller half first, no
+    row that maps onto itself, and the rows distinct and ascending.  A
+    mapped move keeps the classes its two halves share, since the move
+    still needs them present."""
+    m, width = rows.shape
+    halves = rows.reshape(m, 2, width // 2)
+    halves.sort(axis=2)
+    differ = halves[:, 0] != halves[:, 1]
+    first, at = differ.argmax(axis=1), np.arange(m)
+    flip = halves[at, 1, first] < halves[at, 0, first]
+    halves[flip] = halves[flip, ::-1]
+    rows = halves[differ.any(axis=1)].reshape(-1, width)
+    rows = rows[np.lexsort(rows.T[::-1])]
+    keep = np.ones(len(rows), dtype=bool)
+    keep[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+    return rows[keep]
 
 
 #: A move's negative and positive parts, each as the sorted tuple of its
@@ -349,31 +370,23 @@ def _parts(entries: Sequence[tuple[int, int]]) -> Parts:
 
 def _move_index(parts: Sequence[Parts], move_set: tuple[str, ...]) -> _MoveIndex:
     """Index a move set, given as its moves' parts: its classes, and the
-    rest of its moves mapped onto them.  A mapped move keeps the classes
-    its two parts share, since the move still needs them present; one that
-    maps onto itself is dropped."""
+    rest of its moves mapped onto them, a degree at a time."""
     from . import _bulk
 
-    named = sorted({c for part in parts if len(part[0]) == 1 for c in part[0] + part[1]})
-    position = {c: i for i, c in enumerate(named)}
-    pairs = np.array(
-        [(position[n[0]], position[p[0]]) for n, p in parts if len(n) == 1], dtype=np.intp
-    ).reshape(-1, 2)
-    label = np.arange(len(named))
-    _bulk.join(label, pairs[:, 0], pairs[:, 1])
+    swaps = np.array([n + p for n, p in parts if len(n) == 1], dtype=np.int64).reshape(-1, 2)
+    cells = _bulk._distinct(swaps)
+    label = np.arange(len(cells))
+    at = np.searchsorted(cells, swaps)
+    _bulk.join(label, at[:, 0], at[:, 1])
     # Each root is the smallest position of its class, so of its smallest cell.
-    classes = dict(zip(named, [named[r] for r in label.tolist()]))
-    by_negative: dict[Cells, list[Cells]] = {}
-    mapped = set()
-    for negative, positive in parts:
-        if len(negative) > 1:
-            pair = tuple(tuple(sorted(classes.get(c, c) for c in part))
-                         for part in (negative, positive))
-            pair = min(pair, pair[::-1])
-            if pair[0] != pair[1] and pair not in mapped:
-                mapped.add(pair)
-                by_negative.setdefault(pair[0], []).append(pair[1])
-    return _MoveIndex(classes, Counter(classes.values()), by_negative, move_set)
+    reps = cells[label]
+    moves = []
+    for d in sorted({len(n) for n, _ in parts} - {1}):
+        rows = np.array([n + p for n, p in parts if len(n) == d], dtype=np.int64)
+        rows = _canonical(_bulk.rep_of(cells, reps, rows))
+        if len(rows):
+            moves.append(rows)
+    return _MoveIndex(cells, reps, tuple(moves), move_set)
 
 
 @lru_cache(maxsize=None)
@@ -518,7 +531,9 @@ def sweep(
     :class:`Fiber`).  Reports come in ascending (total, b) order.
     """
     index = _resolve_moves(T, move_set)
-    _check_count(T, n_max, (1 << T) - len(index.classes) + len(index.sizes), "class multisets")
+    # The cells no degree-1 move names, and one class per smallest cell.
+    classes = (1 << T) - len(index.cells) + int(np.count_nonzero(index.reps == index.cells))
+    _check_count(T, n_max, classes, "class multisets")
     from . import _bulk
 
     stats = _fitting_cells(T, (T - 1,) * 4)[1] if n_max else np.zeros((0, 4), np.int64)

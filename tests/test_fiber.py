@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -729,8 +730,8 @@ class TestSweepOracle:
     def test_explicit_moves_match_dfs_and_apply_move(self, T, families, mapped):
         moves = enumerate_families(T, families)
         index = fiber._resolve_moves(T, moves)
-        assert max(index.sizes.values()) > 1
-        assert bool(index.by_negative) == mapped
+        assert (index.reps < index.cells).any()
+        assert bool(index.moves) == mapped
         self.check(T, 3 if T < 5 else 2, moves, moves)
 
 
@@ -807,11 +808,35 @@ class TestComponentsOracle:
         assert list(report.components) == brute_components(fib, moves)
 
 
+def assert_index_form(index_cells, reps, moves):
+    """The array form of a move index: ``cells`` strictly ascending, each
+    rep at most its cell and a rep of itself; one int64 array per degree
+    d >= 2 that has moves, by degree, each row a negative half then a
+    positive half of reps or unnamed cells, each half sorted, the negative
+    half the smaller, and the rows strictly ascending."""
+    cells, reps = index_cells.tolist(), reps.tolist()
+    assert index_cells.dtype == np.int64 and cells == sorted(set(cells))
+    rep_of = dict(zip(cells, reps))
+    assert all(r <= c and rep_of[r] == r for c, r in rep_of.items())
+    degrees = [m.shape[1] // 2 for m in moves]
+    assert degrees == sorted(set(degrees)) and min(degrees, default=2) >= 2
+    for m, d in zip(moves, degrees):
+        assert m.dtype == np.int64 and m.shape == (len(m), 2 * d) and len(m)
+        rows = [tuple(r) for r in m.tolist()]
+        assert all(a < b for a, b in zip(rows, rows[1:]))
+        for row in rows:
+            negative, positive = row[:d], row[d:]
+            assert list(negative) == sorted(negative) and list(positive) == sorted(positive)
+            assert negative < positive
+            assert all(rep_of.get(c, c) == c for c in row)
+
+
 class TestPointIndex:
     """A selection with type I moves is indexed on points; it must give the
     index the path-level builder gives from every decoded draw: the same
-    classes, class sizes and set of mapped moves.  Past the enumeration
-    cap the path-level side reads the uncapped enumeration."""
+    cells, reps and mapped moves, array for array, both in the form
+    :func:`assert_index_form` checks.  Past the enumeration cap the
+    path-level side reads the uncapped enumeration."""
 
     SELECTIONS = [
         tuple(Family),
@@ -821,9 +846,29 @@ class TestPointIndex:
         (Family.TYPE1_DEG1, Family.TYPE2_DEG1),
     ]
 
-    @staticmethod
-    def moves(by_negative):
-        return {(n, p) for n, positives in by_negative.items() for p in positives}
+    # Each trade's moves are made distinct as they are traded, so the
+    # call's peak follows the distinct moves, not every candidate: at T=8,
+    # about 0.4 MiB, against 1.6 MiB when all candidates were kept.
+    def test_peak_follows_the_distinct_moves(self):
+        from thmc import _points
+
+        _points.index(8, tuple(Family))
+        tracemalloc.start()
+        try:
+            _points.index(8, tuple(Family))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    # Up to the enumeration cap, every selection's index, built on points
+    # with type I moves and from the entries without, has the array form.
+    @pytest.mark.parametrize("T", range(3, thmc.moves.ENUMERATION_T_CAP + 1))
+    def test_every_selection_has_the_form(self, T):
+        for k in range(1, len(Family) + 1):
+            for families in itertools.combinations(Family, k):
+                index = fiber._family_index(T, families)
+                assert_index_form(index.cells, index.reps, index.moves)
 
     @pytest.mark.parametrize("T", range(3, 9))
     def test_equals_path_level_index(self, T):
@@ -834,13 +879,13 @@ class TestPointIndex:
             for families in self.SELECTIONS:
                 parts = [fiber._parts(e) for f in families for e in entries(T, f)]
                 path_level = fiber._move_index(parts, ())
-                classes, sizes, by_negative = _points.index(T, families)
-                assert classes == path_level.classes
-                assert sizes == path_level.sizes
-                assert self.moves(by_negative) == self.moves(path_level.by_negative)
-                # One sign of each move, none onto itself, in ascending order.
-                assert all(n < p for n, positives in by_negative.items() for p in positives)
-                assert list(by_negative) == sorted(by_negative)
+                cells, reps, moves = _points.index(T, families)
+                assert_index_form(cells, reps, moves)
+                assert_index_form(path_level.cells, path_level.reps, path_level.moves)
+                assert np.array_equal(cells, path_level.cells)
+                assert np.array_equal(reps, path_level.reps)
+                assert len(moves) == len(path_level.moves)
+                assert all(map(np.array_equal, moves, path_level.moves))
         finally:
             if T > thmc.moves.ENUMERATION_T_CAP:
                 entries.cache_clear()
