@@ -407,7 +407,8 @@ def run_keys(T: int, rows: np.ndarray) -> np.ndarray:
 class Tokens:
     """The ``path:count`` token of each distinct nonzero :func:`run_keys`
     key of some tables, rendered on first read: the report writer makes
-    one per level, shared by its fibers, and a fiber read alone its own.
+    one per level, shared by its fibers, and :func:`thmc.fiber.fiber_texts`
+    one per call.
 
     Each cell present is rendered once, from its binary digits, and the
     tokens followed by each line end asked for are kept in an object

@@ -36,7 +36,7 @@ import numpy as np
 
 from ._bulk import _distinct
 from .core import MIN_T
-from .fiber import _canonical
+from .fiber import _canonical, _fitting_cells
 from .moves import Family
 
 #: The largest T :func:`index` serves: ``TestPointIndex`` checks it against
@@ -47,13 +47,10 @@ POINT_INDEX_T_CAP = 8
 
 def _point_keys(T: int, L: int) -> np.ndarray:
     """The point key of each path of L states, by code, with the
-    statistic written in base T."""
-    codes = np.arange(1 << L)
-    weight = np.array([T * T, T, 1, 0], dtype=np.int64)
-    key = np.zeros(len(codes), dtype=np.int64)
-    for j in range(L - 1):
-        key += weight[(codes >> j) & 3]
-    return 2 * key + (codes >> (L - 1))
+    statistic, as the fiber layer's cell builder gives it, written in
+    base T."""
+    codes, stats = _fitting_cells(L, (L - 1,) * 4)
+    return 2 * (stats @ np.array([T * T, T, 1, 0], dtype=np.int64)) + (codes >> (L - 1))
 
 
 def index(T: int, families: tuple[Family, ...]):

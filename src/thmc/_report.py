@@ -40,11 +40,10 @@ def report_fibers(reports: list, levels: Iterator) -> Iterator[JsonText]:
     the fibers share.  Each fiber fills in these holes.
     ``levels`` yields the tables of each count as :func:`thmc._bulk.levels`
     does, and each count's are built once, when its first fiber is reached,
-    and handed to its fibers with their run keys and one token table of
-    them all (:meth:`thmc.fiber.Fiber._take_level`).
+    with their run keys and one token table of them all, which its fibers
+    are rendered from, each from its own span of the level's tables.
 
-    The reports are popped off the front of the list a level at a time,
-    and written a chunk at a time, consecutive fibers of at most
+    The fibers are written a chunk at a time, consecutive fibers of at most
     ``thmc._bulk._RUN_CHUNK`` table cells in all, or one larger fiber, and
     each chunk's components are rendered by :func:`_chunk_components`
     before the chunk's first fiber is yielded.
@@ -56,49 +55,61 @@ def report_fibers(reports: list, levels: Iterator) -> Iterator[JsonText]:
     *head, end, between, tail = "".join(pieces).split("\0")
     end, between = f'"{end}"', f'"{between}"'
     layout = "%s".join(p.replace("%", "%%") for p in head) + '"%s"' + tail.replace("%", "%%")
-    reports.reverse()
-    for rows, starts, stats in levels:
-        # A sweep reports every fiber of each count, in order of b, so the
-        # level's fibers are those of the next len(stats) reports.
-        level = [reports.pop() for _ in stats]
-        keys = _bulk.run_keys(level[0].T, rows)
-        tokens = _bulk.Tokens(level[0].T, keys)
+    T, fibers = reports[0].T, iter(reports)
+    for rows, starts, _ in levels:
+        keys = _bulk.run_keys(T, rows)
+        tokens = _bulk.Tokens(T, keys)
         bounds = [*starts.tolist(), len(rows)]
-        for r, lo, hi in zip(level, bounds, bounds[1:]):
-            r.fiber._take_level(rows[lo:hi], keys[lo:hi], tokens)
-        level.reverse()
-        while level:
-            chunk = [level.pop()]
-            cells = chunk[0].fiber._keys.size
-            while level and cells + level[-1].fiber._keys.size <= _bulk._RUN_CHUNK:
-                cells += level[-1].fiber._keys.size
-                chunk.append(level.pop())
-            for r, text in zip(chunk, _chunk_components(chunk, end, between)):
+        # A sweep reports every fiber of each count, in order of b, so the
+        # level's fibers are those of the next len(starts) reports, and each
+        # one's tables are its span of the level's.
+        level = [(next(fibers), lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+        first = 0
+        while first < len(level):
+            stop = first + 1
+            while (stop < len(level)
+                   and (bounds[stop + 1] - bounds[first]) * rows.shape[1] <= _bulk._RUN_CHUNK):
+                stop += 1
+            chunk, first = level[first:stop], stop
+            texts = _chunk_components(chunk, rows, keys, tokens, end, between)
+            for (r, _, _), text in zip(chunk, texts):
                 yield JsonText(layout % (r.T, *r.b.as_tuple(), r.fiber_size, text))
 
 
-def _chunk_components(chunk: list, end: str, between: str) -> list[str]:
-    """The text of the components of each report of ``chunk``, inside their
-    outer quotes: each table's tokens ending in ``end``, the text between
-    two tables, and ``between`` between two components
-    (:func:`report_fibers`).
+def _chunk_components(chunk: list, rows: np.ndarray, keys: np.ndarray,
+                      tokens: _bulk.Tokens, end: str, between: str) -> list[str]:
+    """The text of the components of each ``(report, lo, hi)`` of ``chunk``,
+    a report and its fiber's span of a level's tables ``rows``, with their
+    run ``keys`` and ``tokens``, inside their outer quotes: each table's
+    tokens ending in ``end``, the text between two tables, and ``between``
+    between two components (:func:`report_fibers`).
 
-    The keys are gathered in the order of the components' tables, and
-    their tokens in one :meth:`thmc._bulk.Tokens.words`, so a component is
-    one join and no table is a string of its own; table texts hold only
-    digits, ``:`` and spaces, which need no escaping.  Each component's
-    text is cut before its last ``end``, since a table of no paths has no
-    tokens.
+    The keys are gathered from the level's by table index, in the order of
+    the components' tables, and their tokens in one
+    :meth:`thmc._bulk.Tokens.words`, so a component is one join and no
+    table is a string of its own; table texts hold only digits, ``:`` and
+    spaces, which need no escaping.  Each component's text is cut before
+    its last ``end``, since a table of no paths has no tokens.
     """
-    # A connected fiber's one component, None here, is all its tables in
-    # order, so its components are not read.
-    groups = [(r.fiber._keys, c) for r in chunk
-              for c in (r.components if r.n_components > 1 else [None])]
-    keys = np.concatenate([k if c is None else k[list(c)] for k, c in groups])
-    keys, n = keys.reshape(-1), keys.shape[1]
+    # The chunk's tables in order, each split fiber's reordered by
+    # component, and the table count of each component.  A connected
+    # fiber's one component is all its tables in order; a split one's are
+    # found on its span of the level's tables, as
+    # ConnectivityReport.components finds them on the fiber's own.
+    first, sizes = chunk[0][1], []
+    order = np.arange(first, chunk[-1][2])
+    for r, lo, hi in chunk:
+        if r.n_components == 1:
+            sizes.append(hi - lo)
+        else:
+            fib = r.fiber
+            parts = _bulk.components(fib._ids[rows[lo:hi]], fib._multisets, r._roots)
+            order[lo - first:hi - first] = lo + np.concatenate(parts)
+            sizes += map(len, parts)
+    n = keys.shape[1]
+    keys = keys[order].reshape(-1)
     held = np.flatnonzero(keys)
-    sizes = [len(k if c is None else c) for k, c in groups]
     stops = np.searchsorted(held, np.cumsum(sizes) * n).tolist()
-    words = chunk[0].fiber._tokens.words(keys[held], end)
+    words = tokens.words(keys[held], end)
     texts = iter(["".join(words[lo:hi])[:-len(end)] for lo, hi in zip([0] + stops, stops)])
-    return [between.join([next(texts) for _ in range(r.n_components)]) for r in chunk]
+    return [between.join([next(texts) for _ in range(r.n_components)]) for r, _, _ in chunk]

@@ -116,23 +116,6 @@ class Fiber:
             return np.array(self.cells, dtype=np.min_scalar_type((1 << self.T) - 1))
         return _bulk.tables(self._multisets, self._ids)
 
-    @cached_property
-    def _keys(self) -> np.ndarray:
-        from . import _bulk
-
-        return _bulk.run_keys(self.T, self._rows)
-
-    @cached_property
-    def _tokens(self):
-        from . import _bulk
-
-        return _bulk.Tokens(self.T, self._keys)
-
-    def _take_level(self, rows: np.ndarray, keys: np.ndarray, tokens) -> None:
-        """Hold the tables, run keys and tokens that
-        :func:`thmc._report.report_fibers` hands over from this fiber's level."""
-        self._rows, self._keys, self._tokens = rows, keys, tokens
-
     def __len__(self) -> int:
         return len(self.cells)
 
@@ -426,15 +409,14 @@ _INCOMPLETE = "move led outside the enumerated fiber; enumeration incomplete"
 
 
 def connectivity(
-    fiber: Fiber,
-    move_set: Iterable[Move] | Iterable[Family | str] | _MoveIndex | None = None,
+    fiber: Fiber, move_set: Iterable[Move] | Iterable[Family | str] | None = None
 ) -> ConnectivityReport:
     """Connected components of the fiber graph under a move set.
 
     Two tables are adjacent when some move in the set carries one to the
     other without any count going negative.  ``move_set`` is a list of
-    explicit moves, a selection of families (all six by default, indexed
-    once per T and selection), or a move index.
+    explicit moves or a selection of families (all six by default, indexed
+    once per T and selection).
 
     A degree-1 move swaps one path for another of the same statistic, and
     applies to every table holding the first path.  So the tables with one
@@ -450,7 +432,7 @@ def connectivity(
     """
     from . import _bulk
 
-    index = move_set if isinstance(move_set, _MoveIndex) else _resolve_moves(fiber.T, move_set)
+    index = _resolve_moves(fiber.T, move_set)
     if not len(fiber._rows):
         raise ValueError("connectivity of an empty fiber is undefined")
     ids, multisets, roots = _bulk.fiber_group(fiber._rows, index)
@@ -560,8 +542,11 @@ def table_text(table: PathTable) -> str:
 
 def fiber_texts(fiber: Fiber) -> list[str]:
     """The fiber's tables in order, each as :func:`table_text` renders it,
-    all at once: their :func:`thmc._bulk.run_keys` looked up among the
-    fiber's own tokens, or its level's once a report has handed them over."""
+    all at once: their :func:`thmc._bulk.run_keys` looked up among their
+    own tokens, built on each call."""
     if not len(fiber._rows):
         return []
-    return fiber._tokens.texts(fiber._keys)
+    from . import _bulk
+
+    keys = _bulk.run_keys(fiber.T, fiber._rows)
+    return _bulk.Tokens(fiber.T, keys).texts(keys)

@@ -706,25 +706,31 @@ class TestCmdVerifyBasis:
     # The fibers are rendered a chunk at a time, each chunk within one table
     # count and, unless it is one fiber, within _RUN_CHUNK table cells, and
     # written out before the next chunk is rendered, so most of the report
-    # is on disk by the time the last chunk is.  Chunks of at most 64 cells
+    # is on disk by the time the last chunk is.  Each level's tables, run
+    # keys and one token table are built once and each chunk is rendered
+    # from them, with no fiber's tables built.  Chunks of at most 64 cells
     # make many of them, and the report keeps its bytes.
     def test_report_written_as_it_is_serialized(self, runner, tmp_path, monkeypatch):
         from thmc import _bulk, _report
 
         report = tmp_path / "rep.json"
-        sizes, chunks = [], []
-        real_chunk_components = _report._chunk_components
+        sizes, chunks, tokens = [], [], []
+        real_chunk_components, real_tokens = _report._chunk_components, _bulk.Tokens
 
-        def sized(chunk, *args):
+        def sized(chunk, rows, keys, level_tokens, *args):
             sizes.append(report.stat().st_size)
-            chunks.append(chunk)
-            return real_chunk_components(chunk, *args)
+            chunks.append((chunk, keys.shape[1], level_tokens))
+            return real_chunk_components(chunk, rows, keys, level_tokens, *args)
+
+        def counted(*args):
+            tokens.append(real_tokens(*args))
+            return tokens[-1]
 
         def refuse(*args):
             raise AssertionError("built one fiber's tables")
 
-        # Each fiber's tables come from its level's, handed over.
         monkeypatch.setattr(_bulk, "tables", refuse)
+        monkeypatch.setattr(_bulk, "Tokens", counted)
         monkeypatch.setattr(_bulk, "_RUN_CHUNK", 64)
         monkeypatch.setattr(_report, "_chunk_components", sized)
         result = runner.invoke(main, [
@@ -733,13 +739,33 @@ class TestCmdVerifyBasis:
         assert result.exit_code == 0, result.output
         assert len(sizes) > 50 and sizes == sorted(sizes)
         assert sizes[-1] > report.stat().st_size / 2
-        assert sum(map(len, chunks)) == 213
-        for chunk in chunks:
-            assert len({id(r.fiber._tokens) for r in chunk}) == 1
-            assert len(chunk) == 1 or sum(r.fiber._keys.size for r in chunk) <= 64
+        assert sum(len(chunk) for chunk, _, _ in chunks) == 213
+        # One token table per level, n = 0..3, each level's rows n wide.
+        assert len(tokens) == 4
+        assert len({(width, id(t)) for _, width, t in chunks}) == 4
+        for chunk, width, _ in chunks:
+            assert all(a[2] == b[1] for a, b in zip(chunk, chunk[1:]))
+            assert len(chunk) == 1 or (chunk[-1][2] - chunk[0][1]) * width <= 64
         assert hashlib.sha256(report.read_bytes()).hexdigest() == (
             "869b84b58eaa330cec1000d3cc0a42bbefade59444c2de93e33d87fcfafcba8c"
         )
+
+    # The writer reads the sweep's reports and leaves them as they were: the
+    # list keeps its reports in order, and no report or fiber gains or loses
+    # an attribute, split fibers' components included.
+    def test_report_fibers_leaves_reports_as_they_were(self):
+        from thmc import _report
+
+        reports = fiber.sweep(4, 4, ["crossing", "2x2"])
+        given = list(reports)
+        held = [(x, dict(vars(x))) for r in reports for x in (r, r.fiber)]
+        texts = list(_report.report_fibers(reports, fiber._levels(4, 4)))
+        assert len(texts) == len(given) and len(fiber.disconnected(given)) > 1
+        assert len(reports) == len(given)
+        assert all(r is g for r, g in zip(reports, given))
+        for x, attributes in held:
+            assert vars(x).keys() == attributes.keys()
+            assert all(vars(x)[k] is v for k, v in attributes.items())
 
     # An oracle apart from the chunk renderer: the report is what json.dumps
     # writes for its own content, and each fiber's components are the

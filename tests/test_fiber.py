@@ -173,7 +173,11 @@ class TestEnumerateFiber:
         assert fiber.fiber_texts(fib) == ["111:1000000"]
         # Its one run key, 2,000,001, passes its 10**6 cells, so the token
         # is found by search, with no index by key.
-        assert fib._tokens._table[2] is None
+        from thmc import _bulk
+
+        keys = _bulk.run_keys(3, fib._rows)
+        assert keys[keys != 0].tolist() == [2_000_001]
+        assert _bulk.Tokens(3, keys)._table[2] is None
 
     # Pushing only the children the suffix bound admits takes 30,983 nodes.
     def test_children_pushed_only_when_completable(self, monkeypatch):
@@ -409,8 +413,8 @@ class TestSweep:
         assert len(indexed) == 2
 
     # Nothing is rendered before a read.  A swept fiber read alone renders
-    # the tokens of its own tables, as a lone fiber does, each of its cells
-    # once; a second read renders nothing more.
+    # the tokens of its own tables, as a lone fiber does: each read renders
+    # each of its cells once, since fibers keep no token table.
     def test_texts_rendered_only_when_read(self, monkeypatch):
         from thmc import _bulk
 
@@ -427,9 +431,10 @@ class TestSweep:
         level = [r for r in reports if r.fiber_size and len(r.fiber.cells[0]) == 3]
         assert len(level) > 1 and rendered == []
         for r in level[-1], level[0]:
-            rendered.clear()
-            assert r.component_tables and fiber.fiber_texts(r.fiber)
-            assert sorted(rendered) == sorted(set().union(*r.fiber.cells))
+            for read in lambda: r.component_tables, lambda: fiber.fiber_texts(r.fiber):
+                rendered.clear()
+                assert read()
+                assert sorted(rendered) == sorted(set().union(*r.fiber.cells))
 
     # A swept fiber and report hold their class multisets, sizes and roots,
     # and repr, ==, hash and component_sizes read nothing else: no table is
@@ -601,14 +606,19 @@ class TestClassSweep:
     # Each swept fiber's tables, built when read, and its components equal
     # those of connectivity on the DFS enumeration of the fiber under the
     # path-level index, built from every decoded draw of the families.
-    # Without the sliding moves, fibers of three paths split; at n <= 3 only
-    # those are compared, since the DFS takes most of a minute over all.
+    # connectivity takes moves or families, and a selection with type I
+    # moves is indexed on points, so the path-level index stands in for the
+    # one it resolves once the sweep is done.  Without the sliding moves,
+    # fibers of three paths split; at n <= 3 only those are compared, since
+    # the DFS takes most of a minute over all.
     @pytest.mark.parametrize("families, n_max, split", [
         (tuple(Family), 2, 0),
         (tuple(f for f in Family if f is not Family.DEG3_SLIDING), 2, 0),
         (tuple(f for f in Family if f is not Family.DEG3_SLIDING), 3, 10),
     ])
-    def test_matches_lone_fibers_past_the_enumeration_cap(self, families, n_max, split):
+    def test_matches_lone_fibers_past_the_enumeration_cap(
+        self, monkeypatch, families, n_max, split
+    ):
         entries = thmc.moves._family_entries_cached
         try:
             parts = [fiber._parts(e) for f in families for e in entries(7, f)]
@@ -618,9 +628,15 @@ class TestClassSweep:
         reports = sweep(7, n_max, families)
         assert [r.b for r in reports] == realizable_stats(7, n_max)
         assert len(disconnected(reports)) == split
+
+        def resolve(T, move_set):
+            assert (T, move_set) == (7, families)
+            return path_level
+
+        monkeypatch.setattr(fiber, "_resolve_moves", resolve)
         for report in reports if n_max < 3 else disconnected(reports):
             fib = enumerate_fiber(7, report.b)
-            lone = connectivity(fib, path_level)
+            lone = connectivity(fib, families)
             assert report.component_sizes == lone.component_sizes
             assert report.fiber.cells == fib.cells
             assert report.components == lone.components
