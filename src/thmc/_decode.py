@@ -5,7 +5,10 @@ bit and state 1 as the digit 0, so codes sort as their paths do.  For each
 family, :class:`Decoder` turns an array of draws into the null mask and
 the signed codes the family's constructor in :mod:`thmc.moves` would give;
 :func:`merge` adds up equal codes and drops those that cancel, and
-:func:`check` raises unless every merged row is a move.
+:func:`check` raises unless every merged row is a move.  A decoded move
+leaves this module in one form, :meth:`Decoder.merged`'s flat arrays:
+the sampler reads them as they are, its lookup tables turn them into
+tuples, and :func:`split` cuts them into the rows a move index takes.
 """
 
 from __future__ import annotations
@@ -86,15 +89,30 @@ def check(T: int, codes: np.ndarray, deltas: np.ndarray, starts: np.ndarray) -> 
         )
 
 
+def split(
+    codes: np.ndarray, deltas: np.ndarray, starts: np.ndarray
+) -> dict[int, np.ndarray]:
+    """Moves in :meth:`Decoder.merged`'s flat form as rows, by degree d:
+    an (m, 2d) array of the moves' negative codes, then their positive
+    ones, each in code order and once per unit of count."""
+    positive = np.maximum(deltas, 0)
+    degree = np.add.reduceat(positive, starts)
+    of = np.repeat(degree, np.diff(starts, append=len(codes)))
+    parts = [(np.repeat(codes, n), np.repeat(of, n)) for n in (positive - deltas, positive)]
+    return {
+        d: np.hstack([units[at == d].reshape(-1, d) for units, at in parts])
+        for d in set(degree.tolist())
+    }
+
+
 class Decoder:
     """Array decoder of the sampler's parameter draws at one path length.
 
     Per family, a method turns an (m, slots) array of draws (sign slot
     last, unused here) into the null mask, the path codes of each row and
-    their signs, following the family's constructor; :meth:`decode` merges
-    and checks the rows, and :meth:`merged` does so in arrays.  ``highs``
-    holds the number of values of each slot, and ``strides`` the
-    flat-index weight of each.
+    their signs, following the family's constructor; :meth:`merged`
+    merges and checks the rows.  ``highs`` holds the number of values of
+    each slot, and ``strides`` the flat-index weight of each.
     """
 
     def __init__(self, T: int) -> None:
@@ -152,37 +170,19 @@ class Decoder:
             Family.DEG3_SLIDING: self._deg3,
         }
 
-    def decode(
-        self, parts: Sequence[tuple[Family, np.ndarray]]
-    ) -> tuple[list[int], list[tuple[tuple[int, int], ...]]]:
-        """The rows of ``parts`` that give a move, and their entries.
-
-        ``parts`` holds (family, draws) pairs, whose rows are numbered
-        through the parts in order.  Returns the numbers of the rows that
-        give a move, and for each its ``(code, delta)`` entries by code.  A
-        null draw, or one whose codes all cancel, gives none.  The merged
-        rows are checked with :func:`check` before any is returned.  The
-        sampler's lookup tables hold these tuples, a family's enumeration
-        their set in one sign; above the enumeration cap the sampler keeps
-        :meth:`merged`'s arrays instead, which the MH chain screens against
-        its counts, building tuples only for the rows that can fit.
-        """
-        index, codes, deltas, starts = self.merged(parts)
-        pairs = list(zip(codes.tolist(), deltas.tolist()))
-        bounds = starts.tolist() + [len(pairs)]
-        entries = [tuple(pairs[a:b]) for a, b in zip(bounds, bounds[1:])]
-        return index.tolist(), entries
-
     def merged(
         self,
         parts: Sequence[tuple[Family, np.ndarray]],
         numbers: np.ndarray | None = None,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """:meth:`decode` in arrays: the numbers of the rows that give a
-        move, their entries' codes and deltas, flat, and the first entry of
-        each row.  ``numbers``, a permutation of the row numbers, renumbers
-        the rows through the parts in order (the sampler passes their draw
-        slots); the rows are returned in the new order."""
+        """The rows of ``parts``, (family, draws) pairs whose rows are
+        numbered through the parts in order, that give a move: their
+        numbers, their ``(code, delta)`` entries' codes and deltas, flat and
+        by code within a row, and the first entry of each row.  A null draw,
+        or one whose codes all cancel, gives none, and the merged rows are
+        checked with :func:`check` before any is returned.  ``numbers``, a
+        permutation of the row numbers, renumbers the rows (the sampler
+        passes their draw slots); the rows are returned in the new order."""
         n = sum(len(draws) for _, draws in parts)
         codes = np.full((n, WIDTH), -1, dtype=np.int64)
         deltas = np.zeros((n, WIDTH), dtype=np.int64)

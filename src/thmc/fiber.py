@@ -45,8 +45,9 @@ from .core import (
 from .moves import (  # noqa: F401
     Family,
     Move,
+    _check_enumeration_T,
+    _draws,
     enumerate_families,
-    family_entries,
 )
 
 #: Enumeration budgets of :func:`enumerate_fiber`, read at each call; the
@@ -300,7 +301,8 @@ class ConnectivityReport:
 @dataclass(frozen=True, eq=False)
 class _MoveIndex:
     """A move set as :func:`connectivity` reads it, in arrays, as both
-    :func:`_move_index` and :func:`thmc._points.index` build it.
+    :func:`_move_index`, from the decoder's arrays, and
+    :func:`thmc._points.index`, on points, build it.
 
     The degree-1 moves join cells into classes, the components of the graph
     they make on the cells.  ``cells`` holds the cells they name, ascending,
@@ -338,25 +340,20 @@ def _canonical(rows: np.ndarray) -> np.ndarray:
     return rows[keep]
 
 
-#: A move's negative and positive parts, each as the sorted tuple of its
-#: paths' cell indices, one entry per unit of count.
-Parts = tuple[Cells, Cells]
-
-
-def _parts(entries: Sequence[tuple[int, int]]) -> Parts:
-    """A move's parts from its ``(cell, delta)`` entries in cell order."""
-    return (
-        tuple(c for c, d in entries if d < 0 for _ in range(-d)),
-        tuple(c for c, d in entries if d > 0 for _ in range(d)),
-    )
-
-
-def _move_index(parts: Sequence[Parts], move_set: tuple[str, ...]) -> _MoveIndex:
-    """Index a move set, given as its moves' parts: its classes, and the
-    rest of its moves mapped onto them, a degree at a time."""
+def _move_index(chunks: Iterable[tuple], move_set: tuple[str, ...]) -> _MoveIndex:
+    """Index a move set, given as chunks ``(codes, deltas, starts)`` of its
+    moves in the flat form of :meth:`thmc._decode.Decoder.merged`, a code
+    being a cell index: its classes, and the rest of its moves mapped onto
+    them, a degree at a time.  Each chunk's rows by degree
+    (:func:`thmc._decode.split`) are made distinct as they come."""
     from . import _bulk
+    from ._decode import split
 
-    swaps = np.array([n + p for n, p in parts if len(n) == 1], dtype=np.int64).reshape(-1, 2)
+    rows = {1: [np.zeros((0, 2), np.int64)]}
+    for chunk in chunks:
+        for d, part in split(*chunk).items():
+            rows.setdefault(d, []).append(_canonical(part))
+    swaps = np.concatenate(rows.pop(1))
     cells = _bulk._distinct(swaps)
     label = np.arange(len(cells))
     at = np.searchsorted(cells, swaps)
@@ -364,11 +361,10 @@ def _move_index(parts: Sequence[Parts], move_set: tuple[str, ...]) -> _MoveIndex
     # Each root is the smallest position of its class, so of its smallest cell.
     reps = cells[label]
     moves = []
-    for d in sorted({len(n) for n, _ in parts} - {1}):
-        rows = np.array([n + p for n, p in parts if len(n) == d], dtype=np.int64)
-        rows = _canonical(_bulk.rep_of(cells, reps, rows))
-        if len(rows):
-            moves.append(rows)
+    for d in sorted(rows):
+        mapped = _canonical(_bulk.rep_of(cells, reps, np.concatenate(rows[d])))
+        if len(mapped):
+            moves.append(mapped)
     return _MoveIndex(cells, reps, tuple(moves), move_set)
 
 
@@ -376,16 +372,17 @@ def _move_index(parts: Sequence[Parts], move_set: tuple[str, ...]) -> _MoveIndex
 def _family_index(T: int, families: tuple[Family, ...]) -> _MoveIndex:
     """The index of a family selection.  One with type I moves is built on
     points (:func:`thmc._points.index`, capped at ``POINT_INDEX_T_CAP``);
-    any other from the families' canonical ``(code, delta)`` entries, where
-    a path's code is its cell index, capped as :func:`family_entries` is."""
+    any other from the decoder's arrays of every draw of its families
+    (:func:`thmc.moves._draws`), capped at ``ENUMERATION_T_CAP`` once a
+    family's draws are read, so an empty selection is not capped."""
     move_set = tuple(f.value for f in families)
     if Family.TYPE1_DEG1 in families:
         from . import _points
 
         return _MoveIndex(*_points.index(T, families), move_set)
-    return _move_index(
-        [_parts(entries) for f in families for entries in family_entries(T, f)], move_set
-    )
+    if families:
+        _check_enumeration_T(T)
+    return _move_index((c for f in families for _, _, *c in _draws(T, f)), move_set)
 
 
 def _resolve_moves(
@@ -393,16 +390,16 @@ def _resolve_moves(
 ) -> _MoveIndex:
     """The move index of a move set."""
     items = list(Family if move_set is None else move_set)
-    if items and isinstance(items[0], Move):
-        for m in items:
-            if m.T != T:  # type: ignore[union-attr]
-                raise ValueError(f"move has T={m.T}, fiber has T={T}")  # type: ignore[union-attr]
-        parts = [
-            _parts([(encode(p), d) for p, d in m.deltas])  # type: ignore[union-attr]
-            for m in items
-        ]
-        return _move_index(parts, ("custom",))
-    return _family_index(T, tuple(Family(f) for f in items))
+    if not items or not isinstance(items[0], Move):
+        return _family_index(T, tuple(Family(f) for f in items))
+    for m in items:
+        if not isinstance(m, Move):
+            raise TypeError("a move set is either Moves or family tokens")
+        if m.T != T:
+            raise ValueError(f"move has T={m.T}, fiber has T={T}")
+    codes, deltas = np.array([(encode(p), d) for m in items for p, d in m.deltas]).T
+    starts = np.cumsum([0] + [len(m.deltas) for m in items[:-1]])
+    return _move_index([(codes, deltas, starts)], ("custom",))
 
 
 _INCOMPLETE = "move led outside the enumerated fiber; enumeration incomplete"

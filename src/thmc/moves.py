@@ -11,13 +11,13 @@ The proposal sampler decodes its parameter draws in numpy on path codes
 (a path's encoding), family by family, following the same rules, and
 checks the decoded rows in array form (:mod:`thmc._decode`).  Up to
 ``ENUMERATION_T_CAP`` each family's draw space is decoded once into a
-lookup table, and a family's enumeration is the set of moves the same
-decode gives, each in one sign, so it lists the moves the exact test
-proposes.
-A basis sweep reads a selection with type I moves on points instead
-(:mod:`thmc._points`), and any other from this enumeration; the tests
-check that both give the same index at T = 3..8, and on that check rests
-the claim that the moves a sweep certifies are the moves the test
+lookup table, and a family's enumeration lists the moves of that table's
+sign +1 proposals, each in one sign, so it lists the moves the exact test
+proposes by construction.  A basis sweep reads a selection with type I
+moves on points instead (:mod:`thmc._points`), and any other from the
+decoder's arrays of every draw of its families (:func:`_draws`); the
+tests check that both give the same index at T = 3..8, and on that check
+rests the claim that the moves a sweep certifies are the moves the test
 proposes.
 """
 
@@ -37,7 +37,9 @@ from .core import MIN_T, Path, PathTable, decode, path_str
 #: Cap on the path length accepted by the family enumerators.
 ENUMERATION_T_CAP = 6
 
-#: Proposals :class:`ProposalSampler` draws per block.
+#: Proposals :class:`ProposalSampler` draws per block, and draws
+#: :func:`_draws` decodes at once, which bounds the decoder's temporary
+#: arrays.
 _BLOCK = 1024
 
 
@@ -451,28 +453,17 @@ def apply_move(table: PathTable, move: Move, sign: int = 1) -> PathTable:
 
 
 @lru_cache(maxsize=None)
-def _family_entries_cached(T: int, family: Family) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """Every move the sampler can draw for one family, deduplicated and
-    sorted, as its ``(path code, delta)`` entries.
-
-    The entries are those :func:`_decoded` gives, the decode that fills
-    the sampler's lookup tables, each in the sign whose first delta is
-    positive, so the enumerated set is exactly the set the chain proposes.
-    Path codes sort as their paths do, so the moves sort as their deltas do.
-    """
-    drawn: set = set()
-    for _, _, entries in _decoded(_decoder(T), family):
-        drawn.update(entries)
-    return tuple(sorted(
-        {e if e[0][1] > 0 else tuple((c, -d) for c, d in e) for e in drawn}
-    ))
-
-
-@lru_cache(maxsize=None)
 def _enumerate_family_cached(T: int, family: Family) -> tuple[Move, ...]:
+    """Every move the sampler can draw for one family: the sign +1
+    proposals of its lookup table, each move in the sign whose first delta
+    is positive, sorted.  Path codes sort as their paths do, so the moves
+    sort as their deltas do."""
+    drawn = {p[0] for p in _lookup_table(T, family)[::2] if p is not None}
     return tuple(
         Move(T, family, tuple((decode(c, T), d) for c, d in entries))
-        for entries in _family_entries_cached(T, family)
+        for entries in sorted(
+            {e if e[0][1] > 0 else tuple((c, -d) for c, d in e) for e in drawn}
+        )
     )
 
 
@@ -481,14 +472,6 @@ def _check_enumeration_T(T: int) -> None:
         raise ValueError(f"T must be >= {MIN_T}, got {T}")
     if T > ENUMERATION_T_CAP:
         raise ValueError(f"enumeration is capped at T <= {ENUMERATION_T_CAP}, got {T}")
-
-
-def family_entries(T: int, family: Family | str) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """The moves of :func:`enumerate_family`, in its order, each as the
-    ``(path code, delta)`` entries a proposal carries; no :class:`Move` is
-    built.  T is capped as there."""
-    _check_enumeration_T(T)
-    return _family_entries_cached(T, Family(family))
 
 
 def enumerate_family(T: int, family: Family | str) -> list[Move]:
@@ -528,35 +511,35 @@ def _decoder(T: int):
     return Decoder(T)
 
 
-#: Draws decoded at once while a family's draw space is decoded; bounds
-#: the decoder's temporary arrays.
-_TABLE_CHUNK = 1024
-
-
-def _decoded(dec, family: Family) -> Iterator[tuple[int, list, list]]:
-    """Every draw of one family at sign slot 0, decoded ``_TABLE_CHUNK`` at
-    a time: the flat index of each chunk's first draw, and the rows and
-    entries :meth:`Decoder.decode` gives for the chunk."""
+def _draws(T: int, family: Family) -> Iterator[tuple]:
+    """Every draw of one family at sign slot 0, decoded ``_BLOCK`` at a
+    time: the flat index of each chunk's first draw, and the arrays
+    :meth:`thmc._decode.Decoder.merged` gives for the chunk.  T is not capped."""
+    dec = _decoder(T)
     highs, strides = dec.highs[family], dec.strides[family]
     size = 2 * int(np.prod(highs[:-1]))
-    for lo in range(0, size, 2 * _TABLE_CHUNK):
-        flat = np.arange(lo, min(lo + 2 * _TABLE_CHUNK, size), 2)
-        yield lo, *dec.decode([(family, flat[:, None] // strides % highs)])
+    for lo in range(0, size, 2 * _BLOCK):
+        flat = np.arange(lo, min(lo + 2 * _BLOCK, size), 2)
+        yield lo, *dec.merged([(family, flat[:, None] // strides % highs)])
 
 
 def _lookup_table(T: int, family: Family) -> list:
     """Every draw of one family, decoded: by flat draw index (sign slot last,
     so even indices have sign +1), the ``(entries, sign)`` proposal or None
-    for a null draw.  Draws that give one move share its proposals.
+    for a null draw.  Each chunk's merged rows are turned into entries
+    here, the one place the chain needs them as tuples; draws that give
+    one move share its proposals.
 
     Not cached: a sampler keeps the tables it reads, so no table outlives
     its user.
     """
-    dec = _decoder(T)
-    table: list = [None] * (2 * int(np.prod(dec.highs[family][:-1])))
+    table: list = [None] * (2 * int(np.prod(_decoder(T).highs[family][:-1])))
     shared: dict = {}
-    for lo, index, entries in _decoded(dec, family):
-        for i, e in zip(index, entries):
+    for lo, index, codes, deltas, starts in _draws(T, family):
+        pairs = list(zip(codes.tolist(), deltas.tolist()))
+        bounds = starts.tolist() + [len(pairs)]
+        for i, a, b in zip(index.tolist(), bounds, bounds[1:]):
+            e = tuple(pairs[a:b])
             pair = shared.get(e)
             if pair is None:
                 pair = shared[e] = ((e, 1), (e, -1))

@@ -230,6 +230,23 @@ class TestConnectivity:
         assert report.n_components == 1
         assert report.move_set == ("custom",)
 
+    # A move set is either Moves or family tokens: a token after a Move is
+    # refused as such, and a Move after a token is not a valid family.
+    def test_mixed_move_list_rejected(self):
+        fib = enumerate_fiber(3, (2, 2, 0, 2))
+        move = enumerate_families(3, ["crossing"])[0]
+        with pytest.raises(TypeError, match="either Moves or family tokens"):
+            connectivity(fib, [move, "type1"])
+        with pytest.raises(ValueError, match="is not a valid Family"):
+            connectivity(fib, ["type1", move])
+
+    # An empty selection reads no family's draws, so no cap on T applies:
+    # every table of a fiber is then a component of its own.
+    def test_empty_selection_is_not_capped(self):
+        assert len(sweep(7, 2, [])) == 229
+        report = connectivity(enumerate_fiber(7, (2, 1, 1, 2)), [])
+        assert report.component_sizes == (1,) * 6
+
     def test_T_mismatch_rejected(self):
         from thmc import deg3_sliding
 
@@ -360,20 +377,20 @@ class TestConnectivity:
 
 class TestSweep:
     # A selection with type I moves is indexed on points and reads no
-    # family's (code, delta) entries; any other is read as its families'
-    # entries, once per selection and family.  No Move is built for the
-    # index, and a sweep finds its components on class multisets without
-    # calling connectivity.
+    # family's draws; any other is read from its families' decoded draws,
+    # once per selection and family.  No Move is built for the index, and
+    # a sweep finds its components on class multisets without calling
+    # connectivity.
     def test_moves_indexed_once_per_selection(self, monkeypatch):
-        enumerations = []
+        reads = []
         indexed = []
         connectivity_calls = []
-        real_entries, real_connectivity = fiber.family_entries, fiber.connectivity
+        real_draws, real_connectivity = fiber._draws, fiber.connectivity
         real_move_index = fiber._move_index
 
-        def counted_entries(*args, **kwargs):
-            enumerations.append(args)
-            return real_entries(*args, **kwargs)
+        def counted_draws(*args):
+            reads.append(args)
+            return real_draws(*args)
 
         def counted_move_index(*args):
             indexed.append(args)
@@ -386,19 +403,19 @@ class TestSweep:
         def refuse(self):
             raise AssertionError("built a Move")
 
-        monkeypatch.setattr(fiber, "family_entries", counted_entries)
+        monkeypatch.setattr(fiber, "_draws", counted_draws)
         monkeypatch.setattr(fiber, "connectivity", counted_connectivity)
         fiber._family_index.cache_clear()
         with monkeypatch.context() as patch:
             patch.setattr(thmc.moves.Move, "__post_init__", refuse)
             assert len(sweep(4, 3)) > 1
             fiber._resolve_moves(4, None)
-            assert enumerations == []
+            assert reads == []
             connectivity_calls.clear()
             reports = sweep(4, 3, ["crossing", "type2"])
             fiber._resolve_moves(4, ["crossing", "type2"])
         assert connectivity_calls == [] and len(reports) > 1
-        assert sorted(enumerations) == [(4, Family.CROSSING), (4, Family.TYPE2_DEG1)]
+        assert sorted(reads) == [(4, Family.CROSSING), (4, Family.TYPE2_DEG1)]
 
         # An explicit move list, even a one-pass iterator, is indexed once
         # per sweep, not once per fiber.
@@ -619,12 +636,7 @@ class TestClassSweep:
     def test_matches_lone_fibers_past_the_enumeration_cap(
         self, monkeypatch, families, n_max, split
     ):
-        entries = thmc.moves._family_entries_cached
-        try:
-            parts = [fiber._parts(e) for f in families for e in entries(7, f)]
-        finally:
-            entries.cache_clear()
-        path_level = fiber._move_index(parts, ())
+        path_level = path_level_index(7, families)
         reports = sweep(7, n_max, families)
         assert [r.b for r in reports] == realizable_stats(7, n_max)
         assert len(disconnected(reports)) == split
@@ -824,6 +836,13 @@ class TestComponentsOracle:
         assert list(report.components) == brute_components(fib, moves)
 
 
+def path_level_index(T, families):
+    """The index of a selection built from every decoded draw of its
+    families, chunk by chunk, also past the enumeration cap."""
+    draws = thmc.moves._draws
+    return fiber._move_index((c for f in families for _, _, *c in draws(T, f)), ())
+
+
 def assert_index_form(index_cells, reps, moves):
     """The array form of a move index: ``cells`` strictly ascending, each
     rep at most its cell and a rep of itself; one int64 array per degree
@@ -852,7 +871,7 @@ class TestPointIndex:
     index the path-level builder gives from every decoded draw: the same
     cells, reps and mapped moves, array for array, both in the form
     :func:`assert_index_form` checks.  Past the enumeration cap the
-    path-level side reads the uncapped enumeration."""
+    path-level side still reads every decoded draw."""
 
     SELECTIONS = [
         tuple(Family),
@@ -878,7 +897,8 @@ class TestPointIndex:
         assert peak < 1 << 20
 
     # Up to the enumeration cap, every selection's index, built on points
-    # with type I moves and from the entries without, has the array form.
+    # with type I moves and from the decoder's arrays without, has the
+    # array form.
     @pytest.mark.parametrize("T", range(3, thmc.moves.ENUMERATION_T_CAP + 1))
     def test_every_selection_has_the_form(self, T):
         for k in range(1, len(Family) + 1):
@@ -890,18 +910,28 @@ class TestPointIndex:
     def test_equals_path_level_index(self, T):
         from thmc import _points
 
-        entries = thmc.moves._family_entries_cached
+        for families in self.SELECTIONS:
+            path_level = path_level_index(T, families)
+            cells, reps, moves = _points.index(T, families)
+            assert_index_form(cells, reps, moves)
+            assert_index_form(path_level.cells, path_level.reps, path_level.moves)
+            assert np.array_equal(cells, path_level.cells)
+            assert np.array_equal(reps, path_level.reps)
+            assert len(moves) == len(path_level.moves)
+            assert all(map(np.array_equal, moves, path_level.moves))
+
+    # The path-level index reads each family's decoded draws a chunk at a
+    # time, as arrays, and keeps each chunk's rows distinct, so at T=8 the
+    # six families' index peaks at about 25 MiB once the decoder is built,
+    # against 42 MiB when each move was rebuilt as tuples.
+    def test_path_level_peak(self):
+        from thmc import _bulk  # noqa: F401
+
+        thmc.moves._decoder(8)
+        tracemalloc.start()
         try:
-            for families in self.SELECTIONS:
-                parts = [fiber._parts(e) for f in families for e in entries(T, f)]
-                path_level = fiber._move_index(parts, ())
-                cells, reps, moves = _points.index(T, families)
-                assert_index_form(cells, reps, moves)
-                assert_index_form(path_level.cells, path_level.reps, path_level.moves)
-                assert np.array_equal(cells, path_level.cells)
-                assert np.array_equal(reps, path_level.reps)
-                assert len(moves) == len(path_level.moves)
-                assert all(map(np.array_equal, moves, path_level.moves))
+            path_level_index(8, tuple(Family))
+            peak = tracemalloc.get_traced_memory()[1]
         finally:
-            if T > thmc.moves.ENUMERATION_T_CAP:
-                entries.cache_clear()
+            tracemalloc.stop()
+        assert peak < 32 << 20

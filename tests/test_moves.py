@@ -419,7 +419,7 @@ class TestEnumeration:
         assert {p[1] for p in table[::2] if p is not None} <= {1}
         drawn = {p[0] for p in table[::2] if p is not None}
         canonical = {e if e[0][1] > 0 else tuple((c, -d) for c, d in e) for e in drawn}
-        assert moves.family_entries(T, fam) == tuple(sorted(canonical))
+        assert [coded(m) for m in enumerate_family(T, fam)] == sorted(canonical)
 
     def test_swap_equivariance(self):
         # swapping all states in any move's paths gives a valid same-family move
@@ -508,7 +508,7 @@ class TestProposalSampler:
         for fam, rows in zip(drawn_families(sampler, rng), rng.rows):
             by_family[fam] += len(rows)
             decoded = [None] * len(rows)
-            index, entries = fresh.decode([(fam, rows)])
+            index, entries = merged_entries(fresh, [(fam, rows)])
             for i, e in zip(index, entries):
                 decoded[i] = (e, 1 - 2 * int(rows[i, -1]))
             table = sampler._tables[fam]
@@ -746,10 +746,19 @@ class ScalarOracle:
             return None
 
 
+def merged_entries(decoder, parts) -> tuple[list, list]:
+    """The numbers of the rows of ``parts`` that give a move, and the
+    ``(code, delta)`` entries of each, from the decoder's flat arrays."""
+    index, codes, deltas, starts = decoder.merged(parts)
+    pairs = list(zip(codes.tolist(), deltas.tolist()))
+    bounds = starts.tolist() + [len(pairs)]
+    return index.tolist(), [tuple(pairs[a:b]) for a, b in zip(bounds, bounds[1:])]
+
+
 def decoded(decoder, fam: Family, draws: np.ndarray) -> list:
     """The decoder's entries for each row of ``draws``, None where null."""
     out = [None] * len(draws)
-    index, entries = decoder.decode([(fam, draws)])
+    index, entries = merged_entries(decoder, [(fam, draws)])
     for i, e in zip(index, entries):
         out[i] = e
     return out
@@ -809,7 +818,7 @@ class TestDecoder:
         monkeypatch.setattr(_decode, "merge", self.unmerged)
         decoder = _decode.Decoder(4)
         with pytest.raises(AssertionError, match="codes out of order"):
-            decoder.decode([(fam, draw_space(decoder.highs[fam]))])
+            merged_entries(decoder, [(fam, draw_space(decoder.highs[fam]))])
 
     #: Pattern A with (1,1) in place of (1,2) at t1: it breaks the statistic.
     CORRUPT_A = (((1, 1), (1, 1)), ((2, 2), (2, 1)))
@@ -819,7 +828,7 @@ class TestDecoder:
         decoder = _decode.Decoder(5)
         draws = draw_space(decoder.highs[Family.TWO_BY_TWO])
         with pytest.raises(AssertionError, match="transition statistic"):
-            decoder.decode([(Family.TWO_BY_TWO, draws)])
+            merged_entries(decoder, [(Family.TWO_BY_TWO, draws)])
 
     def test_the_check_holds_under_python_O(self):
         # The two faults above, in a child interpreter run with -O, which
@@ -827,12 +836,14 @@ class TestDecoder:
         script = textwrap.dedent("""
             import sys
             sys.path.insert(0, sys.argv[1])
-            from test_moves import Family, TestDecoder, _decode, draw_space, moves
+            from test_moves import (
+                Family, TestDecoder, _decode, draw_space, merged_entries, moves
+            )
 
             def decode(T, fam):
                 decoder = _decode.Decoder(T)
                 try:
-                    decoder.decode([(fam, draw_space(decoder.highs[fam]))])
+                    merged_entries(decoder, [(fam, draw_space(decoder.highs[fam]))])
                 except AssertionError as exc:
                     print(exc)
 
