@@ -5,7 +5,8 @@ A level is an (N, n) array, one row per table holding its paths' cells in
 ascending order (the sorted tuples of :mod:`thmc.fiber`), or per multiset
 its classes.  :func:`levels` builds every row of each count and orders the
 rows into fibers; :func:`sweep` finds each fiber's components and table
-counts on its class multisets with one :func:`search` per level, and
+counts on its class multisets, searching one fiber per symmetry orbit
+(:mod:`thmc._orbits`) with a :func:`search` or two per level, and
 :func:`tables` builds a swept fiber's tables from its multisets when read.
 :class:`Tokens` renders the ``path:count`` tokens of some tables once, so a
 run of table keys takes one gather; :mod:`thmc._report` joins a level's
@@ -21,10 +22,12 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
+#: The tables, or class multisets, of one path count as rows in canonical
+#: order, the first row of each fiber, and the fibers' statistics.
+Level = tuple[np.ndarray, np.ndarray, list[tuple[int, ...]]]
 
-def levels(
-    T: int, n_max: int, stats: np.ndarray
-) -> Iterator[tuple[np.ndarray, np.ndarray, list[tuple[int, ...]]]]:
+
+def levels(T: int, n_max: int, stats: np.ndarray) -> Iterator[Level]:
     """For n = 0..n_max, every table of n paths over the cells (or classes)
     whose statistics are the rows of ``stats``, in canonical order: by
     statistic, then by descending cell tuple; with the first row of each
@@ -43,9 +46,7 @@ def levels(
         yield _fibers(rows, keys, weights, base)
 
 
-def _fibers(
-    rows: np.ndarray, keys: np.ndarray, weights: np.ndarray, base: int
-) -> tuple[np.ndarray, np.ndarray, list[tuple[int, ...]]]:
+def _fibers(rows: np.ndarray, keys: np.ndarray, weights: np.ndarray, base: int) -> Level:
     """The tables in canonical order, the first row of each fiber and the
     fibers' statistics.  The tables come in ascending cell tuple order, so
     a stable sort of the reversed keys, read backwards, puts them in
@@ -263,7 +264,7 @@ def counts(multisets: np.ndarray, size: np.ndarray) -> np.ndarray:
     return out
 
 
-def sweep(T: int, n_max: int, stats: np.ndarray, index) -> tuple[np.ndarray, Iterator]:
+def sweep(T: int, n_max: int, stats: np.ndarray, index, maps) -> tuple[np.ndarray, Iterator]:
     """The class id of each cell with statistics ``stats`` under a
     :class:`thmc.fiber._MoveIndex` (:func:`classes`, with its moves in
     those ids by :func:`mapped`), and for n = 0..n_max, in ascending
@@ -272,7 +273,14 @@ def sweep(T: int, n_max: int, stats: np.ndarray, index) -> tuple[np.ndarray, Ite
     and each multiset's root (:func:`search`).  A level holds every
     multiset, so no move leads out of it.  A multiset's
     first table holds its classes' largest cells, so :func:`levels` over the
-    classes ordered by largest cell gives the multisets in that order."""
+    classes ordered by largest cell gives the multisets in that order.
+
+    ``maps`` is a group of symmetries the index is invariant under
+    (:func:`thmc._orbits.symmetries`): the search runs on one fiber per
+    orbit, an image of a connected fiber is one component, and the images
+    of a split one are searched too (:func:`thmc._orbits.roots`).  Under
+    the identity alone every fiber is searched."""
+    from ._orbits import roots
     ids, size, reps = classes(np.arange(len(stats)), index)
     moves = mapped(index.moves, reps)
     top = np.zeros(len(size), np.intp)
@@ -282,14 +290,14 @@ def sweep(T: int, n_max: int, stats: np.ndarray, index) -> tuple[np.ndarray, Ite
     def fibers(rows, starts, fiber_stats):
         multisets = by_top[rows]
         multisets.sort(axis=1)
-        label = search(multisets, moves, len(size) + 1)[0]
+        bounds = [*starts.tolist(), len(rows)]
+        label, local = roots(multisets, bounds, fiber_stats, maps, moves, len(size) + 1)
         tables = counts(multisets, size)
         held = np.zeros_like(tables)
         np.add.at(held, label, tables)
         root = np.flatnonzero(label == np.arange(len(label)))
-        bounds = [*starts.tolist(), len(rows)]
         cuts, sizes = np.searchsorted(root, bounds).tolist(), held[root].tolist()
-        return [(stat, multisets[a:b], tuple(sizes[i:j]), label[a:b] - a)
+        return [(stat, multisets[a:b], tuple(sizes[i:j]), local[a:b])
                 for stat, a, b, i, j in zip(fiber_stats, bounds, bounds[1:], cuts, cuts[1:])]
 
     return ids, (fibers(*level) for level in levels(T, n_max, stats[np.sort(top)]))

@@ -102,6 +102,12 @@ class TransitionStat:
     b22: int
 
     def __post_init__(self) -> None:
+        # Python ints >= 0, as a sweep makes them, pass in one test; any
+        # other values get each field's own check and message.
+        b11, b12, b21, b22 = self.b11, self.b12, self.b21, self.b22
+        if (type(b11) is type(b12) is type(b21) is type(b22) is int
+                and b11 >= 0 and b12 >= 0 and b21 >= 0 and b22 >= 0):
+            return
         for name in ("b11", "b12", "b21", "b22"):
             v = getattr(self, name)
             if not isinstance(v, (int, np.integer)) or isinstance(v, bool) or v < 0:

@@ -503,20 +503,32 @@ def sweep(
     ``stat_filter`` optionally restricts the swept statistics (e.g. to
     fibers with b11 = 0).  The move set is indexed once, and then the
     budget counts its class multisets.  Those of each total count are
-    enumerated, all of them, and split into fibers and components in one
-    array pass (:func:`thmc._bulk.sweep`), so a report with more than one
+    enumerated, all of them, and split into fibers and components by array
+    searches (:func:`thmc._bulk.sweep`), so a report with more than one
     component is a certified disconnection under the move set.  Sizes come
     from table counts, and no table is built until read (see
     :class:`Fiber`).  Reports come in ascending (total, b) order.
+
+    The search runs on one fiber per orbit of the state swap and time
+    reversal maps the index is invariant under
+    (:func:`thmc._orbits.symmetries`): the fiber whose b is the smallest in
+    its orbit.  An image of a connected fiber is one component of all its
+    tables; the images of a split one are searched too, so their
+    components come in their own tables' order.  An explicit move list, or
+    an index no map leaves invariant, gets the identity alone, and every
+    fiber is searched.
     """
     index = _resolve_moves(T, move_set)
     # The cells no degree-1 move names, and one class per smallest cell.
     classes = (1 << T) - len(index.cells) + int(np.count_nonzero(index.reps == index.cells))
     _check_count(T, n_max, classes, "class multisets")
-    from . import _bulk
+    from . import _bulk, _orbits
 
     stats = _fitting_cells(T, (T - 1,) * 4)[1] if n_max else np.zeros((0, 4), np.int64)
-    ids, levels = _bulk.sweep(T, n_max, stats, index)
+    # An explicit move list gets the identity alone.
+    custom = index.move_set == ("custom",)
+    maps = _orbits.MAPS[:1] if custom else _orbits.symmetries(T, index)
+    ids, levels = _bulk.sweep(T, n_max, stats, index, maps)
     reports = []
     for level in levels:
         for stat, multisets, sizes, roots in level:

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import os
@@ -20,6 +21,7 @@ from thmc import (
     apply_move,
     connectivity,
     enumerate_families,
+    enumerate_family,
     enumerate_fiber,
     initial_frequency_classes,
     realizable_stats,
@@ -27,7 +29,7 @@ from thmc import (
     sweep,
     table_text,
 )
-from thmc import fiber
+from thmc import _orbits, fiber
 from thmc.core import all_paths, transitions
 from thmc.fiber import BudgetExceeded, disconnected
 
@@ -652,6 +654,102 @@ class TestClassSweep:
             assert report.component_sizes == lone.component_sizes
             assert report.fiber.cells == fib.cells
             assert report.components == lone.components
+
+
+FIVE = tuple(f for f in Family if f is not Family.DEG3_SLIDING)
+
+
+def identity_alone(T, index):
+    return _orbits.MAPS[:1]
+
+
+class TestOrbitSweep:
+    """A sweep searches one fiber per orbit of the state swap and time
+    reversal maps its move index is invariant under (:mod:`thmc._orbits`);
+    with the symmetry finder reduced to the identity, it searches every
+    fiber, as it did before orbits."""
+
+    # A report's roots determine its components given its fiber, so the
+    # roots stand for the components of the connected fibers, whose tables
+    # run to 10**7 at T=7; the split fibers' components are built.
+    @pytest.mark.parametrize("T, n_max, split", [
+        (3, 4, 10), (4, 4, 20), (5, 4, 30), (5, 5, 86), (6, 4, 40), (7, 4, 50), (8, 3, 12),
+    ])
+    @pytest.mark.parametrize("families", [tuple(Family), FIVE], ids=["six", "five"])
+    def test_equals_the_search_of_every_fiber(self, monkeypatch, T, n_max, split, families):
+        orbits = sweep(T, n_max, families)
+        monkeypatch.setattr(_orbits, "symmetries", identity_alone)
+        every = sweep(T, n_max, families)
+        assert len(disconnected(orbits)) == (split if families == FIVE else 0)
+        assert ([(r.b, r.fiber_size, r.component_sizes) for r in orbits]
+                == [(r.b, r.fiber_size, r.component_sizes) for r in every])
+        for a, b in zip(orbits, every):
+            assert a._roots.tolist() == b._roots.tolist()
+            if not a.connected:
+                assert a.components == b.components
+
+    def test_searches_one_fiber_per_orbit(self, monkeypatch):
+        from thmc import _bulk
+
+        searched, real = [], _bulk.search
+
+        def search(multisets, *args):
+            searched.append(len(multisets))
+            return real(multisets, *args)
+
+        monkeypatch.setattr(_bulk, "search", search)
+        sweep(5, 4)
+        monkeypatch.setattr(_orbits, "symmetries", identity_alone)
+        sweep(5, 4)
+        assert (sum(searched[:5]), sum(searched[5:])) == (2484, 7315)
+
+    @pytest.mark.parametrize("T", [3, 4, 5, 6])
+    @pytest.mark.parametrize("families", [(f.value,) for f in Family] + [
+        ("type1", "crossing", "2x2", "type4"),
+        ("crossing", "2x2", "type4", "type2"),
+        ("crossing", "2x2"),
+    ])
+    def test_selections_are_invariant(self, T, families):
+        assert _orbits.symmetries(T, fiber._resolve_moves(T, families)) == _orbits.MAPS
+
+    @pytest.mark.parametrize("T", [7, 8])
+    def test_six_families_are_invariant_past_the_enumeration_cap(self, T):
+        assert _orbits.symmetries(T, fiber._resolve_moves(T, None)) == _orbits.MAPS
+
+    def test_explicit_move_list_searches_every_fiber(self, monkeypatch):
+        def refuse(T, index):
+            raise AssertionError("consulted the symmetry finder")
+
+        monkeypatch.setattr(_orbits, "symmetries", refuse)
+        assert disconnected(sweep(4, 3, enumerate_families(4))) == []
+
+    # A list that is not closed under the maps: the finder keeps the
+    # identity alone, so a sweep over its index, given a selection's move
+    # set so that the finder is consulted, reports what the explicit list
+    # does.  The second list shows what the check guards: with all four
+    # maps forced, two of its fibers get the wrong component sizes.
+    @pytest.mark.parametrize("T, n_max, fibers, split, wrong", [
+        (4, 4, 520, 341, 0),
+        (4, 3, 213, 112, 2),
+    ])
+    def test_a_list_not_closed_under_the_maps(self, monkeypatch, T, n_max, fibers, split, wrong):
+        if wrong:
+            moves = [enumerate_families(T)[i] for i in (21, 46, 47)]
+        else:
+            moves = enumerate_family(T, "crossing")[:7] + enumerate_family(T, "type1")[::3]
+        listed = dataclasses.replace(fiber._resolve_moves(T, moves), move_set=("listed",))
+        assert _orbits.symmetries(T, listed) == _orbits.MAPS[:1]
+        explicit = sweep(T, n_max, moves)
+        monkeypatch.setattr(fiber, "_resolve_moves", lambda T, move_set: listed)
+        checked = sweep(T, n_max, ["listed"])
+        monkeypatch.setattr(_orbits, "symmetries", lambda T, index: _orbits.MAPS)
+        forced = sweep(T, n_max, ["listed"])
+        assert (len(explicit), len(disconnected(explicit))) == (fibers, split)
+        assert ([r.component_sizes for r in checked]
+                == [r.component_sizes for r in explicit])
+        assert all(a._roots.tolist() == b._roots.tolist() for a, b in zip(checked, explicit))
+        assert sum(a.component_sizes != b.component_sizes
+                   for a, b in zip(forced, explicit)) == wrong
 
 
 def minimal_generators_by_degree(T, n_max):
