@@ -264,7 +264,7 @@ def counts(multisets: np.ndarray, size: np.ndarray) -> np.ndarray:
     return out
 
 
-def sweep(T: int, n_max: int, stats: np.ndarray, index, maps) -> tuple[np.ndarray, Iterator]:
+def sweep(n_max: int, stats: np.ndarray, index) -> tuple[np.ndarray, Iterator]:
     """The class id of each cell with statistics ``stats`` under a
     :class:`thmc.fiber._MoveIndex` (:func:`classes`, with its moves in
     those ids by :func:`mapped`), and for n = 0..n_max, in ascending
@@ -275,11 +275,8 @@ def sweep(T: int, n_max: int, stats: np.ndarray, index, maps) -> tuple[np.ndarra
     first table holds its classes' largest cells, so :func:`levels` over the
     classes ordered by largest cell gives the multisets in that order.
 
-    ``maps`` is a group of symmetries the index is invariant under
-    (:func:`thmc._orbits.symmetries`): the search runs on one fiber per
-    orbit, an image of a connected fiber is one component, and the images
-    of a split one are searched too (:func:`thmc._orbits.roots`).  Under
-    the identity alone every fiber is searched."""
+    The search runs on one fiber per orbit of the symmetries the index is
+    invariant under, ``index.maps`` (:func:`thmc._orbits.roots`)."""
     from ._orbits import roots
     ids, size, reps = classes(np.arange(len(stats)), index)
     moves = mapped(index.moves, reps)
@@ -291,7 +288,7 @@ def sweep(T: int, n_max: int, stats: np.ndarray, index, maps) -> tuple[np.ndarra
         multisets = by_top[rows]
         multisets.sort(axis=1)
         bounds = [*starts.tolist(), len(rows)]
-        label, local = roots(multisets, bounds, fiber_stats, maps, moves, len(size) + 1)
+        label, local = roots(multisets, bounds, fiber_stats, index.maps, moves, len(size) + 1)
         tables = counts(multisets, size)
         held = np.zeros_like(tables)
         np.add.at(held, label, tables)
@@ -300,7 +297,7 @@ def sweep(T: int, n_max: int, stats: np.ndarray, index, maps) -> tuple[np.ndarra
         return [(stat, multisets[a:b], tuple(sizes[i:j]), local[a:b])
                 for stat, a, b, i, j in zip(fiber_stats, bounds, bounds[1:], cuts, cuts[1:])]
 
-    return ids, (fibers(*level) for level in levels(T, n_max, stats[np.sort(top)]))
+    return ids, (fibers(*level) for level in levels(index.T, n_max, stats[np.sort(top)]))
 
 
 def tables(multisets: np.ndarray, ids: np.ndarray) -> np.ndarray:

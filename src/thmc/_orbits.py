@@ -9,8 +9,8 @@ invariant carries each fiber's class multisets and mapped moves onto those
 of the image fiber, class sizes and all, so a fiber splits exactly when
 its images do (Aoki & Takemura (2008), "The largest group of invariance
 for Markov bases and toric ideals", J. Symbolic Comput. 43:342-358).
-Only a sweep imports this module (:func:`thmc.fiber.sweep` and
-:func:`thmc._bulk.sweep`).
+Only a sweep imports this module: :func:`thmc._bulk.sweep`, and the
+index's ``maps``, found once per index (:class:`thmc.fiber._MoveIndex`).
 """
 
 from __future__ import annotations
@@ -35,14 +35,14 @@ def _image(T: int, which: int, cells: np.ndarray) -> np.ndarray:
     return out
 
 
-def symmetries(T: int, index) -> tuple[tuple[int, ...], ...]:
+def symmetries(index) -> tuple[tuple[int, ...], ...]:
     """The maps of :data:`MAPS` under which a :class:`thmc.fiber._MoveIndex`
-    of paths of length T is invariant, identity first: those that carry its
-    class partition onto itself, and each degree's mapped moves, sent
-    through the map, :func:`thmc._bulk.rep_of` and
-    :func:`thmc.fiber._canonical`, onto its stored rows.  The maps are
-    commuting involutions, so those kept form a group."""
-    cells, reps = index.cells, index.reps
+    is invariant, identity first: those that carry its class partition
+    onto itself, and each degree's mapped moves, sent through the map,
+    :func:`thmc._bulk.rep_of` and :func:`thmc.fiber._canonical`, onto its
+    stored rows.  An explicit move list is checked as a selection is.  The
+    maps are commuting involutions, so those kept form a group."""
+    T, cells, reps = index.T, index.cells, index.reps
 
     def invariant(which: int) -> bool:
         image = _image(T, which, cells)
@@ -65,9 +65,9 @@ def roots(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Each class multiset's root, the smallest index of its component,
     and that root's index within its fiber, given a level's multisets,
-    its fibers' bounds among them and their statistics, ascending, a group
-    of :data:`MAPS` the move index is invariant under, and the mapped moves
-    and id base that :func:`thmc._bulk.search` takes.
+    its fibers' bounds among them and their statistics, ascending, the
+    move index's group (:func:`symmetries`), and the mapped moves and id
+    base that :func:`thmc._bulk.search` takes.
 
     Only the fibers whose b is the smallest in its orbit are searched.  An
     image of a connected one is one component of all its multisets, each

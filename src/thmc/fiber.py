@@ -300,8 +300,8 @@ class ConnectivityReport:
 
 @dataclass(frozen=True, eq=False)
 class _MoveIndex:
-    """A move set as :func:`connectivity` reads it, in arrays, as both
-    :func:`_move_index`, from the decoder's arrays, and
+    """A move set on paths of length ``T`` as :func:`connectivity` reads it,
+    in arrays, as both :func:`_move_index`, from the decoder's arrays, and
     :func:`thmc._points.index`, on points, build it.
 
     The degree-1 moves join cells into classes, the components of the graph
@@ -313,10 +313,19 @@ class _MoveIndex:
     :func:`_canonical`.  ``move_set`` is the set's description.
     """
 
+    T: int
     cells: np.ndarray
     reps: np.ndarray
     moves: tuple[np.ndarray, ...]
     move_set: tuple[str, ...]
+
+    @cached_property
+    def maps(self) -> tuple[tuple[int, ...], ...]:
+        """The state swap and time reversal maps the index is invariant
+        under (:func:`thmc._orbits.symmetries`), found on first read."""
+        from . import _orbits
+
+        return _orbits.symmetries(self)
 
 
 def _canonical(rows: np.ndarray) -> np.ndarray:
@@ -340,12 +349,13 @@ def _canonical(rows: np.ndarray) -> np.ndarray:
     return rows[keep]
 
 
-def _move_index(chunks: Iterable[tuple], move_set: tuple[str, ...]) -> _MoveIndex:
-    """Index a move set, given as chunks ``(codes, deltas, starts)`` of its
-    moves in the flat form of :meth:`thmc._decode.Decoder.merged`, a code
-    being a cell index: its classes, and the rest of its moves mapped onto
-    them, a degree at a time.  Each chunk's rows by degree
-    (:func:`thmc._decode.split`) are made distinct as they come."""
+def _move_index(T: int, chunks: Iterable[tuple], move_set: tuple[str, ...]) -> _MoveIndex:
+    """Index a move set on paths of length T, given as chunks ``(codes,
+    deltas, starts)`` of its moves in the flat form of
+    :meth:`thmc._decode.Decoder.merged`, a code being a cell index: its
+    classes, and the rest of its moves mapped onto them, a degree at a
+    time.  Each chunk's rows by degree (:func:`thmc._decode.split`) are
+    made distinct as they come."""
     from . import _bulk
     from ._decode import split
 
@@ -365,7 +375,7 @@ def _move_index(chunks: Iterable[tuple], move_set: tuple[str, ...]) -> _MoveInde
         mapped = _canonical(_bulk.rep_of(cells, reps, np.concatenate(rows[d])))
         if len(mapped):
             moves.append(mapped)
-    return _MoveIndex(cells, reps, tuple(moves), move_set)
+    return _MoveIndex(T, cells, reps, tuple(moves), move_set)
 
 
 @lru_cache(maxsize=None)
@@ -379,10 +389,10 @@ def _family_index(T: int, families: tuple[Family, ...]) -> _MoveIndex:
     if Family.TYPE1_DEG1 in families:
         from . import _points
 
-        return _MoveIndex(*_points.index(T, families), move_set)
+        return _MoveIndex(T, *_points.index(T, families), move_set)
     if families:
         _check_enumeration_T(T)
-    return _move_index((c for f in families for _, _, *c in _draws(T, f)), move_set)
+    return _move_index(T, (c for f in families for _, _, *c in _draws(T, f)), move_set)
 
 
 def _resolve_moves(
@@ -390,16 +400,17 @@ def _resolve_moves(
 ) -> _MoveIndex:
     """The move index of a move set."""
     items = list(Family if move_set is None else move_set)
-    if not items or not isinstance(items[0], Move):
+    explicit = {isinstance(m, Move) for m in items}
+    if isinstance(move_set, str) or len(explicit) > 1:
+        raise TypeError("a move set is either Moves or family tokens")
+    if True not in explicit:
         return _family_index(T, tuple(Family(f) for f in items))
     for m in items:
-        if not isinstance(m, Move):
-            raise TypeError("a move set is either Moves or family tokens")
         if m.T != T:
             raise ValueError(f"move has T={m.T}, fiber has T={T}")
     codes, deltas = np.array([(encode(p), d) for m in items for p, d in m.deltas]).T
     starts = np.cumsum([0] + [len(m.deltas) for m in items[:-1]])
-    return _move_index([(codes, deltas, starts)], ("custom",))
+    return _move_index(T, [(codes, deltas, starts)], ("custom",))
 
 
 _INCOMPLETE = "move led outside the enumerated fiber; enumeration incomplete"
@@ -412,8 +423,8 @@ def connectivity(
 
     Two tables are adjacent when some move in the set carries one to the
     other without any count going negative.  ``move_set`` is a list of
-    explicit moves or a selection of families (all six by default, indexed
-    once per T and selection).
+    explicit moves or of family tokens, not both and not a bare token (all
+    six families by default, indexed once per T and selection).
 
     A degree-1 move swaps one path for another of the same statistic, and
     applies to every table holding the first path.  So the tables with one
@@ -509,26 +520,17 @@ def sweep(
     from table counts, and no table is built until read (see
     :class:`Fiber`).  Reports come in ascending (total, b) order.
 
-    The search runs on one fiber per orbit of the state swap and time
-    reversal maps the index is invariant under
-    (:func:`thmc._orbits.symmetries`): the fiber whose b is the smallest in
-    its orbit.  An image of a connected fiber is one component of all its
-    tables; the images of a split one are searched too, so their
-    components come in their own tables' order.  An explicit move list, or
-    an index no map leaves invariant, gets the identity alone, and every
-    fiber is searched.
+    The search runs on one fiber per orbit of the symmetries the index is
+    invariant under, ``_MoveIndex.maps`` (:func:`thmc._orbits.roots`).
     """
     index = _resolve_moves(T, move_set)
     # The cells no degree-1 move names, and one class per smallest cell.
     classes = (1 << T) - len(index.cells) + int(np.count_nonzero(index.reps == index.cells))
     _check_count(T, n_max, classes, "class multisets")
-    from . import _bulk, _orbits
+    from . import _bulk
 
     stats = _fitting_cells(T, (T - 1,) * 4)[1] if n_max else np.zeros((0, 4), np.int64)
-    # An explicit move list gets the identity alone.
-    custom = index.move_set == ("custom",)
-    maps = _orbits.MAPS[:1] if custom else _orbits.symmetries(T, index)
-    ids, levels = _bulk.sweep(T, n_max, stats, index, maps)
+    ids, levels = _bulk.sweep(n_max, stats, index)
     reports = []
     for level in levels:
         for stat, multisets, sizes, roots in level:

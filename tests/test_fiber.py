@@ -232,15 +232,17 @@ class TestConnectivity:
         assert report.n_components == 1
         assert report.move_set == ("custom",)
 
-    # A move set is either Moves or family tokens: a token after a Move is
-    # refused as such, and a Move after a token is not a valid family.
+    # A move set is a list of either Moves or family tokens: a list that
+    # mixes them is refused in either order, and so is a bare token, which
+    # read as a list would be split into its characters.
     def test_mixed_move_list_rejected(self):
         fib = enumerate_fiber(3, (2, 2, 0, 2))
         move = enumerate_families(3, ["crossing"])[0]
+        for move_set in ([move, "type1"], ["type1", move], "type1", Family.CROSSING):
+            with pytest.raises(TypeError, match="either Moves or family tokens"):
+                connectivity(fib, move_set)
         with pytest.raises(TypeError, match="either Moves or family tokens"):
-            connectivity(fib, [move, "type1"])
-        with pytest.raises(ValueError, match="is not a valid Family"):
-            connectivity(fib, ["type1", move])
+            sweep(4, 2, Family.CROSSING)
 
     # An empty selection reads no family's draws, so no cap on T applies:
     # every table of a fiber is then a component of its own.
@@ -659,14 +661,18 @@ class TestClassSweep:
 FIVE = tuple(f for f in Family if f is not Family.DEG3_SLIDING)
 
 
-def identity_alone(T, index):
-    return _orbits.MAPS[:1]
+def with_group(monkeypatch, T, move_set, maps):
+    """Make every move set resolve to a fresh index of ``move_set`` whose
+    group of symmetries is ``maps``: the cached index keeps its own."""
+    index = dataclasses.replace(fiber._resolve_moves(T, move_set))
+    index.__dict__["maps"] = maps
+    monkeypatch.setattr(fiber, "_resolve_moves", lambda T, move_set: index)
 
 
 class TestOrbitSweep:
     """A sweep searches one fiber per orbit of the state swap and time
     reversal maps its move index is invariant under (:mod:`thmc._orbits`);
-    with the symmetry finder reduced to the identity, it searches every
+    with the index's group reduced to the identity, it searches every
     fiber, as it did before orbits."""
 
     # A report's roots determine its components given its fiber, so the
@@ -678,15 +684,10 @@ class TestOrbitSweep:
     @pytest.mark.parametrize("families", [tuple(Family), FIVE], ids=["six", "five"])
     def test_equals_the_search_of_every_fiber(self, monkeypatch, T, n_max, split, families):
         orbits = sweep(T, n_max, families)
-        monkeypatch.setattr(_orbits, "symmetries", identity_alone)
+        with_group(monkeypatch, T, families, _orbits.MAPS[:1])
         every = sweep(T, n_max, families)
         assert len(disconnected(orbits)) == (split if families == FIVE else 0)
-        assert ([(r.b, r.fiber_size, r.component_sizes) for r in orbits]
-                == [(r.b, r.fiber_size, r.component_sizes) for r in every])
-        for a, b in zip(orbits, every):
-            assert a._roots.tolist() == b._roots.tolist()
-            if not a.connected:
-                assert a.components == b.components
+        assert_same_sweep(orbits, every)
 
     def test_searches_one_fiber_per_orbit(self, monkeypatch):
         from thmc import _bulk
@@ -699,7 +700,7 @@ class TestOrbitSweep:
 
         monkeypatch.setattr(_bulk, "search", search)
         sweep(5, 4)
-        monkeypatch.setattr(_orbits, "symmetries", identity_alone)
+        with_group(monkeypatch, 5, None, _orbits.MAPS[:1])
         sweep(5, 4)
         assert (sum(searched[:5]), sum(searched[5:])) == (2484, 7315)
 
@@ -710,24 +711,43 @@ class TestOrbitSweep:
         ("crossing", "2x2"),
     ])
     def test_selections_are_invariant(self, T, families):
-        assert _orbits.symmetries(T, fiber._resolve_moves(T, families)) == _orbits.MAPS
+        assert fiber._resolve_moves(T, families).maps == _orbits.MAPS
 
     @pytest.mark.parametrize("T", [7, 8])
     def test_six_families_are_invariant_past_the_enumeration_cap(self, T):
-        assert _orbits.symmetries(T, fiber._resolve_moves(T, None)) == _orbits.MAPS
+        assert fiber._resolve_moves(T, None).maps == _orbits.MAPS
 
-    def test_explicit_move_list_searches_every_fiber(self, monkeypatch):
-        def refuse(T, index):
-            raise AssertionError("consulted the symmetry finder")
+    # The group is found once per index, on its first read: a selection's
+    # index is cached, so a repeated sweep checks it once, and the
+    # connectivity of a lone fiber never reads it.
+    def test_group_found_once_per_index(self, monkeypatch):
+        found, real = [], _orbits.symmetries
 
-        monkeypatch.setattr(_orbits, "symmetries", refuse)
-        assert disconnected(sweep(4, 3, enumerate_families(4))) == []
+        def symmetries(index):
+            found.append(index.move_set)
+            return real(index)
 
-    # A list that is not closed under the maps: the finder keeps the
-    # identity alone, so a sweep over its index, given a selection's move
-    # set so that the finder is consulted, reports what the explicit list
-    # does.  The second list shows what the check guards: with all four
-    # maps forced, two of its fibers get the wrong component sizes.
+        fiber._family_index.cache_clear()
+        monkeypatch.setattr(_orbits, "symmetries", symmetries)
+        assert connectivity(enumerate_fiber(7, (2, 1, 1, 2))).connected
+        assert found == []
+        sweep(7, 2)
+        sweep(7, 2)
+        assert len(found) == 1
+
+    # An explicit move list goes through the same check as a selection:
+    # the list of all six families' moves keeps all four maps, and its
+    # sweep is the selection's.
+    @pytest.mark.parametrize("T", [3, 4, 5, 6])
+    def test_explicit_move_list_searches_one_fiber_per_orbit(self, T):
+        moves = enumerate_families(T)
+        assert fiber._resolve_moves(T, moves).maps == _orbits.MAPS
+        assert_same_sweep(sweep(T, 4, moves), sweep(T, 4))
+
+    # A list that is not closed under the maps keeps the identity alone,
+    # so its sweep searches every fiber.  The second list shows what the
+    # check guards: with all four maps forced, two of its fibers get the
+    # wrong component sizes.
     @pytest.mark.parametrize("T, n_max, fibers, split, wrong", [
         (4, 4, 520, 341, 0),
         (4, 3, 213, 112, 2),
@@ -737,19 +757,24 @@ class TestOrbitSweep:
             moves = [enumerate_families(T)[i] for i in (21, 46, 47)]
         else:
             moves = enumerate_family(T, "crossing")[:7] + enumerate_family(T, "type1")[::3]
-        listed = dataclasses.replace(fiber._resolve_moves(T, moves), move_set=("listed",))
-        assert _orbits.symmetries(T, listed) == _orbits.MAPS[:1]
+        assert fiber._resolve_moves(T, moves).maps == _orbits.MAPS[:1]
         explicit = sweep(T, n_max, moves)
-        monkeypatch.setattr(fiber, "_resolve_moves", lambda T, move_set: listed)
-        checked = sweep(T, n_max, ["listed"])
-        monkeypatch.setattr(_orbits, "symmetries", lambda T, index: _orbits.MAPS)
-        forced = sweep(T, n_max, ["listed"])
+        with_group(monkeypatch, T, moves, _orbits.MAPS)
+        forced = sweep(T, n_max, moves)
         assert (len(explicit), len(disconnected(explicit))) == (fibers, split)
-        assert ([r.component_sizes for r in checked]
-                == [r.component_sizes for r in explicit])
-        assert all(a._roots.tolist() == b._roots.tolist() for a, b in zip(checked, explicit))
         assert sum(a.component_sizes != b.component_sizes
                    for a, b in zip(forced, explicit)) == wrong
+
+
+def assert_same_sweep(reports, expected):
+    """Equal b, fiber sizes, component sizes and roots, which fix the
+    components given the fiber; the split fibers' components are built."""
+    assert ([(r.b, r.fiber_size, r.component_sizes) for r in reports]
+            == [(r.b, r.fiber_size, r.component_sizes) for r in expected])
+    for a, b in zip(reports, expected):
+        assert a._roots.tolist() == b._roots.tolist()
+        if not a.connected:
+            assert a.components == b.components
 
 
 def minimal_generators_by_degree(T, n_max):
@@ -938,7 +963,7 @@ def path_level_index(T, families):
     """The index of a selection built from every decoded draw of its
     families, chunk by chunk, also past the enumeration cap."""
     draws = thmc.moves._draws
-    return fiber._move_index((c for f in families for _, _, *c in draws(T, f)), ())
+    return fiber._move_index(T, (c for f in families for _, _, *c in draws(T, f)), ())
 
 
 def assert_index_form(index_cells, reps, moves):
