@@ -117,7 +117,7 @@ def fit_mle(
         return p, loglik
 
     def birch_gap(mean: np.ndarray) -> float:
-        return float(np.max(np.abs(b_obs - n * mean)))
+        return float(np.abs(b_obs - n * mean).max())
 
     # n * (A @ p) sums 2**T rounded terms of total n * (T - 1), so it carries
     # a rounding error of order sqrt(2**T) units in the last place of that
@@ -135,12 +135,12 @@ def fit_mle(
         residual = birch_gap(mean)
         if residual < tol:
             break
-        if np.max(np.abs(theta)) > _THETA_BOUNDARY and residual <= prev_residual:
+        if np.abs(theta).max() > _THETA_BOUNDARY and residual <= prev_residual:
             boundary = True
             break
         prev_residual = residual
-        cov = (A * p) @ A.T - np.outer(mean, mean)
-        step = np.linalg.pinv(cov, rcond=1e-12) @ (b_obs / n - mean)
+        cov = (A * p) @ A.T - mean[:, None] * mean
+        step = _pinv(cov) @ (b_obs / n - mean)
         lam = 1.0
         # Near the optimum the likelihood gain drops below float resolution,
         # a few units in the last place of the log-likelihood; a shrinking
@@ -158,7 +158,7 @@ def fit_mle(
         else:
             # No improving step: either the optimum sits at the boundary or
             # the scoring direction is numerically exhausted.
-            if np.max(np.abs(theta)) > _THETA_BOUNDARY:
+            if np.abs(theta).max() > _THETA_BOUNDARY:
                 boundary = True
             stop = "no step improved the fit"
             break
@@ -171,7 +171,7 @@ def fit_mle(
             f"iteration{'' if iterations == 1 else 's'}: {stop} "
             f"(residual {residual:.3e}, variant {variant.value})"
         )
-    boundary = boundary or bool(np.min(p) < 1e-10)
+    boundary = boundary or bool(p.min() < 1e-10)
     return FittedModel(
         theta=theta,
         probs=p,
@@ -189,13 +189,29 @@ def _logsumexp(a: np.ndarray) -> np.float64:
     divided by ``m`` unless it is zero.  Following them exactly keeps every
     fit bit-identical.
     """
-    a_max = np.max(a)
+    a_max = a.max()
     top = a == a_max
     m = float(np.count_nonzero(top))
-    s = np.sum(np.exp(np.where(top, -np.inf, a) - a_max))
+    s = np.exp(np.where(top, -np.inf, a) - a_max).sum()
     if s != 0:
         s = s / m
     return np.log1p(s) + np.log(m) + a_max
+
+
+def _pinv(a: np.ndarray) -> np.ndarray:
+    """The pseudo-inverse ``numpy.linalg.pinv(a, rcond=1e-12)`` of a real
+    square matrix, without the wrapper's argument handling.
+
+    The steps are numpy's (1.24 to 2.x): the thin SVD, the cutoff at 1e-12
+    times the largest singular value, the reciprocals of the values above
+    it and zeros for the rest, then ``vt.T @ (s[:, None] * u.T)``.
+    Following them exactly keeps every fit bit-identical.
+    """
+    u, s, vt = np.linalg.svd(a, full_matrices=False)
+    large = s > 1e-12 * s.max()
+    s = np.divide(1, s, where=large, out=s)
+    s[~large] = 0
+    return vt.T @ (s[:, None] * u.T)
 
 
 def _log_probs(fit: FittedModel) -> np.ndarray:
@@ -403,6 +419,7 @@ class _Chain:
                     entries, sign = proposal
                     changes = []
                     log_ratio = 0.0
+                    shift = 0
                     for code, delta in entries:
                         old = counts.get(code, 0)
                         new = old + sign * delta
@@ -410,6 +427,8 @@ class _Chain:
                             break
                         changes.append((code, new))
                         log_ratio += lgamma(old + 1) - lgamma(new + 1)
+                        if code < top:
+                            shift += delta
                     else:
                         if log_ratio < 0 and random() >= exp(log_ratio):
                             continue
@@ -420,7 +439,7 @@ class _Chain:
                                 del counts[code]
                         accepted += 1
                         self._last = i
-                        k += sign * sum(d for c, d in entries if c < top)
+                        k += sign * shift
                         moved_L = value(counts, k)
                         if runs is not None and (tables is not None or moved_L != L):
                             runs.append((L, i - start))

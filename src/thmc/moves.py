@@ -523,17 +523,19 @@ def _draws(T: int, family: Family) -> Iterator[tuple]:
         yield lo, *dec.merged([(family, flat[:, None] // strides % highs)])
 
 
-def _lookup_table(T: int, family: Family) -> list:
-    """Every draw of one family, decoded: by flat draw index (sign slot last,
-    so even indices have sign +1), the ``(entries, sign)`` proposal or None
-    for a null draw.  Each chunk's merged rows are turned into entries
-    here, the one place the chain needs them as tuples; draws that give
-    one move share its proposals.
+def _lookup_table(T: int, family: Family) -> np.ndarray:
+    """Every draw of one family, decoded: a 1-D object array that holds by
+    flat draw index (sign slot last, so even indices have sign +1) the
+    ``(entries, sign)`` proposal or None for a null draw.  Each chunk's
+    merged rows are turned into entries here, the one place the chain
+    needs them as tuples; draws that give one move share its proposals.
+    The table is filled element by element, since ``np.array`` of a list
+    of pairs would come out 2-D.
 
     Not cached: a sampler keeps the tables it reads, so no table outlives
     its user.
     """
-    table: list = [None] * (2 * int(np.prod(_decoder(T).highs[family][:-1])))
+    table = np.empty(2 * int(np.prod(_decoder(T).highs[family][:-1])), dtype=object)
     shared: dict = {}
     for lo, index, codes, deltas, starts in _draws(T, family):
         pairs = list(zip(codes.tolist(), deltas.tolist()))
@@ -615,15 +617,15 @@ class ProposalSampler:
     checked in array form (zero mass and net transition statistic).  Up to
     ``ENUMERATION_T_CAP`` each family's whole draw space is decoded once,
     on first use, into a lookup table by flat draw index, whose moves
-    :func:`enumerate_family` lists, and a block is the list of its
-    proposals.  Above the cap each block's draws are decoded as they come
-    and kept as arrays: ``(slots, codes, deltas, bounds, signs)``, the draw
-    slot of each row that gives a move, in increasing order, the rows'
-    codes and their deltas times the row's sign, flat, the bounds of each
-    row in them, and the sign of every slot.  :meth:`sample` builds its
-    proposal from these arrays; the MH chain screens them against its
-    counts.  T is capped at ``MAX_SAMPLER_T``, where codes still fit an
-    int64.
+    :func:`enumerate_family` lists; a block's proposals are gathered from
+    the tables in numpy and handed out as a list.  Above the cap each
+    block's draws are decoded as they come and kept as arrays:
+    ``(slots, codes, deltas, bounds, signs)``, the draw slot of each row
+    that gives a move, in increasing order, the rows' codes and their
+    deltas times the row's sign, flat, the bounds of each row in them, and
+    the sign of every slot.  :meth:`sample` builds its proposal from these
+    arrays; the MH chain screens them against its counts.  T is capped at
+    ``MAX_SAMPLER_T``, where codes still fit an int64.
     """
 
     def __init__(
@@ -651,7 +653,7 @@ class ProposalSampler:
         self._highs = self._decoder.highs
         # Lookup tables by family, built on first use; None above the cap,
         # where draws rarely repeat.
-        self._tables: Optional[dict[Family, list]] = (
+        self._tables: Optional[dict[Family, np.ndarray]] = (
             {} if T <= ENUMERATION_T_CAP else None
         )
         # The current block (see the class docstring), the position of its
@@ -706,14 +708,12 @@ class ProposalSampler:
             deltas *= np.repeat(signs[rows], np.diff(bounds))
             self._block = (rows, codes, deltas, bounds, signs)
         else:
-            block: list[Optional[Proposal]] = [None] * _BLOCK
+            block = np.empty(_BLOCK, dtype=object)
             for fam, slots, draws in drawn:
                 table = tables.get(fam)
                 if table is None:
                     table = tables[fam] = _lookup_table(self.T, fam)
-                flat = draws @ self._decoder.strides[fam]
-                for slot, i in zip(slots.tolist(), flat.tolist()):
-                    block[slot] = table[i]
-            self._block = block
+                block[slots] = table[draws @ self._decoder.strides[fam]]
+            self._block = block.tolist()
         self._next = 0
         self._block_rng = rng

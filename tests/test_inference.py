@@ -119,7 +119,7 @@ class TestFitMle:
     # A zero scoring step never improves the fit, so the first iteration
     # stalls long before the iteration budget.
     def test_stall_is_named_in_the_error(self, klotz, monkeypatch):
-        monkeypatch.setattr(np.linalg, "pinv", lambda a, rcond: np.zeros_like(a))
+        monkeypatch.setattr(inference, "_pinv", np.zeros_like)
         with pytest.raises(
             inference.FitError,
             match=r"^no convergence after 1 iteration: no step improved the fit ",
@@ -277,6 +277,38 @@ class TestLogSumExp:
             assert float(inference._logsumexp(a)).hex() == float(logsumexp(a)).hex()
 
 
+class TestPinv:
+    """The Newton step's pseudo-inverse must equal numpy's bit for bit, so
+    every fit, and with it L, is unchanged."""
+
+    def test_bit_identical_to_numpy(self, klotz, monkeypatch):
+        pinv, seen = inference._pinv, []
+
+        def recording(a):
+            seen.append(a.copy())
+            return pinv(a)
+
+        # The covariances of the null fit and of the alternative fit, warm
+        # started as the chain's are, at every k a chain on the Klotz table
+        # can visit.  Summed over a table's paths, (first state is 1) minus
+        # (last state is 1) is b12 - b21, so every table of the fiber has
+        # k >= b12 - b21 = 14.
+        monkeypatch.setattr(inference, "_pinv", recording)
+        evaluator = inference._LikelihoodRatioEvaluator(klotz)
+        b = evaluator.b
+        for k in range(b.b12 - b.b21, klotz.n + 1):
+            fit_mle(b, 4, k, theta0=evaluator._theta0)
+        assert {a.shape for a in seen} == {(4, 4), (6, 6)}
+        # Rank 2 of 4: the cutoff zeroes two singular values.
+        v = np.arange(1.0, 5.0)
+        seen.append(np.outer(v, v) + np.outer(v[::-1], v[::-1]))
+        for a in seen:
+            got, want = pinv(a), np.linalg.pinv(a, rcond=1e-12)
+            assert [x.hex() for x in got.ravel().tolist()] == [
+                x.hex() for x in want.ravel().tolist()
+            ]
+
+
 class TestMhChain:
     def test_statistic_constant_along_chain(self):
         start = PathTable(3, {(1, 1, 2): 1, (2, 2, 1): 1})
@@ -325,7 +357,7 @@ class TestMhChain:
             table = moves._lookup_table(T, fam)
             assert len(table) == int(np.prod(sampler._highs[fam]))
             share = fam_weight / len(table)
-            for prop in table:
+            for prop in table.tolist():
                 entries, sign = (None, 1) if prop is None else prop
                 proposals.append((share, entries, sign))
         assert abs(sum(p for p, _, _ in proposals) - 1.0) < 1e-12

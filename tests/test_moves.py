@@ -559,8 +559,19 @@ class TestProposalSampler:
         # _lookup_table builds.
         for fam, table in tabled._tables.items():
             assert len(table) == int(np.prod(tabled._highs[fam]))
-            assert table == moves._lookup_table(T, fam)
+            assert table.tolist() == moves._lookup_table(T, fam).tolist()
         assert fresh._tables is None
+        # A block is a list of the table's own proposals, gathered by flat
+        # draw index, so draws of one move share one tuple.  Every draw of
+        # a block with u = 0.25 is a crossing draw.
+        sampler, rng = ProposalSampler(T), RecordingRng(T, u=0.25)
+        block, _, _ = sampler.span(rng, moves._BLOCK)
+        table = sampler._tables[Family.CROSSING]
+        flat = (rng.rows[0] @ sampler._decoder.strides[Family.CROSSING]).tolist()
+        assert isinstance(block, list) and len(block) == len(flat)
+        assert all(p is table[i] for p, i in zip(block, flat))
+        drawn = [p for p in block if p is not None]
+        assert len({id(p) for p in drawn}) < len(drawn)
 
     @pytest.mark.parametrize("T", [7, 12])
     def test_no_memo_above_enumeration_cap(self, T, monkeypatch):
@@ -784,8 +795,8 @@ class TestDecoder:
             ]
             # The lookup table holds the same entries with both signs.
             table = moves._lookup_table(T, fam)
-            assert table[::2] == [None if m is None else (coded(m), 1) for m in want]
-            assert table[1::2] == [None if m is None else (coded(m), -1) for m in want]
+            assert table[::2].tolist() == [None if m is None else (coded(m), 1) for m in want]
+            assert table[1::2].tolist() == [None if m is None else (coded(m), -1) for m in want]
 
     @pytest.mark.parametrize("T", [6, 9, 12, 16, 24])
     def test_seeded_draws_match_the_constructors(self, T):
