@@ -113,23 +113,32 @@ class Decoder:
     their signs, following the family's constructor; :meth:`merged`
     merges and checks the rows.  ``highs`` holds the number of values of
     each slot, and ``strides`` the flat-index weight of each.
+
+    A whole path of a type I, crossing or type II draw, and each context
+    of a type IV draw, is one slot: the code of its L states, uniform in
+    ``[0, 2**L)``, which is L fair bits with time 1 as the top bit.  The
+    2x2 contexts, whose free positions fall in up to three runs, stay one
+    fair bit a slot.  A code adds to the flat index what its bits would
+    as slots of their own, so flat indices, and the lookup tables built
+    on them, are those of one fair bit per state.
     """
 
     def __init__(self, T: int) -> None:
         self.T = T
         self.full = (1 << T) - 1
-        self.pow2 = 1 << np.arange(T - 1, -1, -1, dtype=np.int64)
-        self.triples = np.array(
-            list(itertools.combinations(range(1, T + 1), 3)), dtype=np.int64
-        )
-        pairs = [(t0, t1) for t0 in range(1, T - 1) for t1 in range(t0 + 1, T)]
+        self.triples = np.fromiter(
+            itertools.chain.from_iterable(itertools.combinations(range(1, T + 1), 3)),
+            dtype=np.int64,
+        ).reshape(-1, 3)
+        # The time pairs t0 < t1 <= T-1 of the 2x2 swaps, by t0, then t1.
+        t0, t1 = np.array(np.triu_indices(T - 1, 1)) + 1
         ctx = [2] * (2 * (T - 3))
         highs = {
-            Family.TYPE1_DEG1: [2] * T + [len(self.triples)],
-            Family.CROSSING: [2] * (2 * T) + [T],
-            Family.TWO_BY_TWO: [2, len(pairs)] + ctx,
-            Family.TYPE4: [2, T - 2, T - 2] + ctx if T >= 4 else [],
-            Family.TYPE2_DEG1: [2] * T + [T - 2],
+            Family.TYPE1_DEG1: [1 << T, len(self.triples)],
+            Family.CROSSING: [1 << T, 1 << T, T],
+            Family.TWO_BY_TWO: [2, len(t0)] + ctx,
+            Family.TYPE4: [2, T - 2, T - 2, 1 << (T - 3), 1 << (T - 3)] if T >= 4 else [],
+            Family.TYPE2_DEG1: [1 << T, T - 2],
             Family.DEG3_SLIDING: [T - 1, T - 1, T - 1, 2, 2],
         }
         # Every draw ends in the fair sign slot.
@@ -138,29 +147,29 @@ class Decoder:
             f: np.append(np.cumprod(h[:0:-1])[::-1], 1) for f, h in self.highs.items()
         }
         # 2x2 swaps, per time pair: the weight of each context bit in the
-        # two paths' codes, and the positions t0+1..t1 the paths exchange;
-        # per pattern and pair: the codes of the forced windows, and whether
-        # the windows agree where they meet.
-        self.weights = np.zeros((len(pairs), len(ctx), 2), dtype=np.int64)
-        self.exchanged = np.zeros(len(pairs), dtype=np.int64)
-        self.forced = np.zeros((2, len(pairs), 2), dtype=np.int64)
-        self.fits = np.ones((2, len(pairs)), dtype=bool)
-        for q, (t0, t1) in enumerate(pairs):
-            free = [t for t in range(1, T + 1) if t not in (t0, t0 + 1, t1, t1 + 1)]
-            for side in range(2):
-                for j, t in enumerate(free):
-                    self.weights[q, side * len(free) + j, side] = 1 << (T - t)
-            self.exchanged[q] = ((1 << (t1 - t0)) - 1) << (T - t1)
-            for p, pattern in enumerate("AB"):
-                for side, (w0, w1) in enumerate(_2X2_WINDOWS[pattern]):
-                    states = {t0: w0[0], t0 + 1: w0[1], t1 + 1: w1[1]}
-                    if t1 > t0 + 1:
-                        states[t1] = w1[0]
-                    elif w0[1] != w1[0]:
-                        self.fits[p, q] = False
-                    self.forced[p, q, side] = sum(
-                        (s - 1) << (T - t) for t, s in states.items()
-                    )
+        # two paths' codes (each path's j-th bit, the second's after the
+        # first's, goes to its j-th time outside t0, t0+1, t1 and t1+1), and
+        # the positions t0+1..t1 the paths exchange; per pattern and pair:
+        # the codes of the forced windows, and whether the windows agree
+        # where they meet.
+        window = np.stack([t0, t0 + 1, t1, t1 + 1])[..., None]
+        free = ~(window == np.arange(1, T + 1)).any(axis=0)
+        pair, t = np.nonzero(free)
+        j = (np.cumsum(free, axis=1) - 1)[free]
+        side = np.outer(free.sum(axis=1)[pair], [0, 1])
+        self.weights = np.zeros((len(t0), len(ctx), 2), dtype=np.int64)
+        self.weights[pair[:, None], j[:, None] + side, [0, 1]] = (1 << (T - 1 - t))[:, None]
+        self.exchanged = ((1 << (t1 - t0)) - 1) << (T - t1)
+        # Window states as bits, by pattern, side, window (at t0, at t1)
+        # and position.
+        w = np.array([_2X2_WINDOWS[p] for p in "AB"], dtype=np.int64) - 1
+        gap = t1 > t0 + 1
+        forced = (
+            (w[..., 0, 0, None] << (T - t0)) | (w[..., 0, 1, None] << (T - t0 - 1))
+            | (w[..., 1, 1, None] << (T - t1 - 1)) | (w[..., 1, 0, None] << (T - t1)) * gap
+        )
+        self.forced = forced.transpose(0, 2, 1)
+        self.fits = (gap | (w[..., 0, 1] == w[..., 1, 0])[..., None]).all(axis=1)
         self._families = {
             Family.TYPE1_DEG1: self._type1,
             Family.CROSSING: self._crossing,
@@ -205,10 +214,10 @@ class Decoder:
         return index[rows[starts]], codes, deltas, starts
 
     def _type1(self, d: np.ndarray):
-        """:func:`type1_deg1`: T path bits, then a time triple."""
+        """:func:`type1_deg1`: the path's code, then a time triple."""
         T = self.T
-        code = d[:, :T] @ self.pow2
-        t0, t1, t2 = self.triples[d[:, T]].T
+        code = d[:, 0]
+        t0, t1, t2 = self.triples[d[:, 1]].T
         pivot = (code >> (T - t0)) & 1
         ok = ((code >> (T - t1)) & 1 == pivot) & ((code >> (T - t2)) & 1 == pivot)
         between = ((1 << (t2 - t0 - 1)) - 1) << (T - t2 + 1)
@@ -224,11 +233,10 @@ class Decoder:
         return ok, np.stack([code, swapped], axis=1), (1, -1)
 
     def _crossing(self, d: np.ndarray):
-        """:func:`crossing_swap`: two paths' bits, then the time they meet."""
+        """:func:`crossing_swap`: two paths' codes, then the time they meet."""
         T = self.T
-        c = d[:, : 2 * T].reshape(len(d), 2, T) @ self.pow2
-        c1, c2 = c[:, 0], c[:, 1]
-        t = d[:, 2 * T] + 1
+        c1, c2 = d[:, 0], d[:, 1]
+        t = d[:, 2] + 1
         ok = ((c1 ^ c2) >> (T - t)) & 1 == 0
         suffix = (1 << (T - t)) - 1
         q1 = (c1 & ~suffix) | (c2 & suffix)
@@ -247,7 +255,8 @@ class Decoder:
         return self.fits[pattern, pair], codes, (1, 1, -1, -1)
 
     def _type4(self, d: np.ndarray):
-        """:func:`type4_move`: the state swap, t0 and t1, the contexts."""
+        """:func:`type4_move`: the state swap, t0 and t1, the two contexts'
+        codes (T-3 states each: the positions outside the window)."""
         T = self.T
         if T < 4:
             return np.zeros(len(d), dtype=bool), np.zeros((len(d), 4), np.int64), 0
@@ -255,7 +264,7 @@ class Decoder:
         swap = d[:, 0] * 0b111
         win_a, win_b = encode((1, 1, 2)) ^ swap, encode((1, 2, 2)) ^ swap
         t0, t1 = d[:, 1] + 1, d[:, 2] + 1
-        ctx = d[:, 3:-1].reshape(len(d), 2, T - 3) @ self.pow2[3:]
+        ctx = d[:, 3:5]
 
         def put(x, window, t):
             # The context's top t-1 bits, the window at times t..t+2, the rest.
@@ -267,10 +276,10 @@ class Decoder:
         return t0 != t1, np.stack([p1, p2, q1, q2], axis=1), (1, 1, -1, -1)
 
     def _type2(self, d: np.ndarray):
-        """:func:`type2_deg1`: T path bits, then the time of the other state."""
+        """:func:`type2_deg1`: the path's code, then the time of the other state."""
         T = self.T
-        code = d[:, :T] @ self.pow2
-        t = d[:, T] + 2
+        code = d[:, 0]
+        t = d[:, 1] + 2
         first = code >> (T - 1)
         ok = (first == code & 1) & ((code >> (T - t)) & 1 != first)
         # The rotated path: times t..T-1, then 1..t.

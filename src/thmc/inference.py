@@ -84,8 +84,12 @@ def fit_mle(
     statistic: ``b`` for the model without initial parameters, plus the
     initial frequencies ``(k, n - k)`` for the model with them, which
     passing ``k`` selects; the total is ``n = b.total() / (T - 1)``.  A
-    total that is not a positive multiple of ``T - 1``, or a ``k`` outside
-    ``[0, n]``, belongs to no table and raises ``ValueError``.
+    total that is not a positive multiple of ``T - 1`` belongs to no table
+    and raises ``ValueError``.  So does a ``k`` that no table with
+    statistic ``b`` has: over all paths ``b12 - b21 = k - l``, where ``l``
+    counts the paths that end in state 1, so ``k`` must lie in ``[0, n]``
+    and in ``[b12 - b21, n + b12 - b21]``.  These necessary conditions are
+    all that is checked; they do not make every such ``(b, k)`` a table's.
 
     Fisher scoring with pseudo-inverse steps and step halving; at
     convergence the fitted expected sufficient statistic matches the
@@ -99,8 +103,13 @@ def fit_mle(
     n, rem = divmod(b.total(), T - 1)
     if n < 1 or rem:
         raise ValueError(f"b totals {b.total()}, not a positive multiple of T-1={T - 1}")
-    if k is not None and not 0 <= k <= n:
-        raise ValueError(f"initial-state-1 count k={k} outside [0, {n}]")
+    shift = b.b12 - b.b21
+    lo, hi = max(0, shift), min(n, n + shift)
+    if k is not None and not lo <= k <= hi:
+        raise ValueError(
+            f"initial-state-1 count k={k} outside [{lo}, {hi}]: "
+            f"no table of {n} paths with b12 - b21 = {shift} has it"
+        )
     initial = () if k is None else (k, n - k)
     b_obs = np.array(b.as_tuple() + initial, dtype=np.float64)
     n = float(n)

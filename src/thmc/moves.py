@@ -40,7 +40,7 @@ ENUMERATION_T_CAP = 6
 #: Proposals :class:`ProposalSampler` draws per block, and draws
 #: :func:`_draws` decodes at once, which bounds the decoder's temporary
 #: arrays.
-_BLOCK = 1024
+_BLOCK = 2048
 
 
 class Family(str, Enum):
@@ -514,7 +514,9 @@ def _decoder(T: int):
 def _draws(T: int, family: Family) -> Iterator[tuple]:
     """Every draw of one family at sign slot 0, decoded ``_BLOCK`` at a
     time: the flat index of each chunk's first draw, and the arrays
-    :meth:`thmc._decode.Decoder.merged` gives for the chunk.  T is not capped."""
+    :meth:`thmc._decode.Decoder.merged` gives for the chunk.  The draws run
+    over ``Decoder.highs`` in flat-index order, a whole path or type IV
+    context as one code slot.  T is not capped."""
     dec = _decoder(T)
     highs, strides = dec.highs[family], dec.strides[family]
     size = 2 * int(np.prod(highs[:-1]))
@@ -588,7 +590,9 @@ class ProposalSampler:
 
     A family is drawn by weight, its parameters uniformly from a
     table-independent space (times over their admissible ranges from T
-    alone, states as fair bits), and a fair sign independently.  Parameter
+    alone, states as fair bits), and a fair sign independently.  A whole
+    path, or a type IV context, of L states is drawn as one code uniform
+    in ``[0, 2**L)``, which is L fair bits.  Parameter
     draws violating a family's preconditions yield a null proposal.  Since
     the sign is independent and fair, the induced distribution over signed
     moves satisfies q(z) = q(-z), and every constructible move of every
@@ -599,13 +603,14 @@ class ProposalSampler:
     sign of +1 or -1.  The entries are the move's deltas, with each path
     coded, that the family's constructor builds from the same draw.
 
-    Proposals are drawn in blocks of ``_BLOCK`` (1,024) from one
+    Proposals are drawn in blocks of ``_BLOCK`` (2,048) from one
     generator: one ``random`` call picks the block's families, then one
     ``integers`` call per family drawn fills that family's rows, parameter
     slots and sign slot together.  Each draw keeps the law above,
     independent of the others, so only the random stream differs from
     drawing one proposal at a time; a seed gives other proposals than in
-    versions that drew them one by one or in blocks of 256.
+    versions that drew them one by one, in blocks of 256 or 1,024, or
+    each path state as a fair-bit slot of its own.
     :meth:`sample` returns the next unused proposal of the current block;
     :meth:`span` hands out the unused draws as positions in the block
     itself, which is how the MH chain reads them.  A call with

@@ -424,22 +424,23 @@ class TestCmdTest:
 
 
     # Chain-derived fields of seeded runs, recorded when proposal blocks
-    # grew from 256 to 1,024 draws; they pin the random stream.
+    # grew from 1,024 to 2,048 draws and each whole path became one
+    # uniform code; they pin the random stream.
     # L and p_asymptotic come from BLAS-dependent fits and are not pinned.
     # The histogram digests are of the counts column when every bin from 0
     # up was listed; the file now lists occupied bins only, so the test puts
     # the empty bins back before hashing.
     @pytest.mark.parametrize("case, args, fields, hist_digest", [
         ("klotz", ["--map", "M=1,F=2", "--seed", "7"],
-         (0.8056, 0.2091, 0.7209),
-         "8b5ac5ece692220f2e2a1c652429c3e78cd14f999aab904499ddc91b62dfca80"),
+         (0.8077, 0.2136, 0.7202),
+         "5ed9f961b45813fa8f48b9389e8a11d47f2341cac6f4769a1a178bb28503dc01"),
         ("random-T6", ["--samples", "3000", "--burnin", "500", "--seed", "11"],
-         (0.5043333333333333, 0.07133333333333333, 0.636),
-         "5ea46eb9f575b0d91b34a841c979eb8fc7e5fbaa339376c37254618e8bd7aa64"),
+         (0.23433333333333334, 0.067, 0.6403333333333333),
+         "d5f02228532b41460ec1f9ae17f0849ec1b4a33b2f5936123b3ca107b0bbb801"),
         ("klotz-chains", ["--map", "M=1,F=2", "--seed", "7", "--chains", "3",
                           "--samples", "3000"],
-         (0.6943333333333334, 0.224, 0.7103333333333334),
-         "dabac5076e43e5ac93f7d5dfdc5f6bf058d8f57736a6cff05292b3a22a2efef6"),
+         (0.94, 0.21033333333333334, 0.7226666666666667),
+         "84347759be9b3d26daa289bf1cd9169932c266d01bf3f1cd0ce90d38313e3bf3"),
     ])
     def test_seeded_chain_fields(self, runner, tmp_path, case, args, fields,
                                  hist_digest):
@@ -472,21 +473,22 @@ class TestCmdTest:
         assert hashlib.sha256(counts.encode()).hexdigest() == hist_digest
 
     # sha256 of the whole JSON and histogram files, recorded when proposal
-    # blocks grew from 256 to 1,024 draws.  The input is named by a relative
+    # blocks grew from 1,024 to 2,048 draws and each whole path became one
+    # uniform code.  The input is named by a relative
     # path, so every byte is fixed; the cases cover non-uniform weights and
     # chains that share one sampler.  The input is the Klotz table unless
     # the case names another: t12.csv holds 30 seeded paths at T=12, above
     # the sampler's enumeration cap, so its blocks are decoded as drawn.
     @pytest.mark.parametrize("args, json_digest, hist_digest", [
         (["--weights", "type2=0.5,deg3-sliding=0.5", "--seed", "3"],
-         "09876ff22925ce57edb91a185e7752a0e4d1ab3ea0938e5f916e938205b63560",
-         "f662e3f422be689c6a546399177c3f43d2209f36b983aa2c119eee519bc18534"),
+         "a85b2acc3caf7b7a6e4d842a01bcc245351e7d8b1881990a629e702530dc8710",
+         "7c1a310e0201e2e9c339ccf8e317905e63748cd4a2518c7ad7ad6deda2adc8c0"),
         (["--chains", "2", "--seed", "5"],
-         "ceb58a47f46f60eef3216d9de2b042c800a23ca4cdaf1afc44c7d815df07119f",
-         "706727c9623ea157e91e6d813cdcb5347e22f619b98fd01d98cf3338c6ee07b6"),
+         "499788c7bbb6d7abe9eee33db69c5fa1e723d0332565307a62459e55cd6adcbc",
+         "54c2b0f52e4d496ad7e0156633aa96c0880da32e50077a97d04a5f6c7454eca4"),
         (["--input", "t12.csv", "--seed", "7"],
-         "943ad6e1866e727e4cfc3fc8b06322454697127c2ef4c96f00703055c8c580c4",
-         "0d9ff14a55c7f20da330278c1cbcff77fd6a81866c42a74c50634048c50892b1"),
+         "d74913fbb3de5f594d5738db0d559c3a981334af0c4be6d15fca4a5f2bab9ceb",
+         "191d113a5a0a74894fb37c863acf9139be704334762776180931595b67bb4838"),
     ])
     def test_seeded_output_bytes(self, runner, tmp_path, args, json_digest,
                                  hist_digest):

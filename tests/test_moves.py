@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import textwrap
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -707,19 +708,30 @@ class TestProposalSampler:
         assert props
 
 
-class ScalarOracle:
-    """Decode one parameter draw with the public family constructors.
-
-    The slot layout is the sampler's: fair bits are states (0 for state 1),
-    times are offsets into their admissible ranges, and the sign slot comes
-    last.  Returns the constructor's move, or None where it raises
-    ``MoveError``.
+class FairBitOracle:
+    """Decode one parameter draw with the public family constructors, in
+    the slot layout the sampler used before whole paths were drawn as one
+    code: every path and context state is a fair bit (0 for state 1), times
+    are offsets into their admissible ranges, and the sign slot comes last.
+    Returns the constructor's move, or None where it raises ``MoveError``.
     """
 
     def __init__(self, T: int) -> None:
         self.T = T
         self.triples = list(itertools.combinations(range(1, T + 1), 3))
         self.pairs = [(t0, t1) for t0 in range(1, T - 1) for t1 in range(t0 + 1, T)]
+
+    def highs(self, fam: Family) -> np.ndarray:
+        """The number of values of each slot of a draw, sign slot last."""
+        T, ctx = self.T, [2] * (2 * (self.T - 3))
+        return np.array({
+            Family.TYPE1_DEG1: [2] * T + [len(self.triples)],
+            Family.CROSSING: [2] * (2 * T) + [T],
+            Family.TWO_BY_TWO: [2, len(self.pairs)] + ctx,
+            Family.TYPE4: [2, T - 2, T - 2] + ctx if T >= 4 else [],
+            Family.TYPE2_DEG1: [2] * T + [T - 2],
+            Family.DEG3_SLIDING: [T - 1, T - 1, T - 1, 2, 2],
+        }[fam] + [2])
 
     @staticmethod
     def runs(bits, *lengths):
@@ -755,6 +767,32 @@ class ScalarOracle:
                                 state_swap=bool(d[3]), time_reverse=bool(d[4]))
         except MoveError:
             return None
+
+
+class ScalarOracle(FairBitOracle):
+    """Decode one parameter draw in the sampler's slot layout with the
+    public family constructors.
+
+    The layout is the fair-bit one, except that a whole path of a type I,
+    crossing or type II draw, and each context of a type IV draw, is one
+    slot holding the code of its states, time 1 as the top bit.  The
+    oracle spreads each such code into its fair bits and decodes the draw
+    as :class:`FairBitOracle` does.
+    """
+
+    def __call__(self, fam: Family, d: list) -> Move | None:
+        T = self.T
+        lengths = {
+            Family.TYPE1_DEG1: {0: T},
+            Family.CROSSING: {0: T, 1: T},
+            Family.TYPE4: {3: T - 3, 4: T - 3},
+            Family.TYPE2_DEG1: {0: T},
+        }.get(fam, {})
+        bits = []
+        for i, v in enumerate(d):
+            n = lengths.get(i)
+            bits.extend([v] if n is None else [(v >> (n - 1 - j)) & 1 for j in range(n)])
+        return super().__call__(fam, bits)
 
 
 def merged_entries(decoder, parts) -> tuple[list, list]:
@@ -797,6 +835,56 @@ class TestDecoder:
             table = moves._lookup_table(T, fam)
             assert table[::2].tolist() == [None if m is None else (coded(m), 1) for m in want]
             assert table[1::2].tolist() == [None if m is None else (coded(m), -1) for m in want]
+
+    @pytest.mark.parametrize("T", [*range(3, 13), moves.MAX_SAMPLER_T])
+    def test_2x2_tables_match_a_loop_over_time_pairs(self, T):
+        # The decoder builds its 2x2 tables with array operations; this loop
+        # builds them one time pair, pattern and side at a time, in Python
+        # ints, which cannot wrap at the longest path the sampler takes.
+        pairs = [(t0, t1) for t0 in range(1, T - 1) for t1 in range(t0 + 1, T)]
+        weights = np.zeros((len(pairs), 2 * (T - 3), 2), dtype=np.int64)
+        exchanged = np.zeros(len(pairs), dtype=np.int64)
+        forced = np.zeros((2, len(pairs), 2), dtype=np.int64)
+        fits = np.ones((2, len(pairs)), dtype=bool)
+        for q, (t0, t1) in enumerate(pairs):
+            free = [t for t in range(1, T + 1) if t not in (t0, t0 + 1, t1, t1 + 1)]
+            for side in range(2):
+                for j, t in enumerate(free):
+                    weights[q, side * len(free) + j, side] = 1 << (T - t)
+            exchanged[q] = ((1 << (t1 - t0)) - 1) << (T - t1)
+            for p, pattern in enumerate("AB"):
+                for side, (w0, w1) in enumerate(moves._2X2_WINDOWS[pattern]):
+                    states = {t0: w0[0], t0 + 1: w0[1], t1 + 1: w1[1]}
+                    if t1 > t0 + 1:
+                        states[t1] = w1[0]
+                    elif w0[1] != w1[0]:
+                        fits[p, q] = False
+                    forced[p, q, side] = sum((s - 1) << (T - t) for t, s in states.items())
+        decoder = _decode.Decoder(T)
+        for got, want in [(decoder.weights, weights), (decoder.exchanged, exchanged),
+                          (decoder.forced, forced), (decoder.fits, fits)]:
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert (got == want).all()
+
+    @pytest.mark.parametrize("T", [3, 4, 5])
+    def test_law_matches_the_fair_bit_layout(self, T):
+        # Each signed proposal (or null) is drawn from as many draws of the
+        # sampler's layout as of the fair-bit one: a code uniform in
+        # [0, 2**L) is L fair bits.  The fair-bit counts come from the
+        # constructors; the sampler's from the decoder and the lookup table.
+        decoder, oracle = _decode.Decoder(T), FairBitOracle(T)
+        for fam in Family:
+            old = Counter()
+            for d in draw_space(oracle.highs(fam)).tolist():
+                move = oracle(fam, d)
+                for sign in (1, -1):
+                    old[None if move is None else (coded(move), sign)] += 1
+            new = Counter()
+            for entries in decoded(decoder, fam, draw_space(decoder.highs[fam])):
+                for sign in (1, -1):
+                    new[None if entries is None else (entries, sign)] += 1
+            assert new == old
+            assert Counter(moves._lookup_table(T, fam).tolist()) == old
 
     @pytest.mark.parametrize("T", [6, 9, 12, 16, 24])
     def test_seeded_draws_match_the_constructors(self, T):
