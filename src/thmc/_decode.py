@@ -9,11 +9,15 @@ the signed codes the family's constructor in :mod:`thmc.moves` would give;
 leaves this module in one form, :meth:`Decoder.merged`'s flat arrays:
 the sampler reads them as they are, its lookup tables turn them into
 tuples, and :func:`split` cuts them into the rows a move index takes.
+
+The sampler's draws come from a ``random.Random``: :func:`uniforms` and
+:func:`bounded` turn its bytes into arrays.
 """
 
 from __future__ import annotations
 
 import itertools
+import random
 from typing import Sequence
 
 import numpy as np
@@ -26,15 +30,41 @@ from .moves import _2X2_WINDOWS, Family
 WIDTH = 6
 
 
-def popcount(x: np.ndarray) -> np.ndarray:
-    """Set bits of each nonnegative int64 (numpy 1.24 has no bit count)."""
-    x = x - ((x >> 1) & 0x5555555555555555)
-    x = (x & 0x3333333333333333) + ((x >> 2) & 0x3333333333333333)
-    x = (x + (x >> 4)) & 0x0F0F0F0F0F0F0F0F
-    x = x + (x >> 8)
-    x = x + (x >> 16)
-    x = x + (x >> 32)
-    return x & 0x7F
+def uniforms(rng: random.Random, n: int) -> np.ndarray:
+    """``n`` doubles uniform on [0, 1) from ``rng``: the top 53 bits of
+    each little-endian 64-bit word of ``rng.randbytes``, times 2**-53, as
+    numpy's ``Generator.random`` builds its doubles."""
+    return (np.frombuffer(rng.randbytes(8 * n), "<u8") >> 11) * 2.0**-53
+
+
+def _words(rng: random.Random, n: int, wide: bool) -> np.ndarray:
+    """``n`` little-endian words of ``rng.randbytes`` as int64: 64-bit
+    ones if ``wide``, else 32-bit ones, which halve the bytes drawn."""
+    if wide:
+        return np.frombuffer(rng.randbytes(8 * n), "<i8")
+    return np.frombuffer(rng.randbytes(4 * n), "<u4").astype(np.int64)
+
+
+def bounded(rng: random.Random, highs: np.ndarray, m: int) -> np.ndarray:
+    """An (m, len(highs)) int64 array of draws from ``rng``, column j
+    uniform in ``[0, highs[j])``.
+
+    Each cell takes a word masked to the bit length of ``highs[j] - 1``:
+    32-bit words when every high is at most 2**32, else 64-bit ones.  The
+    cells at or above their highs are drawn again in place, in row-major
+    order, each from the next word, until none is left, so every cell is
+    exactly uniform and independent of the others.
+    """
+    width = len(highs)
+    wide = int(highs.max()) > 1 << 32
+    masks = np.array([(1 << (h - 1).bit_length()) - 1 for h in highs.tolist()], np.int64)
+    cells = _words(rng, m * width, wide).reshape(m, width) & masks
+    bad = np.flatnonzero(cells >= highs)
+    while len(bad):
+        col = bad % width
+        cells.flat[bad] = redrawn = _words(rng, len(bad), wide) & masks[col]
+        bad = bad[redrawn >= highs[col]]
+    return cells
 
 
 def merge(
@@ -66,10 +96,10 @@ def check(T: int, codes: np.ndarray, deltas: np.ndarray, starts: np.ndarray) -> 
     must be paths of length T in increasing order with nonzero deltas, and
     the deltas must add up to zero mass and zero net transition statistic.
     With ``e = code >> 1`` (the state one time earlier) a path has
-    ``popcount(e & code)`` 2->2 transitions, ``popcount(e)`` transitions
-    out of state 2 and ``popcount(code & (2**(T-1) - 1))`` into it; with
-    zero mass, zero net change of these three fixes all four counts.  The
-    checks are explicit raises, so they hold under ``python -O``.
+    ``bitwise_count(e & code)`` 2->2 transitions, ``bitwise_count(e)``
+    transitions out of state 2 and ``bitwise_count(code & (2**(T-1) - 1))``
+    into it; with zero mass, zero net change of these three fixes all four
+    counts.  The checks are explicit raises, so they hold under ``python -O``.
     """
     full = (1 << T) - 1
     rising = np.ones(len(codes), dtype=bool)
@@ -81,7 +111,7 @@ def check(T: int, codes: np.ndarray, deltas: np.ndarray, starts: np.ndarray) -> 
             "or codes out of order"
         )
     earlier = codes >> 1
-    counts = popcount(np.stack([earlier & codes, earlier, codes & (full >> 1)]))
+    counts = np.bitwise_count(np.stack([earlier & codes, earlier, codes & (full >> 1)]))
     net = np.add.reduceat(np.vstack([deltas, counts * deltas]), starts, axis=1)
     if net.any():
         raise AssertionError(

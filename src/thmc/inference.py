@@ -16,6 +16,8 @@ fiber; the fiber is checked once per chain.
 from __future__ import annotations
 
 import math
+import numbers
+import random
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
@@ -211,7 +213,7 @@ def _pinv(a: np.ndarray) -> np.ndarray:
     """The pseudo-inverse ``numpy.linalg.pinv(a, rcond=1e-12)`` of a real
     square matrix, without the wrapper's argument handling.
 
-    The steps are numpy's (1.24 to 2.x): the thin SVD, the cutoff at 1e-12
+    The steps are numpy's (2.x): the thin SVD, the cutoff at 1e-12
     times the largest singular value, the reciprocals of the values above
     it and zeros for the rest, then ``vt.T @ (s[:, None] * u.T)``.
     Following them exactly keeps every fit bit-identical.
@@ -367,13 +369,14 @@ class _Chain:
     with one state when the caller also asks for the tables.  A walk takes
     exactly the steps it is asked for, so one that ends mid-block (a
     burn-in, or a whole chain) leaves the rest of the block to the next
-    walk with the same generator.
+    walk with the same generator.  ``rng``, a ``random.Random``, gives the
+    proposal blocks and each MH acceptance draw (``rng.random()``).
     """
 
     def __init__(
         self,
         evaluator: _LikelihoodRatioEvaluator,
-        rng: np.random.Generator,
+        rng: random.Random,
         sampler: ProposalSampler,
     ) -> None:
         self.evaluator = evaluator
@@ -403,7 +406,7 @@ class _Chain:
         ``tables``.  A move accepted at the first step leaves a run of
         length 0."""
         rng, counts, value = self.rng, self.counts, self.evaluator.value
-        span, random, lgamma, exp = self.sampler.span, rng.random, math.lgamma, math.exp
+        span, uniform, lgamma, exp = self.sampler.span, rng.random, math.lgamma, math.exp
         top = 1 << (self.evaluator.table.T - 1)
         k, L = self.k, self.L
         accepted = nulls = 0
@@ -439,7 +442,7 @@ class _Chain:
                         if code < top:
                             shift += delta
                     else:
-                        if log_ratio < 0 and random() >= exp(log_ratio):
+                        if log_ratio < 0 and uniform() >= exp(log_ratio):
                             continue
                         for code, new in changes:
                             if new:
@@ -543,6 +546,19 @@ class _Chain:
 _STREAM_STEPS = 4096
 
 
+def _checked_seed(seed: int) -> int:
+    """``seed`` as an int; raise unless it is a nonnegative integer.
+
+    ``random.Random`` would take a float, a string or a bool, and gives -s
+    the stream of s, so the chains check their seeds themselves.
+    """
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral):
+        raise TypeError(f"seed must be an int, got {seed!r}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+    return int(seed)
+
+
 def mh_chain(
     start: PathTable,
     steps: int,
@@ -554,7 +570,10 @@ def mh_chain(
 
     Rejected and null proposals repeat the current state; the transition
     statistic is constant along the chain and is checked once the stream
-    is exhausted.  Identical inputs give an identical stream.
+    is exhausted.  The chain draws from ``random.Random(seed)``, so
+    identical inputs give an identical stream; ``seed`` is a nonnegative
+    int (``ValueError`` if negative, ``TypeError`` if not an int or a
+    bool), or None for fresh entropy.
     """
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
@@ -562,7 +581,7 @@ def mh_chain(
         raise ValueError(f"burnin must be >= 0, got {burnin}")
     chain = _Chain(
         _LikelihoodRatioEvaluator(start),
-        np.random.default_rng(seed),
+        random.Random(None if seed is None else _checked_seed(seed)),
         ProposalSampler(start.T, weights),
     )
     chain.walk(burnin)
@@ -625,6 +644,13 @@ def exact_test(
     independent chains, run one after another and pooled in chain index
     order; diagnostics cover the post-burn-in phase.  The chains share one
     proposal sampler, and with it its lookup tables.
+
+    One chain draws from ``random.Random(seed)``; with more, chain i draws
+    from ``random.Random(f"{seed}/{i}")``, which does not depend on the
+    number of chains, and only the first ``min(chains, steps)`` chains,
+    those that get a sample, are seeded.  ``seed`` is a nonnegative int:
+    ``ValueError`` if it is negative, ``TypeError`` if it is not an int or
+    is a bool.
     """
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
@@ -632,16 +658,16 @@ def exact_test(
         raise ValueError(f"burnin must be >= 0, got {burnin}")
     if chains < 1:
         raise ValueError(f"chains must be >= 1, got {chains}")
+    seed = _checked_seed(seed)
     sampler = ProposalSampler(table.T, weights)
     evaluator = _LikelihoodRatioEvaluator(table)
     L_obs = evaluator.L
 
-    # Chains past the steps-th get no sample; spawned child i ignores the count.
+    # Chains past the steps-th get no sample, so they are not seeded.
     if chains == 1:
-        rngs = [np.random.default_rng(seed)]
+        rngs = [random.Random(seed)]
     else:
-        spawned = np.random.SeedSequence(seed).spawn(min(chains, steps))
-        rngs = [np.random.default_rng(s) for s in spawned]
+        rngs = [random.Random(f"{seed}/{i}") for i in range(min(chains, steps))]
     base, rem = divmod(steps, len(rngs))
 
     runs: list[tuple[float, int]] = []

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import random
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, lru_cache
@@ -604,13 +605,17 @@ class ProposalSampler:
     coded, that the family's constructor builds from the same draw.
 
     Proposals are drawn in blocks of ``_BLOCK`` (2,048) from one
-    generator: one ``random`` call picks the block's families, then one
-    ``integers`` call per family drawn fills that family's rows, parameter
-    slots and sign slot together.  Each draw keeps the law above,
-    independent of the others, so only the random stream differs from
-    drawing one proposal at a time; a seed gives other proposals than in
-    versions that drew them one by one, in blocks of 256 or 1,024, or
-    each path state as a fair-bit slot of its own.
+    ``random.Random``: :func:`thmc._decode.uniforms` picks the block's
+    families from 53-bit doubles, then one :func:`thmc._decode.bounded`
+    call per family drawn fills that family's rows, parameter slots and
+    sign slot together, each slot exactly uniform by masked rejection.
+    Both read the generator's ``randbytes`` as explicitly little-endian
+    words, so the stream does not depend on the machine's byte order.
+    Each draw keeps the law above, independent of the others, so only the
+    random stream differs from drawing one proposal at a time; a seed
+    gives other proposals than in versions that drew them one by one, in
+    blocks of 256 or 1,024, each path state as a fair-bit slot of its own,
+    or from a numpy ``Generator``.
     :meth:`sample` returns the next unused proposal of the current block;
     :meth:`span` hands out the unused draws as positions in the block
     itself, which is how the MH chain reads them.  A call with
@@ -665,9 +670,9 @@ class ProposalSampler:
         # first unused draw, and the generator it was drawn from.
         self._block: object = []
         self._next = 0
-        self._block_rng: Optional[np.random.Generator] = None
+        self._block_rng: Optional[random.Random] = None
 
-    def sample(self, rng: np.random.Generator) -> Optional[Proposal]:
+    def sample(self, rng: random.Random) -> Optional[Proposal]:
         """The next proposal from ``rng``: the draw :meth:`span` hands out,
         as ``(entries, sign)``, or None for a null draw."""
         block, slot, _ = self.span(rng, 1)
@@ -680,7 +685,7 @@ class ProposalSampler:
         lo, hi, sign = int(bounds[row]), int(bounds[row + 1]), int(signs[slot])
         return tuple(zip(codes[lo:hi].tolist(), (deltas[lo:hi] * sign).tolist())), sign
 
-    def span(self, rng: np.random.Generator, m: int) -> tuple[object, int, int]:
+    def span(self, rng: random.Random, m: int) -> tuple[object, int, int]:
         """Hand out the next unused draws of ``rng``'s block, at most ``m``
         (at least 1): the block and the positions ``start`` to ``stop - 1``
         of the draws.  A new block is drawn when the current one is spent
@@ -691,15 +696,17 @@ class ProposalSampler:
         self._next = min(start + m, _BLOCK)
         return self._block, start, self._next
 
-    def _draw_block(self, rng: np.random.Generator) -> None:
+    def _draw_block(self, rng: random.Random) -> None:
         """Draw the next ``_BLOCK`` proposals from ``rng``."""
-        fams = np.searchsorted(self._bounds, rng.random(_BLOCK), side="right")
+        from ._decode import bounded, uniforms
+
+        fams = np.searchsorted(self._bounds, uniforms(rng, _BLOCK), side="right")
         drawn = []
         for i, fam in enumerate(FAMILIES):
             slots = np.flatnonzero(fams == i)
             if len(slots):
                 highs = self._highs[fam]
-                draws = rng.integers(0, highs, size=(len(slots), len(highs)))
+                draws = bounded(rng, highs, len(slots))
                 drawn.append((fam, slots, draws))
         tables = self._tables
         if tables is None:

@@ -10,6 +10,7 @@ docstrings give the evidence.
 
 import itertools
 import math
+import random
 import time
 
 import numpy as np
@@ -472,7 +473,7 @@ class TestCriterion7:
         checked = 0
         for T in range(4, 9):
             config = configuration(T, Variant.WITHOUT_INITIAL)
-            rng = np.random.default_rng(100 + T)
+            rng = random.Random(100 + T)
             for fam in Family:
                 sampler = ProposalSampler(T, {fam: 1.0})
                 for _ in range(self.DRAWS_PER_FAMILY):

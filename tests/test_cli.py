@@ -423,25 +423,26 @@ class TestCmdTest:
         assert json.loads(out.read_text())["samples"] == 300
 
 
-    # Chain-derived fields of seeded runs, recorded when proposal blocks
-    # grew from 1,024 to 2,048 draws and each whole path became one
-    # uniform code; they pin the random stream.
+    # Chain-derived fields of seeded runs, recorded when the chains began
+    # to draw from random.Random in place of a numpy Generator; they pin
+    # the random stream.
     # L and p_asymptotic come from BLAS-dependent fits and are not pinned.
     # The histogram digests are of the counts column when every bin from 0
     # up was listed; the file now lists occupied bins only, so the test puts
-    # the empty bins back before hashing.
+    # the empty bins back before hashing.  The ids name the cases, so a
+    # new pin leaves the test names as they are.
     @pytest.mark.parametrize("case, args, fields, hist_digest", [
         ("klotz", ["--map", "M=1,F=2", "--seed", "7"],
-         (0.8077, 0.2136, 0.7202),
-         "5ed9f961b45813fa8f48b9389e8a11d47f2341cac6f4769a1a178bb28503dc01"),
+         (0.7797, 0.2143, 0.7194),
+         "f325ec6317d3f8363419df0fe97baa0af90f6718264af8d84c99e99c1bdeff0c"),
         ("random-T6", ["--samples", "3000", "--burnin", "500", "--seed", "11"],
-         (0.23433333333333334, 0.067, 0.6403333333333333),
-         "d5f02228532b41460ec1f9ae17f0849ec1b4a33b2f5936123b3ca107b0bbb801"),
+         (0.5086666666666667, 0.05, 0.6406666666666667),
+         "40a5ef9aec9e503d1620f11a291be6ffeb0ac579abb94075db0f39996cffb8bf"),
         ("klotz-chains", ["--map", "M=1,F=2", "--seed", "7", "--chains", "3",
                           "--samples", "3000"],
-         (0.94, 0.21033333333333334, 0.7226666666666667),
-         "84347759be9b3d26daa289bf1cd9169932c266d01bf3f1cd0ce90d38313e3bf3"),
-    ])
+         (0.867, 0.21233333333333335, 0.7153333333333334),
+         "e76cc40cfbc22330d1402a2c1c3dc635b002de4f62c49ea32cc2df691254a31c"),
+    ], ids=["klotz", "random-T6", "klotz-chains"])
     def test_seeded_chain_fields(self, runner, tmp_path, case, args, fields,
                                  hist_digest):
         if case == "random-T6":
@@ -472,24 +473,25 @@ class TestCmdTest:
         counts = ",".join(occupied.get(i, "0") for i in range(max(occupied) + 1))
         assert hashlib.sha256(counts.encode()).hexdigest() == hist_digest
 
-    # sha256 of the whole JSON and histogram files, recorded when proposal
-    # blocks grew from 1,024 to 2,048 draws and each whole path became one
-    # uniform code.  The input is named by a relative
+    # sha256 of the whole JSON and histogram files, recorded when the
+    # chains began to draw from random.Random in place of a numpy
+    # Generator.  The input is named by a relative
     # path, so every byte is fixed; the cases cover non-uniform weights and
     # chains that share one sampler.  The input is the Klotz table unless
     # the case names another: t12.csv holds 30 seeded paths at T=12, above
     # the sampler's enumeration cap, so its blocks are decoded as drawn.
+    # The ids name the cases, so a new pin leaves the test names as they are.
     @pytest.mark.parametrize("args, json_digest, hist_digest", [
         (["--weights", "type2=0.5,deg3-sliding=0.5", "--seed", "3"],
-         "a85b2acc3caf7b7a6e4d842a01bcc245351e7d8b1881990a629e702530dc8710",
-         "7c1a310e0201e2e9c339ccf8e317905e63748cd4a2518c7ad7ad6deda2adc8c0"),
+         "92226813710dc77301f6b8ff26f8bd0b7df856ed5b1edd4615c298a4b991ebed",
+         "3a6d0fd823b655be0313c2747eb77f9e7e794483470f4e1e3be45d16e9b95955"),
         (["--chains", "2", "--seed", "5"],
-         "499788c7bbb6d7abe9eee33db69c5fa1e723d0332565307a62459e55cd6adcbc",
-         "54c2b0f52e4d496ad7e0156633aa96c0880da32e50077a97d04a5f6c7454eca4"),
+         "912d25fd24ea3a97e3c4d47e8756e58e3c3be24ca0c5bb370323954ffdfa8236",
+         "340bc84ff0b294b144acfadb5e3f13f81d13cdabf1af8946aecdbaa94c4f63b8"),
         (["--input", "t12.csv", "--seed", "7"],
-         "d74913fbb3de5f594d5738db0d559c3a981334af0c4be6d15fca4a5f2bab9ceb",
-         "191d113a5a0a74894fb37c863acf9139be704334762776180931595b67bb4838"),
-    ])
+         "01644e689644b1006f478d3cd59f6713532c48a24461185ef89c337ce6fcffe7",
+         "51dae386614ad9c5912c34da6a1991a401aa8c98580b4e587ada35dde036d8a4"),
+    ], ids=["klotz-weights", "klotz-chains", "t12"])
     def test_seeded_output_bytes(self, runner, tmp_path, args, json_digest,
                                  hist_digest):
         if "--input" not in args:
@@ -997,3 +999,34 @@ class TestRuntimeDependencies:
             check=True,
         )
         assert out.stdout.strip() == "[]"
+
+    # The chains draw from random.Random, so no command imports numpy.random,
+    # whose import costs a fresh process some 10 ms and 5 MiB.
+    def test_commands_import_no_numpy_random(self, tmp_path):
+        t12 = tmp_path / "t12.csv"
+        t12.write_text(serialize_table(random_table(np.random.default_rng(12), 12, 30)))
+        commands = [
+            ["test", "--input", str(klotz_path()), "--map", "M=1,F=2",
+             "--output", str(tmp_path / "klotz.json")],
+            ["test", "--input", str(t12), "--output", str(tmp_path / "t12.json")],
+            ["verify-basis", "--T", "5", "--n-max", "4"],
+        ]
+        code = (
+            "import json, sys\n"
+            "from thmc.cli import main\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    try:\n"
+            "        main(argv)\n"
+            "    except SystemExit as exc:\n"
+            "        print(exc.code, 'numpy.random' in sys.modules)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(thmc.__file__).parents[1]))
+        out = subprocess.run(
+            [sys.executable, "-c", code, json.dumps(commands)], env=env,
+            capture_output=True, text=True, check=True,
+        )
+        assert out.stdout.splitlines() == [
+            "0 False", "0 False",
+            "checked 895 fibers at T=5, n<=4: 0 disconnected", "0 False",
+        ]
+        assert json.loads((tmp_path / "t12.json").read_text())["T"] == 12

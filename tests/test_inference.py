@@ -426,19 +426,20 @@ class TestMhChain:
         assert np.abs(flow - flow.T).max() < 1e-15
         assert np.abs(pi @ P - pi).max() < 1e-12
 
-    # sha256 over "table_text\tL" lines of the stream, recorded when
-    # proposal blocks grew from 1,024 to 2,048 draws and each whole path
-    # became one uniform code; pins both the random stream and every L
+    # sha256 over "table_text\tL" lines of the stream, recorded when the
+    # chains began to draw from random.Random in place of a numpy
+    # Generator; pins both the random stream and every L
     # value bit for bit.  The T=9 table lies above the sampler's
-    # enumeration cap, so its proposals are decoded block by block.
+    # enumeration cap, so its proposals are decoded block by block.  The
+    # ids name the cases, so a new pin leaves the test names as they are.
     @pytest.mark.parametrize("start, kwargs, digest", [
         ("klotz", dict(steps=3000, burnin=500, seed=0),
-         "ccc2a0c73a33cb91f48a81159ec23b1ef2f395d7e354c7706ee2418a17a16e41"),
+         "19524d35f1f7c7e270913fc5f8b549cdbdd98222282a7b9cab22c0bf62a25499"),
         ("two-element", dict(steps=20_000, seed=0),
-         "b3a631e045ec70205e5c8d285d56d959679719952ce1a0ab00f678de7c151693"),
+         "3b1853d2809c428061801a9dccf9f316417fcd4d1e5f0c188d79cdcc0ad06097"),
         ("random-T9", dict(steps=3000, burnin=500, seed=0),
-         "4c2931b85307e620a22af4ba4f8c6259d5a855fcbfec61f3b80dfe39016a446c"),
-    ])
+         "bdd045b47229aa4ee288414029857384e2082a7c23d89cd5c9617f22fb948cc5"),
+    ], ids=["klotz", "two-element", "random-T9"])
     def test_stream_digest(self, klotz, start, kwargs, digest):
         table = {
             "klotz": klotz,
@@ -465,6 +466,17 @@ class TestMhChain:
         with pytest.raises(ValueError):
             list(mh_chain(start, steps=1, burnin=-1))
 
+    # random.Random takes all of these, and gives -1 the stream of 1.
+    @pytest.mark.parametrize("seed, error", [
+        (-1, ValueError), (1.0, TypeError), ("3", TypeError), (False, TypeError),
+    ])
+    def test_seed_must_be_a_nonnegative_int(self, seed, error):
+        with pytest.raises(error, match="seed"):
+            next(mh_chain(TWO_ELEMENT_START, steps=10, seed=seed))
+
+    def test_no_seed_draws_from_fresh_entropy(self):
+        assert len(list(mh_chain(TWO_ELEMENT_START, steps=50, seed=None))) == 50
+
 
 def one_step_test(table, steps, burnin, seed, chains):
     """``exact_test``'s chain-derived fields, recomputed one proposal at a
@@ -474,10 +486,9 @@ def one_step_test(table, steps, burnin, seed, chains):
     initial-state-1 count."""
     sampler = ProposalSampler(table.T)
     if chains == 1:
-        rngs = [np.random.default_rng(seed)]
+        rngs = [random.Random(seed)]
     else:
-        spawned = np.random.SeedSequence(seed).spawn(min(chains, steps))
-        rngs = [np.random.default_rng(s) for s in spawned]
+        rngs = [random.Random(f"{seed}/{i}") for i in range(min(chains, steps))]
     base, rem = divmod(steps, len(rngs))
     L_of_k: dict[int, float] = {}
     values: list[float] = []
@@ -561,23 +572,24 @@ class TestExactTest:
     # Only the first min(chains, steps) chains get a sample, so only those
     # are seeded: seeding 10**9 chains would allocate for minutes first.
     def test_chains_past_the_steps_not_seeded(self, klotz, monkeypatch):
-        spawned = []
+        seeded = []
+        Random = random.Random
 
-        class Recorded(np.random.SeedSequence):
-            def spawn(self, n):
-                spawned.append(n)
-                if n > 5:
-                    raise AssertionError(f"seeded {n} chains for 5 samples")
-                return super().spawn(n)
+        def recorded(seed):
+            seeded.append(seed)
+            if len(seeded) > 5:
+                raise AssertionError(f"seeded {len(seeded)} chains for 5 samples")
+            return Random(seed)
 
-        monkeypatch.setattr(np.random, "SeedSequence", Recorded)
+        monkeypatch.setattr(random, "Random", recorded)
         many = exact_test(klotz, steps=5, burnin=0, seed=2, chains=10**9)
-        assert spawned == [5]
+        monkeypatch.undo()
+        assert seeded == [f"2/{i}" for i in range(5)]
         assert many == exact_test(klotz, steps=5, burnin=0, seed=2, chains=5)
 
-    # Spawned child i does not depend on the spawn count; one chain draws
-    # from the seed itself.  At seed 2 the first draws of the spawned
-    # chains and of the seed's own generator give different diagnostics.
+    # Chain i's seed does not depend on the number of chains; one chain
+    # draws from the seed itself.  At seed 2 the first draws of the chains
+    # and of the seed's own generator give different diagnostics.
     def test_more_chains_than_steps_keep_the_stream(self, klotz):
         five = exact_test(klotz, steps=3, burnin=0, seed=2, chains=5)
         assert five == exact_test(klotz, steps=3, burnin=0, seed=2, chains=3)
@@ -626,7 +638,7 @@ class TestExactTest:
     # visits; the count depends on the random stream.
     def test_klotz_fits_once_per_initial_count(self, klotz, call_counts):
         exact_test(klotz, seed=7)
-        assert call_counts["fit_mle"] == 19
+        assert call_counts["fit_mle"] == 21
 
     def test_klotz_checks_the_statistic_once(self, klotz, call_counts):
         # once for the fiber's statistic, once for the chain's final counts
@@ -690,6 +702,20 @@ class TestExactTest:
             exact_test(klotz, steps=0)
         with pytest.raises(ValueError):
             exact_test(klotz, steps=10, chains=0)
+
+    # random.Random takes all of these, and gives -1 the stream of 1.
+    @pytest.mark.parametrize("seed, error", [
+        (-1, ValueError), (1.0, TypeError), ("3", TypeError), (True, TypeError),
+        (None, TypeError),
+    ])
+    def test_seed_must_be_a_nonnegative_int(self, klotz, seed, error):
+        with pytest.raises(error, match="seed"):
+            exact_test(klotz, steps=10, burnin=0, seed=seed)
+
+    def test_numpy_integer_seed_is_its_int(self, klotz):
+        result = exact_test(klotz, steps=50, burnin=0, seed=np.int64(4))
+        assert result == exact_test(klotz, steps=50, burnin=0, seed=4)
+        assert type(result.seed) is int
 
 
 def seeded_paths(T: int, n: int) -> PathTable:
@@ -757,14 +783,14 @@ class TestScreenedWalk:
         if chains == 1:
             seeds = [seed]
         else:
-            seeds = np.random.SeedSequence(seed).spawn(chains)
+            seeds = [f"{seed}/{i}" for i in range(chains)]
         records = []
         for walk in (inference._Chain.walk, reference_walk):
             sampler = ProposalSampler(table.T)
             evaluator = inference._LikelihoodRatioEvaluator(table)
             record = []
             for s in seeds:
-                chain = inference._Chain(evaluator, np.random.default_rng(s), sampler)
+                chain = inference._Chain(evaluator, random.Random(s), sampler)
                 for steps, with_runs, with_tables in plan:
                     runs = [] if with_runs else None
                     tables = [] if with_tables else None
@@ -808,7 +834,7 @@ class TestScreenedWalk:
         table = seeded_paths(7, 60)
         chain = inference._Chain(
             inference._LikelihoodRatioEvaluator(table),
-            np.random.default_rng(2),
+            random.Random(2),
             ProposalSampler(table.T),
         )
         reference_walk(chain, 300)

@@ -1,6 +1,7 @@
 import itertools
 import math
 import os
+import random
 import subprocess
 import sys
 import textwrap
@@ -436,41 +437,52 @@ class TestEnumeration:
                 assert rebuilt.degree == m.degree
 
 
-class RecordingRng:
-    """A Generator stand-in that records the highs and rows of every
-    ``integers`` call.
+class RecordingRng(random.Random):
+    """A ``random.Random`` whose block draws are recorded: the highs and
+    rows of every :func:`thmc._decode.bounded` call made with it, while
+    ``TestProposalSampler``'s fixture wraps the draw helpers.
 
-    ``random(size)`` returns ``u`` in every entry when one is given, so a
-    test can pick the family slice the draws land in.
+    With ``u``, :func:`thmc._decode.uniforms` returns ``u`` in every entry,
+    so a test can pick the family slice the draws land in.
     """
 
     def __init__(self, seed: int, u: float | None = None) -> None:
-        self.rng = np.random.default_rng(seed)
+        super().__init__(seed)
         self.u = u
         self.highs: list = []
         self.rows: list = []
 
-    def random(self, size=None):
-        if self.u is None:
-            return self.rng.random(size)
-        return np.full(size, self.u) if size is not None else self.u
-
-    def integers(self, low, high, size=None):
-        rows = self.rng.integers(low, high, size=size)
-        self.highs.append(high)
-        self.rows.append(rows)
-        return rows
-
 
 def drawn_families(sampler: ProposalSampler, rng: RecordingRng) -> list[Family]:
-    """The family of each ``integers`` call, one call per family and block."""
+    """The family of each ``bounded`` call, one call per family and block."""
     return [next(f for f in Family if sampler._highs[f] is h) for h in rng.highs]
 
 
 class TestProposalSampler:
+    @pytest.fixture(autouse=True)
+    def record_draws(self, monkeypatch):
+        """Wrap the sampler's draw helpers so a ``RecordingRng`` records
+        its draws and may fix its uniforms."""
+        bounded, uniforms = _decode.bounded, _decode.uniforms
+
+        def recorded(rng, highs, m):
+            rows = bounded(rng, highs, m)
+            if isinstance(rng, RecordingRng):
+                rng.highs.append(highs)
+                rng.rows.append(rows)
+            return rows
+
+        def fixed(rng, n):
+            if isinstance(rng, RecordingRng) and rng.u is not None:
+                return np.full(n, rng.u)
+            return uniforms(rng, n)
+
+        monkeypatch.setattr(_decode, "bounded", recorded)
+        monkeypatch.setattr(_decode, "uniforms", fixed)
+
     def test_top_of_unit_interval_draws_last_family(self):
         # The default weights add up to 1 - 2**-53, the largest value
-        # random() returns, so that draw lies on the last cumulative bound.
+        # uniforms() returns, so that draw lies on the last cumulative bound.
         sampler = ProposalSampler(4)
         assert np.cumsum(sampler.weights)[-1] == np.nextafter(1.0, 0.0)
         rng = RecordingRng(0, u=np.nextafter(1.0, 0.0))
@@ -529,14 +541,14 @@ class TestProposalSampler:
         # the proposals depend only on the seeds and the order of calls.
         def run():
             sampler = ProposalSampler(4)
-            rngs = np.random.default_rng(1), np.random.default_rng(2)
+            rngs = random.Random(1), random.Random(2)
             order = [0, 1, 1, 0, 0, 0, 1] * 40
             return [sampler.sample(rngs[i]) for i in order]
 
         first, second = run(), run()
         assert first == second
         # The first call with the second generator starts from its seed.
-        assert first[1] == ProposalSampler(4).sample(np.random.default_rng(2))
+        assert first[1] == ProposalSampler(4).sample(random.Random(2))
         assert sum(p is not None for p in first) > 20
 
     @pytest.mark.parametrize("T", [3, 4, 5, 6])
@@ -545,7 +557,7 @@ class TestProposalSampler:
         # Without its lookup tables a sampler decodes every block, as above
         # the cap.
         fresh._tables = None
-        rng_tabled, rng_fresh = RecordingRng(T), np.random.default_rng(T)
+        rng_tabled, rng_fresh = RecordingRng(T), random.Random(T)
         for _ in range(20_000):
             assert tabled.sample(rng_tabled) == fresh.sample(rng_fresh)
         # Every family with moves at T gave a proposal.
@@ -581,13 +593,13 @@ class TestProposalSampler:
 
         monkeypatch.setattr(moves, "_lookup_table", no_table)
         sampler = ProposalSampler(T)
-        rng = np.random.default_rng(T)
+        rng = random.Random(T)
         for _ in range(5_000):
             sampler.sample(rng)
         assert sampler._tables is None
 
     def test_sign_is_fair(self):
-        rng = np.random.default_rng(1)
+        rng = random.Random(1)
         sampler = ProposalSampler(4)
         signs = []
         for _ in range(100_000):
@@ -598,7 +610,7 @@ class TestProposalSampler:
         assert abs(frac - 0.5) < 0.01
 
     def test_validity_over_draws_T4(self):
-        rng = np.random.default_rng(2)
+        rng = random.Random(2)
         sampler = ProposalSampler(4)
         seen = 0
         for _ in range(100_000):
@@ -613,7 +625,7 @@ class TestProposalSampler:
         assert seen > 10_000
 
     def test_indispensable_move_is_reachable_at_T3(self):
-        rng = np.random.default_rng(3)
+        rng = random.Random(3)
         target = coded(deg3_sliding(3, 1, 1, 1))
         weights = {Family.DEG3_SLIDING: 1.0}
         sampler = ProposalSampler(3, weights)
@@ -625,7 +637,7 @@ class TestProposalSampler:
 
     def test_symmetric_distribution_over_signed_moves(self):
         # q(z) = q(-z): for every unsigned move, +1 and -1 draws should balance
-        rng = np.random.default_rng(4)
+        rng = random.Random(4)
         sampler = ProposalSampler(3)
         tallies: dict = {}
         for _ in range(60_000):
@@ -682,7 +694,7 @@ class TestProposalSampler:
 
     def test_initial_shift_split_by_family(self):
         # A proposal names no family, so each family is drawn alone.
-        rng = np.random.default_rng(5)
+        rng = random.Random(5)
         for fam in Family:
             sampler = ProposalSampler(5, {fam: 1.0})
             shifts = set()
@@ -700,12 +712,20 @@ class TestProposalSampler:
             ProposalSampler(moves.MAX_SAMPLER_T + 1)
         assert "\n" not in str(info.value)
         sampler = ProposalSampler(moves.MAX_SAMPLER_T)
-        rng = np.random.default_rng(0)
+        rng = RecordingRng(0)
         props = [p for p in (sampler.sample(rng) for _ in range(256)) if p]
         for entries, _ in props:
             pos, neg = entries_stats(moves.MAX_SAMPLER_T, entries)
             assert pos == neg
         assert props
+        # Whole paths are codes up to 2**62, so the block takes 64-bit
+        # words: a 32-bit word could give no path code past 2**32.
+        for highs, rows in zip(rng.highs, rng.rows):
+            assert rows.dtype == np.int64 and ((rows >= 0) & (rows < highs)).all()
+        crossing = drawn_families(sampler, rng).index(Family.CROSSING)
+        assert rng.rows[crossing][:, :2].max() >= 1 << 32
+        _, codes, _, _, _ = sampler._block
+        assert ((codes >= 0) & (codes < 1 << moves.MAX_SAMPLER_T)).all()
 
 
 class FairBitOracle:
@@ -963,3 +983,85 @@ class TestDecoder:
         assert len(lines) == 3 and lines[0] == "optimize 1"
         assert "codes out of order" in lines[1]
         assert "transition statistic" in lines[2]
+
+
+class WordStream:
+    """A ``random.Random`` stand-in whose ``randbytes`` hands out the given
+    words, one list per call, as little-endian words of ``size`` bytes; it
+    records the number of bytes each call asks for."""
+
+    def __init__(self, *calls, size: int = 4) -> None:
+        self.calls = list(calls)
+        self.size = size
+        self.asked: list[int] = []
+
+    def randbytes(self, n: int) -> bytes:
+        self.asked.append(n)
+        words = self.calls.pop(0)
+        assert n == self.size * len(words)
+        return np.array(words, dtype=f"<u{self.size}").tobytes()
+
+
+class TestDraws:
+    """The sampler's draw helpers, on crafted and on every word."""
+
+    def test_uniforms_are_the_top_53_bits(self):
+        words = WordStream([0, 1 << 11, 2**64 - 1, 3 << 62], size=8)
+        got = _decode.uniforms(words, 4)
+        assert got.tolist() == [0.0, 2.0**-53, 1 - 2.0**-53, 0.75]
+        assert words.asked == [32]
+
+    def test_rejected_cells_are_drawn_again_in_place(self):
+        # Highs 3, 2 and 5 mask the words to 2, 1 and 3 bits.  Round one
+        # leaves cell (0, 0) at 3 and cell (1, 2) at 7; round two draws
+        # both again, in row-major order, and keeps (1, 2) out of range;
+        # round three draws (1, 2) alone.  No other cell moves.
+        highs = np.array([3, 2, 5])
+        words = WordStream(
+            [0xFFFF_FFFF, 0xFFFF_FFFE, 0x0000_0104, 0x0000_0002, 0x0000_0001, 0xFFFF_FFFF],
+            [0x0000_0005, 0x0000_000E],
+            [0x0000_00F9],
+        )
+        cells = _decode.bounded(words, highs, 2)
+        assert cells.dtype == np.int64
+        assert cells.tolist() == [[1, 0, 4], [2, 1, 1]]
+        assert words.asked == [24, 8, 4] and not words.calls
+
+    def test_no_redraw_when_every_cell_fits(self):
+        highs = np.array([4, 2, 1])
+        words = WordStream([7, 3, 9, 4, 2, 8])
+        assert _decode.bounded(words, highs, 2).tolist() == [[3, 1, 0], [0, 0, 0]]
+        assert words.asked == [24]
+
+    @pytest.mark.parametrize("high", [math.comb(7, 3), 7 - 2, 2, 1, 8])
+    def test_every_pair_of_words_gives_an_exactly_uniform_law(self, high):
+        # Every pair (w1, w2) of words one bit wider than the mask: w1 is
+        # the cell's first word, w2 the word it takes if w1 is out of
+        # range.  Among the pairs that end within these two rounds each
+        # value below the high comes up equally often, so the law of the
+        # cell is exactly uniform; a third word (0) ends the rest.
+        span = 2 << max(high - 1, 0).bit_length()
+        first, second = np.divmod(np.arange(span * span), span)
+        mask = span // 2 - 1
+        again = (first & mask) >= high
+        rest = (second[again] & mask) >= high
+        calls = [first, second[again], np.zeros(rest.sum(), dtype=np.int64)]
+        words = WordStream(*(c.tolist() for c in calls if len(c)))
+        cells = _decode.bounded(words, np.array([high]), span * span)[:, 0]
+        assert not words.calls
+        ended = np.ones(len(cells), dtype=bool)
+        ended[np.flatnonzero(again)[rest]] = False
+        counts = Counter(cells[ended].tolist())
+        assert sorted(counts) == list(range(high))
+        assert len(set(counts.values())) == 1
+
+    @pytest.mark.parametrize("T, size", [(32, 4), (33, 8), (moves.MAX_SAMPLER_T, 8)])
+    def test_word_width_follows_the_largest_high(self, T, size):
+        # Up to highs of 2**32 the words are 32-bit, past them 64-bit; at
+        # MAX_SAMPLER_T the top words give path codes of 2**62 - 1.
+        highs = _decode.Decoder(T).highs[Family.CROSSING]
+        top = (1 << 8 * size) - 1
+        words = WordStream([top, top, 1, 0], size=size)
+        cells = _decode.bounded(words, highs, 1)
+        assert cells.tolist() == [[(1 << T) - 1, (1 << T) - 1, 1, 0]]
+        assert words.asked == [4 * size]
