@@ -54,7 +54,7 @@ def _fibers(rows: np.ndarray, keys: np.ndarray, weights: np.ndarray, base: int) 
     order = np.argsort(keys[::-1], kind="stable")
     np.subtract(len(order) - 1, order, out=order)
     ordered = keys[order]
-    starts = np.flatnonzero(np.append(True, ordered[1:] != ordered[:-1]))
+    starts = _heads(ordered)
     fiber_stats = (ordered[starts, None].astype(np.int64) // weights) % base
     return rows[order], starts, tuples(fiber_stats)
 
@@ -76,9 +76,14 @@ def _distinct(values: np.ndarray) -> np.ndarray:
     """The distinct values, ascending; ``np.unique`` would import
     ``numpy.ma``, about 1.6 MiB."""
     values = np.sort(values, axis=None)
-    keep = np.ones(len(values), dtype=bool)
-    np.not_equal(values[1:], values[:-1], out=keep[1:])
-    return values[keep]
+    return values[_heads(values)]
+
+
+def _heads(keys: np.ndarray) -> np.ndarray:
+    """The index of the first of each value of the sorted ``keys``."""
+    head = np.ones(len(keys), dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=head[1:])
+    return np.flatnonzero(head)
 
 
 def _ranges(low: np.ndarray, fan: np.ndarray) -> np.ndarray:
@@ -137,7 +142,7 @@ def mapped(moves: Sequence[np.ndarray], reps: np.ndarray) -> dict[int, Mapped]:
         ids = ids[(ids[:, :d] < len(reps)).all(axis=1)].astype(np.min_scalar_type(len(reps)))
         if len(ids):
             keys = _keys(ids[:, :d], len(reps) + 1)
-            start = np.flatnonzero(np.append(True, keys[1:] != keys[:-1]))
+            start = _heads(keys)
             out[d] = keys[start], np.append(start, len(keys)), ids[:, d:]
     return out
 
@@ -251,13 +256,16 @@ def counts(multisets: np.ndarray, size: np.ndarray) -> np.ndarray:
     """The table count of each class multiset, ``prod_c C(|c| + k_c - 1,
     k_c)`` for class ``c`` of ``size[c]`` cells held ``k_c`` times, one
     factor ``(|c| + r - 1) / r`` per copy.  Each partial product is whole,
-    and at most n times all tables of n paths: int64 where that fits."""
+    and at most n times all tables of n paths: int64 where that fits.  A
+    class of one cell gives factors of 1 whatever its ``run``, so only the
+    columns where some class has more cells are read; a larger class in a
+    column after one not read starts its run there."""
     count, n = multisets.shape
     cells = int(size.sum())
     fits = math.comb(cells + n, n) * (cells + n) < 2**63
     out = np.ones(count, dtype=np.int64 if fits else object)
     run = np.ones(count, dtype=np.int64)
-    for j in range(n):
+    for j in np.flatnonzero(np.take(size > 1, multisets.T).any(axis=1)):
         if j:
             run = np.where(multisets[:, j] == multisets[:, j - 1], run + 1, 1)
         out = out * (size[multisets[:, j]] + run - 1) // run
@@ -336,7 +344,7 @@ def fiber_group(rows: np.ndarray, index) -> tuple[np.ndarray | None, np.ndarray,
     keys = _keys(ids, len(reps) + 1)
     order = np.argsort(keys, kind="stable")
     keys = keys[order]
-    start = np.flatnonzero(np.append(True, keys[1:] != keys[:-1]))
+    start = _heads(keys)
     by_first = np.argsort(order[start])
     multisets = ids[order[start[by_first]]]
     held = np.diff(np.append(start, len(keys)))[by_first]

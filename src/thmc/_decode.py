@@ -139,10 +139,11 @@ class Decoder:
     """Array decoder of the sampler's parameter draws at one path length.
 
     Per family, a method turns an (m, slots) array of draws (sign slot
-    last, unused here) into the null mask, the path codes of each row and
-    their signs, following the family's constructor; :meth:`merged`
-    merges and checks the rows.  ``highs`` holds the number of values of
-    each slot, and ``strides`` the flat-index weight of each.
+    last, which it does not read) into the null mask, the path codes of
+    each row and their signs, following the family's constructor;
+    :meth:`merged` applies each draw's sign, then merges and checks the
+    rows.  ``highs`` holds the number of values of each slot, and
+    ``strides`` the flat-index weight of each.
 
     A whole path of a type I, crossing or type II draw, and each context
     of a type IV draw, is one slot: the code of its L states, uniform in
@@ -217,7 +218,8 @@ class Decoder:
         """The rows of ``parts``, (family, draws) pairs whose rows are
         numbered through the parts in order, that give a move: their
         numbers, their ``(code, delta)`` entries' codes and deltas, flat and
-        by code within a row, and the first entry of each row.  A null draw,
+        by code within a row, and the first entry of each row.  A draw
+        whose sign slot is 1 gives the negated move.  A null draw,
         or one whose codes all cancel, gives none, and the merged rows are
         checked with :func:`check` before any is returned.  ``numbers``, a
         permutation of the row numbers, renumbers the rows (the sampler
@@ -226,6 +228,7 @@ class Decoder:
         codes = np.full((n, WIDTH), -1, dtype=np.int64)
         deltas = np.zeros((n, WIDTH), dtype=np.int64)
         live = np.zeros(n, dtype=bool)
+        flip = np.zeros(n, dtype=np.int64)
         at = 0
         for fam, draws in parts:
             ok, fam_codes, signs = self._families[fam](draws)
@@ -234,11 +237,13 @@ class Decoder:
             codes[rows, :width] = fam_codes
             deltas[rows, :width] = signs
             live[rows] = ok
+            flip[rows] = draws[:, -1]
             at = end
         index = np.flatnonzero(live)
         if not len(index):
             return index, codes[:0, 0], deltas[:0, 0], index
         codes, deltas, rows = merge(codes[index], deltas[index])
+        deltas *= 1 - 2 * flip[index[rows]]
         starts = np.flatnonzero(np.diff(rows, prepend=-1))
         check(self.T, codes, deltas, starts)
         return index[rows[starts]], codes, deltas, starts

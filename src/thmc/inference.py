@@ -36,7 +36,7 @@ from .core import (
     initial_freq,
     suff_stat,
 )
-from .moves import MAX_SAMPLER_T, Family, Proposal, ProposalSampler
+from .moves import MAX_SAMPLER_T, Family, Proposal, ProposalSampler, proposals
 
 #: Fisher-scoring convergence tolerance on the Birch residual
 #: ||b_obs - n E[b]||_inf, and the iteration budget; both are read at
@@ -416,25 +416,22 @@ class _Chain:
             tables.append(self.table())
         while done < steps:
             block, first, stop = span(rng, steps - done)
-            if isinstance(block, list):
-                block = block[first:stop]
-                nulls += block.count(None)
-                batches: Iterable = (enumerate(block, done),)
+            slots, offset = block[0], done - first
+            row, end = np.searchsorted(slots, (first, stop)).tolist()
+            nulls += stop - first - (end - row)
+            if len(block) == 2:
+                at = (slots[row:end] + offset).tolist()
+                batches: Iterable = (zip(at, block[1][row:end]),)
             else:
-                rows = np.searchsorted(block[0], (first, stop)).tolist()
-                nulls += stop - first - (rows[1] - rows[0])
-                batches = self._fitting(block, *rows, done - first)
+                batches = self._fitting(block, row, end, offset)
             for batch in batches:
                 for i, proposal in batch:
-                    if proposal is None:
-                        continue
-                    entries, sign = proposal
                     changes = []
                     log_ratio = 0.0
                     shift = 0
-                    for code, delta in entries:
+                    for code, delta in proposal:
                         old = counts.get(code, 0)
-                        new = old + sign * delta
+                        new = old + delta
                         if new < 0:
                             break
                         changes.append((code, new))
@@ -451,7 +448,7 @@ class _Chain:
                                 del counts[code]
                         accepted += 1
                         self._last = i
-                        k += sign * shift
+                        k += shift
                         moved_L = value(counts, k)
                         if runs is not None and (tables is not None or moved_L != L):
                             runs.append((L, i - start))
@@ -474,19 +471,19 @@ class _Chain:
 
         ``block`` is the sampler's block above the cap: the draw slot of
         each row, the entries' codes and sign-applied deltas, flat, and the
-        rows' bounds.  A row's step is ``offset`` plus its slot, and its
-        proposal carries the sign-applied deltas with sign +1.  Rows are
+        rows' bounds.  A row's step is ``offset`` plus its slot.  Rows are
         handed out in order until ``_RESCREEN`` rows in a row, counted
         across blocks, have passed with no accepted move; the rest of the
         block is then screened against the counts at once (:meth:`_fits`),
         and only the rows that fit are handed out, one per batch, until one
         is accepted, which voids the screen.  Each batch holds consecutive
-        rows, whose entries are read from the arrays at once.  The screen skips only rows
-        whose proposals the MH step would reject without a random draw, so
-        the walk and its random stream are those of every row handed out.
-        The walk keeps the step of its last accepted move in ``self._last``.
+        rows, whose entries are read from the arrays at once
+        (:func:`thmc.moves.proposals`).  The screen skips only rows whose
+        proposals the MH step would reject without a random draw, so the
+        walk and its random stream are those of every row handed out.  The
+        walk keeps the step of its last accepted move in ``self._last``.
         """
-        slots, codes, deltas, bounds, _ = block
+        slots, codes, deltas, bounds = block
         since = self._since
         while row < end:
             screened = since >= _RESCREEN
@@ -497,19 +494,14 @@ class _Chain:
                 spans = [(row, min(end, row + _RESCREEN - since))]
                 row = spans[0][1]
             for a, b in spans:
-                lo, hi = bounds[a], bounds[b]
-                pairs = list(zip(codes[lo:hi].tolist(), deltas[lo:hi].tolist()))
-                bound, slot = (bounds[a : b + 1] - lo).tolist(), slots[a:b].tolist()
+                at = (slots[a:b] + offset).tolist()
                 last = self._last
-                yield [
-                    (offset + slot[i], (tuple(pairs[bound[i] : bound[i + 1]]), 1))
-                    for i in range(b - a)
-                ]
+                yield list(zip(at, proposals(codes, deltas, bounds[a : b + 1])))
                 if self._last == last:
                     since += b - a
                     continue
                 # Count the rows after the one accepted.
-                since = b - 1 - a - bisect_left(slot, self._last - offset)
+                since = b - 1 - a - bisect_left(at, self._last)
                 if screened:
                     row = b
                     break
@@ -519,7 +511,7 @@ class _Chain:
         """The rows from ``row`` to ``end - 1`` of a decoded block that leave
         every count nonnegative: each entry's code is looked up in the
         sorted codes of the counts, ended by ``_NO_CODE``."""
-        _, codes, deltas, bounds, _ = block
+        _, codes, deltas, bounds = block
         held = sorted(self.counts)
         support = np.array(held + [_NO_CODE])
         count = np.array([self.counts[c] for c in held] + [0])

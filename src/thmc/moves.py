@@ -12,7 +12,7 @@ The proposal sampler decodes its parameter draws in numpy on path codes
 checks the decoded rows in array form (:mod:`thmc._decode`).  Up to
 ``ENUMERATION_T_CAP`` each family's draw space is decoded once into a
 lookup table, and a family's enumeration lists the moves of that table's
-sign +1 proposals, each in one sign, so it lists the moves the exact test
+sign +1 slots, each in one sign, so it lists the moves the exact test
 proposes by construction.  A basis sweep reads a selection with type I
 moves on points instead (:mod:`thmc._points`), and any other from the
 decoder's arrays of every draw of its families (:func:`_draws`); the
@@ -42,6 +42,10 @@ ENUMERATION_T_CAP = 6
 #: :func:`_draws` decodes at once, which bounds the decoder's temporary
 #: arrays.
 _BLOCK = 2048
+
+#: A proposal: the ``(path code, delta)`` entries of the signed move to add
+#: to a table, in increasing code order.
+Proposal = tuple[tuple[int, int], ...]
 
 
 class Family(str, Enum):
@@ -455,11 +459,11 @@ def apply_move(table: PathTable, move: Move, sign: int = 1) -> PathTable:
 
 @lru_cache(maxsize=None)
 def _enumerate_family_cached(T: int, family: Family) -> tuple[Move, ...]:
-    """Every move the sampler can draw for one family: the sign +1
-    proposals of its lookup table, each move in the sign whose first delta
-    is positive, sorted.  Path codes sort as their paths do, so the moves
-    sort as their deltas do."""
-    drawn = {p[0] for p in _lookup_table(T, family)[::2] if p is not None}
+    """Every move the sampler can draw for one family: the proposals at
+    the sign +1 slots of its lookup table, each move in the sign whose
+    first delta is positive, sorted.  Path codes sort as their paths do, so
+    the moves sort as their deltas do."""
+    drawn = set(_lookup_table(T, family)[::2].tolist()) - {None}
     return tuple(
         Move(T, family, tuple((decode(c, T), d) for c, d in entries))
         for entries in sorted(
@@ -526,14 +530,22 @@ def _draws(T: int, family: Family) -> Iterator[tuple]:
         yield lo, *dec.merged([(family, flat[:, None] // strides % highs)])
 
 
+def proposals(codes: np.ndarray, deltas: np.ndarray, bounds: np.ndarray) -> list[Proposal]:
+    """The rows of :meth:`thmc._decode.Decoder.merged`'s flat arrays as
+    tuples of ``(code, delta)`` entries, row i from ``bounds[i]`` up to
+    ``bounds[i + 1]``: the one place decoded rows become tuples."""
+    lo, hi = bounds[0], bounds[-1]
+    pairs = list(zip(codes[lo:hi].tolist(), deltas[lo:hi].tolist()))
+    cuts = (bounds - lo).tolist()
+    return [tuple(pairs[a:b]) for a, b in zip(cuts, cuts[1:])]
+
+
 def _lookup_table(T: int, family: Family) -> np.ndarray:
     """Every draw of one family, decoded: a 1-D object array that holds by
-    flat draw index (sign slot last, so even indices have sign +1) the
-    ``(entries, sign)`` proposal or None for a null draw.  Each chunk's
-    merged rows are turned into entries here, the one place the chain
-    needs them as tuples; draws that give one move share its proposals.
-    The table is filled element by element, since ``np.array`` of a list
-    of pairs would come out 2-D.
+    flat draw index (sign slot last) each draw's proposal, or None for a
+    null draw: the move at the even index, its negation at the odd one,
+    shared by the draws of one move.  It is filled element by element,
+    since ``np.array`` of a list of tuples would come out 2-D.
 
     Not cached: a sampler keeps the tables it reads, so no table outlives
     its user.
@@ -541,14 +553,11 @@ def _lookup_table(T: int, family: Family) -> np.ndarray:
     table = np.empty(2 * int(np.prod(_decoder(T).highs[family][:-1])), dtype=object)
     shared: dict = {}
     for lo, index, codes, deltas, starts in _draws(T, family):
-        pairs = list(zip(codes.tolist(), deltas.tolist()))
-        bounds = starts.tolist() + [len(pairs)]
-        for i, a, b in zip(index.tolist(), bounds, bounds[1:]):
-            e = tuple(pairs[a:b])
-            pair = shared.get(e)
-            if pair is None:
-                pair = shared[e] = ((e, 1), (e, -1))
-            table[lo + 2 * i], table[lo + 2 * i + 1] = pair
+        bounds = np.append(starts, len(codes))
+        for i, e in zip(index.tolist(), proposals(codes, deltas, bounds)):
+            if e not in shared:
+                shared[e] = e, tuple((c, -d) for c, d in e)
+            table[lo + 2 * i], table[lo + 2 * i + 1] = shared[e]
     return table
 
 
@@ -581,11 +590,6 @@ def _normalize_weights(
     return tuple(vec)
 
 
-#: A proposal: the ``(path code, delta)`` entries of a move by code, and the
-#: sign it is applied with.
-Proposal = tuple[tuple[tuple[int, int], ...], int]
-
-
 class ProposalSampler:
     """Symmetric random proposal over all six families.
 
@@ -599,10 +603,8 @@ class ProposalSampler:
     moves satisfies q(z) = q(-z), and every constructible move of every
     family has positive probability.
 
-    A proposal is ``(entries, sign)``: the move's ``(code, delta)`` pairs
-    in increasing code order, where a path's code is its encoding, and a
-    sign of +1 or -1.  The entries are the move's deltas, with each path
-    coded, that the family's constructor builds from the same draw.
+    A proposal is the signed move a draw gives: the ``(code, delta)``
+    entries, by code, of the family constructor's move times the sign.
 
     Proposals are drawn in blocks of ``_BLOCK`` (2,048) from one
     ``random.Random``: :func:`thmc._decode.uniforms` picks the block's
@@ -612,10 +614,7 @@ class ProposalSampler:
     Both read the generator's ``randbytes`` as explicitly little-endian
     words, so the stream does not depend on the machine's byte order.
     Each draw keeps the law above, independent of the others, so only the
-    random stream differs from drawing one proposal at a time; a seed
-    gives other proposals than in versions that drew them one by one, in
-    blocks of 256 or 1,024, each path state as a fair-bit slot of its own,
-    or from a numpy ``Generator``.
+    random stream differs from drawing one proposal at a time.
     :meth:`sample` returns the next unused proposal of the current block;
     :meth:`span` hands out the unused draws as positions in the block
     itself, which is how the MH chain reads them.  A call with
@@ -624,18 +623,16 @@ class ProposalSampler:
     its seed and the order of calls.
 
     Draws are decoded in numpy, on path codes, and each decoded row is
-    checked in array form (zero mass and net transition statistic).  Up to
-    ``ENUMERATION_T_CAP`` each family's whole draw space is decoded once,
-    on first use, into a lookup table by flat draw index, whose moves
-    :func:`enumerate_family` lists; a block's proposals are gathered from
-    the tables in numpy and handed out as a list.  Above the cap each
-    block's draws are decoded as they come and kept as arrays:
-    ``(slots, codes, deltas, bounds, signs)``, the draw slot of each row
-    that gives a move, in increasing order, the rows' codes and their
-    deltas times the row's sign, flat, the bounds of each row in them, and
-    the sign of every slot.  :meth:`sample` builds its proposal from these
-    arrays; the MH chain screens them against its counts.  T is capped at
-    ``MAX_SAMPLER_T``, where codes still fit an int64.
+    checked in array form (zero mass and net transition statistic).  A
+    block starts with the increasing array of the draw slots that give a
+    move.  Up to ``ENUMERATION_T_CAP`` each family's whole draw space is
+    decoded once, on first use, into a lookup table by flat draw index,
+    whose moves :func:`enumerate_family` lists, and a block is ``(slots,
+    moves)``, those slots' proposals gathered from the tables.  Above the
+    cap a block is decoded as drawn into ``(slots, codes, deltas,
+    bounds)``: the rows' codes and sign-applied deltas, flat, and each
+    row's bounds in them, which the MH chain screens against its counts.
+    T is capped at ``MAX_SAMPLER_T``, where codes still fit an int64.
     """
 
     def __init__(
@@ -668,24 +665,24 @@ class ProposalSampler:
         )
         # The current block (see the class docstring), the position of its
         # first unused draw, and the generator it was drawn from.
-        self._block: object = []
+        self._block: tuple = ()
         self._next = 0
         self._block_rng: Optional[random.Random] = None
 
     def sample(self, rng: random.Random) -> Optional[Proposal]:
         """The next proposal from ``rng``: the draw :meth:`span` hands out,
-        as ``(entries, sign)``, or None for a null draw."""
+        or None for a null draw."""
         block, slot, _ = self.span(rng, 1)
-        if isinstance(block, list):
-            return block[slot]
-        slots, codes, deltas, bounds, signs = block
+        slots = block[0]
         row = int(np.searchsorted(slots, slot))
         if row == len(slots) or slots[row] != slot:
             return None
-        lo, hi, sign = int(bounds[row]), int(bounds[row + 1]), int(signs[slot])
-        return tuple(zip(codes[lo:hi].tolist(), (deltas[lo:hi] * sign).tolist())), sign
+        if len(block) == 2:
+            return block[1][row]
+        _, codes, deltas, bounds = block
+        return proposals(codes, deltas, bounds[row : row + 2])[0]
 
-    def span(self, rng: random.Random, m: int) -> tuple[object, int, int]:
+    def span(self, rng: random.Random, m: int) -> tuple[tuple, int, int]:
         """Hand out the next unused draws of ``rng``'s block, at most ``m``
         (at least 1): the block and the positions ``start`` to ``stop - 1``
         of the draws.  A new block is drawn when the current one is spent
@@ -711,14 +708,9 @@ class ProposalSampler:
         tables = self._tables
         if tables is None:
             slots = np.concatenate([s for _, s, _ in drawn])
-            signs = np.empty(_BLOCK, dtype=np.int64)
-            signs[slots] = 1 - 2 * np.concatenate([d[:, -1] for _, _, d in drawn])
-            rows, codes, deltas, starts = self._decoder.merged(
-                [(f, d) for f, _, d in drawn], slots
-            )
-            bounds = np.append(starts, len(codes))
-            deltas *= np.repeat(signs[rows], np.diff(bounds))
-            self._block = (rows, codes, deltas, bounds, signs)
+            parts = [(f, d) for f, _, d in drawn]
+            rows, codes, deltas, starts = self._decoder.merged(parts, slots)
+            self._block = rows, codes, deltas, np.append(starts, len(codes))
         else:
             block = np.empty(_BLOCK, dtype=object)
             for fam, slots, draws in drawn:
@@ -726,6 +718,7 @@ class ProposalSampler:
                 if table is None:
                     table = tables[fam] = _lookup_table(self.T, fam)
                 block[slots] = table[draws @ self._decoder.strides[fam]]
-            self._block = block.tolist()
+            slots = np.flatnonzero(block)
+            self._block = slots, block[slots].tolist()
         self._next = 0
         self._block_rng = rng

@@ -467,8 +467,8 @@ class TestCriterion7:
     DRAWS_PER_FAMILY = 4_000
 
     def test_sampled_proposals_are_exact_moves(self):
-        # A proposal is its (path code, delta) entries and a sign; it names
-        # no family, so each family is drawn alone.
+        # A proposal is the (path code, delta) entries of a signed move; it
+        # names no family, so each family is drawn alone.
         start = time.perf_counter()
         checked = 0
         for T in range(4, 9):
@@ -477,10 +477,9 @@ class TestCriterion7:
             for fam in Family:
                 sampler = ProposalSampler(T, {fam: 1.0})
                 for _ in range(self.DRAWS_PER_FAMILY):
-                    prop = sampler.sample(rng)
-                    if prop is None:
+                    entries = sampler.sample(rng)
+                    if entries is None:
                         continue
-                    entries, _ = prop
                     z = np.zeros(config.shape[1], dtype=np.int64)
                     for code, delta in entries:
                         z[code] = delta

@@ -332,6 +332,24 @@ class TestConnectivity:
         )
         assert out.stdout == "(1,)\n"
 
+    # A multiset's table count takes a factor only from the columns where
+    # some class has two or more cells: one table of 10**6 copies of 111,
+    # whose class has one cell, takes none, where a loop over every column
+    # took about 5 s.  Run in a child, as above, with a timeout some 25
+    # times the time it takes.
+    def test_one_table_of_a_million_paths(self):
+        script = (
+            "from thmc import connectivity, enumerate_fiber\n"
+            "fib = enumerate_fiber(3, (2 * 10**6, 0, 0, 0))\n"
+            "print(connectivity(fib).component_sizes)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(thmc.__file__).parents[1]))
+        out = subprocess.run(
+            [sys.executable, "-c", script],
+            env=env, capture_output=True, text=True, check=True, timeout=3,
+        )
+        assert out.stdout == "(1,)\n"
+
     def test_move_outside_fiber_raises(self):
         fib = enumerate_fiber(3, (0, 1, 1, 2))
         part = Fiber(3, fib.b, fib.cells[:2])
@@ -623,6 +641,54 @@ class TestClassSweep:
         counted = _bulk.counts(multisets, size)
         assert counted.dtype == (np.int64 if cells == 20 else object)
         assert counted.tolist() == expected
+
+    @staticmethod
+    def column_loop(multisets, size):
+        """:func:`thmc._bulk.counts` one column at a time, every column."""
+        count, n = multisets.shape
+        cells = int(size.sum())
+        fits = math.comb(cells + n, n) * (cells + n) < 2**63
+        out = np.ones(count, dtype=np.int64 if fits else object)
+        run = np.ones(count, dtype=np.int64)
+        for j in range(n):
+            if j:
+                run = np.where(multisets[:, j] == multisets[:, j - 1], run + 1, 1)
+            out = out * (size[multisets[:, j]] + run - 1) // run
+        return out
+
+    # counts multiplies in only the columns where some class has two or
+    # more cells, and finds every column's copy number at once; it must
+    # give the column loop's values and dtype, on random multisets (classes
+    # of one cell only among them, and rows of up to 300 paths) and on
+    # every level of a sweep.
+    def test_table_counts_match_the_column_loop(self, monkeypatch):
+        from thmc import _bulk
+
+        rng = np.random.default_rng(3)
+        for trial in range(200):
+            size = rng.integers(1, 4, size=int(rng.integers(1, 8)))
+            if trial % 5 == 0:
+                size[:] = 1
+            if trial % 7 == 0:
+                size[-1] = 1000
+            n = int(rng.integers(0, 300 if trial % 10 == 0 else 14))
+            dtype = (np.uint8, np.uint16, np.int64)[trial % 3]
+            multisets = np.sort(rng.integers(0, len(size), size=(30, n)), axis=1).astype(dtype)
+            counted, looped = _bulk.counts(multisets, size), self.column_loop(multisets, size)
+            assert counted.dtype == looped.dtype
+            assert counted.tolist() == looped.tolist()
+        counts, levels = _bulk.counts, []
+
+        def checked(multisets, size):
+            counted, looped = counts(multisets, size), self.column_loop(multisets, size)
+            assert counted.dtype == looped.dtype
+            assert counted.tolist() == looped.tolist()
+            levels.append(multisets.shape[1])
+            return counted
+
+        monkeypatch.setattr(_bulk, "counts", checked)
+        assert len(sweep(5, 4)) == 895
+        assert levels == [0, 1, 2, 3, 4]
 
     # Each swept fiber's tables, built when read, and its components equal
     # those of connectivity on the DFS enumeration of the fiber under the

@@ -55,17 +55,17 @@ def fiber_breaking_proposal(monkeypatch):
     keeps the initial frequencies, but changes the transition statistic,
     which no real proposal can do (the sampler's decoder checks every draw
     against it).  The chain takes its proposals through
-    ``ProposalSampler.span``: up to the enumeration cap as a list of
-    proposals, above it as the decoded block's arrays.
+    ``ProposalSampler.span``: a block of draw slots that each give the
+    move, with the list of their proposals up to the enumeration cap, and
+    with the decoded block's arrays above it.
     """
-    fake = (((0, 1), (1, -1)), 1)
+    fake = ((0, 1), (1, -1))
 
     def span(self, rng, m):
         m = min(m, moves._BLOCK)
         if self.T <= moves.ENUMERATION_T_CAP:
-            return [fake] * m, 0, m
-        signs = np.ones(m, dtype=np.int64)
-        block = (np.arange(m), np.tile([0, 1], m), np.tile([1, -1], m), 2 * np.arange(m + 1), signs)
+            return (np.arange(m), [fake] * m), 0, m
+        block = (np.arange(m), np.tile([0, 1], m), np.tile([1, -1], m), 2 * np.arange(m + 1))
         return block, 0, m
 
     monkeypatch.setattr(ProposalSampler, "span", span)
@@ -380,10 +380,9 @@ class TestMhChain:
             table = moves._lookup_table(T, fam)
             assert len(table) == int(np.prod(sampler._highs[fam]))
             share = fam_weight / len(table)
-            for prop in table.tolist():
-                entries, sign = (None, 1) if prop is None else prop
-                proposals.append((share, entries, sign))
-        assert abs(sum(p for p, _, _ in proposals) - 1.0) < 1e-12
+            for entries in table.tolist():
+                proposals.append((share, entries))
+        assert abs(sum(p for p, _ in proposals) - 1.0) < 1e-12
 
         weights = np.array(
             [
@@ -396,14 +395,14 @@ class TestMhChain:
         P = np.zeros((n, n))
         for i, state in enumerate(states):
             current = {encode(p): c for p, c in state.counts.items()}
-            for prob, entries, sign in proposals:
+            for prob, entries in proposals:
                 if entries is None:
                     P[i, i] += prob
                     continue
                 nxt = dict(current)
                 feasible = True
                 for code, delta in entries:
-                    c = nxt.get(code, 0) + sign * delta
+                    c = nxt.get(code, 0) + delta
                     if c < 0:
                         feasible = False
                         break
@@ -501,8 +500,7 @@ def one_step_test(table, steps, burnin, seed, chains):
             proposal = sampler.sample(rng)
             moved = False
             if proposal is not None:
-                entries, sign = proposal
-                new = {c: counts.get(c, 0) + sign * d for c, d in entries}
+                new = {c: counts.get(c, 0) + d for c, d in proposal}
                 if min(new.values()) >= 0:
                     log_ratio = sum(
                         math.lgamma(counts.get(c, 0) + 1) - math.lgamma(n + 1)
@@ -511,7 +509,7 @@ def one_step_test(table, steps, burnin, seed, chains):
                     moved = log_ratio >= 0 or rng.random() < math.exp(log_ratio)
             if moved:
                 counts.update(new)
-                k += sign * sum(d for c, d in entries if c < 1 << (table.T - 1))
+                k += sum(d for c, d in proposal if c < 1 << (table.T - 1))
                 if k not in L_of_k:
                     current = {decode(c, table.T): n for c, n in counts.items() if n}
                     L_of_k[k] = likelihood_ratio(PathTable(table.T, current))
@@ -740,8 +738,7 @@ def reference_walk(chain, steps, runs=None, tables=None):
         if proposal is None:
             nulls += 1
             continue
-        entries, sign = proposal
-        new = {c: counts.get(c, 0) + sign * d for c, d in entries}
+        new = {c: counts.get(c, 0) + d for c, d in proposal}
         if min(new.values()) < 0:
             continue
         log_ratio = 0.0
@@ -755,7 +752,7 @@ def reference_walk(chain, steps, runs=None, tables=None):
             else:
                 del counts[c]
         accepted += 1
-        chain.k += sign * sum(d for c, d in entries if c < top)
+        chain.k += sum(d for c, d in proposal if c < top)
         L = chain.evaluator.value(counts, chain.k)
         if runs is not None and (tables is not None or L != chain.L):
             runs.append((chain.L, i - start))
@@ -843,3 +840,52 @@ class TestScreenedWalk:
         expected = [(t, L) for (L, length), t in zip(runs, tables) for _ in range(length)]
         assert list(mh_chain(table, steps=5000, burnin=300, seed=2)) == expected
         assert len(set(t for t, _ in expected)) > 10
+
+
+def net_change(T: int, proposal: tuple) -> list[int]:
+    """The change a proposal makes to (b11, b12, b21, b22) and to the mass."""
+    net = [0] * 5
+    for code, delta in proposal:
+        path = decode(code, T)
+        for a, b in zip(path, path[1:]):
+            net[2 * a + b - 3] += delta
+        net[4] += delta
+    return net
+
+
+class TestProposalForm:
+    """A proposal is the signed move itself: the ``(code, delta)`` entries
+    to add, in code order."""
+
+    # Up to the cap the walk hands out the listed proposals of each block's
+    # draws; above it, the batches of _fitting.
+    @pytest.mark.parametrize("T", [4, 7, 12])
+    def test_every_proposal_handed_out_is_a_move(self, monkeypatch, T):
+        handed = []
+        span, fitting = ProposalSampler.span, inference._Chain._fitting
+
+        def recorded_span(self, rng, m):
+            block, first, stop = span(self, rng, m)
+            if len(block) == 2:
+                row, end = np.searchsorted(block[0], (first, stop))
+                handed.extend(block[1][row:end])
+            return block, first, stop
+
+        def recorded_fitting(self, *args):
+            for batch in fitting(self, *args):
+                handed.extend(p for _, p in batch)
+                yield batch
+
+        monkeypatch.setattr(ProposalSampler, "span", recorded_span)
+        monkeypatch.setattr(inference._Chain, "_fitting", recorded_fitting)
+        exact_test(seeded_paths(T, 60), steps=3000, burnin=0, seed=T)
+        walked = len(handed)
+        sampler, rng = ProposalSampler(T), random.Random(T)
+        sampled = [p for p in (sampler.sample(rng) for _ in range(3000)) if p is not None]
+        assert walked > 64 and len(sampled) > 300
+        for proposal in handed + sampled:
+            codes = [c for c, _ in proposal]
+            assert all(a < b for a, b in zip(codes, codes[1:])), proposal
+            assert 0 <= codes[0] and codes[-1] < 1 << T
+            assert all(d != 0 for _, d in proposal), proposal
+            assert net_change(T, proposal) == [0] * 5, proposal

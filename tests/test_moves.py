@@ -62,6 +62,11 @@ def entries_stats(T: int, entries: tuple):
     return suff_stat(positive), suff_stat(negative)
 
 
+def negated(entries: tuple) -> tuple:
+    """The proposal of the opposite sign: each delta negated."""
+    return tuple((c, -d) for c, d in entries)
+
+
 def initial_shift(T: int, entries: tuple) -> int:
     """Change of the initial-state-1 count: the deltas of codes whose top
     bit, the state at time 1, is 0."""
@@ -415,11 +420,11 @@ class TestEnumeration:
     @pytest.mark.parametrize("T", [3, 4, 5, 6])
     def test_lists_the_moves_the_sampler_proposes(self, T, fam):
         # The sign +1 slots of the sampler's lookup table hold every move it
-        # can draw; the enumeration lists each once, in the sign whose first
-        # delta is positive, sorted.
+        # can draw, and the sign -1 slots their negations; the enumeration
+        # lists each once, in the sign whose first delta is positive, sorted.
         table = moves._lookup_table(T, fam)
-        assert {p[1] for p in table[::2] if p is not None} <= {1}
-        drawn = {p[0] for p in table[::2] if p is not None}
+        assert table[1::2].tolist() == [None if e is None else negated(e) for e in table[::2]]
+        drawn = {e for e in table[::2] if e is not None}
         canonical = {e if e[0][1] > 0 else tuple((c, -d) for c, d in e) for e in drawn}
         assert [coded(m) for m in enumerate_family(T, fam)] == sorted(canonical)
 
@@ -523,7 +528,7 @@ class TestProposalSampler:
             decoded = [None] * len(rows)
             index, entries = merged_entries(fresh, [(fam, rows)])
             for i, e in zip(index, entries):
-                decoded[i] = (e, 1 - 2 * int(rows[i, -1]))
+                decoded[i] = e
             table = sampler._tables[fam]
             assert [table[i] for i in (rows @ fresh.strides[fam]).tolist()] == decoded
         rows_drawn = -(-draws // moves._BLOCK) * moves._BLOCK
@@ -574,16 +579,17 @@ class TestProposalSampler:
             assert len(table) == int(np.prod(tabled._highs[fam]))
             assert table.tolist() == moves._lookup_table(T, fam).tolist()
         assert fresh._tables is None
-        # A block is a list of the table's own proposals, gathered by flat
-        # draw index, so draws of one move share one tuple.  Every draw of
-        # a block with u = 0.25 is a crossing draw.
+        # A block lists the slots of its draws that give a move and the
+        # table's own proposals for them, gathered by flat draw index, so
+        # draws of one move share one tuple.  Every draw of a block with
+        # u = 0.25 is a crossing draw.
         sampler, rng = ProposalSampler(T), RecordingRng(T, u=0.25)
-        block, _, _ = sampler.span(rng, moves._BLOCK)
+        (slots, drawn), _, _ = sampler.span(rng, moves._BLOCK)
         table = sampler._tables[Family.CROSSING]
         flat = (rng.rows[0] @ sampler._decoder.strides[Family.CROSSING]).tolist()
-        assert isinstance(block, list) and len(block) == len(flat)
-        assert all(p is table[i] for p, i in zip(block, flat))
-        drawn = [p for p in block if p is not None]
+        assert len(flat) == moves._BLOCK
+        assert slots.tolist() == [i for i, f in enumerate(flat) if table[f] is not None]
+        assert all(p is table[flat[i]] for i, p in zip(slots, drawn))
         assert len({id(p) for p in drawn}) < len(drawn)
 
     @pytest.mark.parametrize("T", [7, 12])
@@ -599,13 +605,15 @@ class TestProposalSampler:
         assert sampler._tables is None
 
     def test_sign_is_fair(self):
+        # With a fair sign, q(z) = q(-z), and one of z and -z has a positive
+        # first delta: half the proposals do.
         rng = random.Random(1)
         sampler = ProposalSampler(4)
         signs = []
         for _ in range(100_000):
             prop = sampler.sample(rng)
             if prop is not None:
-                signs.append(prop[1])
+                signs.append(1 if prop[0][1] > 0 else -1)
         frac = sum(1 for s in signs if s == 1) / len(signs)
         assert abs(frac - 0.5) < 0.01
 
@@ -617,8 +625,8 @@ class TestProposalSampler:
             prop = sampler.sample(rng)
             if prop is None:
                 continue
-            entries, sign = prop
-            assert sign in (1, -1)
+            entries = prop
+            assert all(d != 0 for _, d in entries)
             pos, neg = entries_stats(4, entries)
             assert pos == neg
             seen += 1
@@ -631,7 +639,7 @@ class TestProposalSampler:
         sampler = ProposalSampler(3, weights)
         for k in range(100_000):
             prop = sampler.sample(rng)
-            if prop is not None and prop[0] == target:
+            if prop in (target, negated(target)):
                 return
         pytest.fail("indispensable sliding move never proposed in 1e5 draws")
 
@@ -644,11 +652,10 @@ class TestProposalSampler:
             prop = sampler.sample(rng)
             if prop is None:
                 continue
-            entries, sign = prop
-            if entries[0][1] > 0:
-                items, orientation = entries, sign
+            if prop[0][1] > 0:
+                items, orientation = prop, 1
             else:
-                items, orientation = tuple((c, -d) for c, d in entries), -sign
+                items, orientation = negated(prop), -1
             plus, minus = tallies.get(items, (0, 0))
             tallies[items] = (
                 plus + (orientation == 1),
@@ -701,7 +708,7 @@ class TestProposalSampler:
             for _ in range(4_000):
                 prop = sampler.sample(rng)
                 if prop is not None:
-                    shifts.add(abs(initial_shift(5, prop[0])))
+                    shifts.add(abs(initial_shift(5, prop)))
             if fam in (Family.TYPE2_DEG1, Family.DEG3_SLIDING):
                 assert shifts == {1}
             else:
@@ -714,7 +721,7 @@ class TestProposalSampler:
         sampler = ProposalSampler(moves.MAX_SAMPLER_T)
         rng = RecordingRng(0)
         props = [p for p in (sampler.sample(rng) for _ in range(256)) if p]
-        for entries, _ in props:
+        for entries in props:
             pos, neg = entries_stats(moves.MAX_SAMPLER_T, entries)
             assert pos == neg
         assert props
@@ -724,7 +731,7 @@ class TestProposalSampler:
             assert rows.dtype == np.int64 and ((rows >= 0) & (rows < highs)).all()
         crossing = drawn_families(sampler, rng).index(Family.CROSSING)
         assert rng.rows[crossing][:, :2].max() >= 1 << 32
-        _, codes, _, _, _ = sampler._block
+        _, codes, _, _ = sampler._block
         assert ((codes >= 0) & (codes < 1 << moves.MAX_SAMPLER_T)).all()
 
 
@@ -825,7 +832,8 @@ def merged_entries(decoder, parts) -> tuple[list, list]:
 
 
 def decoded(decoder, fam: Family, draws: np.ndarray) -> list:
-    """The decoder's entries for each row of ``draws``, None where null."""
+    """The decoder's entries for each row of ``draws``, signed by its sign
+    slot, None where null."""
     out = [None] * len(draws)
     index, entries = merged_entries(decoder, [(fam, draws)])
     for i, e in zip(index, entries):
@@ -853,8 +861,8 @@ class TestDecoder:
             ]
             # The lookup table holds the same entries with both signs.
             table = moves._lookup_table(T, fam)
-            assert table[::2].tolist() == [None if m is None else (coded(m), 1) for m in want]
-            assert table[1::2].tolist() == [None if m is None else (coded(m), -1) for m in want]
+            assert table[::2].tolist() == [None if m is None else coded(m) for m in want]
+            assert table[1::2].tolist() == [None if m is None else negated(coded(m)) for m in want]
 
     @pytest.mark.parametrize("T", [*range(3, 13), moves.MAX_SAMPLER_T])
     def test_2x2_tables_match_a_loop_over_time_pairs(self, T):
@@ -897,14 +905,40 @@ class TestDecoder:
             old = Counter()
             for d in draw_space(oracle.highs(fam)).tolist():
                 move = oracle(fam, d)
-                for sign in (1, -1):
-                    old[None if move is None else (coded(move), sign)] += 1
+                for e in [None] * 2 if move is None else [coded(move), negated(coded(move))]:
+                    old[e] += 1
             new = Counter()
             for entries in decoded(decoder, fam, draw_space(decoder.highs[fam])):
-                for sign in (1, -1):
-                    new[None if entries is None else (entries, sign)] += 1
+                for e in [None] * 2 if entries is None else [entries, negated(entries)]:
+                    new[e] += 1
             assert new == old
             assert Counter(moves._lookup_table(T, fam).tolist()) == old
+
+    # q(z) = q(-z) exactly: over the whole draw space, sign slot included,
+    # each signed move is proposed by as many draws as its negation, in
+    # both block forms, the lookup tables' and the decoded arrays' (as
+    # above the cap), which propose the same moves.
+    @pytest.mark.parametrize("T", [3, 4, 5])
+    def test_each_signed_move_as_often_as_its_negation(self, monkeypatch, T):
+        for fam in Family:
+            plus = draw_space(_decode.Decoder(T).highs[fam])
+            minus = plus.copy()
+            minus[:, -1] = 1
+            space = np.vstack([plus, minus])
+            monkeypatch.setattr(moves, "_BLOCK", len(space))
+            monkeypatch.setattr(_decode, "bounded", lambda rng, highs, m: space)
+            sampler = ProposalSampler(T, {fam: 1.0})
+            forms = []
+            for tables in ({}, None):
+                sampler._tables = tables
+                block, _, _ = sampler.span(random.Random(0), len(space))
+                drawn = Counter(block[1] if len(block) == 2 else moves.proposals(*block[1:]))
+                assert all(drawn[negated(e)] == n for e, n in drawn.items())
+                forms.append(drawn)
+            assert forms[0] == forms[1]
+            assert set(forms[0]) == {
+                e for m in enumerate_family(T, fam) for e in (coded(m), negated(coded(m)))
+            }
 
     @pytest.mark.parametrize("T", [6, 9, 12, 16, 24])
     def test_seeded_draws_match_the_constructors(self, T):
@@ -916,7 +950,11 @@ class TestDecoder:
             got = decoded(decoder, fam, draws)
             for d, entries in zip(draws.tolist(), got):
                 move = oracle(fam, d)
-                assert entries == (None if move is None else coded(move)), (fam, d)
+                want = None if move is None else coded(move)
+                # A draw whose sign slot is 1 gives the negated move.
+                if want and d[-1]:
+                    want = negated(want)
+                assert entries == want, (fam, d)
             assert any(got) or fam is Family.TYPE4 and T < 4
 
     @staticmethod
