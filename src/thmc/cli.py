@@ -18,7 +18,6 @@ held in memory.
 from __future__ import annotations
 
 import errno
-import math
 import os
 import sys
 from collections.abc import Callable
@@ -31,7 +30,7 @@ from . import fiber as fiber_mod
 from . import inference
 from .core import DENSE_T_CAP, MIN_T, TransitionStat, suff_stat
 from .ingest import IngestError, ingest, parse_mapping
-from .moves import Family, enumerate_family, format_move
+from .moves import Family, _family_weight, _normalize_weights, enumerate_family, format_move
 
 EXIT_USAGE = 1
 EXIT_INGEST = 2
@@ -132,31 +131,20 @@ def _write_output(text: str, destination: str | None) -> None:
 
 
 def _parse_weights(spec: str | None):
+    """The ``--weights`` text as a mapping of family to weight, in the
+    order it names them.  Each ``name=value`` item is checked as it is
+    read, so a spec with two faults reports its first one, and the whole
+    mapping is then checked as the sampler checks it."""
     if spec is None:
         return None
-    tokens = {f.value: f for f in Family}
-    raw: dict[Family, float] = {}
+    weights: dict[Family, float] = {}
     for item in spec.split(","):
-        item = item.strip()
-        if not item:
-            continue
-        name, _, value = item.partition("=")
-        name = name.strip()
-        if name not in tokens:
-            raise ValueError(
-                f"unknown family {name!r}; expected one of {sorted(tokens)}"
-            )
-        try:
-            w = float(value)
-        except ValueError:
-            raise ValueError(f"bad weight {value!r} for family {name!r}") from None
-        if not 0 <= w < math.inf:
-            raise ValueError(f"weight for {name!r} must be finite and nonnegative")
-        raw[tokens[name]] = w
-    total = sum(raw.values())
-    if not 0 < total < math.inf:
-        raise ValueError("family weights must have a positive, finite sum")
-    return {f: raw.get(f, 0.0) / total for f in Family}
+        if item.strip():
+            name, _, value = item.partition("=")
+            family, weight = _family_weight(name.strip(), value)
+            weights[family] = weight
+    _normalize_weights(weights)
+    return weights
 
 
 def _parse_families(spec: str) -> list[Family]:

@@ -368,19 +368,16 @@ class _Chain:
     ``(L, length)`` pair per stretch of consecutive steps with one L, or
     with one state when the caller also asks for the tables.  A walk takes
     exactly the steps it is asked for, so one that ends mid-block (a
-    burn-in, or a whole chain) leaves the rest of the block to the next
-    walk with the same generator.  ``rng``, a ``random.Random``, gives the
-    proposal blocks and each MH acceptance draw (``rng.random()``).
+    burn-in) leaves the rest of the block to the next walk.  The chain
+    owns its sampler, and the sampler's generator, ``sampler.rng``, gives
+    both the proposal blocks and each MH acceptance draw
+    (``rng.random()``).
     """
 
     def __init__(
-        self,
-        evaluator: _LikelihoodRatioEvaluator,
-        rng: random.Random,
-        sampler: ProposalSampler,
+        self, evaluator: _LikelihoodRatioEvaluator, sampler: ProposalSampler
     ) -> None:
         self.evaluator = evaluator
-        self.rng = rng
         self.sampler = sampler
         self.counts = dict(evaluator.cells)
         self.k = evaluator.k
@@ -405,8 +402,9 @@ class _Chain:
         accepted move instead, and each run's table is appended to
         ``tables``.  A move accepted at the first step leaves a run of
         length 0."""
-        rng, counts, value = self.rng, self.counts, self.evaluator.value
-        span, uniform, lgamma, exp = self.sampler.span, rng.random, math.lgamma, math.exp
+        counts, value = self.counts, self.evaluator.value
+        span, uniform = self.sampler.span, self.sampler.rng.random
+        lgamma, exp = math.lgamma, math.exp
         top = 1 << (self.evaluator.table.T - 1)
         k, L = self.k, self.L
         accepted = nulls = 0
@@ -415,7 +413,7 @@ class _Chain:
         if tables is not None:
             tables.append(self.table())
         while done < steps:
-            block, first, stop = span(rng, steps - done)
+            block, first, stop = span(steps - done)
             slots, offset = block[0], done - first
             row, end = np.searchsorted(slots, (first, stop)).tolist()
             nulls += stop - first - (end - row)
@@ -556,26 +554,25 @@ def mh_chain(
     steps: int,
     burnin: int = 0,
     seed: int | None = 0,
-    weights: Mapping[Family | str, float] | Sequence[float] | None = None,
+    weights: Mapping[Family | str, float] | None = None,
 ) -> Iterator[tuple[PathTable, float]]:
     """Stream the post-burn-in states of the fiber walk with their L values.
 
     Rejected and null proposals repeat the current state; the transition
     statistic is constant along the chain and is checked once the stream
-    is exhausted.  The chain draws from ``random.Random(seed)``, so
-    identical inputs give an identical stream; ``seed`` is a nonnegative
-    int (``ValueError`` if negative, ``TypeError`` if not an int or a
-    bool), or None for fresh entropy.
+    is exhausted.  The chain's proposal sampler draws from
+    ``random.Random(seed)``, as do its acceptance draws, so identical
+    inputs give an identical stream; ``seed`` is a nonnegative int
+    (``ValueError`` if negative, ``TypeError`` if not an int or a bool),
+    or None for fresh entropy.  ``weights`` are the family weights
+    :class:`~thmc.moves.ProposalSampler` takes.
     """
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
     if burnin < 0:
         raise ValueError(f"burnin must be >= 0, got {burnin}")
-    chain = _Chain(
-        _LikelihoodRatioEvaluator(start),
-        random.Random(None if seed is None else _checked_seed(seed)),
-        ProposalSampler(start.T, weights),
-    )
+    rng = random.Random(None if seed is None else _checked_seed(seed))
+    chain = _Chain(_LikelihoodRatioEvaluator(start), ProposalSampler(start.T, rng, weights))
     chain.walk(burnin)
     for done in range(0, steps, _STREAM_STEPS):
         runs: list[tuple[float, int]] = []
@@ -622,7 +619,7 @@ def exact_test(
     steps: int = 10000,
     burnin: int = 5000,
     seed: int = 0,
-    weights: Mapping[Family | str, float] | Sequence[float] | None = None,
+    weights: Mapping[Family | str, float] | None = None,
     add_observed: bool = False,
     chains: int = 1,
 ) -> TestResult:
@@ -634,15 +631,18 @@ def exact_test(
     (``add_observed`` switches to the (1 + count) / (steps + 1)
     convention).  With ``chains`` > 1 the samples are split over
     independent chains, run one after another and pooled in chain index
-    order; diagnostics cover the post-burn-in phase.  The chains share one
-    proposal sampler, and with it its lookup tables.
+    order; diagnostics cover the post-burn-in phase.  Each chain has its
+    own proposal sampler on its own generator; the samplers share the
+    lookup tables of their T.
 
     One chain draws from ``random.Random(seed)``; with more, chain i draws
     from ``random.Random(f"{seed}/{i}")``, which does not depend on the
     number of chains, and only the first ``min(chains, steps)`` chains,
     those that get a sample, are seeded.  ``seed`` is a nonnegative int:
     ``ValueError`` if it is negative, ``TypeError`` if it is not an int or
-    is a bool.
+    is a bool.  ``weights`` are the family weights
+    :class:`~thmc.moves.ProposalSampler` takes; they are checked before
+    the table is fitted.
     """
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
@@ -651,21 +651,20 @@ def exact_test(
     if chains < 1:
         raise ValueError(f"chains must be >= 1, got {chains}")
     seed = _checked_seed(seed)
-    sampler = ProposalSampler(table.T, weights)
-    evaluator = _LikelihoodRatioEvaluator(table)
-    L_obs = evaluator.L
-
     # Chains past the steps-th get no sample, so they are not seeded.
     if chains == 1:
         rngs = [random.Random(seed)]
     else:
         rngs = [random.Random(f"{seed}/{i}") for i in range(min(chains, steps))]
-    base, rem = divmod(steps, len(rngs))
+    samplers = [ProposalSampler(table.T, rng, weights) for rng in rngs]
+    evaluator = _LikelihoodRatioEvaluator(table)
+    L_obs = evaluator.L
+    base, rem = divmod(steps, len(samplers))
 
     runs: list[tuple[float, int]] = []
     accepted = nulls = 0
-    for i, rng in enumerate(rngs):
-        chain = _Chain(evaluator, rng, sampler)
+    for i, sampler in enumerate(samplers):
+        chain = _Chain(evaluator, sampler)
         chain.walk(burnin)
         moved, null = chain.walk(base + (1 if i < rem else 0), runs)
         chain.check()

@@ -29,7 +29,7 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, lru_cache
-from typing import Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, Optional
 
 import numpy as np
 
@@ -540,6 +540,7 @@ def proposals(codes: np.ndarray, deltas: np.ndarray, bounds: np.ndarray) -> list
     return [tuple(pairs[a:b]) for a, b in zip(cuts, cuts[1:])]
 
 
+@lru_cache(maxsize=None)
 def _lookup_table(T: int, family: Family) -> np.ndarray:
     """Every draw of one family, decoded: a 1-D object array that holds by
     flat draw index (sign slot last) each draw's proposal, or None for a
@@ -547,8 +548,10 @@ def _lookup_table(T: int, family: Family) -> np.ndarray:
     shared by the draws of one move.  It is filled element by element,
     since ``np.array`` of a list of tuples would come out 2-D.
 
-    Not cached: a sampler keeps the tables it reads, so no table outlives
-    its user.
+    Cached, so the samplers and the family listings of one T share one
+    table per family.  Only T <= ``ENUMERATION_T_CAP`` reads it, so the
+    cache stays small: the six tables hold about 2.5 MiB at T = 6 and
+    0.04 MiB at T = 4 (``tracemalloc``).
     """
     table = np.empty(2 * int(np.prod(_decoder(T).highs[family][:-1])), dtype=object)
     shared: dict = {}
@@ -566,28 +569,36 @@ def _lookup_table(T: int, family: Family) -> np.ndarray:
 MAX_SAMPLER_T = 62
 
 
-def _normalize_weights(
-    weights: Mapping[Family | str, float] | Sequence[float] | None,
-) -> tuple[float, ...]:
+def _family_weight(key: object, value: float | str) -> tuple[Family, float]:
+    """One entry of a weights mapping, a family or its token and a finite
+    number >= 0, as ``(family, weight)``; raise as ``--weights`` reports."""
+    if key not in FAMILIES:
+        tokens = sorted(f.value for f in FAMILIES)
+        raise ValueError(f"unknown family {key!r}; expected one of {tokens}")
+    family = Family(key)
+    try:
+        weight = float(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"bad weight {value!r} for family {family.value!r}") from None
+    if not 0 <= weight < math.inf:
+        raise ValueError(f"weight for {family.value!r} must be finite and nonnegative")
+    return family, weight
+
+
+def _normalize_weights(weights: Mapping[Family | str, float] | None) -> tuple[float, ...]:
+    """The weight of each family in ``FAMILIES`` order, out of a total of 1:
+    uniform for None, else each entry of the mapping (see
+    :func:`_family_weight`) over their sum, taken in the mapping's order.
+    The sum must be positive and finite."""
     if weights is None:
         return tuple([1.0 / len(FAMILIES)] * len(FAMILIES))
-    if isinstance(weights, Mapping):
-        unknown = [k for k in weights if k not in FAMILIES]
-        if unknown:
-            raise ValueError(
-                f"unknown family weight key(s) {', '.join(map(repr, unknown))}; "
-                f"expected {', '.join(f.value for f in FAMILIES)}"
-            )
-        vec = [float(weights.get(f, weights.get(f.value, 0.0))) for f in FAMILIES]
-    else:
-        vec = [float(w) for w in weights]
-        if len(vec) != len(FAMILIES):
-            raise ValueError(f"expected {len(FAMILIES)} weights, got {len(vec)}")
-    if not all(0 <= w < math.inf for w in vec):
-        raise ValueError(f"family weights must be finite and nonnegative, got {vec}")
-    if abs(sum(vec) - 1.0) > 1e-9:
-        raise ValueError(f"family weights must sum to 1, got {sum(vec)}")
-    return tuple(vec)
+    if not isinstance(weights, Mapping):
+        raise TypeError(f"family weights must be a mapping, got {type(weights).__name__}")
+    raw = dict(_family_weight(k, w) for k, w in weights.items())
+    total = sum(raw.values())
+    if not 0 < total < math.inf:
+        raise ValueError("family weights must have a positive, finite sum")
+    return tuple(raw.get(f, 0.0) / total for f in FAMILIES)
 
 
 class ProposalSampler:
@@ -606,8 +617,9 @@ class ProposalSampler:
     A proposal is the signed move a draw gives: the ``(code, delta)``
     entries, by code, of the family constructor's move times the sign.
 
-    Proposals are drawn in blocks of ``_BLOCK`` (2,048) from one
-    ``random.Random``: :func:`thmc._decode.uniforms` picks the block's
+    Proposals are drawn in blocks of ``_BLOCK`` (2,048) from ``rng``, the
+    ``random.Random`` the sampler is built with, and from no other:
+    :func:`thmc._decode.uniforms` picks the block's
     families from 53-bit doubles, then one :func:`thmc._decode.bounded`
     call per family drawn fills that family's rows, parameter slots and
     sign slot together, each slot exactly uniform by masked rejection.
@@ -617,17 +629,19 @@ class ProposalSampler:
     random stream differs from drawing one proposal at a time.
     :meth:`sample` returns the next unused proposal of the current block;
     :meth:`span` hands out the unused draws as positions in the block
-    itself, which is how the MH chain reads them.  A call with
-    another generator than the one the block came from drops the rest of
-    the block and draws a new one, so each generator's proposals depend on
-    its seed and the order of calls.
+    itself, which is how the MH chain reads them.
+
+    ``weights`` is None (uniform) or a mapping of family, or token, to a
+    finite weight >= 0 (0 if left out), each divided by their positive,
+    finite sum (:func:`_normalize_weights`).
 
     Draws are decoded in numpy, on path codes, and each decoded row is
     checked in array form (zero mass and net transition statistic).  A
     block starts with the increasing array of the draw slots that give a
     move.  Up to ``ENUMERATION_T_CAP`` each family's whole draw space is
-    decoded once, on first use, into a lookup table by flat draw index,
-    whose moves :func:`enumerate_family` lists, and a block is ``(slots,
+    decoded once, on first use, into a lookup table by flat draw index
+    (:func:`_lookup_table`, shared by every sampler of that T), whose moves
+    :func:`enumerate_family` lists, and a block is ``(slots,
     moves)``, those slots' proposals gathered from the tables.  Above the
     cap a block is decoded as drawn into ``(slots, codes, deltas,
     bounds)``: the rows' codes and sign-applied deltas, flat, and each
@@ -638,7 +652,8 @@ class ProposalSampler:
     def __init__(
         self,
         T: int,
-        weights: Mapping[Family | str, float] | Sequence[float] | None = None,
+        rng: random.Random,
+        weights: Mapping[Family | str, float] | None = None,
     ) -> None:
         if T < MIN_T:
             raise ValueError(f"T must be >= {MIN_T}, got {T}")
@@ -648,9 +663,10 @@ class ProposalSampler:
                 f"path codes are int64"
             )
         self.T = T
+        self.rng = rng
         self.weights = _normalize_weights(weights)
         # Upper bounds of the families' slices of [0, 1).  The weights may
-        # sum to a hair under 1, so the last family with positive weight
+        # sum to a hair off 1, so the last family with positive weight
         # also takes every draw at or above the last cumulative sum.
         last = max(i for i, w in enumerate(self.weights) if w > 0)
         bounds = list(itertools.accumulate(self.weights))
@@ -658,21 +674,15 @@ class ProposalSampler:
         self._bounds = np.array(bounds)
         self._decoder = _decoder(T)
         self._highs = self._decoder.highs
-        # Lookup tables by family, built on first use; None above the cap,
-        # where draws rarely repeat.
-        self._tables: Optional[dict[Family, np.ndarray]] = (
-            {} if T <= ENUMERATION_T_CAP else None
-        )
-        # The current block (see the class docstring), the position of its
-        # first unused draw, and the generator it was drawn from.
+        # The current block (see the class docstring) and the position of
+        # its first unused draw; the first call draws a block.
         self._block: tuple = ()
-        self._next = 0
-        self._block_rng: Optional[random.Random] = None
+        self._next = _BLOCK
 
-    def sample(self, rng: random.Random) -> Optional[Proposal]:
-        """The next proposal from ``rng``: the draw :meth:`span` hands out,
-        or None for a null draw."""
-        block, slot, _ = self.span(rng, 1)
+    def sample(self) -> Optional[Proposal]:
+        """The next proposal: the draw :meth:`span` hands out, or None for
+        a null draw."""
+        block, slot, _ = self.span(1)
         slots = block[0]
         row = int(np.searchsorted(slots, slot))
         if row == len(slots) or slots[row] != slot:
@@ -682,21 +692,23 @@ class ProposalSampler:
         _, codes, deltas, bounds = block
         return proposals(codes, deltas, bounds[row : row + 2])[0]
 
-    def span(self, rng: random.Random, m: int) -> tuple[tuple, int, int]:
-        """Hand out the next unused draws of ``rng``'s block, at most ``m``
-        (at least 1): the block and the positions ``start`` to ``stop - 1``
-        of the draws.  A new block is drawn when the current one is spent
-        or came from another generator."""
-        if rng is not self._block_rng or self._next == _BLOCK:
-            self._draw_block(rng)
+    def span(self, m: int) -> tuple[tuple, int, int]:
+        """Hand out the next unused draws of the current block, at most
+        ``m`` (at least 1): the block and the positions ``start`` to
+        ``stop - 1`` of the draws.  A new block is drawn when the current
+        one is spent."""
+        if self._next == _BLOCK:
+            self._draw_block()
         start = self._next
         self._next = min(start + m, _BLOCK)
         return self._block, start, self._next
 
-    def _draw_block(self, rng: random.Random) -> None:
-        """Draw the next ``_BLOCK`` proposals from ``rng``."""
+    def _draw_block(self) -> None:
+        """Draw the next ``_BLOCK`` proposals; ``ENUMERATION_T_CAP`` is
+        read at each block."""
         from ._decode import bounded, uniforms
 
+        rng = self.rng
         fams = np.searchsorted(self._bounds, uniforms(rng, _BLOCK), side="right")
         drawn = []
         for i, fam in enumerate(FAMILIES):
@@ -705,8 +717,7 @@ class ProposalSampler:
                 highs = self._highs[fam]
                 draws = bounded(rng, highs, len(slots))
                 drawn.append((fam, slots, draws))
-        tables = self._tables
-        if tables is None:
+        if self.T > ENUMERATION_T_CAP:
             slots = np.concatenate([s for _, s, _ in drawn])
             parts = [(f, d) for f, _, d in drawn]
             rows, codes, deltas, starts = self._decoder.merged(parts, slots)
@@ -714,11 +725,8 @@ class ProposalSampler:
         else:
             block = np.empty(_BLOCK, dtype=object)
             for fam, slots, draws in drawn:
-                table = tables.get(fam)
-                if table is None:
-                    table = tables[fam] = _lookup_table(self.T, fam)
+                table = _lookup_table(self.T, fam)  # cached
                 block[slots] = table[draws @ self._decoder.strides[fam]]
             slots = np.flatnonzero(block)
             self._block = slots, block[slots].tolist()
         self._next = 0
-        self._block_rng = rng

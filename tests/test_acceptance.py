@@ -475,9 +475,9 @@ class TestCriterion7:
             config = configuration(T, Variant.WITHOUT_INITIAL)
             rng = random.Random(100 + T)
             for fam in Family:
-                sampler = ProposalSampler(T, {fam: 1.0})
+                sampler = ProposalSampler(T, rng, {fam: 1.0})
                 for _ in range(self.DRAWS_PER_FAMILY):
-                    entries = sampler.sample(rng)
+                    entries = sampler.sample()
                     if entries is None:
                         continue
                     z = np.zeros(config.shape[1], dtype=np.int64)

@@ -348,6 +348,32 @@ class TestCmdTest:
         assert result.stderr.startswith("error: ")
         assert len(result.stderr.splitlines()) == 1
 
+    # Each line was recorded when the CLI still checked the weights itself;
+    # a spec with two faults reports its first one.  The input does not
+    # exist, so exit 1 shows that the spec is checked before it is read.
+    UNKNOWN = ("error: unknown family 'bogus'; expected one of "
+               "['2x2', 'crossing', 'deg3-sliding', 'type1', 'type2', 'type4']")
+    NOT_FINITE = "error: weight for 'type1' must be finite and nonnegative"
+    NO_SUM = "error: family weights must have a positive, finite sum"
+
+    @pytest.mark.parametrize("spec, line", [
+        ("bogus=1", UNKNOWN),
+        ("bogus=abc", UNKNOWN),
+        ("type1=abc", "error: bad weight 'abc' for family 'type1'"),
+        ("type1=nan", NOT_FINITE),
+        ("type1=-1", NOT_FINITE),
+        ("type1=inf,type2=abc", NOT_FINITE),
+        ("type1=0", NO_SUM),
+        ("type1=1e308,type2=1e308", NO_SUM),
+    ])
+    def test_weights_error_lines(self, runner, tmp_path, spec, line):
+        result = runner.invoke(main, [
+            "test", "--input", str(tmp_path / "absent.csv"), "--weights", spec,
+        ])
+        assert result.exit_code == 1
+        assert result.stdout == ""
+        assert result.stderr == line + "\n"
+
     def test_path_length_over_dense_cap_is_ingest_error(self, runner, tmp_path):
         f = tmp_path / "long.csv"
         f.write_text("1" * 25 + ",1\n" + "1" * 24 + "2,2\n")
@@ -477,7 +503,7 @@ class TestCmdTest:
     # chains began to draw from random.Random in place of a numpy
     # Generator.  The input is named by a relative
     # path, so every byte is fixed; the cases cover non-uniform weights and
-    # chains that share one sampler.  The input is the Klotz table unless
+    # two chains, each with its own sampler.  The input is the Klotz table unless
     # the case names another: t12.csv holds 30 seeded paths at T=12, above
     # the sampler's enumeration cap, so its blocks are decoded as drawn.
     # The ids name the cases, so a new pin leaves the test names as they are.

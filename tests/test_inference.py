@@ -61,7 +61,7 @@ def fiber_breaking_proposal(monkeypatch):
     """
     fake = ((0, 1), (1, -1))
 
-    def span(self, rng, m):
+    def span(self, m):
         m = min(m, moves._BLOCK)
         if self.T <= moves.ENUMERATION_T_CAP:
             return (np.arange(m), [fake] * m), 0, m
@@ -373,7 +373,7 @@ class TestMhChain:
         fib = enumerate_fiber(T, (3, 2, 2, 2))
         states = list(fib.elements)
         index = {t.items(): i for i, t in enumerate(states)}
-        sampler = ProposalSampler(T)
+        sampler = ProposalSampler(T, random.Random(0))
 
         proposals = []
         for fam_weight, fam in zip(sampler.weights, Family):
@@ -482,8 +482,8 @@ def one_step_test(table, steps, burnin, seed, chains):
     time: each step calls ``ProposalSampler.sample`` and applies the MH rule
     to that proposal alone, and every post-burn-in step's L is kept.  L is
     ``likelihood_ratio`` of the first table visited with each
-    initial-state-1 count."""
-    sampler = ProposalSampler(table.T)
+    initial-state-1 count.  Each chain has a sampler on its own
+    generator."""
     if chains == 1:
         rngs = [random.Random(seed)]
     else:
@@ -493,11 +493,12 @@ def one_step_test(table, steps, burnin, seed, chains):
     values: list[float] = []
     accepted = nulls = 0
     for i, rng in enumerate(rngs):
+        sampler = ProposalSampler(table.T, rng)
         counts = {encode(p): c for p, c in table.items()}
         k = initial_freq(table)[0]
         L = L_of_k.setdefault(k, likelihood_ratio(table))
         for step in range(burnin + base + (1 if i < rem else 0)):
-            proposal = sampler.sample(rng)
+            proposal = sampler.sample()
             moved = False
             if proposal is not None:
                 new = {c: counts.get(c, 0) + d for c, d in proposal}
@@ -695,6 +696,27 @@ class TestExactTest:
         result = exact_test(PathTable(3, counts), steps=2000, burnin=100, seed=1)
         assert result.p_exact == 1.0
 
+    # Weights are divided by their sum, so weights of any scale give the
+    # same sampler weights and the same test.
+    def test_weights_of_any_scale_give_one_test(self, klotz):
+        whole = {"type2": 1, "deg3-sliding": 1}
+        half = {"type2": 0.5, "deg3-sliding": 0.5}
+        rng = random.Random(0)
+        weights = ProposalSampler(klotz.T, rng, whole).weights
+        assert weights == ProposalSampler(klotz.T, rng, half).weights
+        assert weights == (0, 0, 0, 0, 0.5, 0.5)
+        result = exact_test(klotz, steps=2_000, burnin=500, seed=3, weights=whole)
+        assert result == exact_test(klotz, steps=2_000, burnin=500, seed=3, weights=half)
+        assert result.acceptance_rate > 0
+
+    # The weights are checked before the table is fitted.
+    def test_bad_weights_raise_before_the_fit(self, klotz, call_counts):
+        with pytest.raises(ValueError, match="positive, finite sum"):
+            exact_test(klotz, steps=10, weights={"type1": 0})
+        with pytest.raises(TypeError, match="mapping"):
+            exact_test(klotz, steps=10, weights=[1, 0, 0, 0, 0, 0])
+        assert call_counts["fit_mle"] == 0
+
     def test_argument_validation(self, klotz):
         with pytest.raises(ValueError):
             exact_test(klotz, steps=0)
@@ -734,7 +756,7 @@ def reference_walk(chain, steps, runs=None, tables=None):
     if tables is not None:
         tables.append(chain.table())
     for i in range(steps):
-        proposal = chain.sampler.sample(chain.rng)
+        proposal = chain.sampler.sample()
         if proposal is None:
             nulls += 1
             continue
@@ -744,7 +766,7 @@ def reference_walk(chain, steps, runs=None, tables=None):
         log_ratio = 0.0
         for c, n in new.items():
             log_ratio += math.lgamma(counts.get(c, 0) + 1) - math.lgamma(n + 1)
-        if log_ratio < 0 and chain.rng.random() >= math.exp(log_ratio):
+        if log_ratio < 0 and chain.sampler.rng.random() >= math.exp(log_ratio):
             continue
         for c, n in new.items():
             if n:
@@ -774,20 +796,20 @@ class TestScreenedWalk:
     @staticmethod
     def walks(table, seed, plan, chains=1):
         """Walk ``plan``'s ``(steps, runs, tables)`` walks on each of
-        ``chains`` chains, one chain after another on one shared sampler,
-        with ``_Chain.walk`` and with ``reference_walk``; return the
-        records of both."""
+        ``chains`` chains, one chain after another, each on a sampler of
+        its own generator, with ``_Chain.walk`` and with
+        ``reference_walk``; return the records of both."""
         if chains == 1:
             seeds = [seed]
         else:
             seeds = [f"{seed}/{i}" for i in range(chains)]
         records = []
         for walk in (inference._Chain.walk, reference_walk):
-            sampler = ProposalSampler(table.T)
             evaluator = inference._LikelihoodRatioEvaluator(table)
             record = []
             for s in seeds:
-                chain = inference._Chain(evaluator, random.Random(s), sampler)
+                sampler = ProposalSampler(table.T, random.Random(s))
+                chain = inference._Chain(evaluator, sampler)
                 for steps, with_runs, with_tables in plan:
                     runs = [] if with_runs else None
                     tables = [] if with_tables else None
@@ -819,7 +841,7 @@ class TestScreenedWalk:
         walked, expected = self.walks(table, 5, [(700, False, False), (3000, True, True)])
         assert walked == expected
 
-    def test_two_chains_share_one_sampler(self):
+    def test_two_chains_each_on_its_own_sampler(self):
         walked, expected = self.walks(
             seeded_paths(8, 300), 11, [(300, False, False), (1500, True, False)], chains=2
         )
@@ -831,8 +853,7 @@ class TestScreenedWalk:
         table = seeded_paths(7, 60)
         chain = inference._Chain(
             inference._LikelihoodRatioEvaluator(table),
-            random.Random(2),
-            ProposalSampler(table.T),
+            ProposalSampler(table.T, random.Random(2)),
         )
         reference_walk(chain, 300)
         runs, tables = [], []
@@ -864,8 +885,8 @@ class TestProposalForm:
         handed = []
         span, fitting = ProposalSampler.span, inference._Chain._fitting
 
-        def recorded_span(self, rng, m):
-            block, first, stop = span(self, rng, m)
+        def recorded_span(self, m):
+            block, first, stop = span(self, m)
             if len(block) == 2:
                 row, end = np.searchsorted(block[0], (first, stop))
                 handed.extend(block[1][row:end])
@@ -880,8 +901,8 @@ class TestProposalForm:
         monkeypatch.setattr(inference._Chain, "_fitting", recorded_fitting)
         exact_test(seeded_paths(T, 60), steps=3000, burnin=0, seed=T)
         walked = len(handed)
-        sampler, rng = ProposalSampler(T), random.Random(T)
-        sampled = [p for p in (sampler.sample(rng) for _ in range(3000)) if p is not None]
+        sampler = ProposalSampler(T, random.Random(T))
+        sampled = [p for p in (sampler.sample() for _ in range(3000)) if p is not None]
         assert walked > 64 and len(sampled) > 300
         for proposal in handed + sampled:
             codes = [c for c, _ in proposal]

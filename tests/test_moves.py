@@ -31,7 +31,7 @@ from thmc import (
     type4_move,
 )
 from thmc import _decode, moves
-from thmc.core import all_paths, decode, encode
+from thmc.core import MIN_T, all_paths, decode, encode
 
 
 def as_dict(move: Move) -> dict:
@@ -488,10 +488,10 @@ class TestProposalSampler:
     def test_top_of_unit_interval_draws_last_family(self):
         # The default weights add up to 1 - 2**-53, the largest value
         # uniforms() returns, so that draw lies on the last cumulative bound.
-        sampler = ProposalSampler(4)
-        assert np.cumsum(sampler.weights)[-1] == np.nextafter(1.0, 0.0)
         rng = RecordingRng(0, u=np.nextafter(1.0, 0.0))
-        sampler.sample(rng)
+        sampler = ProposalSampler(4, rng)
+        assert np.cumsum(sampler.weights)[-1] == np.nextafter(1.0, 0.0)
+        sampler.sample()
         assert drawn_families(sampler, rng) == [Family.DEG3_SLIDING]
 
     @pytest.mark.parametrize("shortfall, u", [
@@ -499,16 +499,18 @@ class TestProposalSampler:
         (5e-10, 1 - 1e-10),
     ])
     def test_zero_weight_last_family_never_drawn(self, shortfall, u):
-        # Weights may sum to 1 - 1e-9; draws above the sum go to the last
-        # family with positive weight, never to a zero-weight one.
-        weights = [0.2, 0.2, 0.2, 0.2, 0.2 - shortfall, 0.0]
-        sampler = ProposalSampler(4, weights)
+        # Weights divided by their sum may add up to a hair off 1; draws
+        # above the sum go to the last family with positive weight, never
+        # to a zero-weight one.
+        weights = dict(zip(Family, [0.2, 0.2, 0.2, 0.2, 0.2 - shortfall, 0.0]))
         top = RecordingRng(0, u=u)
-        sampler.sample(top)
+        sampler = ProposalSampler(4, top, weights)
+        sampler.sample()
         assert drawn_families(sampler, top) == [Family.TYPE2_DEG1]
         rng = RecordingRng(1)
+        sampler = ProposalSampler(4, rng, weights)
         for _ in range(20_000):
-            sampler.sample(rng)
+            sampler.sample()
         assert Family.DEG3_SLIDING not in drawn_families(sampler, rng)
 
     def test_block_draws_keep_the_per_draw_law(self):
@@ -517,9 +519,9 @@ class TestProposalSampler:
         # a time, and the lookup table holds for each row drawn the proposal
         # (or null) a fresh decoder gives for it.
         T, draws = 4, 200_000
-        sampler = ProposalSampler(T)
         rng = RecordingRng(14)
-        nulls = sum(sampler.sample(rng) is None for _ in range(draws))
+        sampler = ProposalSampler(T, rng)
+        nulls = sum(sampler.sample() is None for _ in range(draws))
         fresh = _decode.Decoder(T)
         null_law = 0.0
         by_family = dict.fromkeys(Family, 0)
@@ -529,63 +531,68 @@ class TestProposalSampler:
             index, entries = merged_entries(fresh, [(fam, rows)])
             for i, e in zip(index, entries):
                 decoded[i] = e
-            table = sampler._tables[fam]
+            table = moves._lookup_table(T, fam)
             assert [table[i] for i in (rows @ fresh.strides[fam]).tolist()] == decoded
         rows_drawn = -(-draws // moves._BLOCK) * moves._BLOCK
         assert sum(by_family.values()) == rows_drawn
         for fam, w in zip(Family, sampler.weights):
-            table = sampler._tables[fam]
+            table = moves._lookup_table(T, fam)
             null_law += w * sum(p is None for p in table) / len(table)
             sd = math.sqrt(w * (1 - w) / rows_drawn)
             assert abs(by_family[fam] / rows_drawn - w) < 5 * sd
         sd = math.sqrt(null_law * (1 - null_law) / draws)
         assert abs(nulls / draws - null_law) < 5 * sd
 
-    def test_alternating_generators_is_deterministic(self):
-        # A call with the other generator drops the rest of the block, so
-        # the proposals depend only on the seeds and the order of calls.
-        def run():
-            sampler = ProposalSampler(4)
-            rngs = random.Random(1), random.Random(2)
-            order = [0, 1, 1, 0, 0, 0, 1] * 40
-            return [sampler.sample(rngs[i]) for i in order]
-
-        first, second = run(), run()
-        assert first == second
-        # The first call with the second generator starts from its seed.
-        assert first[1] == ProposalSampler(4).sample(random.Random(2))
-        assert sum(p is not None for p in first) > 20
+    def test_alternating_samplers_keep_their_own_streams(self):
+        # A sampler draws from its own generator alone, so two samplers
+        # called alternately, past the end of a block, hand out exactly
+        # the proposals each hands out on its own.
+        samplers = [ProposalSampler(4, random.Random(seed)) for seed in (1, 2)]
+        handed: list[list] = [[], []]
+        for i in [0, 1, 1, 0, 0, 0, 1] * 700:
+            handed[i].append(samplers[i].sample())
+        for seed, got in zip((1, 2), handed):
+            alone = ProposalSampler(4, random.Random(seed))
+            assert got == [alone.sample() for _ in got]
+        assert min(len(got) for got in handed) > moves._BLOCK
+        assert handed[0][:100] != handed[1][:100]
+        assert sum(p is not None for p in handed[0]) > 20
 
     @pytest.mark.parametrize("T", [3, 4, 5, 6])
-    def test_memoised_draws_match_fresh_builds(self, T):
-        tabled, fresh = ProposalSampler(T), ProposalSampler(T)
-        # Without its lookup tables a sampler decodes every block, as above
-        # the cap.
-        fresh._tables = None
-        rng_tabled, rng_fresh = RecordingRng(T), random.Random(T)
-        for _ in range(20_000):
-            assert tabled.sample(rng_tabled) == fresh.sample(rng_fresh)
+    def test_memoised_draws_match_fresh_builds(self, T, monkeypatch):
+        rng_tabled = RecordingRng(T)
+        tabled = ProposalSampler(T, rng_tabled)
+        drawn = [tabled.sample() for _ in range(20_000)]
+        # With the cap below T a sampler decodes every block, as above the
+        # cap, and never reads the lookup tables.
+        with monkeypatch.context() as patch:
+            patch.setattr(moves, "ENUMERATION_T_CAP", MIN_T - 1)
+            fresh = ProposalSampler(T, random.Random(T))
+            assert [fresh.sample() for _ in range(20_000)] == drawn
+            assert len(fresh._block) == 4
         # Every family with moves at T gave a proposal.
-        strides, tables = tabled._decoder.strides, tabled._tables
+        strides = tabled._decoder.strides
         families = {
             fam
             for fam, rows in zip(drawn_families(tabled, rng_tabled), rng_tabled.rows)
-            if any(tables[fam][i] is not None for i in (rows @ strides[fam]).tolist())
+            if any(moves._lookup_table(T, fam)[i] is not None
+                   for i in (rows @ strides[fam]).tolist())
         }
         assert families == {f for f in Family if enumerate_family(T, f)}
         # Each table covers its family's whole draw space, and is the table
-        # _lookup_table builds.
-        for fam, table in tabled._tables.items():
+        # a fresh build of _lookup_table gives.
+        for fam in Family:
+            table = moves._lookup_table(T, fam)
             assert len(table) == int(np.prod(tabled._highs[fam]))
-            assert table.tolist() == moves._lookup_table(T, fam).tolist()
-        assert fresh._tables is None
+            assert table.tolist() == moves._lookup_table.__wrapped__(T, fam).tolist()
         # A block lists the slots of its draws that give a move and the
         # table's own proposals for them, gathered by flat draw index, so
         # draws of one move share one tuple.  Every draw of a block with
         # u = 0.25 is a crossing draw.
-        sampler, rng = ProposalSampler(T), RecordingRng(T, u=0.25)
-        (slots, drawn), _, _ = sampler.span(rng, moves._BLOCK)
-        table = sampler._tables[Family.CROSSING]
+        rng = RecordingRng(T, u=0.25)
+        sampler = ProposalSampler(T, rng)
+        (slots, drawn), _, _ = sampler.span(moves._BLOCK)
+        table = moves._lookup_table(T, Family.CROSSING)
         flat = (rng.rows[0] @ sampler._decoder.strides[Family.CROSSING]).tolist()
         assert len(flat) == moves._BLOCK
         assert slots.tolist() == [i for i, f in enumerate(flat) if table[f] is not None]
@@ -598,31 +605,28 @@ class TestProposalSampler:
             raise AssertionError(f"lookup table built at T={T}")
 
         monkeypatch.setattr(moves, "_lookup_table", no_table)
-        sampler = ProposalSampler(T)
-        rng = random.Random(T)
+        sampler = ProposalSampler(T, random.Random(T))
         for _ in range(5_000):
-            sampler.sample(rng)
-        assert sampler._tables is None
+            sampler.sample()
+        assert len(sampler._block) == 4
 
     def test_sign_is_fair(self):
         # With a fair sign, q(z) = q(-z), and one of z and -z has a positive
         # first delta: half the proposals do.
-        rng = random.Random(1)
-        sampler = ProposalSampler(4)
+        sampler = ProposalSampler(4, random.Random(1))
         signs = []
         for _ in range(100_000):
-            prop = sampler.sample(rng)
+            prop = sampler.sample()
             if prop is not None:
                 signs.append(1 if prop[0][1] > 0 else -1)
         frac = sum(1 for s in signs if s == 1) / len(signs)
         assert abs(frac - 0.5) < 0.01
 
     def test_validity_over_draws_T4(self):
-        rng = random.Random(2)
-        sampler = ProposalSampler(4)
+        sampler = ProposalSampler(4, random.Random(2))
         seen = 0
         for _ in range(100_000):
-            prop = sampler.sample(rng)
+            prop = sampler.sample()
             if prop is None:
                 continue
             entries = prop
@@ -633,23 +637,21 @@ class TestProposalSampler:
         assert seen > 10_000
 
     def test_indispensable_move_is_reachable_at_T3(self):
-        rng = random.Random(3)
         target = coded(deg3_sliding(3, 1, 1, 1))
         weights = {Family.DEG3_SLIDING: 1.0}
-        sampler = ProposalSampler(3, weights)
+        sampler = ProposalSampler(3, random.Random(3), weights)
         for k in range(100_000):
-            prop = sampler.sample(rng)
+            prop = sampler.sample()
             if prop in (target, negated(target)):
                 return
         pytest.fail("indispensable sliding move never proposed in 1e5 draws")
 
     def test_symmetric_distribution_over_signed_moves(self):
         # q(z) = q(-z): for every unsigned move, +1 and -1 draws should balance
-        rng = random.Random(4)
-        sampler = ProposalSampler(3)
+        sampler = ProposalSampler(3, random.Random(4))
         tallies: dict = {}
         for _ in range(60_000):
-            prop = sampler.sample(rng)
+            prop = sampler.sample()
             if prop is None:
                 continue
             if prop[0][1] > 0:
@@ -668,45 +670,52 @@ class TestProposalSampler:
             assert abs(plus - minus) < 5 * np.sqrt(total)
 
     def test_weights_validation(self):
-        with pytest.raises(ValueError):
-            ProposalSampler(4, {Family.TYPE1_DEG1: 0.5})
-        with pytest.raises(ValueError):
-            ProposalSampler(4, [1, 0, 0, 0, 0, 0, 0])
+        # Each weight is divided by the sum: weights that add up to 0.5
+        # give the weights of their double.
+        rng = random.Random(0)
+        half = ProposalSampler(4, rng, {Family.TYPE1_DEG1: 0.125, Family.TYPE4: 0.375})
+        whole = ProposalSampler(4, rng, {Family.TYPE1_DEG1: 0.25, Family.TYPE4: 0.75})
+        assert half.weights == whole.weights == (0.25, 0, 0, 0.75, 0, 0)
+        with pytest.raises(TypeError, match="mapping"):
+            ProposalSampler(4, rng, [1, 0, 0, 0, 0, 0])
 
     @pytest.mark.parametrize("weights", [
         {"type1": float("nan")},
         {"type1": float("nan"), "type2": 1.0},
         {"type1": float("inf")},
-        [float("inf"), 0, 0, 0, 0, 0],
-        [float("-inf"), 1, 0, 0, 0, 0],
+        dict(zip(Family, [float("inf"), 0, 0, 0, 0, 0])),
+        dict(zip(Family, [float("-inf"), 1, 0, 0, 0, 0])),
     ])
     def test_non_finite_weights_rejected(self, weights):
         with pytest.raises(ValueError, match="finite"):
-            ProposalSampler(4, weights)
+            ProposalSampler(4, random.Random(0), weights)
 
+    # The first unknown key is named, as ``thmc test --weights`` names it.
     @pytest.mark.parametrize("weights, bad", [
         ({"type1": 1.0, "typo": 3.0}, "'typo'"),
         ({"type1": 0.5, "TYPE2": 0.5}, "'TYPE2'"),
-        ({Family.TYPE1_DEG1: 0.5, "deg3": 0.25, "x": 0.25}, "'deg3', 'x'"),
+        ({Family.TYPE1_DEG1: 0.5, "deg3": 0.25, "x": 0.25}, "'deg3'"),
     ])
     def test_unknown_weight_keys_named(self, weights, bad):
-        with pytest.raises(ValueError, match=bad):
-            ProposalSampler(4, weights)
+        with pytest.raises(ValueError, match=f"^unknown family {bad}; expected one of") as info:
+            ProposalSampler(4, random.Random(0), weights)
+        assert "'x'" not in str(info.value)
 
     def test_weight_keys_by_token_or_family(self):
-        by_token = ProposalSampler(4, {"type1": 0.25, "deg3-sliding": 0.75})
-        by_family = ProposalSampler(4, {Family.TYPE1_DEG1: 0.25,
-                                        Family.DEG3_SLIDING: 0.75})
+        rng = random.Random(0)
+        by_token = ProposalSampler(4, rng, {"type1": 0.25, "deg3-sliding": 0.75})
+        by_family = ProposalSampler(4, rng, {Family.TYPE1_DEG1: 0.25,
+                                             Family.DEG3_SLIDING: 0.75})
         assert by_token.weights == by_family.weights == (0.25, 0, 0, 0, 0, 0.75)
 
     def test_initial_shift_split_by_family(self):
         # A proposal names no family, so each family is drawn alone.
         rng = random.Random(5)
         for fam in Family:
-            sampler = ProposalSampler(5, {fam: 1.0})
+            sampler = ProposalSampler(5, rng, {fam: 1.0})
             shifts = set()
             for _ in range(4_000):
-                prop = sampler.sample(rng)
+                prop = sampler.sample()
                 if prop is not None:
                     shifts.add(abs(initial_shift(5, prop)))
             if fam in (Family.TYPE2_DEG1, Family.DEG3_SLIDING):
@@ -716,11 +725,11 @@ class TestProposalSampler:
 
     def test_path_codes_past_int64_rejected(self):
         with pytest.raises(ValueError, match="int64") as info:
-            ProposalSampler(moves.MAX_SAMPLER_T + 1)
+            ProposalSampler(moves.MAX_SAMPLER_T + 1, random.Random(0))
         assert "\n" not in str(info.value)
-        sampler = ProposalSampler(moves.MAX_SAMPLER_T)
         rng = RecordingRng(0)
-        props = [p for p in (sampler.sample(rng) for _ in range(256)) if p]
+        sampler = ProposalSampler(moves.MAX_SAMPLER_T, rng)
+        props = [p for p in (sampler.sample() for _ in range(256)) if p]
         for entries in props:
             pos, neg = entries_stats(moves.MAX_SAMPLER_T, entries)
             assert pos == neg
@@ -927,11 +936,13 @@ class TestDecoder:
             space = np.vstack([plus, minus])
             monkeypatch.setattr(moves, "_BLOCK", len(space))
             monkeypatch.setattr(_decode, "bounded", lambda rng, highs, m: space)
-            sampler = ProposalSampler(T, {fam: 1.0})
+            sampler = ProposalSampler(T, random.Random(0), {fam: 1.0})
             forms = []
-            for tables in ({}, None):
-                sampler._tables = tables
-                block, _, _ = sampler.span(random.Random(0), len(space))
+            for cap in (T, MIN_T - 1):
+                # With the cap below T the sampler decodes its block.
+                with monkeypatch.context() as patch:
+                    patch.setattr(moves, "ENUMERATION_T_CAP", cap)
+                    block, _, _ = sampler.span(len(space))
                 drawn = Counter(block[1] if len(block) == 2 else moves.proposals(*block[1:]))
                 assert all(drawn[negated(e)] == n for e, n in drawn.items())
                 forms.append(drawn)
