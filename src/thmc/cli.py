@@ -1,7 +1,9 @@
 """Command-line surface: exact test, basis verification, fiber and move listings.
 
 Exit codes are stable: 0 success, 1 usage error, 2 ingestion error, 3 fit
-failure, 4 disconnected fibers found, 5 enumeration budget exceeded.
+failure, 4 disconnected fibers found, 5 enumeration budget exceeded.  A
+library error leaves each command through one exit table, :func:`_exits`,
+as one ``error:`` line on stderr.
 Results go to stdout or the requested files; stderr carries diagnostics
 only.  JSON output embeds the seed and the full flag set, and numbers are
 written with 17 significant digits so byte-identical reruns are auditable.
@@ -18,11 +20,13 @@ held in memory.
 from __future__ import annotations
 
 import errno
+import functools
 import os
 import sys
 from collections.abc import Callable
 from json.encoder import encode_basestring_ascii as _json_string
 from pathlib import Path as FilePath
+from typing import NoReturn
 
 import click
 
@@ -46,9 +50,32 @@ LOW_ACCEPTANCE = 0.01
 click.UsageError.exit_code = EXIT_USAGE
 
 
-def _fail(code: int, message: str) -> None:
+def _fail(code: int, message: str) -> NoReturn:
     click.echo(f"error: {message}", err=True)
     sys.exit(code)
+
+
+def _exits(command: Callable[..., None]) -> Callable[..., None]:
+    """``command`` with the exit table of the library's errors: an
+    ``IngestError`` exits 2, a ``FitError`` 3, a ``BudgetExceeded`` 5 and
+    any other ``ValueError`` 1, caught in that order since an
+    ``IngestError`` is a ``ValueError``.  An ``OSError`` is left to the
+    command, which reads it as a failed read or write."""
+
+    @functools.wraps(command)
+    def run(**kwargs) -> None:
+        try:
+            command(**kwargs)
+        except IngestError as exc:
+            _fail(EXIT_INGEST, str(exc))
+        except inference.FitError as exc:
+            _fail(EXIT_FIT, str(exc))
+        except fiber_mod.BudgetExceeded as exc:
+            _fail(EXIT_BUDGET, str(exc))
+        except ValueError as exc:
+            _fail(EXIT_USAGE, str(exc))
+
+    return run
 
 
 def _json_pieces(value, write: Callable[[str], object], pad: str = "\n") -> None:
@@ -148,21 +175,11 @@ def _parse_weights(spec: str | None):
 
 
 def _parse_families(spec: str) -> list[Family]:
-    tokens = {f.value: f for f in Family}
-    out: list[Family] = []
-    for item in spec.split(","):
-        item = item.strip()
-        if not item:
-            continue
-        if item not in tokens:
-            raise ValueError(
-                f"unknown family {item!r}; expected one of {sorted(tokens)}"
-            )
-        if tokens[item] not in out:
-            out.append(tokens[item])
-    if not out:
+    """The families ``--families`` names, each once, in the order named."""
+    families = [Family(item.strip()) for item in spec.split(",") if item.strip()]
+    if not families:
         raise ValueError("no families selected")
-    return out
+    return list(dict.fromkeys(families))
 
 
 def _parse_stat(spec: str) -> TransitionStat:
@@ -197,6 +214,7 @@ def main() -> None:
 @click.option("--add-observed", is_flag=True, default=False,
               help="Use the (1+count)/(N+1) p-value convention.")
 @click.option("--chains", default=1, show_default=True, help="Independent pooled chains.")
+@_exits
 def cmd_test(input_path, mapping_spec, samples, burnin, seed, output_path,
              histogram_path, weights_spec, add_observed, chains) -> None:
     """Run the exact conditional goodness-of-fit test on a dataset."""
@@ -208,34 +226,25 @@ def cmd_test(input_path, mapping_spec, samples, burnin, seed, output_path,
         _fail(EXIT_USAGE, f"--chains must be >= 1, got {chains}")
     if seed < 0:
         _fail(EXIT_USAGE, f"--seed must be >= 0, got {seed}")
-    try:
-        mapping = parse_mapping(mapping_spec)
-        weights = _parse_weights(weights_spec)
-    except ValueError as exc:
-        _fail(EXIT_USAGE, str(exc))
-        return
+    mapping = parse_mapping(mapping_spec)
+    weights = _parse_weights(weights_spec)
     _check_writable(output_path)
     _check_writable(histogram_path)
     try:
         table = ingest(input_path, mapping)
-    except (IngestError, OSError) as exc:
+    except OSError as exc:
         _fail(EXIT_INGEST, str(exc))
-        return
     if table.T > DENSE_T_CAP:
         _fail(EXIT_INGEST, f"path length T={table.T} exceeds the cap T <= {DENSE_T_CAP}")
-    try:
-        result = inference.exact_test(
-            table,
-            steps=samples,
-            burnin=burnin,
-            seed=seed,
-            weights=weights,
-            add_observed=add_observed,
-            chains=chains,
-        )
-    except inference.FitError as exc:
-        _fail(EXIT_FIT, str(exc))
-        return
+    result = inference.exact_test(
+        table,
+        steps=samples,
+        burnin=burnin,
+        seed=seed,
+        weights=weights,
+        add_observed=add_observed,
+        chains=chains,
+    )
     b = suff_stat(table)
     payload = {
         "n": table.n,
@@ -288,28 +297,18 @@ def cmd_test(input_path, mapping_spec, samples, burnin, seed, output_path,
               default=",".join(f.value for f in Family), show_default=True,
               help="Comma list of move families to use.")
 @click.option("--report", "report_path", default=None, help="Write the JSON report here.")
+@_exits
 def cmd_verify_basis(T, n_max, families_spec, report_path) -> None:
     """Enumerate every fiber up to n-max and check connectivity."""
     if T < MIN_T:
         _fail(EXIT_USAGE, f"--T must be >= {MIN_T}, got {T}")
     if n_max < 0:
         _fail(EXIT_USAGE, f"--n-max must be >= 0, got {n_max}")
-    try:
-        families = _parse_families(families_spec)
-    except ValueError as exc:
-        _fail(EXIT_USAGE, str(exc))
-        return
+    families = _parse_families(families_spec)
     _check_writable(report_path)
-    try:
-        # A report writes every table, so the table budget holds as well.
-        levels = fiber_mod._levels(T, n_max) if report_path is not None else None
-        reports = fiber_mod.sweep(T, n_max, families)
-    except fiber_mod.BudgetExceeded as exc:
-        _fail(EXIT_BUDGET, str(exc))
-        return
-    except ValueError as exc:
-        _fail(EXIT_USAGE, str(exc))
-        return
+    # A report writes every table, so the table budget holds as well.
+    levels = fiber_mod._levels(T, n_max) if report_path is not None else None
+    reports = fiber_mod.sweep(T, n_max, families)
     bad = fiber_mod.disconnected(reports)
     summary = {
         "fibers": len(reports),
@@ -358,24 +357,14 @@ def cmd_verify_basis(T, n_max, families_spec, report_path) -> None:
 @main.command("enumerate-fiber")
 @click.option("--T", "T", required=True, type=int, help="Path length.")
 @click.option("--b", "b_spec", required=True, help="Transition counts b11,b12,b21,b22.")
+@_exits
 def cmd_enumerate_fiber(T, b_spec) -> None:
     """List every table in one fiber, one 'path:count' line per table.  A
     search that runs to its budget of 10**8 nodes takes about 6 minutes."""
     if T < MIN_T:
         _fail(EXIT_USAGE, f"--T must be >= {MIN_T}, got {T}")
-    try:
-        b = _parse_stat(b_spec)
-    except ValueError as exc:
-        _fail(EXIT_USAGE, str(exc))
-        return
-    try:
-        fib = fiber_mod.enumerate_fiber(T, b)
-    except fiber_mod.BudgetExceeded as exc:
-        _fail(EXIT_BUDGET, str(exc))
-        return
-    except ValueError as exc:
-        _fail(EXIT_USAGE, str(exc))
-        return
+    b = _parse_stat(b_spec)
+    fib = fiber_mod.enumerate_fiber(T, b)
     if not fib.cells:
         click.echo(f"fiber of b={b.as_tuple()} at T={T} is empty", err=True)
         return
@@ -386,6 +375,7 @@ def cmd_enumerate_fiber(T, b_spec) -> None:
 @click.option("--T", "T", required=True, type=int, help="Path length.")
 @click.option("--family", "family_token", required=True,
               help="One of: " + ", ".join(f.value for f in Family))
+@_exits
 def cmd_moves(T, family_token) -> None:
     """List every move of one family, e.g. '+1 1121  -1 1211' per line."""
     if T < MIN_T:
@@ -396,13 +386,7 @@ def cmd_moves(T, family_token) -> None:
         _fail(EXIT_USAGE,
               f"unknown family {family_token!r}; expected one of "
               + ", ".join(f.value for f in Family))
-        return
-    try:
-        moves = enumerate_family(T, family)
-    except ValueError as exc:
-        _fail(EXIT_USAGE, str(exc))
-        return
-    for move in moves:
+    for move in enumerate_family(T, family):
         click.echo(format_move(move))
 
 

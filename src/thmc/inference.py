@@ -36,7 +36,7 @@ from .core import (
     initial_freq,
     suff_stat,
 )
-from .moves import MAX_SAMPLER_T, Family, Proposal, ProposalSampler, proposals
+from .moves import Family, Proposal, ProposalSampler, _normalize_weights, proposals
 
 #: Fisher-scoring convergence tolerance on the Birch residual
 #: ||b_obs - n E[b]||_inf, and the iteration budget; both are read at
@@ -337,9 +337,6 @@ def chi2_sf(x: float, df: int) -> float:
 #: after the first accepted move.
 _RESCREEN = 64
 
-#: No path code: codes are below 2**MAX_SAMPLER_T.
-_NO_CODE = 1 << MAX_SAMPLER_T
-
 
 class _Chain:
     """Metropolis-Hastings walk on the fiber of a starting table.
@@ -508,14 +505,14 @@ class _Chain:
     def _fits(self, block: tuple, row: int, end: int) -> list[int]:
         """The rows from ``row`` to ``end - 1`` of a decoded block that leave
         every count nonnegative: each entry's code is looked up in the
-        sorted codes of the counts, ended by ``_NO_CODE``."""
+        sorted codes of the counts, a code past the last clamped to it."""
         _, codes, deltas, bounds = block
         held = sorted(self.counts)
-        support = np.array(held + [_NO_CODE])
-        count = np.array([self.counts[c] for c in held] + [0])
+        support = np.array(held)
+        count = np.array([self.counts[c] for c in held])
         lo, hi = bounds[row], bounds[end]
         code = codes[lo:hi]
-        at = np.searchsorted(support, code)
+        at = np.minimum(np.searchsorted(support, code), len(held) - 1)
         short = count[at] * (support[at] == code) + deltas[lo:hi] < 0
         fits = ~np.logical_or.reduceat(short, bounds[row:end] - lo)
         return (row + np.flatnonzero(fits)).tolist()
@@ -632,8 +629,8 @@ def exact_test(
     convention).  With ``chains`` > 1 the samples are split over
     independent chains, run one after another and pooled in chain index
     order; diagnostics cover the post-burn-in phase.  Each chain has its
-    own proposal sampler on its own generator; the samplers share the
-    lookup tables of their T.
+    own proposal sampler on its own generator, both built as the chain
+    starts; the samplers share the lookup tables of their T.
 
     One chain draws from ``random.Random(seed)``; with more, chain i draws
     from ``random.Random(f"{seed}/{i}")``, which does not depend on the
@@ -651,20 +648,18 @@ def exact_test(
     if chains < 1:
         raise ValueError(f"chains must be >= 1, got {chains}")
     seed = _checked_seed(seed)
-    # Chains past the steps-th get no sample, so they are not seeded.
-    if chains == 1:
-        rngs = [random.Random(seed)]
-    else:
-        rngs = [random.Random(f"{seed}/{i}") for i in range(min(chains, steps))]
-    samplers = [ProposalSampler(table.T, rng, weights) for rng in rngs]
+    _normalize_weights(weights)  # a bad mapping raises before the fit
     evaluator = _LikelihoodRatioEvaluator(table)
     L_obs = evaluator.L
-    base, rem = divmod(steps, len(samplers))
+    # Chains past the steps-th get no sample, so they are not seeded.
+    used = min(chains, steps)
+    base, rem = divmod(steps, used)
 
     runs: list[tuple[float, int]] = []
     accepted = nulls = 0
-    for i, sampler in enumerate(samplers):
-        chain = _Chain(evaluator, sampler)
+    for i in range(used):
+        rng = random.Random(seed if chains == 1 else f"{seed}/{i}")
+        chain = _Chain(evaluator, ProposalSampler(table.T, rng, weights))
         chain.walk(burnin)
         moved, null = chain.walk(base + (1 if i < rem else 0), runs)
         chain.check()

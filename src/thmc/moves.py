@@ -29,7 +29,7 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, lru_cache
-from typing import Iterable, Iterator, Mapping, Optional
+from typing import Iterable, Iterator, Mapping, NoReturn, Optional
 
 import numpy as np
 
@@ -49,7 +49,12 @@ Proposal = tuple[tuple[int, int], ...]
 
 
 class Family(str, Enum):
-    """Move family tags; the values are the tokens the CLI accepts."""
+    """Move family tags; the values are the tokens the CLI accepts.
+
+    ``Family(token)`` is the one check of a token: anything but a family
+    or its token raises ``ValueError`` with the line ``--families`` and
+    ``--weights`` print, ``unknown family 'x'; expected one of [...]``.
+    """
 
     TYPE1_DEG1 = "type1"
     CROSSING = "crossing"
@@ -57,6 +62,11 @@ class Family(str, Enum):
     TYPE4 = "type4"
     TYPE2_DEG1 = "type2"
     DEG3_SLIDING = "deg3-sliding"
+
+    @classmethod
+    def _missing_(cls, value: object) -> NoReturn:
+        tokens = sorted(f.value for f in cls)
+        raise ValueError(f"unknown family {value!r}; expected one of {tokens}")
 
 
 FAMILIES: tuple[Family, ...] = tuple(Family)
@@ -571,10 +581,8 @@ MAX_SAMPLER_T = 62
 
 def _family_weight(key: object, value: float | str) -> tuple[Family, float]:
     """One entry of a weights mapping, a family or its token and a finite
-    number >= 0, as ``(family, weight)``; raise as ``--weights`` reports."""
-    if key not in FAMILIES:
-        tokens = sorted(f.value for f in FAMILIES)
-        raise ValueError(f"unknown family {key!r}; expected one of {tokens}")
+    number >= 0, as ``(family, weight)``; raise as ``--weights`` reports,
+    an unknown key as :class:`Family` does."""
     family = Family(key)
     try:
         weight = float(value)

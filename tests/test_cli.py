@@ -123,6 +123,22 @@ class TestIngest:
             with pytest.raises(ValueError):
                 parse_mapping(bad)
 
+    def test_symbol_mapped_twice(self):
+        with pytest.raises(ValueError, match="^symbol 'M' mapped twice$"):
+            parse_mapping("M=1,M=2")
+
+    @pytest.mark.parametrize("text, line", [
+        ("111,1\n121\n", "line 2: expected 'path,count', got '121'"),
+        ("path,count\n12,1\n", "line 2: paths must have length >= 3, got '12'"),
+        ("path,count\n# none\n\n", "no data rows found"),
+    ])
+    def test_line_errors(self, tmp_path, text, line):
+        f = tmp_path / "bad.csv"
+        f.write_text(text)
+        with pytest.raises(IngestError) as err:
+            ingest(f)
+        assert str(err.value) == line
+
 
 def serialized(value) -> str:
     pieces: list[str] = []
@@ -614,6 +630,9 @@ class TestCmdVerifyBasis:
         (["--T", "9", "--n-max", "0"], "the point index is capped at T <= 8, got 9"),
         (["--T", "7", "--n-max", "0", "--families", "crossing,type2"],
          "enumeration is capped at T <= 6, got 7"),
+        (["--T", "9", "--n-max", "2"], "the point index is capped at T <= 8, got 9"),
+        (["--T", "7", "--n-max", "2", "--families", "crossing"],
+         "enumeration is capped at T <= 6, got 7"),
     ])
     def test_T_over_enumeration_cap_is_usage_error(self, runner, args):
         argv, line = args
@@ -1010,6 +1029,50 @@ class TestCmdMoves:
         assert result.exit_code == 0
         assert len(result.stdout.splitlines()) == lines
         assert hashlib.sha256(result.stdout.encode()).hexdigest() == digest
+
+
+# Each line was recorded when every command still caught the library's
+# errors in its own try blocks.  In the arguments {klotz} is the bundled
+# data, {dir} a directory and {file} a plain file.
+class TestErrorLines:
+    @pytest.mark.parametrize("argv, code, line", [
+        ("test --input {klotz} --burnin -1", 1, "--burnin must be >= 0, got -1"),
+        ("test --input {klotz} --chains 0", 1, "--chains must be >= 1, got 0"),
+        ("test --input {klotz} --samples 0", 1, "--samples must be >= 1, got 0"),
+        ("test --input {klotz} --output {dir}", 1, "cannot write {dir}: Is a directory"),
+        ("test --input {klotz} --output {file}/x", 1,
+         "cannot write {file}/x: Not a directory"),
+        ("test --input {klotz} --map M=1,M=2", 1, "symbol 'M' mapped twice"),
+        ("verify-basis --T 2 --n-max 2", 1, "--T must be >= 3, got 2"),
+        ("verify-basis --T 4 --n-max -1", 1, "--n-max must be >= 0, got -1"),
+        ("verify-basis --T 4 --n-max 2 --families ,", 1, "no families selected"),
+        ("verify-basis --T 4 --n-max 2 --families type1,bogus", 1,
+         TestCmdTest.UNKNOWN[len("error: "):]),
+        ("verify-basis --T 6 --n-max 7", 5,
+         "4272048 class multisets of n <= 7 at T=6 exceed the budget of 1000000"),
+        ("enumerate-fiber --T 2 --b 1,1,1,1", 1, "--T must be >= 3, got 2"),
+        ("enumerate-fiber --T 4 --b 1,2,3", 1, "expected 'b11,b12,b21,b22', got '1,2,3'"),
+        ("enumerate-fiber --T 4 --b 1,x,0,2", 1, "non-integer entry in '1,x,0,2'"),
+        ("enumerate-fiber --T 4 --b -1,0,0,2", 1,
+         "transition counts must be nonnegative: '-1,0,0,2'"),
+        ("enumerate-fiber --T 30 --b 1,1,1,26", 1,
+         "fiber enumeration is capped at T <= 24, got 30"),
+        ("enumerate-fiber --T 3 --b 2000002,0,0,0", 5,
+         "tables of 1000001 paths exceed the fiber element budget 1000000"),
+        ("moves --T 2 --family type1", 1, "--T must be >= 3, got 2"),
+        ("moves --T 4 --family bogus", 1,
+         "unknown family 'bogus'; expected one of "
+         "type1, crossing, 2x2, type4, type2, deg3-sliding"),
+        ("moves --T 7 --family type1", 1, "enumeration is capped at T <= 6, got 7"),
+    ])
+    def test_error_line(self, runner, tmp_path, argv, code, line):
+        (tmp_path / "file").write_text("")
+        names = {"klotz": klotz_path(), "dir": tmp_path, "file": tmp_path / "file"}
+        result = runner.invoke(main, [a.format(**names) for a in argv.split()])
+        assert result.exit_code == code
+        assert isinstance(result.exception, SystemExit)
+        assert result.stdout == ""
+        assert result.stderr == f"error: {line.format(**names)}\n"
 
 
 class TestRuntimeDependencies:

@@ -71,6 +71,10 @@ class TestPaths:
         with pytest.raises(ValueError):
             decode(-1, 4)
 
+    def test_decode_below_min_T(self):
+        with pytest.raises(ValueError, match="^T must be >= 3, got 2$"):
+            decode(0, 2)
+
 
 class TestTransitions:
     def test_simple(self):
@@ -126,6 +130,10 @@ class TestPathTable:
     def test_from_paths(self):
         t = PathTable.from_paths([(1, 2, 2), (1, 2, 2), (1, 1, 1)])
         assert t == PathTable(3, {(1, 2, 2): 2, (1, 1, 1): 1})
+
+    def test_from_no_paths_rejected(self):
+        with pytest.raises(ValueError, match="empty path collection"):
+            PathTable.from_paths([])
 
 
 class TestSuffStat:
@@ -223,6 +231,10 @@ class TestConfiguration:
     def test_rejects_small_T(self):
         with pytest.raises(ValueError):
             configuration(2, Variant.WITHOUT_INITIAL)
+
+    def test_rejects_T_past_the_dense_cap(self):
+        with pytest.raises(ValueError, match=r"2\*\*25-column matrix \(cap T <= 24\)"):
+            configuration(25)
 
     @pytest.mark.parametrize("variant", list(Variant))
     @pytest.mark.parametrize("T", range(3, 11))

@@ -398,6 +398,10 @@ class TestConnectivity:
 
 
 class TestSweep:
+    def test_unknown_family_named(self):
+        with pytest.raises(ValueError, match="^unknown family 'bogus'; expected one of"):
+            sweep(4, 2, ["bogus"])
+
     # A selection with type I moves is indexed on points and reads no
     # family's draws; any other is read from its families' decoded draws,
     # once per selection and family.  No Move is built for the index, and

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import math
 import random
+import weakref
 from collections import Counter
 
 import numpy as np
@@ -131,6 +132,11 @@ class TestFitMle:
         with pytest.raises(ValueError, match="positive multiple"):
             fit_mle(TransitionStat(0, 0, 0, 0), 3)
 
+    @pytest.mark.parametrize("k, shape", [(None, 4), (98, 6)])
+    def test_theta0_of_another_shape_rejected(self, klotz, k, shape):
+        with pytest.raises(ValueError, match=rf"^theta0 must have shape \({shape},\)$"):
+            fit_mle(suff_stat(klotz), 4, k, theta0=np.zeros(5))
+
     # No table of path length 4 has a statistic total that is not a
     # multiple of 3.
     @pytest.mark.parametrize("k", [None, 0])
@@ -257,6 +263,10 @@ class TestChi2Sf:
     def test_at_zero(self):
         for df in (1, 2, 5):
             assert chi2_sf(0.0, df) == 1.0
+
+    def test_at_infinity(self):
+        for df in (1, 2, 5):
+            assert chi2_sf(math.inf, df) == 0.0
 
     def test_quantile(self):
         # 3.841459 is the 95% point of the one-degree chi-square
@@ -586,6 +596,27 @@ class TestExactTest:
         assert seeded == [f"2/{i}" for i in range(5)]
         assert many == exact_test(klotz, steps=5, burnin=0, seed=2, chains=5)
 
+    # Each chain's generator and sampler are built as the chain starts, so
+    # at most the last chain's sampler is alive beside the current one's.
+    # The figures were recorded when every sampler was built up front.
+    def test_samplers_built_as_each_chain_starts(self, klotz, monkeypatch):
+        alive = weakref.WeakSet()
+        most = 0
+        init = ProposalSampler.__init__
+
+        def recorded(self, *args, **kwargs):
+            nonlocal most
+            init(self, *args, **kwargs)
+            alive.add(self)
+            most = max(most, len(alive))
+
+        monkeypatch.setattr(ProposalSampler, "__init__", recorded)
+        result = exact_test(klotz, steps=300, burnin=0, seed=1, chains=50)
+        assert most <= 2
+        assert (result.p_exact, result.acceptance_rate, result.null_proposal_rate) == (
+            283 / 300, 54 / 300, 227 / 300,
+        )
+
     # Chain i's seed does not depend on the number of chains; one chain
     # draws from the seed itself.  At seed 2 the first draws of the chains
     # and of the seed's own generator give different diagnostics.
@@ -722,6 +753,10 @@ class TestExactTest:
             exact_test(klotz, steps=0)
         with pytest.raises(ValueError):
             exact_test(klotz, steps=10, chains=0)
+
+    def test_negative_burnin_rejected(self, klotz):
+        with pytest.raises(ValueError, match="^burnin must be >= 0, got -1$"):
+            exact_test(klotz, steps=10, burnin=-1)
 
     # random.Random takes all of these, and gives -1 the stream of 1.
     @pytest.mark.parametrize("seed, error", [

@@ -132,6 +132,11 @@ class TestType1:
         with pytest.raises(MoveError):
             type1_deg1((1, 2, 1, 2, 1), 1, 3, 5)
 
+    @pytest.mark.parametrize("times", [(2, 2, 4), (1, 2, 5), (0, 2, 4)])
+    def test_times_out_of_order_rejected(self, times):
+        with pytest.raises(MoveError, match=r"^times must satisfy 1 <= t0 < t1 < t2 <= 4$"):
+            type1_deg1((1, 1, 2, 1), *times)
+
     def test_graph_matches_reference_figure(self):
         g = move_graph(type1_deg1((1, 1, 2, 1), 1, 2, 4))
         assert g.steps == ((1, -1, 0, 0), (0, 1, -1, 0), (-1, 0, 1, 0))
@@ -167,6 +172,15 @@ class TestCrossingSwap:
     def test_identical_paths_give_zero_move(self):
         with pytest.raises(MoveError):
             crossing_swap((1, 2, 1), (1, 2, 1), 2)
+
+    def test_paths_of_two_lengths_rejected(self):
+        with pytest.raises(ValueError, match=r"^path length 4 != expected T=3$"):
+            crossing_swap((1, 2, 1), (1, 2, 1, 1), 2)
+
+    @pytest.mark.parametrize("t", [0, 4])
+    def test_t_out_of_range_rejected(self, t):
+        with pytest.raises(MoveError, match=r"^t must lie in 1\.\.3$"):
+            crossing_swap((1, 2, 1), (2, 2, 2), t)
 
 
 class TestTwoByTwoSwap:
@@ -213,6 +227,20 @@ class TestTwoByTwoSwap:
         with pytest.raises(MoveError):
             two_by_two_swap(4, "A", 1, 3, (1,), (), (), (1,), (), ())
 
+    @pytest.mark.parametrize("args, message", [
+        ((4, "C", 1, 3), r"^pattern must be 'A' or 'B', got 'C'$"),
+        ((2, "A", 1, 2), r"^T must be >= 3$"),
+        ((4, "A", 2, 2), r"^times must satisfy 1 <= t0 < t1 <= 3$"),
+        ((4, "A", 1, 4), r"^times must satisfy 1 <= t0 < t1 <= 3$"),
+        ((5, "A", 2, 4, (), (1,)), r"^prefix must have length 1, got 0$"),
+        ((5, "A", 1, 3, (), (1,), ()), r"^suffix must have length 1, got 0$"),
+        ((4, "A", 1, 2, (), (1,), (2,)), r"^no interior positions exist when t1 == t0 \+ 1$"),
+        ((5, "A", 1, 4), r"^interior must have length 1, got 0$"),
+    ])
+    def test_bad_arguments_rejected(self, args, message):
+        with pytest.raises(MoveError, match=message):
+            two_by_two_swap(*args)
+
 
 class TestType4:
     def test_coincident_paths_example(self):
@@ -251,6 +279,16 @@ class TestType4:
         with pytest.raises(MoveError):
             type4_move(3, 1, 2, (), (), (), ())
 
+    @pytest.mark.parametrize("contexts, message", [
+        (((1,), (2,), (), (2, 2)), r"^path-1 context lengths do not match t0$"),
+        (((), (), (), (2, 2)), r"^path-1 context lengths do not match t0$"),
+        (((), (2, 2), (1, 1), ()), r"^path-2 context lengths do not match t1$"),
+        (((), (2, 2), (1,), ()), r"^path-2 context lengths do not match t1$"),
+    ])
+    def test_context_lengths_rejected(self, contexts, message):
+        with pytest.raises(MoveError, match=message):
+            type4_move(5, 1, 2, *contexts)
+
 
 class TestType2:
     def test_reference_example(self):
@@ -273,6 +311,11 @@ class TestType2:
     def test_open_path_rejected(self):
         with pytest.raises(MoveError):
             type2_deg1((1, 2, 1, 2), 2)
+
+    @pytest.mark.parametrize("t", [1, 4])
+    def test_t_out_of_range_rejected(self, t):
+        with pytest.raises(MoveError, match=r"^t must satisfy 1 < t < 4$"):
+            type2_deg1((1, 2, 1, 1), t)
 
 
 class TestDeg3Sliding:
@@ -366,8 +409,19 @@ class TestApply:
         with pytest.raises(ValueError):
             apply_move(PathTable(4), deg3_sliding(3, 1, 1, 1))
 
+    @pytest.mark.parametrize("sign", [0, 2])
+    def test_sign_must_be_one_or_minus_one(self, sign):
+        with pytest.raises(ValueError, match=f"^sign must be \\+1 or -1, got {sign}$"):
+            apply_move(PathTable(3), deg3_sliding(3, 1, 1, 1), sign)
+
 
 class TestEnumeration:
+    # Family checks its own tokens, so the library names an unknown one as
+    # thmc's --families and --weights do.
+    def test_unknown_family_named(self):
+        with pytest.raises(ValueError, match="^unknown family 'bogus'; expected one of"):
+            enumerate_family(4, "bogus")
+
     def test_deg3_T3_is_base_plus_state_swap(self):
         moves = enumerate_family(3, Family.DEG3_SLIDING)
         assert len(moves) == 2
