@@ -7,7 +7,8 @@ its classes.  :func:`levels` builds every row of each count and orders the
 rows into fibers; :func:`sweep` finds each fiber's components and table
 counts on its class multisets, searching one fiber per symmetry orbit
 (:mod:`thmc._orbits`) with a :func:`search` or two per level, and
-:func:`tables` builds a swept fiber's tables from its multisets when read.
+:func:`tables` builds a fiber's tables from its multisets: a swept
+fiber's when read, a lone one's once its search is done.
 :class:`Tokens` renders the ``path:count`` tokens of some tables once, so a
 run of table keys takes one gather; :mod:`thmc._report` joins a level's
 into a report's JSON.
@@ -56,7 +57,7 @@ def _fibers(rows: np.ndarray, keys: np.ndarray, weights: np.ndarray, base: int) 
     ordered = keys[order]
     starts = _heads(ordered)
     fiber_stats = (ordered[starts, None].astype(np.int64) // weights) % base
-    return rows[order], starts, tuples(fiber_stats)
+    return rows[order], starts, list(map(tuple, fiber_stats.tolist()))
 
 
 def _extend(
@@ -84,6 +85,18 @@ def _heads(keys: np.ndarray) -> np.ndarray:
     head = np.ones(len(keys), dtype=bool)
     np.not_equal(keys[1:], keys[:-1], out=head[1:])
     return np.flatnonzero(head)
+
+
+def number_classes(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The classes of the positions that hold one key, each numbered by
+    the rank of its first position: those positions, ascending, and each
+    position's class number."""
+    order = np.argsort(keys, kind="stable")
+    first = _heads(keys[order])
+    reps = np.sort(order[first])
+    cls = np.empty_like(order)
+    cls[order] = np.repeat(np.searchsorted(reps, order[first]), np.diff(first, append=len(keys)))
+    return reps, cls
 
 
 def _ranges(low: np.ndarray, fan: np.ndarray) -> np.ndarray:
@@ -309,25 +322,31 @@ def sweep(n_max: int, stats: np.ndarray, index) -> tuple[np.ndarray, Iterator]:
 
 
 def tables(multisets: np.ndarray, ids: np.ndarray) -> np.ndarray:
-    """A swept fiber's tables as rows, in canonical order, from its class
-    multisets and each cell's class id: for a class held k times, each
-    column takes its cells from the one the column before took."""
-    count, n = multisets.shape
+    """A fiber's tables as rows, in canonical order, from its class
+    multisets, rows that hold each class's copies side by side, and each
+    cell's class id.  Each column starts at its class's first cell, and one
+    whose class has more cells in some row fans out, a class held k times
+    taking its cells from the one the column before took; only those
+    columns are read, as in :func:`counts`, so a table of many paths of
+    one-cell classes costs one gather."""
     members = np.argsort(ids, kind="stable").astype(np.min_scalar_type(max(len(ids) - 1, 0)))
     bounds = np.append(0, np.cumsum(np.bincount(ids)))
-    at, of = np.zeros((count, 0), np.intp), np.arange(count)
-    for j in range(n):
-        c = multisets[of, j].astype(np.intp)
+    at = bounds[multisets]
+    for j in np.flatnonzero(np.take(np.diff(bounds) > 1, multisets.T).any(axis=1)):
+        # Class ids come in a dtype that also holds one past the largest
+        # (:func:`classes`; intp from a lone fiber's search), so c + 1 does
+        # not wrap.
+        c = multisets[:, j]
         low = bounds[c]
         if j:
-            same = c == multisets[of, j - 1]
-            low[same] = at[same, -1]
+            same = c == multisets[:, j - 1]
+            low[same] = at[same, j - 1]
         fan = bounds[c + 1] - low
-        at = np.concatenate([np.repeat(at, fan, axis=0), _ranges(low, fan)[:, None]], axis=1)
-        of = np.repeat(of, fan)
+        at, multisets = np.repeat(at, fan, axis=0), np.repeat(multisets, fan, axis=0)
+        at[:, j] = _ranges(low, fan)
     rows = members[at]
     rows.sort(axis=1)
-    return rows[np.lexsort(rows.T[::-1])[::-1]] if n else rows
+    return rows[np.lexsort(rows.T[::-1])[::-1]] if len(rows) > 1 else rows
 
 
 def fiber_group(rows: np.ndarray, index) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
@@ -341,15 +360,10 @@ def fiber_group(rows: np.ndarray, index) -> tuple[np.ndarray | None, np.ndarray,
     ids, size, reps = classes(cells, index)
     ids = ids[np.searchsorted(cells, rows)]
     ids.sort(axis=1)
-    keys = _keys(ids, len(reps) + 1)
-    order = np.argsort(keys, kind="stable")
-    keys = keys[order]
-    start = _heads(keys)
-    by_first = np.argsort(order[start])
-    multisets = ids[order[start[by_first]]]
-    held = np.diff(np.append(start, len(keys)))[by_first]
+    first, of_table = number_classes(_keys(ids, len(reps) + 1))
+    multisets = ids[first]
     label, escaped = search(multisets, mapped(index.moves, reps), len(reps) + 1)
-    complete = not len(escaped) and (held == counts(multisets, size)).all()
+    complete = not len(escaped) and (np.bincount(of_table) == counts(multisets, size)).all()
     return ids, multisets, label if complete else None
 
 
@@ -366,11 +380,6 @@ def components(rows: np.ndarray, multisets: np.ndarray, roots: np.ndarray) -> tu
     tables = np.argsort(root, kind="stable")
     cuts = np.flatnonzero(np.diff(root[tables])) + 1
     return tuple(tuple(t.tolist()) for t in np.split(tables, cuts))
-
-
-def tuples(rows: np.ndarray) -> list[tuple[int, ...]]:
-    """The rows of a 2-d array as tuples, built column by column."""
-    return list(zip(*rows.T.tolist())) if rows.shape[1] else [()] * len(rows)
 
 
 def cell_texts(T: int, cells: np.ndarray) -> list[str]:

@@ -34,7 +34,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._bulk import _distinct
+from ._bulk import _distinct, number_classes
 from .core import MIN_T
 from .fiber import _canonical, _fitting_cells
 from .moves import Family
@@ -71,16 +71,9 @@ def index(T: int, families: tuple[Family, ...]):
         raise ValueError(f"the point index is capped at T <= {POINT_INDEX_T_CAP}, got {T}")
     point = _point_keys(T, T)
     key = point >> 1 if Family.TYPE2_DEG1 in families else point
-    # Each class is numbered by the rank of its smallest cell, the first
-    # cell of its run of keys in a stable sort.
-    order = np.argsort(key, kind="stable")
-    first = np.flatnonzero(np.append(True, np.diff(key[order]) != 0))
-    reps = np.sort(order[first])
-    cls = np.empty_like(order)
-    runs = np.diff(np.append(first, len(key)))
-    cls[order] = np.repeat(np.searchsorted(reps, order[first]), runs)
-    size = np.bincount(cls)
-    shared = np.flatnonzero(size[cls] > 1)
+    # Each class is numbered by the rank of its smallest cell.
+    reps, cls = number_classes(key)
+    shared = np.flatnonzero(np.bincount(cls)[cls] > 1)
     of_point = np.zeros(2 * T**3, dtype=np.int64)
     of_point[point] = cls
     R = len(reps)

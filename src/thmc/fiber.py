@@ -8,9 +8,13 @@ as a single component.
 
 A table is the sorted tuple of its paths' cell indices (path encodings,
 one entry per unit of count), or the same indices as one row of an
-(N, n) array.  A sweep enumerates the class multisets of each path count,
-a level, as one array (:mod:`thmc._bulk`, imported on first use) and finds
-the level's fibers, table counts and components on them, with no table
+(N, n) array.  Cells of one statistic stand in for each other in any
+table, so both ways to a fiber find its class multisets first, and
+:func:`thmc._bulk.tables` (:mod:`thmc._bulk`, imported on first use)
+builds their tables.  :func:`enumerate_fiber` searches one statistic's
+classes depth first, counting tables as it goes.  A sweep enumerates the
+class multisets of each path count, a level, as one array and finds the
+level's fibers, table counts and components on them, with no table
 built.  A swept fiber and its report hold those multisets, counts and
 components' roots, and build their tables when read;
 ``thmc verify-basis --report`` builds each level's tables once.
@@ -26,6 +30,7 @@ moves as fiber connectors).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Callable, Iterable, Sequence
@@ -72,17 +77,18 @@ class BudgetExceeded(RuntimeError):
 class Fiber:
     """All tables with a given transition statistic, canonically ordered.
 
-    ``cells[i]`` holds table ``i`` as the sorted tuple of its paths' cell
-    indices; ``elements[i]`` is the same table as a :class:`PathTable`, and
-    ``_rows`` all tables as array rows, each built on first use.  A fiber
-    from :func:`sweep` holds its class ``multisets`` and each cell's class
-    ``ids`` in place of its cells, and builds ``_rows`` from them, then
-    ``cells``, when read.  ``repr`` shows T and b, so it builds nothing,
-    and fibers compare by identity.
+    ``_rows`` holds the tables as array rows of their paths' cell indices,
+    ascending; ``cells[i]`` is table ``i`` as the sorted tuple of the same
+    indices and ``elements[i]`` as a :class:`PathTable`, each built on
+    first use.  A fiber is given its tables, as rows or as tuples, or, from
+    :func:`sweep`, its class ``multisets`` and each cell's class ``ids``,
+    from which ``_rows`` is built when read (:func:`thmc._bulk.tables`).
+    ``repr`` shows T and b, so it builds nothing, and fibers compare by
+    identity.
     """
 
     def __init__(
-        self, T: int, b: TransitionStat, cells: tuple[Cells, ...] | None = None,
+        self, T: int, b: TransitionStat, cells: tuple[Cells, ...] | np.ndarray | None = None,
         multisets: np.ndarray | None = None, ids: np.ndarray | None = None,
     ) -> None:
         if (cells is None) == (multisets is None):
@@ -91,16 +97,14 @@ class Fiber:
         self._multisets, self._ids = multisets, ids
         if cells is not None:
             # Held in place of the cached property's value.
-            self.cells = cells
+            self._rows = np.asarray(cells, dtype=np.min_scalar_type((1 << T) - 1))
 
     def __repr__(self) -> str:
         return f"Fiber(T={self.T}, b={self.b!r})"
 
     @cached_property
     def cells(self) -> tuple[Cells, ...]:
-        from . import _bulk
-
-        return tuple(_bulk.tuples(self._rows))
+        return tuple(map(tuple, self._rows.tolist()))
 
     @cached_property
     def elements(self) -> tuple[PathTable, ...]:
@@ -113,12 +117,10 @@ class Fiber:
     def _rows(self) -> np.ndarray:
         from . import _bulk
 
-        if self._multisets is None:
-            return np.array(self.cells, dtype=np.min_scalar_type((1 << self.T) - 1))
         return _bulk.tables(self._multisets, self._ids)
 
     def __len__(self) -> int:
-        return len(self.cells)
+        return len(self._rows)
 
 
 def _fitting_cells(
@@ -146,76 +148,88 @@ def _fitting_cells(
     return cells, stats
 
 
-def _enumerate_cells(T: int, target: tuple[int, int, int, int]) -> list[Cells]:
-    """Depth-first enumeration over the cells that fit, in encoding order.
+def _enumerate_cells(T: int, target: tuple[int, int, int, int]) -> np.ndarray | tuple:
+    """The tables of a statistic as rows of their cells, in canonical order,
+    or an empty tuple when there are none.
 
     Only a cell whose own statistic is <= the target in every coordinate
-    can appear in the fiber, so the search runs over those cells alone
-    (:func:`_fitting_cells`).  Returns each table as its sorted tuple of
-    cell indices.  A node takes only the counts of its cell that leave a
-    budget the later cells can still consume given the number of paths
-    still to place.  Raises :class:`BudgetExceeded` past
-    ``MAX_FIBER_ELEMENTS`` paths in a table (before any search) or tables,
-    or past ``MAX_DFS_NODES`` search nodes.
+    can appear in the fiber (:func:`_fitting_cells`), and the cells of one
+    statistic, a class, stand in for each other in any table.  So a
+    depth-first search over the classes, in ascending statistic order (b11
+    first), finds the fiber's class multisets: a node takes only the counts
+    of its class that leave a budget the later classes can still consume
+    given the number of paths still to place.  A multiset holding k_c
+    copies of class c, of m_c cells, holds ``prod_c C(m_c + k_c - 1, k_c)``
+    tables, which :func:`thmc._bulk.tables` builds once the search is done.
+    Raises :class:`BudgetExceeded` past ``MAX_FIBER_ELEMENTS`` paths in a
+    table (before any search) or tables (as the search counts them, before
+    any is built), or past ``MAX_DFS_NODES`` search nodes.
     """
-    max_elements = MAX_FIBER_ELEMENTS
-    max_nodes = MAX_DFS_NODES
-    total = sum(target)
-    if total % (T - 1) != 0:
-        return []
-    n = total // (T - 1)
-    if n > max_elements:
+    n, extra = divmod(sum(target), T - 1)
+    # Each path adds -1, 0 or +1 to b12 - b21.
+    if extra or abs(target[1] - target[2]) > n:
+        return ()
+    if n > MAX_FIBER_ELEMENTS:
         raise BudgetExceeded(
-            f"tables of {n} paths exceed the fiber element budget {max_elements}", 0, 0
+            f"tables of {n} paths exceed the fiber element budget {MAX_FIBER_ELEMENTS}", 0, 0
         )
+    from . import _bulk
+
     cells, stats = _fitting_cells(T, target)
-    cells = cells.tolist()
-    # smax[m]: max of each transition over the fitting cells from the m-th on.
+    key = stats @ T ** np.arange(3, -1, -1)
+    reps, cls = _bulk.number_classes(key)
+    # The classes in ascending statistic order (b11 first): the Klotz fiber
+    # is refused after 310,519 nodes, where in the order of their smallest
+    # cells no table was counted in 2*10**6.
+    order = np.argsort(key[reps]).tolist()
+    stats = stats[reps[order]].tolist()
+    size = np.bincount(cls).tolist()
+    # smax[m]: max of each transition over the classes from the m-th on.
     smax = np.maximum.accumulate(stats[::-1]).tolist()[::-1] + [[0, 0, 0, 0]]
-    stats = stats.tolist()
     if any(r > n * c for r, c in zip(target, smax[0])):
-        return []
-    results: list[Cells] = []
-    nodes = 0
-    # The search has one level per fitting cell, past the recursion limit
-    # for long paths, so it keeps an explicit stack of nodes (m, rem, n,
-    # runs): fitting cell m is next to decide, rem is the budget left for n
-    # paths, and runs holds the (cell, count) pairs taken.  Every node has
-    # rem <= n * smax[m], so once its cells are all decided, rem is zero.
-    # Children are pushed in reverse, so they are visited in ascending k.
+        return ()
+    leaves = []
+    count = nodes = 0
+    # The search has one level per class, past the recursion limit for long
+    # paths, so it keeps an explicit stack of nodes (m, rem, left, runs):
+    # the m-th class is next to decide, rem is the budget left for left
+    # paths, and runs holds the (class, count) pairs taken.  Every node has
+    # rem <= left * smax[m], so once its classes are all decided, rem is
+    # zero.  Children are pushed in reverse, so they are visited in
+    # ascending k.
     stack = [(0, target, n, ())]
     while stack:
-        m, rem, n, runs = stack.pop()
+        m, rem, left, runs = stack.pop()
         nodes += 1
-        if nodes > max_nodes:
-            raise BudgetExceeded(
-                f"DFS node budget {max_nodes} exceeded", len(results), nodes
-            )
-        if n == 0:
-            if len(results) >= max_elements:
+        if nodes > MAX_DFS_NODES:
+            raise BudgetExceeded(f"DFS node budget {MAX_DFS_NODES} exceeded", count, nodes)
+        if left == 0:
+            count += math.prod(math.comb(size[c] + k - 1, k) for c, k in runs)
+            if count > MAX_FIBER_ELEMENTS:
                 raise BudgetExceeded(
-                    f"fiber element budget {max_elements} exceeded",
-                    len(results),
-                    nodes,
+                    f"fiber element budget {MAX_FIBER_ELEMENTS} exceeded", count, nodes
                 )
-            results.append(tuple(cell for cell, k in runs for _ in range(k)))
+            leaves.append(runs)
             continue
-        # k copies of cell m need k * s <= rem and rem - k * s <= (n - k) * c
-        # in each transition, where c bounds every later cell.
+        # k copies of class m need k * s <= rem and rem - k * s <= (left - k)
+        # * c in each transition, where c bounds every later class.
         s0, s1, s2, s3 = s = stats[m]
-        lo, hi = 0, n
+        lo, hi = 0, left
         for r, sj, cj in zip(rem, s, smax[m + 1]):
             if sj:
                 hi = min(hi, r // sj)
             if cj > sj:
-                hi = min(hi, (n * cj - r) // (cj - sj))
+                hi = min(hi, (left * cj - r) // (cj - sj))
             elif cj < sj:
-                lo = max(lo, -((n * cj - r) // (sj - cj)))
+                lo = max(lo, -((left * cj - r) // (sj - cj)))
         r0, r1, r2, r3 = rem
         for k in range(hi, lo - 1, -1):
             rest = (r0 - k * s0, r1 - k * s1, r2 - k * s2, r3 - k * s3)
-            stack.append((m + 1, rest, n - k, runs + ((cells[m], k),) if k else runs))
-    return results
+            stack.append((m + 1, rest, left - k, runs + ((order[m], k),) if k else runs))
+    # Each leaf's runs give its multiset's row, each class's copies together.
+    classes, counts = np.array([r for runs in leaves for r in runs], np.intp).reshape(-1, 2).T
+    multisets = np.repeat(classes, counts).reshape(len(leaves), n)
+    return cells[_bulk.tables(multisets, cls)]
 
 
 def enumerate_fiber(T: int, b: TransitionStat | Sequence[int]) -> Fiber:
@@ -223,14 +237,17 @@ def enumerate_fiber(T: int, b: TransitionStat | Sequence[int]) -> Fiber:
 
     Elements are sorted canonically (lexicographically in their dense count
     vectors).  A statistic whose total is not a multiple of T-1 has an
-    empty fiber.  T is capped at ``DENSE_T_CAP``, because as many as 2**T
-    cells can fit the statistic.  Entries must be nonnegative
-    integers (Python or numpy); any other type raises :class:`ValueError`.
+    empty fiber, and so has one of n paths with ``|b12 - b21| > n``, since
+    each path adds -1, 0 or +1 to ``b12 - b21``.  T is capped at
+    ``DENSE_T_CAP``, because as many as 2**T cells can fit the statistic.
+    Entries must be nonnegative integers (Python or numpy); any other type
+    raises :class:`ValueError`.
     Raises :class:`BudgetExceeded` before any search when each table would
-    hold more than ``MAX_FIBER_ELEMENTS`` paths, and during it past
-    ``MAX_FIBER_ELEMENTS`` tables or ``MAX_DFS_NODES`` search nodes; a
-    search that runs to the node budget prints nothing for about 6 minutes
-    (10**7 nodes took 38 s on a 2-core machine).
+    hold more than ``MAX_FIBER_ELEMENTS`` paths, and during it, before any
+    table is built, once its class multisets hold more than
+    ``MAX_FIBER_ELEMENTS`` tables or it passes ``MAX_DFS_NODES`` search
+    nodes (:func:`_enumerate_cells`); the exception's ``partial_count`` is
+    the tables counted and ``nodes_visited`` the nodes searched.
     """
     if T < MIN_T:
         raise ValueError(f"T must be >= {MIN_T}, got {T}")
@@ -238,7 +255,7 @@ def enumerate_fiber(T: int, b: TransitionStat | Sequence[int]) -> Fiber:
         raise ValueError(f"fiber enumeration is capped at T <= {DENSE_T_CAP}, got {T}")
     if not isinstance(b, TransitionStat):
         b = TransitionStat(*b)
-    return Fiber(T, b, tuple(_enumerate_cells(T, b.as_tuple())))
+    return Fiber(T, b, _enumerate_cells(T, b.as_tuple()))
 
 
 class ConnectivityReport:
@@ -399,17 +416,25 @@ def _resolve_moves(
     T: int, move_set: Iterable[Move] | Iterable[Family | str] | None
 ) -> _MoveIndex:
     """The move index of a move set."""
-    items = list(Family if move_set is None else move_set)
+    items = tuple(Family if move_set is None else move_set)
     explicit = {isinstance(m, Move) for m in items}
     if isinstance(move_set, str) or len(explicit) > 1:
         raise TypeError("a move set is either Moves or family tokens")
     if True not in explicit:
         return _family_index(T, tuple(Family(f) for f in items))
-    for m in items:
+    return _moves_index(T, items)
+
+
+@lru_cache(maxsize=16)
+def _moves_index(T: int, moves: tuple[Move, ...]) -> _MoveIndex:
+    """The index of an explicit move list, kept for the 16 lists used most
+    recently, so that repeated calls with one list index it, and find its
+    symmetries, once."""
+    for m in moves:
         if m.T != T:
             raise ValueError(f"move has T={m.T}, fiber has T={T}")
-    codes, deltas = np.array([(encode(p), d) for m in items for p, d in m.deltas]).T
-    starts = np.cumsum([0] + [len(m.deltas) for m in items[:-1]])
+    codes, deltas = np.array([(encode(p), d) for m in moves for p, d in m.deltas]).T
+    starts = np.cumsum([0] + [len(m.deltas) for m in moves[:-1]])
     return _move_index(T, [(codes, deltas, starts)], ("custom",))
 
 

@@ -74,6 +74,14 @@ class TestEnumerateFiber:
     def test_empty_when_total_not_divisible(self):
         assert len(enumerate_fiber(3, (1, 1, 1, 0))) == 0
 
+    # Each path adds -1, 0 or +1 to b12 - b21, so n paths cannot reach a
+    # difference past n; such a fiber is empty before any search.
+    @pytest.mark.parametrize("T, b", [(4, (66, 242, 31, 261)), (5, (37, 56, 350, 357))])
+    def test_empty_when_b12_minus_b21_exceeds_n(self, monkeypatch, T, b):
+        monkeypatch.setattr(fiber, "MAX_DFS_NODES", 10)
+        fib = enumerate_fiber(T, b)
+        assert len(fib) == 0 and fib.cells == ()
+
     def test_agrees_with_naive_filter(self):
         # completeness on every realizable statistic at T=3, n <= 3
         for b in realizable_stats(3, 3):
@@ -92,13 +100,35 @@ class TestEnumerateFiber:
         assert a == b
         assert len(set(a)) == len(a)
 
-    # Tables of 5 paths, so the budget of 5 admits the search and stops it
-    # at the sixth of the 265 tables.
+    # Tables of 5 paths, so the budget of 5 admits the search.  It counts
+    # each class multiset's tables as it finds the multiset, and stops once
+    # the count passes the budget: at 6 of the 265 tables, none built.
     def test_element_budget(self, monkeypatch):
+        from thmc import _bulk
+
+        def refuse(*args):
+            raise AssertionError("built tables")
+
         monkeypatch.setattr(fiber, "MAX_FIBER_ELEMENTS", 5)
-        with pytest.raises(BudgetExceeded) as err:
+        monkeypatch.setattr(_bulk, "tables", refuse)
+        with pytest.raises(BudgetExceeded, match="^fiber element budget 5 exceeded$") as err:
             enumerate_fiber(4, (3, 4, 4, 4))
-        assert err.value.partial_count == 5
+        assert err.value.partial_count == 6
+
+    # An oracle that shares neither the search nor _bulk.tables: each
+    # fiber's span of the tables _levels lists for its path count, every
+    # table of n paths in canonical order.
+    @pytest.mark.parametrize("T, n_max", [(3, 4), (4, 4), (5, 4), (6, 3)])
+    def test_matches_the_level_listing(self, T, n_max):
+        fibers = 0
+        for rows, starts, stats in fiber._levels(T, n_max):
+            bounds = [*starts.tolist(), len(rows)]
+            for b, lo, hi in zip(stats, bounds, bounds[1:]):
+                fib = enumerate_fiber(T, b)
+                assert fib._rows.dtype == rows.dtype
+                assert fib._rows.tolist() == rows[lo:hi].tolist()
+                fibers += 1
+        assert fibers == len(realizable_stats(T, n_max))
 
     def test_tables_of_more_paths_than_the_budget_refused(self, monkeypatch):
         def refuse(T, *args):
@@ -154,8 +184,9 @@ class TestEnumerateFiber:
         b = tuple(np.int64(v) for v in (2, 2, 0, 2))
         assert enumerate_fiber(3, b).cells == enumerate_fiber(3, (2, 2, 0, 2)).cells
 
-    # The search runs only over the cells whose own statistic fits, so the
-    # 15 single-path tables take 30 nodes of the 1000 allowed.
+    # The search runs only over the classes of the cells whose own
+    # statistic fits, so the 15 single-path tables, one class, take 2 nodes
+    # of the 1000 allowed.
     def test_single_path_fiber_in_few_nodes(self, monkeypatch):
         b = (1, 1, 1, 12)
         expected = [
@@ -166,8 +197,9 @@ class TestEnumerateFiber:
         assert len(fib) == 15
         assert list(fib.cells) == sorted(expected, reverse=True)
 
-    # A node keeps its cells as (cell, count) runs and takes only the counts
-    # the later cells can complete: one table of 10**6 paths takes 2 nodes.
+    # A node keeps its classes as (class, count) runs and takes only the
+    # counts the later classes can complete: one table of 10**6 paths takes
+    # 2 nodes.
     def test_single_table_of_many_paths_in_few_nodes(self, monkeypatch):
         monkeypatch.setattr(fiber, "MAX_DFS_NODES", 10)
         fib = enumerate_fiber(3, (2 * 10**6, 0, 0, 0))
@@ -181,7 +213,7 @@ class TestEnumerateFiber:
         assert keys[keys != 0].tolist() == [2_000_001]
         assert _bulk.Tokens(3, keys)._table[2] is None
 
-    # Pushing only the children the suffix bound admits takes 30,983 nodes.
+    # Pushing only the children the suffix bound admits takes 2,249 nodes.
     def test_children_pushed_only_when_completable(self, monkeypatch):
         monkeypatch.setattr(fiber, "MAX_DFS_NODES", 40_000)
         assert len(enumerate_fiber(4, (6, 6, 6, 6))) == 3390
@@ -257,6 +289,25 @@ class TestConnectivity:
         fib = enumerate_fiber(3, (2, 2, 0, 2))
         with pytest.raises(ValueError):
             connectivity(fib, [deg3_sliding(4, 1, 1, 1)])
+
+    # An explicit move list is indexed, and its symmetries found, once for
+    # repeated calls with the same moves.
+    def test_explicit_move_list_indexed_once(self, monkeypatch):
+        indexed = []
+        real_move_index = fiber._move_index
+
+        def counted_move_index(*args):
+            indexed.append(args)
+            return real_move_index(*args)
+
+        monkeypatch.setattr(fiber, "_move_index", counted_move_index)
+        fiber._moves_index.cache_clear()
+        moves = enumerate_families(4, ["crossing", "2x2"])
+        fibers = [enumerate_fiber(4, b) for b in realizable_stats(4, 3)[:20]]
+        first = [connectivity(fib, moves).components for fib in fibers]
+        assert [connectivity(fib, list(moves)).components for fib in fibers] == first
+        assert len(indexed) == 1
+        assert fiber._resolve_moves(4, moves) is fiber._resolve_moves(4, iter(moves))
 
     def test_empty_fiber_rejected(self):
         with pytest.raises(ValueError):
@@ -443,17 +494,18 @@ class TestSweep:
         assert connectivity_calls == [] and len(reports) > 1
         assert sorted(reads) == [(4, Family.CROSSING), (4, Family.TYPE2_DEG1)]
 
-        # An explicit move list, even a one-pass iterator, is indexed once
-        # per sweep, not once per fiber.
+        # An explicit move list, even a one-pass iterator, is indexed once,
+        # not once per fiber, and the index is kept for the same list.
         moves = enumerate_families(4, ["crossing", "type2"])
         monkeypatch.setattr(fiber, "_move_index", counted_move_index)
+        fiber._moves_index.cache_clear()
         # Reports compare by identity, so their contents are compared.
         def contents(reports):
             return [(r.fiber.cells, r.components, r.move_set) for r in reports]
 
         assert contents(sweep(4, 3, iter(moves))) == contents(sweep(4, 3, moves))
         assert connectivity_calls == []
-        assert len(indexed) == 2
+        assert len(indexed) == 1
 
     # Nothing is rendered before a read.  A swept fiber read alone renders
     # the tokens of its own tables, as a lone fiber does: each read renders
@@ -695,13 +747,12 @@ class TestClassSweep:
         assert levels == [0, 1, 2, 3, 4]
 
     # Each swept fiber's tables, built when read, and its components equal
-    # those of connectivity on the DFS enumeration of the fiber under the
+    # those of connectivity on the lone fiber (enumerate_fiber) under the
     # path-level index, built from every decoded draw of the families.
     # connectivity takes moves or families, and a selection with type I
     # moves is indexed on points, so the path-level index stands in for the
     # one it resolves once the sweep is done.  Without the sliding moves,
-    # fibers of three paths split; at n <= 3 only those are compared, since
-    # the DFS takes most of a minute over all.
+    # fibers of three paths split; at n <= 3 only those are compared.
     @pytest.mark.parametrize("families, n_max, split", [
         (tuple(Family), 2, 0),
         (tuple(f for f in Family if f is not Family.DEG3_SLIDING), 2, 0),
@@ -890,7 +941,8 @@ def test_minimal_basis_has_degree_at_most_three(T, counts):
 
 def reference_components(fib, moves):
     """Components by union-find over every element, move and sign, with the
-    DFS enumeration and apply_move as the only program parts used."""
+    lone fiber's tables (enumerate_fiber) and apply_move as the only
+    program parts used."""
     index = {t: i for i, t in enumerate(fib.elements)}
     parent = list(range(len(fib.elements)))
 
@@ -958,8 +1010,9 @@ class TestSweepOracle:
 
 def brute_components(fib, moves):
     """Components by union-find over tables: each move, with each sign,
-    applied to every table as a dense count vector.  The DFS enumeration
-    and the path encoding are the only program parts used."""
+    applied to every table as a dense count vector.  The lone fiber's
+    tables (enumerate_fiber) and the path encoding are the only program
+    parts used."""
     from thmc.core import encode
 
     counts = np.zeros((len(fib.cells), 1 << fib.T), dtype=np.int64)
